@@ -9,9 +9,11 @@ parser normalizes every vector on the way in.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .errors import (
     InvalidModeError,
     NotFoundError,
     SchemaError,
+    TooLargeError,
     UnitarityError,
 )
 from .jsonio import canonical_dumps, parse_json
@@ -30,12 +33,12 @@ from .linalg import (
     inner_product,
     normalize,
     phase_normalize,
-    rank,
 )
 
 __all__ = [
     "CATALOG_NAMES",
     "Ensemble",
+    "MAX_GRAPH_STATES",
     "ProductState",
     "ValidationReport",
     "apply_local_unitaries",
@@ -49,6 +52,24 @@ __all__ = [
     "random_unitary",
     "validate",
 ]
+
+MAX_GRAPH_STATES = 8192
+"""Largest state count whose per-party adjacency :meth:`Ensemble.adjacency` builds.
+
+Each party's adjacency is an ``n x n`` boolean array, n² bytes: 64 MiB per
+party at the cap, 16 MiB at n = 4096.  Larger ensembles raise
+:class:`~loccdist.errors.TooLargeError` before anything is allocated.
+"""
+
+# Complex entries per row block of a Gram matrix (4 MiB), so that no n x n
+# complex array is ever held whole.
+_BLOCK_ENTRIES = 1 << 18
+
+# Bulk products sum in another order than a pairwise np.vdot, which moves a
+# magnitude by a few ulps per party dimension.  Entries this close to tol are
+# recomputed pairwise, so every pair lands on the side of tol that the
+# pairwise inner product puts it on.
+_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,6 +122,7 @@ class Ensemble:
                 f"got {len(self.states)}"
             )
         object.__setattr__(self, "_index", seen)
+        object.__setattr__(self, "_adjacency", {})
 
     @property
     def parties(self) -> int:
@@ -124,6 +146,43 @@ class Ensemble:
             raise DimensionError(f"party {party} out of range for {self.parties} parties")
         return self.state(label).locals[party]
 
+    @functools.cached_property
+    def party_arrays(self) -> tuple[np.ndarray, ...]:
+        """One read-only ``n x d_p`` complex array per party, rows in state order."""
+        out = []
+        for p, d in enumerate(self.dims):
+            a = np.empty((len(self.states), d), dtype=np.complex128)
+            for i, s in enumerate(self.states):
+                a[i] = s.locals[p].entries
+            a.setflags(write=False)
+            out.append(a)
+        return tuple(out)
+
+    def adjacency(self, party: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Read-only ``n x n`` boolean array: states i != j are relative at ``party``.
+
+        Relative means ``|<u_i|u_j>| > tol`` for the party's vectors.  Built
+        once per ``(party, tol)`` in row blocks and cached; the ensemble is
+        frozen, so the cache never goes stale.
+        """
+        if not 0 <= party < self.parties:
+            raise DimensionError(f"party {party} out of range for {self.parties} parties")
+        cache: dict = self._adjacency  # type: ignore[attr-defined]
+        key = (party, float(tol))
+        if key not in cache:
+            n = len(self.states)
+            if n > MAX_GRAPH_STATES:
+                raise TooLargeError(
+                    f"overlap graphs handle at most {MAX_GRAPH_STATES} states, got {n}"
+                )
+            adj = np.zeros((n, n), dtype=bool)
+            for i0, mags in _overlap_rows(self, (party,), tol):
+                adj[i0 : i0 + len(mags), i0:] = np.triu(mags > tol, 1)
+            adj |= adj.T
+            adj.setflags(write=False)
+            cache[key] = adj
+        return cache[key]
+
 
 def product_overlap(a: ProductState, b: ProductState) -> complex:
     """Full inner product <a|b>, the product of the per-party inner products."""
@@ -145,7 +204,6 @@ class ValidationReport:
 
     pairwise_orthogonal: bool
     complete_count: bool
-    spans_full: tuple[bool, ...]
     offending_pairs: tuple[tuple[str, str, float], ...]
     claimed_complete: bool
 
@@ -155,21 +213,43 @@ class ValidationReport:
         return self.pairwise_orthogonal and (self.complete_count or not self.claimed_complete)
 
 
+def _overlap_rows(
+    e: Ensemble, parties: Sequence[int], tol: float
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Row blocks of the upper triangle of ``|<s_i|s_j>|`` over ``parties``.
+
+    Yields ``(i0, mags)`` where ``mags[k, c]`` is the magnitude for states
+    ``i0 + k`` and ``i0 + c``; only entries with ``c > k`` are meaningful.
+    Entries within rounding of ``tol`` are recomputed as the pairwise
+    product of inner products, earlier state first.
+    """
+    arrays = [e.party_arrays[p] for p in parties]
+    n = len(e.states)
+    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        mags = np.ones((i1 - i0, n - i0))
+        for a in arrays:
+            mags *= np.abs(a[i0:i1].conj() @ a[i0:].T)
+        near = np.triu(np.abs(mags - tol) <= _ROUNDING, 1)
+        for k, c in zip(*np.nonzero(near)):
+            z = 1.0 + 0.0j
+            for a in arrays:
+                z *= complex(np.vdot(a[i0 + k], a[i0 + c]))
+            mags[k, c] = abs(z)
+        yield i0, mags
+
+
 def validate(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check pairwise orthogonality, state count, and per-party spans."""
+    """Check pairwise orthogonality of the product states and the state count."""
     offending: list[tuple[str, str, float]] = []
-    for i in range(len(e.states)):
-        for j in range(i + 1, len(e.states)):
-            mag = abs(product_overlap(e.states[i], e.states[j]))
-            if mag > tol:
-                offending.append((e.states[i].label, e.states[j].label, mag))
-    spans = tuple(
-        rank((s.locals[p] for s in e.states), tol) == e.dims[p] for p in range(e.parties)
-    )
+    for i0, mags in _overlap_rows(e, range(e.parties), tol):
+        for k, c in zip(*np.nonzero(np.triu(mags > tol, 1))):
+            a, b = e.states[i0 + k], e.states[i0 + c]
+            offending.append((a.label, b.label, float(mags[k, c])))
     return ValidationReport(
         pairwise_orthogonal=not offending,
         complete_count=len(e.states) == math.prod(e.dims),
-        spans_full=spans,
         offending_pairs=tuple(offending),
         claimed_complete=e.complete,
     )

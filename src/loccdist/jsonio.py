@@ -3,7 +3,8 @@
 Emission is byte-stable: dict keys keep insertion order, floats are printed
 with 17 significant digits (enough to round-trip IEEE doubles exactly), and
 no whitespace depends on content.  Parsing is plain ``json`` wrapped so that
-malformed text surfaces as :class:`~loccdist.errors.ParseError`.
+malformed or too deeply nested text surfaces as
+:class:`~loccdist.errors.ParseError`.
 """
 
 from __future__ import annotations
@@ -77,3 +78,5 @@ def parse_json(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("malformed JSON: nested too deeply") from None

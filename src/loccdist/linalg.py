@@ -1,9 +1,13 @@
 """Tolerance-aware complex linear algebra on small dense vectors and matrices.
 
-Everything downstream funnels its numerics through this module so that a
-single tolerance convention governs the whole package: two vectors are
+A single tolerance convention governs the whole package: two vectors are
 orthogonal iff the magnitude of their inner product is at most ``tol``, and
-the default ``tol`` is :data:`DEFAULT_TOL`.
+the default ``tol`` is :data:`DEFAULT_TOL`.  :func:`inner_product` is that
+predicate for one pair.  Bulk overlaps (validation and the per-party
+relativity graphs) come from row-blocked Gram products over the stacked
+party arrays in :mod:`loccdist.ensemble`, which recompute any magnitude
+within rounding of ``tol`` with the pairwise formula, so both routes agree
+on every pair.
 """
 
 from __future__ import annotations

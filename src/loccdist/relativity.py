@@ -9,7 +9,8 @@ sufficient indistinguishability criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,71 +29,94 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapGraph:
     """Relativity graph of a state subset at one party.
 
-    Members keep the ensemble order; edges are unordered pairs stored with
-    the earlier member first.
+    Members keep the ensemble order.  ``adjacency`` is the read-only boolean
+    matrix over members, without self-loops.  ``edges``, the unordered label
+    pairs with the earlier member first, is derived from it on first read.
     """
 
     party: int
     members: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    adjacency: np.ndarray = field(repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OverlapGraph):
+            return NotImplemented
+        return (
+            self.party == other.party
+            and self.members == other.members
+            and bool(np.array_equal(self.adjacency, other.adjacency))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.party, self.members))
+
+    @functools.cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
+        m = self.members
+        return frozenset((m[i], m[j]) for i, j in zip(rows.tolist(), cols.tolist()))
 
     def has_edge(self, a: str, b: str) -> bool:
         return (a, b) in self.edges or (b, a) in self.edges
 
     def neighbors(self, label: str) -> tuple[str, ...]:
-        adjacent = {b for a, b in self.edges if a == label} | {
-            a for a, b in self.edges if b == label
-        }
-        return tuple(m for m in self.members if m in adjacent)
+        if label not in self.members:
+            return ()
+        row = self.adjacency[self.members.index(label)]
+        return tuple(m for m, adjacent in zip(self.members, row.tolist()) if adjacent)
+
+    @functools.cached_property
+    def _blocks(self) -> tuple[tuple[str, ...], ...]:
+        # Breadth-first search with Python ints as bit sets: bit j of rows[i]
+        # is the edge i-j, so each step ORs whole rows, and every size costs
+        # O(m²/64) word operations with no per-vertex numpy call.
+        m = len(self.members)
+        width = (m + 7) // 8
+        packed = np.packbits(self.adjacency, axis=1, bitorder="little").tobytes()
+        rows = [int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(m)]
+        unseen = (1 << m) - 1
+        out = []
+        while unseen:
+            frontier = unseen & -unseen
+            found = []
+            while frontier:
+                unseen ^= frontier
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    found.append(low.bit_length() - 1)
+                    reach |= rows[found[-1]]
+                    frontier ^= low
+                frontier = reach & unseen
+            out.append(tuple(self.members[i] for i in sorted(found)))
+        return tuple(out)
 
     def blocks(self) -> tuple[tuple[str, ...], ...]:
         """Connected components, ordered by earliest member, members in order."""
-        position = {m: i for i, m in enumerate(self.members)}
-        parent = {m: m for m in self.members}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                # keep the earliest member as representative
-                if position[ra] < position[rb]:
-                    parent[rb] = ra
-                else:
-                    parent[ra] = rb
-        grouped: dict[str, list[str]] = {}
-        for m in self.members:
-            grouped.setdefault(find(m), []).append(m)
-        ordered = sorted(grouped.values(), key=lambda block: position[block[0]])
-        return tuple(tuple(block) for block in ordered)
+        return self._blocks
 
 
 def overlap_graph(
     e: Ensemble, subset: Iterable[str], party: int, tol: float = DEFAULT_TOL
 ) -> OverlapGraph:
-    """Build the relativity graph of ``subset`` at ``party``."""
+    """Build the relativity graph of ``subset`` at ``party``.
+
+    The graph is a slice of the ensemble's cached per-party adjacency, so
+    no overlap is computed twice for one ``(ensemble, tol)``.
+    """
     if not 0 <= party < e.parties:
         raise DimensionError(f"party {party} out of range for {e.parties} parties")
-    wanted = set()
-    for label in subset:
-        e.index(label)  # raises NotFoundError for unknown labels
-        wanted.add(label)
-    members = tuple(label for label in e.labels if label in wanted)
-    edges = set()
-    for i in range(len(members)):
-        vi = e.vector(members[i], party)
-        for j in range(i + 1, len(members)):
-            if abs(inner_product(vi, e.vector(members[j], party))) > tol:
-                edges.add((members[i], members[j]))
-    return OverlapGraph(party=party, members=members, edges=frozenset(edges))
+    idx = sorted({e.index(label) for label in subset})  # NotFoundError for unknown labels
+    adj = e.adjacency(party, tol)
+    if len(idx) < len(e.states):
+        adj = adj.take(idx, axis=0).take(idx, axis=1)
+        adj.setflags(write=False)
+    members = tuple(e.states[i].label for i in idx)
+    return OverlapGraph(party=party, members=members, adjacency=adj)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loccdist
 from loccdist import (
     Ensemble,
     ProductState,
@@ -129,6 +134,32 @@ def test_check_malformed_file(run, tmp_path):
     path.write_text("{not json", encoding="utf-8")
     code, _, err = run("check", str(path))
     assert code == EXIT_DATA
+
+
+def test_deeply_nested_json_is_a_data_error(tmp_path):
+    # json's recursion limit must surface as bad data (65), not as a
+    # traceback whose exit status 1 reads as "indistinguishable"
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(loccdist.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "loccdist.cli", "check", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_DATA
+    assert "Traceback" not in proc.stderr
+    assert "nested too deeply" in proc.stderr
+
+
+def test_check_graph_size_guard_is_usage_error(run, ensemble_file, monkeypatch):
+    monkeypatch.setattr("loccdist.ensemble.MAX_GRAPH_STATES", 8)
+    code, out, err = run("check", ensemble_file("bennett9"))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "at most 8 states" in err
 
 
 def test_check_numerical_instability_is_internal_error(run, tmp_path):

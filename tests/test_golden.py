@@ -1,0 +1,56 @@
+"""Byte identity of `check --json` and `check --trace` output.
+
+The digests below were taken from the pairwise-loop implementation that
+preceded the array-backed relativity layer.  Any drift in a verdict, a
+protocol's blocks or basis vectors, or a certificate's edges changes them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from loccdist import catalog, emit_ensemble, random_product_basis
+from loccdist.cli import main
+
+CASES = {
+    "bennett9": lambda: catalog("bennett9"),
+    "grid16": lambda: catalog("grid16"),
+    "cube64": lambda: catalog("cube64"),
+    "finkelstein9": lambda: catalog("finkelstein9"),
+    "comp2x2": lambda: catalog("comp2x2"),
+    "random-4x4x4-seed3-depth6": lambda: random_product_basis((4, 4, 4), 3, depth=6),
+    "random-6x6x6-seed5-depth10": lambda: random_product_basis((6, 6, 6), 5, depth=10),
+}
+
+# (case, flag) -> (exit code, sha256 of stdout)
+GOLDEN = {
+    ("bennett9", "--json"): (1, "5a571661e652b4eb07c6178fbfa75a1a432de279414fbb493c289171e8c98306"),
+    ("bennett9", "--trace"): (1, "08b6738fcfdb8344b2045399f633bec2eea6853ba3541db78c7c3a8fe4dd089f"),
+    ("grid16", "--json"): (1, "45f0bccadd7ce051a3ae2a1c723dc88dc072a812452cca6dea675430151852cd"),
+    ("grid16", "--trace"): (1, "0b81b0a2e7ef33c2bed34dbed61c32f3057477ef332d41d933d7c69ca71f4a67"),
+    ("cube64", "--json"): (1, "c70924537c38d189af370be21568e1ad2f3230b98a3f8cf9939cf783452d2c6c"),
+    ("cube64", "--trace"): (1, "7eec2f7faf61e49ee9c95ff03feb30c8a7907a9ae4215092a85bf66b7ff7e54d"),
+    ("finkelstein9", "--json"): (2, "8dfe34171fd2010b75088122fda9d2aa25c4718f4a5c52c3e57205a66857d7c5"),
+    ("finkelstein9", "--trace"): (2, "75044522729429550cc85f2ad9ebcd1a1f77c3e7aee3553a8f0dcc5a5e337728"),
+    ("comp2x2", "--json"): (0, "8a80e64d3a31056f770aa38cf4a6e8a32307b26b964d552a5d07c8da8cf24a97"),
+    ("comp2x2", "--trace"): (0, "e4c9f4752189f9e39eeac56235bbbd4c9a9098f9e4b99391b09c43dd3b546d40"),
+    ("random-4x4x4-seed3-depth6", "--json"):
+        (0, "5f91eaaffab0ca72453859926cdaf3d8588b70ab2804d54d7e09c9f326d61c0f"),
+    ("random-4x4x4-seed3-depth6", "--trace"):
+        (0, "b6e8d8a94f74599ee32f9aa781e4de873f5a5c53a297e65d2b9f6476ffd0825a"),
+    ("random-6x6x6-seed5-depth10", "--json"):
+        (0, "9d092ea0cdd11faa0c88688187055f87e475ae395289fb382a3b3f7f56ee9205"),
+    ("random-6x6x6-seed5-depth10", "--trace"):
+        (0, "3c378bd9510fcb4ad37864c0395c050332459018e3a14157822e8fcbd16ae62c"),
+}
+
+
+@pytest.mark.parametrize("case,flag", sorted(GOLDEN))
+def test_check_output_is_byte_identical(case, flag, tmp_path, capsys):
+    path = tmp_path / f"{case}.json"
+    path.write_text(emit_ensemble(CASES[case]()) + "\n", encoding="utf-8")
+    code = main(["check", str(path), flag])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN[(case, flag)]

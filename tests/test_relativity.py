@@ -15,17 +15,26 @@ from loccdist import (
     InvalidModeError,
     NotFoundError,
     NumericalInstabilityError,
+    OverlapGraph,
     ProductState,
+    TooLargeError,
+    basis_vector,
     catalog,
     chain_criterion,
     components,
+    decide,
+    emit_ensemble,
     normalize,
     overlap_graph,
+    parse_ensemble,
     random_product_basis,
     random_unitary,
     relativity_chain,
     apply_local_unitaries,
+    validate,
+    verdict_to_json,
 )
+from loccdist.jsonio import canonical_dumps
 
 TOL = 1e-9
 
@@ -62,6 +71,25 @@ def test_graph_edges_match_oracle_on_generated(seed):
     for party in range(2):
         g = overlap_graph(e, e.labels, party)
         assert g.edges == _oracle_edges(e, e.labels, party)
+
+
+def test_overlap_at_tol_is_not_an_edge():
+    # |<u|at>| is exactly tol and |<u|above>| one ulp more: both fall in the
+    # band the bulk products recompute pairwise, and only "above" is relative
+    above = float(np.nextafter(TOL, 1.0))
+    vectors = {"u": (1.0, 0.0), "at": (TOL, 1.0), "above": (above, 1.0)}
+    states = []
+    for label, (x, y) in vectors.items():
+        v = normalize(np.array([x, np.sqrt(1.0 - x * x) * y]))
+        states.append(ProductState(label, (v,)))
+    e = Ensemble("boundary", (2,), tuple(states), complete=False)
+    g = overlap_graph(e, e.labels, 0)
+    assert g.edges == _oracle_edges(e, e.labels, 0)
+    assert g.edges == frozenset({("u", "above"), ("at", "above")})
+    assert [(a, b) for a, b, _ in validate(e).offending_pairs] == [
+        ("u", "above"),
+        ("at", "above"),
+    ]
 
 
 def test_full_bennett9_graphs_are_connected():
@@ -125,6 +153,36 @@ def test_subset_graph_is_induced_subgraph(seed):
             (a, b) for a, b in full.edges if a in set(chosen) and b in set(chosen)
         )
         assert sub.edges == induced
+
+
+def _reference_blocks(members, adjacency):
+    # plain depth-first search over the edge list, in member order
+    seen, out = set(), []
+    for start in range(len(members)):
+        if start in seen:
+            continue
+        seen.add(start)
+        block, todo = [start], [start]
+        while todo:
+            for j in np.flatnonzero(adjacency[todo.pop()]).tolist():
+                if j not in seen:
+                    seen.add(j)
+                    block.append(j)
+                    todo.append(j)
+        out.append(tuple(members[i] for i in sorted(block)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 130])
+@pytest.mark.parametrize("density", [0.0, 0.01, 0.05, 0.3])
+def test_blocks_match_reference_search(m, density):
+    rng = np.random.default_rng(m * 1000 + int(density * 100))
+    upper = np.triu(rng.random((m, m)) < density, 1)
+    adjacency = upper | upper.T
+    adjacency.setflags(write=False)
+    members = tuple(f"v{i}" for i in range(m))
+    g = OverlapGraph(party=0, members=members, adjacency=adjacency)
+    assert g.blocks() == _reference_blocks(members, adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -276,3 +334,76 @@ def test_criterion_invariant_under_local_unitaries():
     e = catalog("bennett9")
     dressed = apply_local_unitaries(e, [random_unitary(3, rng), random_unitary(3, rng)])
     assert chain_criterion(dressed) is True
+
+
+# ---------------------------------------------------------------------------
+# the per-(party, tol) adjacency cache
+
+
+def _tilted_pair_text():
+    # party 0 holds b, b-perp and c, c-perp, with c tilted from b by 1e-6:
+    # at tol 1e-9 the party-0 graph is connected and party 1 measures first;
+    # at tol 1e-5 it falls into {b, c} and {b-perp, c-perp} and party 0 does
+    theta = 1e-6
+    b, bp = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    c = np.array([np.cos(theta), np.sin(theta)])
+    cp = np.array([-np.sin(theta), np.cos(theta)])
+    a, ap = basis_vector(2, 0), basis_vector(2, 1)
+    e = Ensemble(
+        "tilted",
+        (2, 2),
+        (
+            ProductState("s1", (normalize(b), a)),
+            ProductState("s2", (normalize(bp), a)),
+            ProductState("s3", (normalize(c), ap)),
+            ProductState("s4", (normalize(cp), ap)),
+        ),
+        complete=True,
+    )
+    return emit_ensemble(e)
+
+
+def _verdict_bytes(e, tol):
+    return canonical_dumps(verdict_to_json(decide(e, "complete", tol)))
+
+
+@pytest.mark.parametrize("tols", [(1e-9, 1e-5), (1e-5, 1e-9)])
+def test_one_ensemble_decided_at_two_tolerances(tols):
+    text = _tilted_pair_text()
+    shared = parse_ensemble(text)
+    fresh = {tol: _verdict_bytes(parse_ensemble(text), tol) for tol in tols}
+    assert fresh[tols[0]] != fresh[tols[1]]
+    for tol in tols:
+        assert _verdict_bytes(shared, tol) == fresh[tol]
+    for tol in tols:
+        assert overlap_graph(shared, shared.labels, 0, tol).edges == _oracle_edges(
+            shared, shared.labels, 0, tol
+        )
+
+
+def test_stacked_arrays_and_adjacency_are_read_only():
+    e = catalog("cube64")
+    for party in range(e.parties):
+        arrays = (
+            e.party_arrays[party],
+            e.adjacency(party),
+            overlap_graph(e, e.labels, party).adjacency,
+            overlap_graph(e, e.labels[:10], party).adjacency,
+        )
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = arr[0, 0]
+        assert e.adjacency(party) is e.adjacency(party)
+        assert np.array_equal(
+            e.party_arrays[party], np.array([s.locals[party].entries for s in e.states])
+        )
+
+
+def test_adjacency_size_guard(monkeypatch):
+    e = catalog("bennett9")
+    monkeypatch.setattr("loccdist.ensemble.MAX_GRAPH_STATES", 8)
+    with pytest.raises(TooLargeError):
+        decide(e, "complete")
+    monkeypatch.setattr("loccdist.ensemble.MAX_GRAPH_STATES", 9)
+    assert decide(e, "complete").kind == "indistinguishable"
