@@ -36,8 +36,8 @@ from .errors import (
     NumericalInstabilityError,
     TooLargeError,
 )
-from .jsonio import canonical_dumps, parse_json
-from .linalg import DEFAULT_TOL, LocalVector, parse_matrix
+from .jsonio import canonical_dumps, complex_to_json, parse_json
+from .linalg import DEFAULT_TOL, parse_matrix
 from .oracle import exhaustive_decide
 from .simulate import (
     BUILTIN_PROTOCOL_NAMES,
@@ -193,10 +193,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.perfect else EXIT_INDISTINGUISHABLE
 
 
-def _vector_json(v: LocalVector) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in v.entries]
-
-
 def _cmd_decompose(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     matrix = parse_matrix(parse_json(_read_file(args.matrix)))
@@ -209,8 +205,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "sigmas": [float(s) for s in svd.sigmas],
         "rank": svd.rank,
         "physical": result.physical,
-        "left": [_vector_json(v) for v in svd.left],
-        "right": [_vector_json(v) for v in svd.right],
+        "left": [complex_to_json(v.entries) for v in svd.left],
+        "right": [complex_to_json(v.entries) for v in svd.right],
     }
     print(canonical_dumps(doc))
     return EXIT_OK

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .ensemble import Ensemble, ensure_complete, ensure_orthogonal
 from .errors import InvalidModeError, SchemaError
-from .jsonio import canonical_dumps, parse_json
+from .jsonio import canonical_dumps, complex_from_json, complex_to_json, parse_json
 from .linalg import DEFAULT_TOL, LocalVector, normalize
 from .relativity import OverlapGraph, components, overlap_graph
 
@@ -223,17 +223,13 @@ def decide(e: Ensemble, mode: str, tol: float = DEFAULT_TOL) -> Verdict:
 # serialization
 
 
-def _vector_to_json(v: LocalVector) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in v.entries]
-
-
 def _tree_to_json(t: ProtocolTree) -> dict:
     if isinstance(t, ProtocolLeaf):
         return {"leaf": t.label}
     return {
         "party": t.step.party,
         "outcomes": [
-            {"block": list(o.block), "basis": [_vector_to_json(b) for b in o.basis]}
+            {"block": list(o.block), "basis": [complex_to_json(b.entries) for b in o.basis]}
             for o in t.step.outcomes
         ],
         "children": [_tree_to_json(c) for c in t.children],
@@ -243,21 +239,6 @@ def _tree_to_json(t: ProtocolTree) -> dict:
 def emit_protocol(t: ProtocolTree) -> str:
     """Serialize a protocol tree to canonical JSON."""
     return canonical_dumps(_tree_to_json(t))
-
-
-def _vector_from_json(data: object, where: str) -> LocalVector:
-    if not isinstance(data, list) or not data:
-        raise SchemaError(f"{where}: vector must be a non-empty list of [re, im] pairs")
-    entries = []
-    for i, pair in enumerate(data):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in pair)
-        ):
-            raise SchemaError(f"{where}: entry {i} must be a [re, im] pair")
-        entries.append(complex(pair[0], pair[1]))
-    return normalize(entries)
 
 
 def _tree_from_json(data: object, where: str = "protocol") -> ProtocolTree:
@@ -292,7 +273,7 @@ def _tree_from_json(data: object, where: str = "protocol") -> ProtocolTree:
         if not isinstance(basis, list) or not basis:
             raise SchemaError(f"{where}: outcome {i} basis must be a non-empty list")
         vectors = tuple(
-            _vector_from_json(vec, f"{where}: outcome {i} basis vector {j}")
+            normalize(complex_from_json(vec, f"{where}: outcome {i} basis vector {j}"))
             for j, vec in enumerate(basis)
         )
         outcomes.append(StepOutcome(block=tuple(block), basis=vectors))

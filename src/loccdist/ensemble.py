@@ -25,7 +25,7 @@ from .errors import (
     TooLargeError,
     UnitarityError,
 )
-from .jsonio import canonical_dumps, parse_json
+from .jsonio import canonical_dumps, complex_from_json, complex_to_json, parse_json
 from .linalg import (
     DEFAULT_TOL,
     LocalVector,
@@ -323,36 +323,20 @@ def parse_ensemble(text: str, tol: float = DEFAULT_TOL) -> Ensemble:
                 raise SchemaError(
                     f"state {label!r} party {p} needs {dims[p]} entries"
                 )
-            entries = np.empty(dims[p], dtype=np.complex128)
-            for i, pair in enumerate(vec):
-                if (
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or not all(
-                        isinstance(part, (int, float)) and not isinstance(part, bool)
-                        for part in pair
-                    )
-                ):
-                    raise SchemaError(
-                        f"state {label!r} party {p} entry {i} must be a [re, im] pair"
-                    )
-                entries[i] = complex(pair[0], pair[1])
-            if not np.isfinite(entries).all():
-                raise SchemaError(f"state {label!r} party {p} has non-finite entries")
-            locals_.append(normalize(entries, tol))
+            locals_.append(normalize(complex_from_json(vec, f"state {label!r} party {p}"), tol))
         states.append(ProductState(label, tuple(locals_)))
     return Ensemble(name=name, dims=tuple(dims), states=tuple(states), complete=data["complete"])
 
 
 def emit_ensemble(e: Ensemble, tol: float = DEFAULT_TOL) -> str:
     """Serialize to canonical JSON: phase-normalized vectors, 17 digit floats."""
-    states = []
-    for s in e.states:
-        vectors = []
-        for v in s.locals:
-            w = phase_normalize(v, tol)
-            vectors.append([[float(z.real), float(z.imag)] for z in w.entries])
-        states.append({"label": s.label, "vectors": vectors})
+    states = [
+        {
+            "label": s.label,
+            "vectors": [complex_to_json(phase_normalize(v, tol).entries) for v in s.locals],
+        }
+        for s in e.states
+    ]
     doc = {
         "name": e.name,
         "dims": list(e.dims),

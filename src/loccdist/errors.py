@@ -43,7 +43,7 @@ class ParseError(LoccError):
 
 
 class SchemaError(LoccError):
-    """Well-formed JSON (or in-memory data) that violates the expected layout."""
+    """Well-formed JSON (or in-memory data) that violates the expected layout or range."""
 
 
 class NotFoundError(LoccError):

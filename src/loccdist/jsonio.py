@@ -1,20 +1,28 @@
-"""Canonical JSON emission shared by every file format in the package.
+"""Canonical JSON emission and the complex-number codec of every file format.
 
 Emission is byte-stable: dict keys keep insertion order, floats are printed
 with 17 significant digits (enough to round-trip IEEE doubles exactly), and
 no whitespace depends on content.  Parsing is plain ``json`` wrapped so that
-malformed or too deeply nested text surfaces as
+malformed, too deeply nested or out-of-range text surfaces as
 :class:`~loccdist.errors.ParseError`.
+
+Every complex number in every format is an ``[re, im]`` pair of JSON
+numbers.  :func:`complex_from_json` and :func:`complex_to_json` are the only
+code that converts between such lists of pairs and complex arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from typing import Any
 
-from .errors import ParseError
+import numpy as np
 
-__all__ = ["canonical_dumps", "format_float", "parse_json"]
+from .errors import ParseError, SchemaError
+
+__all__ = ["canonical_dumps", "complex_from_json", "complex_to_json", "format_float", "parse_json"]
 
 
 def format_float(x: float) -> str:
@@ -76,7 +84,41 @@ def parse_json(text: str) -> Any:
     """Parse JSON text, raising ParseError on malformed input."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from None
     except RecursionError:
         raise ParseError("malformed JSON: nested too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
+        raise ParseError(f"malformed JSON: {exc}") from None
+
+
+def _is_finite_number(part: object) -> bool:
+    try:
+        return isinstance(part, (int, float)) and not isinstance(part, bool) and math.isfinite(part)
+    except OverflowError:  # an int too large for a double
+        return False
+
+
+def complex_from_json(data: object, where: str) -> np.ndarray:
+    """Convert a non-empty list of ``[re, im]`` number pairs to a 1-D complex array.
+
+    Booleans are not numbers here, and neither are non-finite values or
+    integers too large for a double: each raises SchemaError, with ``where``
+    prefixed to the message.
+    """
+    if not isinstance(data, list) or not data:
+        raise SchemaError(f"{where}: expected a non-empty list of [re, im] pairs")
+    for i, pair in enumerate(data):
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and _is_finite_number(pair[0])
+            and _is_finite_number(pair[1])
+        ):
+            raise SchemaError(f"{where}: entry {i} must be a [re, im] pair of finite numbers")
+    flat = np.fromiter(itertools.chain.from_iterable(data), dtype=np.float64, count=2 * len(data))
+    return flat.view(np.complex128)
+
+
+def complex_to_json(arr: np.ndarray) -> list:
+    """Complex entries, flattened row-major, as a list of ``[re, im]`` float pairs."""
+    flat = np.ascontiguousarray(arr, dtype=np.complex128).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2).tolist()

@@ -12,12 +12,14 @@ on every pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BasisError, DimensionError, SchemaError, ZeroVectorError
+from .errors import DimensionError, SchemaError, ZeroVectorError
+from .jsonio import complex_from_json, complex_to_json
 
 __all__ = [
     "DEFAULT_TOL",
@@ -31,7 +33,6 @@ __all__ = [
     "normalize",
     "parse_matrix",
     "phase_normalize",
-    "project_onto",
     "projector_matrix",
     "rank",
     "svd_decompose",
@@ -125,10 +126,13 @@ def normalize(raw: object, tol: float = DEFAULT_TOL) -> LocalVector:
     """Scale raw entries to unit norm, preserving the global phase.
 
     Entries whose norm is already 1 up to a few ulps are kept verbatim, so
-    reloading serialized unit vectors reproduces them bit for bit.
+    reloading serialized unit vectors reproduces them bit for bit.  Finite
+    entries whose squared norm overflows raise SchemaError.
     """
     arr = _as_vector_entries(raw)
     n = float(np.linalg.norm(arr))
+    if not math.isfinite(n):
+        raise SchemaError("cannot normalize a vector whose squared norm overflows a double")
     if n <= tol:
         raise ZeroVectorError(f"cannot normalize a vector of norm {n!r}")
     if abs(n - 1.0) <= 64.0 * np.finfo(np.float64).eps:
@@ -188,28 +192,6 @@ def projector_matrix(basis: Sequence[LocalVector]) -> np.ndarray:
     return p
 
 
-def project_onto(
-    basis: Sequence[LocalVector], v: LocalVector, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, float]:
-    """Project v onto the span of an orthonormal basis.
-
-    Returns the (generally unnormalized) projected entries together with the
-    squared norm of the projection.  Raises BasisError if the claimed basis
-    is not orthonormal within tol.
-    """
-    for i, b in enumerate(basis):
-        if b.dim != v.dim:
-            raise DimensionError(f"basis vector {i} has dim {b.dim}, expected {v.dim}")
-        for j in range(i, len(basis)):
-            expected = 1.0 if i == j else 0.0
-            if abs(inner_product(b, basis[j]) - expected) > tol:
-                raise BasisError(f"basis vectors {i},{j} are not orthonormal within {tol}")
-    proj = np.zeros(v.dim, dtype=np.complex128)
-    for b in basis:
-        proj += np.vdot(b.entries, v.entries) * b.entries
-    return proj, float(np.linalg.norm(proj) ** 2)
-
-
 @dataclass(frozen=True)
 class SVDResult:
     """Singular value decomposition A = sum_j sigmas[j] |left_j><right_j|."""
@@ -242,10 +224,13 @@ def svd_decompose(a: object, tol: float = DEFAULT_TOL) -> SVDResult:
     Singular values come out descending; within a run of values equal up to
     tol the triples are ordered by descending lexicographic key of the
     phase-normalized right vectors, so mathematically equal inputs produce
-    identically ordered output.
+    identically ordered output.  A finite matrix whose singular values
+    overflow a double raises SchemaError.
     """
     arr = _as_matrix_entries(a)
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
+    if not np.isfinite(s).all():
+        raise SchemaError("matrix singular values overflow a double")
     triples: list[tuple[float, LocalVector, LocalVector]] = []
     for j in range(s.shape[0]):
         left_raw = u[:, j]
@@ -302,18 +287,7 @@ def parse_matrix(data: object) -> np.ndarray:
         raise SchemaError("matrix rows/cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise SchemaError(f"matrix needs exactly {rows * cols} entries")
-    flat = np.empty(rows * cols, dtype=np.complex128)
-    for k, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in pair)
-        ):
-            raise SchemaError(f"matrix entry {k} must be a [re, im] pair")
-        flat[k] = complex(pair[0], pair[1])
-    if not np.isfinite(flat).all():
-        raise SchemaError("matrix entries must be finite")
-    return flat.reshape(rows, cols)
+    return complex_from_json(entries, "matrix").reshape(rows, cols)
 
 
 def emit_matrix(arr: np.ndarray) -> dict:
@@ -322,5 +296,5 @@ def emit_matrix(arr: np.ndarray) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
+        "entries": complex_to_json(a),
     }

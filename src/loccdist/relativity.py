@@ -60,9 +60,6 @@ class OverlapGraph:
         m = self.members
         return frozenset((m[i], m[j]) for i, j in zip(rows.tolist(), cols.tolist()))
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return (a, b) in self.edges or (b, a) in self.edges
-
     def neighbors(self, label: str) -> tuple[str, ...]:
         if label not in self.members:
             return ()

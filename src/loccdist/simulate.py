@@ -209,7 +209,7 @@ def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> Discri
     _collect_instruments(root, instruments)
     for ins in instruments:
         defect = completeness_defect(ins)
-        if defect > tol:
+        if not defect <= tol:  # a NaN defect is incomplete too
             raise InstrumentError(
                 f"instrument at party {ins.party} is incomplete: defect {defect:.3e}"
             )

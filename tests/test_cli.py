@@ -345,6 +345,54 @@ def test_decompose_rejects_bad_matrix(run, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# hostile numbers
+
+
+HOSTILE_PAIRS = {
+    "overflowing-norm": "[1e308, 1e308]",
+    "int-400-digits": "[" + "9" * 400 + ", 0]",
+    "int-5000-digits": "[" + "9" * 5000 + ", 0]",
+    "bool": "[true, 0]",
+    "string": '["1", 0]',
+    "nan": "[NaN, 0]",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "bad.json"),
+        ("simulate", "bad.json", "giveup.json"),
+        ("simulate", "good.json", "proto.json"),
+        ("decompose", "op.json"),
+    ],
+    ids=["check", "simulate-ensemble", "simulate-protocol", "decompose"],
+)
+@pytest.mark.parametrize("pair", HOSTILE_PAIRS.values(), ids=HOSTILE_PAIRS.keys())
+def test_hostile_number_is_a_data_error(run, tmp_path, argv, pair):
+    # main returning 65 means no exception escaped, so the console entry
+    # point prints no traceback and no verdict exit code
+    good = emit_ensemble(catalog("comp2x2"))
+    bad = good.replace("[[1, 0], [0, 0]]", f"[{pair}, {pair}]", 1)
+    assert bad != good
+    matrix = f'{{"rows": 2, "cols": 2, "entries": [{pair}, {pair}, {pair}, {pair}]}}'
+    files = {
+        "good.json": good,
+        "bad.json": bad,
+        "giveup.json": '{"announce": null}',
+        "op.json": matrix,
+        "proto.json": f'{{"party": 0, "operators": [{matrix}], "children": [{{"announce": null}}]}}',
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, err = run(*(str(tmp_path / a) if a.endswith(".json") else a for a in argv))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
 # oracle
 
 

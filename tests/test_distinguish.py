@@ -384,6 +384,9 @@ def test_leaf_serialization():
         '{"party": 0, "outcomes": [{"block": ["a"]}], "children": [{"leaf": "a"}]}',
         '{"party": 0, "outcomes": [{"block": ["a"], "basis": []}],'
         ' "children": [{"leaf": "a"}]}',
+        '{"party": 0, "outcomes": [{"block": ["a"], "basis": [[[NaN, 0], [1, 0]]]},'
+        ' {"block": ["b"], "basis": [[[0, 0], [1, 0]]]}],'
+        ' "children": [{"leaf": "a"}, {"leaf": "b"}]}',
     ],
 )
 def test_protocol_parse_rejects_malformed(text):

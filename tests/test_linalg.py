@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccdist import (
-    BasisError,
     DimensionError,
     LocalVector,
     SVDResult,
+    SchemaError,
     ZeroVectorError,
     basis_vector,
     gram_schmidt,
@@ -26,7 +26,6 @@ from loccdist import (
     is_orthogonal,
     normalize,
     phase_normalize,
-    project_onto,
     rank,
     svd_decompose,
 )
@@ -118,6 +117,12 @@ def test_normalize_preserves_phase():
 def test_normalize_zero_vector():
     with pytest.raises(ZeroVectorError):
         normalize(np.array([1e-12, 0.0]))
+
+
+def test_normalize_rejects_overflowing_norm():
+    # finite entries whose norm is inf would divide down to a zero vector
+    with pytest.raises(SchemaError, match="overflows"):
+        normalize(np.array([1e308 + 1e308j, 0.0]))
 
 
 def test_phase_normalize_first_entry_real_positive():
@@ -286,37 +291,16 @@ def test_svd_right_vectors_are_phase_normalized():
         assert abs(first.imag) < 1e-12 and first.real > 0
 
 
+def test_svd_rejects_overflowing_singular_values():
+    with pytest.raises(SchemaError, match="overflow"):
+        svd_decompose(np.full((2, 2), 1e308 + 1e308j))
+
+
 def test_svd_result_reconstruct_matches_manual():
     a = np.array([[0.0, 2.0], [1.0, 0.0]])
     result = svd_decompose(a)
     assert isinstance(result, SVDResult)
     assert np.max(np.abs(result.reconstruct() - a)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# project_onto
-
-
-def test_project_onto_weight():
-    # projecting (e1+e2)/sqrt(2) onto span{e1} keeps half the weight
-    v = _vec(1, 1)
-    proj, weight = project_onto([basis_vector(2, 0)], v)
-    assert abs(weight - 0.5) < 1e-12
-    assert np.allclose(proj, [1 / math.sqrt(2), 0.0])
-
-
-def test_project_onto_rejects_non_orthonormal_basis():
-    with pytest.raises(BasisError):
-        project_onto([_vec(1, 1), basis_vector(2, 0)], basis_vector(2, 1))
-
-
-@given(unit_vectors(dim=4))
-def test_projection_weight_is_coefficient_mass(v):
-    basis = [basis_vector(4, 0), basis_vector(4, 2)]
-    _, weight = project_onto(basis, v)
-    expected = sum(abs(inner_product(b, v)) ** 2 for b in basis)
-    assert abs(weight - expected) < 1e-12
-    assert -1e-12 <= weight <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +323,11 @@ def test_matrix_round_trip():
         {"rows": 0, "cols": 1, "entries": []},
         {"rows": 1, "cols": 1, "entries": [[1.0]]},
         {"rows": 1, "cols": 1, "entries": [["a", "b"]]},
+        {"rows": 1, "cols": 1, "entries": [[True, 0]]},
+        {"rows": 1, "cols": 1, "entries": [[10**400, 0]]},
+        {"rows": 1, "cols": 1, "entries": [[float("nan"), 0]]},
     ],
 )
 def test_matrix_schema_errors(data):
-    from loccdist import SchemaError
-
     with pytest.raises(SchemaError):
         parse_matrix(data)
