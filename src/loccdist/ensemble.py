@@ -128,8 +128,9 @@ class Ensemble:
     def parties(self) -> int:
         return len(self.dims)
 
-    @property
+    @functools.cached_property
     def labels(self) -> tuple[str, ...]:
+        """State labels in state order."""
         return tuple(s.label for s in self.states)
 
     def index(self, label: str) -> int:

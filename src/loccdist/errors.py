@@ -10,7 +10,6 @@ __all__ = [
     "LoccError",
     "DimensionError",
     "ZeroVectorError",
-    "BasisError",
     "ParseError",
     "SchemaError",
     "NotFoundError",
@@ -32,10 +31,6 @@ class DimensionError(LoccError):
 
 class ZeroVectorError(LoccError):
     """A vector with norm at or below tolerance where a direction is required."""
-
-
-class BasisError(LoccError):
-    """A vector family that was required to be orthonormal is not."""
 
 
 class ParseError(LoccError):

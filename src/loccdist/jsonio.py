@@ -97,6 +97,32 @@ def _is_finite_number(part: object) -> bool:
         return False
 
 
+# Lists at least this long are first checked in whole-list passes; below it
+# the fixed cost of those passes exceeds the per-entry loop's.
+_BULK_PAIRS = 16
+
+
+def _bulk_pairs(data: list) -> np.ndarray | None:
+    """The flattened pairs as floats, or None unless every entry is valid.
+
+    Exact types are checked, so a bool or a tuple fails as it does in the
+    per-entry loop; that loop, not this check, reports what is wrong.
+    """
+    if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
+        return None
+    if not set(map(type, itertools.chain.from_iterable(data))) <= {float, int}:
+        return None
+    try:
+        flat = _flatten(data)
+    except OverflowError:  # an int too large for a double
+        return None
+    return flat if np.isfinite(flat).all() else None
+
+
+def _flatten(data: list) -> np.ndarray:
+    return np.fromiter(itertools.chain.from_iterable(data), dtype=np.float64, count=2 * len(data))
+
+
 def complex_from_json(data: object, where: str) -> np.ndarray:
     """Convert a non-empty list of ``[re, im]`` number pairs to a 1-D complex array.
 
@@ -106,15 +132,17 @@ def complex_from_json(data: object, where: str) -> np.ndarray:
     """
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{where}: expected a non-empty list of [re, im] pairs")
-    for i, pair in enumerate(data):
-        if not (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and _is_finite_number(pair[0])
-            and _is_finite_number(pair[1])
-        ):
-            raise SchemaError(f"{where}: entry {i} must be a [re, im] pair of finite numbers")
-    flat = np.fromiter(itertools.chain.from_iterable(data), dtype=np.float64, count=2 * len(data))
+    flat = _bulk_pairs(data) if len(data) >= _BULK_PAIRS else None
+    if flat is None:
+        for i, pair in enumerate(data):
+            if not (
+                isinstance(pair, list)
+                and len(pair) == 2
+                and _is_finite_number(pair[0])
+                and _is_finite_number(pair[1])
+            ):
+                raise SchemaError(f"{where}: entry {i} must be a [re, im] pair of finite numbers")
+        flat = _flatten(data)
     return flat.view(np.complex128)
 
 

@@ -122,6 +122,9 @@ def is_orthogonal(u: LocalVector, v: LocalVector, tol: float = DEFAULT_TOL) -> b
     return abs(inner_product(u, v)) <= tol
 
 
+# An overflowing squared norm is reported as SchemaError, not as numpy's
+# RuntimeWarning.  The decorator costs less per call than a with-block.
+@np.errstate(over="ignore", invalid="ignore")
 def normalize(raw: object, tol: float = DEFAULT_TOL) -> LocalVector:
     """Scale raw entries to unit norm, preserving the global phase.
 

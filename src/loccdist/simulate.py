@@ -11,6 +11,7 @@ arithmetic fact rather than a claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,11 +21,10 @@ from .errors import DimensionError, InstrumentError, NotFoundError, SchemaError
 from .jsonio import canonical_dumps, parse_json
 from .linalg import (
     DEFAULT_TOL,
+    LocalVector,
     SVDResult,
     emit_matrix,
-    normalize,
     parse_matrix,
-    phase_normalize,
     projector_matrix,
     svd_decompose,
 )
@@ -104,8 +104,9 @@ def completeness_defect(ins: Instrument) -> float:
     """Largest entrywise deviation of sum(M†M) from the identity."""
     d = ins.operators[0].in_dim
     total = np.zeros((d, d), dtype=np.complex128)
-    for op in ins.operators:
-        total += op.matrix.conj().T @ op.matrix
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as an inf or NaN defect
+        for op in ins.operators:
+            total += op.matrix.conj().T @ op.matrix
     return float(np.max(np.abs(total - np.eye(d))))
 
 
@@ -140,6 +141,56 @@ class SimNode:
 SimTree = SimLeaf | SimNode
 
 
+def _fit(op: LocalOperator, dims: Sequence[int]) -> None:
+    """Raise DimensionError unless op acts on a factor of a state with these dims."""
+    if op.party >= len(dims):
+        raise DimensionError(f"state has no party {op.party}")
+    if op.in_dim != dims[op.party]:
+        raise DimensionError(
+            f"operator expects dimension {op.in_dim}, state party {op.party} has {dims[op.party]}"
+        )
+
+
+def _apply_rows(
+    m: np.ndarray, v: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply one Kraus matrix to every row of a stacked ``k x d`` factor array.
+
+    Returns each row's outcome probability, the indices of the rows whose
+    probability exceeds tol, and those rows' images, renormalized and
+    phase-fixed.  The arithmetic is that of :func:`normalize` and
+    :func:`phase_normalize` on ``m @ row``, bit for bit: ``matmul`` against
+    column vectors, squared norms as real dot products, the probability as
+    a scalar power and entry magnitudes by ``hypot``.
+    """
+    w = np.matmul(m, v[:, :, None])[:, :, 0]
+    re, im = w.real, w.imag
+    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
+    norms = np.sqrt(sq[:, 0, 0])
+    probs = np.array([x**2 for x in norms.tolist()])
+    kept = np.flatnonzero(probs > tol)
+    n = norms[kept, None]
+    if not np.isfinite(n).all():
+        raise SchemaError("cannot normalize a vector whose squared norm overflows a double")
+    w = w[kept]
+    # rows already of unit norm up to a few ulps stay verbatim, as in normalize
+    np.divide(w, n, out=w, where=np.abs(n - 1.0) > 64.0 * np.finfo(np.float64).eps)
+    mags = np.hypot(w.real, w.imag)
+    above = mags > tol
+    rows = np.arange(len(w))
+    first = above.argmax(axis=1)
+    lead = w[rows, first]
+    fix = above[rows, first] & ~((lead.imag == 0.0) & (lead.real > 0.0))
+    w[fix] *= (lead[fix].conj() / mags[rows, first][fix])[:, None]
+    return probs, kept, w
+
+
+def _with_factor(s: ProductState, party: int, entries: np.ndarray) -> ProductState:
+    locals_ = list(s.locals)
+    locals_[party] = LocalVector(entries)
+    return ProductState(s.label, tuple(locals_))
+
+
 def apply_operator(
     s: ProductState, op: LocalOperator, tol: float = DEFAULT_TOL
 ) -> tuple[ProductState | None, float]:
@@ -149,21 +200,12 @@ def apply_operator(
     probability, or (None, prob) when the branch is annihilated
     (prob <= tol).  Global phase of the updated factor is dropped.
     """
-    if op.party >= len(s.locals):
-        raise DimensionError(f"state has no party {op.party}")
-    v = s.locals[op.party]
-    if op.in_dim != v.dim:
-        raise DimensionError(
-            f"operator expects dimension {op.in_dim}, state party {op.party} has {v.dim}"
-        )
-    w = op.matrix @ v.entries
-    prob = float(np.linalg.norm(w) ** 2)
-    if prob <= tol:
+    _fit(op, [v.dim for v in s.locals])
+    probs, kept, images = _apply_rows(op.matrix, s.locals[op.party].entries[None, :], tol)
+    prob = float(probs[0])
+    if not kept.size:
         return None, prob
-    updated = phase_normalize(normalize(w, tol), tol)
-    locals_ = list(s.locals)
-    locals_[op.party] = updated
-    return ProductState(s.label, tuple(locals_)), prob
+    return _with_factor(s, op.party, images[0]), prob
 
 
 @dataclass(frozen=True)
@@ -204,6 +246,10 @@ def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> Discri
     probability falls to tol or below are pruned as impossible; branches
     within a factor 100 of that threshold are flagged as warnings because
     the verdict starts to hinge on the tolerance.
+
+    The tree is walked once, not once per state: each node carries the
+    stacked factor arrays of the states that reach it, and each Kraus
+    operator acts on all of them at once.
     """
     instruments: list[Instrument] = []
     _collect_instruments(root, instruments)
@@ -215,47 +261,61 @@ def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> Discri
             )
     leaf_announce: dict[tuple[int, ...], str | None] = {}
     _collect_leaves(root, (), leaf_announce)
-    known = set(e.labels)
+    labels = e.labels
+    known = set(labels)
     for path, announce in leaf_announce.items():
         if announce is not None and announce not in known:
             raise NotFoundError(f"leaf {path} announces unknown label {announce!r}")
 
-    warnings: list[str] = []
-    branches: dict[str, tuple[tuple[tuple[int, ...], float], ...]] = {}
-    leaf_mass: dict[tuple[int, ...], dict[str, float]] = {}
+    recorded: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in labels]
+    flagged: list[tuple[int, str]] = []
+    reached: dict[tuple[int, ...], tuple[str, ...]] = {}
 
-    def walk(node: SimTree, state: ProductState, prob: float, path: tuple[int, ...]) -> None:
-        if isinstance(node, SimLeaf):
-            recorded.append((path, prob))
-            leaf_mass.setdefault(path, {})[state.label] = prob
+    def walk(
+        node: SimTree,
+        rows: np.ndarray,
+        probs: np.ndarray,
+        arrays: tuple[np.ndarray, ...],
+        path: tuple[int, ...],
+    ) -> None:
+        # rows: ensemble indices, ascending; probs and arrays: one entry per row
+        if not rows.size:
             return
-        for i, op in enumerate(node.instrument.operators):
-            new_state, p = apply_operator(state, op, tol)
-            branch_prob = prob * p
-            if new_state is None or branch_prob <= tol:
-                continue
-            if branch_prob <= 100.0 * tol:
-                warnings.append(
-                    f"state {state.label} path {path + (i,)}: probability "
-                    f"{branch_prob:.3e} is within 100*tol of annihilation"
-                )
-            walk(node.children[i], new_state, branch_prob, path + (i,))
+        if isinstance(node, SimLeaf):
+            pairs = list(zip(rows.tolist(), probs.tolist()))
+            for i, prob in pairs:
+                recorded[i].append((path, prob))
+            reached[path] = tuple(labels[i] for i, prob in pairs if prob > tol)
+            return
+        dims = [a.shape[1] for a in arrays]
+        for k, op in enumerate(node.instrument.operators):
+            _fit(op, dims)
+            p, kept, images = _apply_rows(op.matrix, arrays[op.party], tol)
+            branch = probs[kept] * p[kept]
+            live = np.flatnonzero(branch > tol)
+            sel = kept[live]
+            for i, b in zip(rows[sel].tolist(), branch[live].tolist()):
+                if b <= 100.0 * tol:
+                    flagged.append(
+                        (i, f"state {labels[i]} path {path + (k,)}: probability "
+                            f"{b:.3e} is within 100*tol of annihilation")
+                    )
+            child = tuple(
+                images[live] if q == op.party else a[sel] for q, a in enumerate(arrays)
+            )
+            walk(node.children[k], rows[sel], branch[live], child, path + (k,))
 
-    for s in e.states:
-        recorded: list[tuple[tuple[int, ...], float]] = []
-        walk(root, s, 1.0, ())
-        branches[s.label] = tuple(recorded)
+    walk(root, np.arange(len(labels)), np.ones(len(labels)), e.party_arrays, ())
+    branches = {label: tuple(recs) for label, recs in zip(labels, recorded)}
+    warnings = [message for _, message in sorted(flagged, key=lambda f: f[0])]
 
     totals = {
         label: sum(prob for path, prob in recs if leaf_announce[path] == label)
         for label, recs in branches.items()
     }
-    confusion = {
-        path: tuple(label for label in e.labels if mass.get(label, 0.0) > tol)
-        for path, mass in sorted(leaf_mass.items())
-    }
+    confusion = {path: reached[path] for path in sorted(reached)}
     perfect = all(abs(t - 1.0) <= tol for t in totals.values()) and all(
-        len(labels) < 2 for labels in confusion.values()
+        len(names) < 2 for names in confusion.values()
     )
     return DiscriminationReport(
         perfect=perfect,
@@ -323,11 +383,11 @@ def extend_with_projective(e: Ensemble, ins: Instrument, tol: float = DEFAULT_TO
         )
     children: list[SimTree] = []
     for i, op in enumerate(ins.operators):
-        survivors = []
-        for s in e.states:
-            new_state, _ = apply_operator(s, op, tol)
-            if new_state is not None:
-                survivors.append(new_state)
+        _fit(op, e.dims)
+        _, kept, images = _apply_rows(op.matrix, e.party_arrays[op.party], tol)
+        survivors = [
+            _with_factor(e.states[j], op.party, row) for j, row in zip(kept.tolist(), images)
+        ]
         if not survivors:
             children.append(SimLeaf(None))
             continue

@@ -392,6 +392,36 @@ def test_hostile_number_is_a_data_error(run, tmp_path, argv, pair):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_overflow_prints_only_the_error_line(tmp_path, command):
+    # numpy reports the overflow as a RuntimeWarning on stderr unless the
+    # arithmetic that meets it is told to stay quiet
+    good = emit_ensemble(catalog("comp2x2"))
+    big = "[1e308, 1e308]"
+    matrix = f'{{"rows": 2, "cols": 2, "entries": [{big}, {big}, {big}, {big}]}}'
+    files = {
+        "check": {"in.json": good.replace("[[1, 0], [0, 0]]", f"[{big}, {big}]", 1)},
+        "simulate": {
+            "in.json": good,
+            "proto.json": f'{{"party": 0, "operators": [{matrix}], "children": [{{"announce": null}}]}}',
+        },
+    }[command]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(loccdist.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "loccdist.cli", command, *(str(tmp_path / f) for f in files)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_DATA
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

@@ -7,6 +7,7 @@ raw numpy before the library's own versions are trusted.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -14,14 +15,17 @@ import pytest
 
 from loccdist import (
     DimensionError,
+    DiscriminationReport,
     Ensemble,
     InstrumentError,
     Instrument,
     LocalOperator,
     NotFoundError,
+    ProductState,
     SchemaError,
     SimLeaf,
     SimNode,
+    apply_local_unitaries,
     apply_operator,
     builtin_protocol,
     canonicalize_operator,
@@ -30,11 +34,15 @@ from loccdist import (
     decide,
     extend_with_projective,
     lift_protocol,
+    normalize,
+    phase_normalize,
     random_product_basis,
+    random_unitary,
     run_protocol,
     validate_instrument,
 )
-from loccdist.simulate import emit_sim_protocol, parse_sim_protocol
+from loccdist.jsonio import canonical_dumps
+from loccdist.simulate import emit_sim_protocol, parse_sim_protocol, report_to_json
 
 
 def _triple_matrices():
@@ -478,3 +486,168 @@ def test_generated_protocols_lift_and_run(seed):
         for path, prob in recs:
             if report.leaf_announce[path] == label:
                 assert prob > 1.0 - 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the stacked run against a per-state reference walk
+
+
+def _reference_step(s, op, tol):
+    """One Kraus operator on one state, with the scalar linalg routines."""
+    w = op.matrix @ s.locals[op.party].entries
+    prob = float(np.linalg.norm(w) ** 2)
+    if prob <= tol:
+        return None, prob
+    locals_ = list(s.locals)
+    locals_[op.party] = phase_normalize(normalize(w, tol), tol)
+    return ProductState(s.label, tuple(locals_)), prob
+
+
+def _reference_report(e, root, tol):
+    """run_protocol's report, walking the tree once per state."""
+    leaf_announce = {}
+
+    def leaves(node, path):
+        if isinstance(node, SimLeaf):
+            leaf_announce[path] = node.announce
+        else:
+            for i, child in enumerate(node.children):
+                leaves(child, path + (i,))
+
+    leaves(root, ())
+    warnings, branches, leaf_mass = [], {}, {}
+
+    def walk(node, state, prob, path):
+        if isinstance(node, SimLeaf):
+            recorded.append((path, prob))
+            leaf_mass.setdefault(path, {})[state.label] = prob
+            return
+        for i, op in enumerate(node.instrument.operators):
+            new_state, p = _reference_step(state, op, tol)
+            branch_prob = prob * p
+            if new_state is None or branch_prob <= tol:
+                continue
+            if branch_prob <= 100.0 * tol:
+                warnings.append(
+                    f"state {state.label} path {path + (i,)}: probability "
+                    f"{branch_prob:.3e} is within 100*tol of annihilation"
+                )
+            walk(node.children[i], new_state, branch_prob, path + (i,))
+
+    for s in e.states:
+        recorded = []
+        walk(root, s, 1.0, ())
+        branches[s.label] = tuple(recorded)
+    totals = {
+        label: sum(prob for path, prob in recs if leaf_announce[path] == label)
+        for label, recs in branches.items()
+    }
+    confusion = {
+        path: tuple(label for label in e.labels if mass.get(label, 0.0) > tol)
+        for path, mass in sorted(leaf_mass.items())
+    }
+    perfect = all(abs(t - 1.0) <= tol for t in totals.values()) and all(
+        len(labels) < 2 for labels in confusion.values()
+    )
+    return DiscriminationReport(
+        perfect, branches, leaf_announce, confusion, totals, tuple(warnings)
+    )
+
+
+def _report_bytes(report):
+    return canonical_dumps(report_to_json(report))
+
+
+def _giving_up_beyond(tree, labels):
+    """The tree with every leaf that announces a label outside labels giving up."""
+    if isinstance(tree, SimLeaf):
+        return tree if tree.announce in labels else SimLeaf(None)
+    return SimNode(tree.instrument, tuple(_giving_up_beyond(c, labels) for c in tree.children))
+
+
+def _dressed(e, seed):
+    rng = np.random.default_rng(seed)
+    return apply_local_unitaries(e, [random_unitary(d, rng) for d in e.dims])
+
+
+REFERENCE_DIMS = [(2, 2), (2, 3), (3, 3), (4, 4), (2, 2, 2), (3, 3, 3), (4, 4, 4),
+                  (5, 5, 5), (6, 6, 6), (2, 2, 2, 2)]
+REFERENCE_TOLS = [1e-9, 1e-3, 0.05, 0.3]
+
+
+@pytest.mark.parametrize("dims", REFERENCE_DIMS, ids=lambda d: "x".join(map(str, d)))
+def test_stacked_run_matches_reference_walk(dims):
+    # The protocol is also run on another dressing of the basis, so steps
+    # damage states, branches carry every kind of probability, and the
+    # larger tolerances prune branches and raise warnings.  There every
+    # state spreads over every leaf, so at most 8 states take part.
+    n = math.prod(dims)
+    warned = pruned = 0
+    for depth in range(0, 11, 1 if n <= 16 else 2 if n <= 64 else 5):
+        seed = 7 * depth + len(dims)
+        e = _dressed(random_product_basis(dims, seed, depth=depth), seed)
+        lifted = lift_protocol(decide(e, "complete").tree, e)
+        other = _dressed(e, seed + 1)
+        sample = Ensemble("sample", dims, other.states[:: -(-n // 8)], complete=False)
+        runs = ((e, lifted), (sample, _giving_up_beyond(lifted, sample.labels)))
+        for (target, tree), tol in itertools.product(runs, REFERENCE_TOLS):
+            ref = _reference_report(target, tree, tol)
+            assert _report_bytes(run_protocol(target, tree, tol)) == _report_bytes(ref)
+            warned += len(ref.warnings)
+            pruned += sum(sum(p for _, p in recs) < 1.0 - 1e-6 for recs in ref.branches.values())
+    assert warned > 0
+    assert pruned > 0
+
+
+@pytest.mark.parametrize("tol", REFERENCE_TOLS)
+def test_stacked_povm_run_matches_reference_walk(tol):
+    e = catalog("finkelstein9")
+    tree = builtin_protocol("finkelstein-povm", e)
+    for target in (e, _dressed(e, 3)):
+        ref = _reference_report(target, tree, tol)
+        assert _report_bytes(run_protocol(target, tree, tol)) == _report_bytes(ref)
+
+
+@pytest.mark.parametrize("tol", REFERENCE_TOLS)
+def test_stacked_rectangular_run_matches_reference_walk(tol):
+    # a qutrit factor squeezed to a qubit, then measured in a rotated basis
+    e = _dressed(random_product_basis((3, 2), 4, depth=3), 4)
+    squeeze = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8j]])
+    rest = np.array([[0.0, 0.8, -0.6j]])
+    half = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    measure = SimNode(
+        Instrument(0, (LocalOperator(0, np.diag([1.0, 0.0]) @ half),
+                       LocalOperator(0, np.diag([0.0, 1.0]) @ half))),
+        (SimLeaf("s1"), SimLeaf(None)),
+    )
+    tree = SimNode(
+        Instrument(0, (LocalOperator(0, squeeze), LocalOperator(0, rest))),
+        (measure, SimLeaf("s2")),
+    )
+    assert validate_instrument(tree.instrument)
+    ref = _reference_report(e, tree, tol)
+    assert _report_bytes(run_protocol(e, tree, tol)) == _report_bytes(ref)
+
+
+def test_confusion_lists_labels_in_ensemble_order():
+    # labels run against sorted order; one give-up leaf collects two states
+    comp = catalog("comp2x2")
+    e = Ensemble("reversed", (2, 2), comp.states[::-1], complete=True)
+    tree = SimNode(
+        Instrument(0, (LocalOperator(0, np.diag([1.0, 0.0])),
+                       LocalOperator(0, np.diag([0.0, 1.0])))),
+        (SimLeaf(None), SimLeaf("s10")),
+    )
+    report = run_protocol(e, tree)
+    assert report.confusion[(0,)] == ("s01", "s00")
+    assert report.confusion[(1,)] == ("s11", "s10")
+    assert not report.perfect
+
+
+def test_lifted_protocol_is_sound_at_n512():
+    e = random_product_basis((8, 8, 8), 1, depth=12)
+    v = decide(e, "complete")
+    assert v.kind == "distinguishable"
+    report = run_protocol(e, lift_protocol(v.tree, e))
+    assert report.perfect
+    assert report.warnings == ()
