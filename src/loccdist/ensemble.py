@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .linalg import (
     DEFAULT_TOL,
     LocalVector,
     basis_vector,
-    inner_product,
     normalize,
     phase_normalize,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "ensure_complete",
     "ensure_orthogonal",
     "parse_ensemble",
-    "product_overlap",
     "random_product_basis",
     "random_unitary",
     "validate",
@@ -61,8 +58,8 @@ party at the cap, 16 MiB at n = 4096.  Larger ensembles raise
 :class:`~loccdist.errors.TooLargeError` before anything is allocated.
 """
 
-# Complex entries per row block of a Gram matrix (4 MiB), so that no n x n
-# complex array is ever held whole.
+# Entries per row block (4 MiB of complex Gram products), so that no n x n
+# array beyond the cached adjacencies is ever held whole.
 _BLOCK_ENTRIES = 1 << 18
 
 # Bulk products sum in another order than a pairwise np.vdot, which moves a
@@ -163,8 +160,8 @@ class Ensemble:
         """Read-only ``n x n`` boolean array: states i != j are relative at ``party``.
 
         Relative means ``|<u_i|u_j>| > tol`` for the party's vectors.  Built
-        once per ``(party, tol)`` in row blocks and cached; the ensemble is
-        frozen, so the cache never goes stale.
+        once per ``(party, tol)`` from row blocks of the Gram matrix and
+        cached; the ensemble is frozen, so the cache never goes stale.
         """
         if not 0 <= party < self.parties:
             raise DimensionError(f"party {party} out of range for {self.parties} parties")
@@ -176,23 +173,20 @@ class Ensemble:
                 raise TooLargeError(
                     f"overlap graphs handle at most {MAX_GRAPH_STATES} states, got {n}"
                 )
+            a = self.party_arrays[party]
             adj = np.zeros((n, n), dtype=bool)
-            for i0, mags in _overlap_rows(self, (party,), tol):
-                adj[i0 : i0 + len(mags), i0:] = np.triu(mags > tol, 1)
+            step = max(1, _BLOCK_ENTRIES // max(n, 1))
+            for i0 in range(0, n, step):
+                i1 = min(i0 + step, n)
+                mags = np.abs(a[i0:i1].conj() @ a[i0:].T)
+                near = np.triu(np.abs(mags - tol) <= _ROUNDING, 1)
+                for k, c in zip(*np.nonzero(near)):
+                    mags[k, c] = abs(complex(np.vdot(a[i0 + k], a[i0 + c])))
+                adj[i0:i1, i0:] = np.triu(mags > tol, 1)
             adj |= adj.T
             adj.setflags(write=False)
             cache[key] = adj
         return cache[key]
-
-
-def product_overlap(a: ProductState, b: ProductState) -> complex:
-    """Full inner product <a|b>, the product of the per-party inner products."""
-    if len(a.locals) != len(b.locals):
-        raise DimensionError("states have different party counts")
-    out = 1.0 + 0.0j
-    for u, v in zip(a.locals, b.locals):
-        out *= inner_product(u, v)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +195,13 @@ def product_overlap(a: ProductState, b: ProductState) -> complex:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the structural checks on an ensemble."""
+    """Outcome of the structural checks on an ensemble.
+
+    ``offending_pairs`` lists ``(label_a, label_b, magnitude)`` for each pair
+    that overlaps at every party, earlier state first, in state order.  The
+    magnitude is the pair's smallest per-party overlap ``min_p |<u_p|v_p>|``,
+    the number the orthogonality rule compares with ``tol``.
+    """
 
     pairwise_orthogonal: bool
     complete_count: bool
@@ -214,40 +214,23 @@ class ValidationReport:
         return self.pairwise_orthogonal and (self.complete_count or not self.claimed_complete)
 
 
-def _overlap_rows(
-    e: Ensemble, parties: Sequence[int], tol: float
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Row blocks of the upper triangle of ``|<s_i|s_j>|`` over ``parties``.
+def validate(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
+    """Check pairwise orthogonality of the product states and the state count.
 
-    Yields ``(i0, mags)`` where ``mags[k, c]`` is the magnitude for states
-    ``i0 + k`` and ``i0 + c``; only entries with ``c > k`` are meaningful.
-    Entries within rounding of ``tol`` are recomputed as the pairwise
-    product of inner products, earlier state first.
+    Two product states are orthogonal iff some party's overlap is at most
+    ``tol``, the rule the overlap graphs use: a pair offends iff it is an
+    edge of every party's :meth:`Ensemble.adjacency`.
     """
-    arrays = [e.party_arrays[p] for p in parties]
+    adjs = [e.adjacency(p, tol) for p in range(e.parties)]
     n = len(e.states)
     step = max(1, _BLOCK_ENTRIES // max(n, 1))
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        mags = np.ones((i1 - i0, n - i0))
-        for a in arrays:
-            mags *= np.abs(a[i0:i1].conj() @ a[i0:].T)
-        near = np.triu(np.abs(mags - tol) <= _ROUNDING, 1)
-        for k, c in zip(*np.nonzero(near)):
-            z = 1.0 + 0.0j
-            for a in arrays:
-                z *= complex(np.vdot(a[i0 + k], a[i0 + c]))
-            mags[k, c] = abs(z)
-        yield i0, mags
-
-
-def validate(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check pairwise orthogonality of the product states and the state count."""
     offending: list[tuple[str, str, float]] = []
-    for i0, mags in _overlap_rows(e, range(e.parties), tol):
-        for k, c in zip(*np.nonzero(np.triu(mags > tol, 1))):
-            a, b = e.states[i0 + k], e.states[i0 + c]
-            offending.append((a.label, b.label, float(mags[k, c])))
+    for i0 in range(0, n, step):
+        rows = np.logical_and.reduce([a[i0 : i0 + step] for a in adjs])
+        for k, j in zip(*np.nonzero(np.triu(rows, i0 + 1))):
+            i = i0 + k
+            mag = min(abs(complex(np.vdot(a[i], a[j]))) for a in e.party_arrays)
+            offending.append((e.states[i].label, e.states[j].label, mag))
     return ValidationReport(
         pairwise_orthogonal=not offending,
         complete_count=len(e.states) == math.prod(e.dims),

@@ -1,13 +1,13 @@
 """Tolerance-aware complex linear algebra on small dense vectors and matrices.
 
-A single tolerance convention governs the whole package: two vectors are
-orthogonal iff the magnitude of their inner product is at most ``tol``, and
-the default ``tol`` is :data:`DEFAULT_TOL`.  :func:`inner_product` is that
-predicate for one pair.  Bulk overlaps (validation and the per-party
-relativity graphs) come from row-blocked Gram products over the stacked
-party arrays in :mod:`loccdist.ensemble`, which recompute any magnitude
-within rounding of ``tol`` with the pairwise formula, so both routes agree
-on every pair.
+A single tolerance convention governs the whole package: two local vectors
+are orthogonal iff the magnitude of their inner product is at most ``tol``
+(default :data:`DEFAULT_TOL`), and two product states are orthogonal iff
+some party's local vectors are.  The package applies that rule in one place,
+:meth:`loccdist.ensemble.Ensemble.adjacency`, which both validation and the
+relativity graphs read.  It takes the magnitudes from row-blocked Gram
+products and recomputes those within rounding of ``tol`` pairwise with
+``np.vdot``, the arithmetic of :func:`inner_product`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "emit_matrix",
     "gram_schmidt",
     "inner_product",
-    "is_orthogonal",
     "normalize",
     "parse_matrix",
     "phase_normalize",
@@ -115,11 +114,6 @@ def inner_product(u: LocalVector, v: LocalVector) -> complex:
     if u.dim != v.dim:
         raise DimensionError(f"dimension mismatch: {u.dim} vs {v.dim}")
     return complex(np.vdot(u.entries, v.entries))
-
-
-def is_orthogonal(u: LocalVector, v: LocalVector, tol: float = DEFAULT_TOL) -> bool:
-    """The single orthogonality predicate used everywhere in the package."""
-    return abs(inner_product(u, v)) <= tol
 
 
 # An overflowing squared norm is reported as SchemaError, not as numpy's

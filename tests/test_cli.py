@@ -83,6 +83,30 @@ def test_check_forced_incomplete_mode(run, ensemble_file):
     assert out.strip() == "unknown (projective-stuck)"
 
 
+def test_check_rejects_states_that_overlap_at_every_party(run, tmp_path):
+    # every party overlaps by 1e-4, so the full overlap is only 1e-12; the
+    # states are still not orthogonal, because no single party separates them
+    leaning = [[1e-4, 0], [1, 0]]
+    doc = {
+        "name": "leaning",
+        "dims": [2, 2, 2],
+        "complete": False,
+        "states": [
+            {"label": "a", "vectors": [[[1, 0], [0, 0]]] * 3},
+            {"label": "b", "vectors": [leaning] * 3},
+        ],
+    }
+    path = tmp_path / "leaning.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run("check", "--mode=incomplete", str(path))
+    assert code == EXIT_DATA
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "not pairwise orthogonal" in lines[0]
+    assert "|<a|b>|" in lines[0]
+
+
 def test_check_complete_mode_rejects_incomplete_flag(run, ensemble_file):
     code, _, err = run("check", "--mode=complete", ensemble_file("finkelstein9"))
     assert code == EXIT_DATA

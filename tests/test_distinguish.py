@@ -8,6 +8,7 @@ import pytest
 from loccdist import (
     Ensemble,
     InvalidModeError,
+    NumericalInstabilityError,
     ProductState,
     ProtocolLeaf,
     ProtocolNode,
@@ -21,6 +22,7 @@ from loccdist import (
     decide,
     emit_protocol,
     finest_step,
+    normalize,
     overlap_graph,
     parse_protocol,
     random_product_basis,
@@ -420,3 +422,52 @@ def test_verdict_json_is_deterministic():
     a = canonical_dumps(verdict_to_json(decide(catalog("cube64"), "complete")))
     b = canonical_dumps(verdict_to_json(decide(catalog("cube64"), "complete")))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# noise robustness
+
+
+def test_noisy_sweep_is_refused_or_keeps_its_verdict():
+    # The 400 acceptance-sweep bases, each copied at four noise scales with
+    # complex Gaussian noise on every local vector.  A copy that keeps
+    # overlapping at every party must be refused as non-orthogonal, not
+    # certified stuck.  One copy still flips: its decisive overlaps lie so
+    # close to tol that only a gap check (exit 70 near tol) would refuse it.
+    known_flip = ((2, 2, 2), 0, 3e-10)
+    rng = np.random.default_rng(0)
+    counts = {"invalid": 0, "unstable": 0, "kept": 0}
+    flipped = []
+    for dims in ((2, 2), (2, 3), (3, 3), (2, 2, 2)):
+        for seed in range(100):
+            e = random_product_basis(dims, seed=seed, depth=seed % 4)
+            clean = decide(e, "complete").kind
+            for scale in (3e-10, 6e-10, 1e-9, 1.5e-9):
+                states = tuple(
+                    ProductState(
+                        s.label,
+                        tuple(
+                            normalize(
+                                v.entries
+                                + scale
+                                * (rng.standard_normal(v.dim) + 1j * rng.standard_normal(v.dim))
+                            )
+                            for v in s.locals
+                        ),
+                    )
+                    for s in e.states
+                )
+                noisy = Ensemble(e.name, e.dims, states, e.complete)
+                try:
+                    kind = decide(noisy, "complete").kind
+                except InvalidModeError:
+                    counts["invalid"] += 1
+                except NumericalInstabilityError:
+                    counts["unstable"] += 1
+                else:
+                    if kind == clean:
+                        counts["kept"] += 1
+                    else:
+                        flipped.append((dims, seed, scale))
+    assert flipped == [known_flip]
+    assert counts == {"invalid": 1425, "unstable": 40, "kept": 134}

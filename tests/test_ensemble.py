@@ -30,7 +30,6 @@ from loccdist import (
     ensure_orthogonal,
     normalize,
     parse_ensemble,
-    product_overlap,
     random_product_basis,
     random_unitary,
     validate,
@@ -221,13 +220,6 @@ def test_ensure_complete_rejects_incomplete_ensemble():
     with pytest.raises(InvalidModeError):
         ensure_complete(catalog("finkelstein9"))
     ensure_complete(catalog("bennett9"))  # no error
-
-
-def test_product_overlap_party_count_mismatch():
-    a = catalog("comp2x2").states[0]
-    b = catalog("cube64").states[0]
-    with pytest.raises(DimensionError):
-        product_overlap(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from loccdist import (
     basis_vector,
     gram_schmidt,
     inner_product,
-    is_orthogonal,
     normalize,
     phase_normalize,
     rank,
@@ -87,7 +86,6 @@ def test_inner_product_plus_state_against_basis():
     expected = 1.0 / math.sqrt(2.0)
     got = inner_product(basis_vector(3, 0), _vec(1, 1, 0))
     assert abs(got - expected) < 1e-15
-    assert not is_orthogonal(basis_vector(3, 0), _vec(1, 1, 0))
 
 
 @given(unit_vectors(dim=4), unit_vectors(dim=4))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loccdist import (
     DimensionError,
@@ -90,6 +92,34 @@ def test_overlap_at_tol_is_not_an_edge():
         ("u", "above"),
         ("at", "above"),
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.floats(0.05, 0.5),
+)
+def test_validate_offends_exactly_on_edges_at_every_party(seed, tol):
+    # four random, mostly non-orthogonal product states: a pair is
+    # orthogonal iff some party's graph separates it
+    rng = np.random.default_rng(seed)
+    dims = (2, 3, 2)
+    states = tuple(
+        ProductState(
+            f"s{i}",
+            tuple(normalize(rng.standard_normal(d) + 1j * rng.standard_normal(d)) for d in dims),
+        )
+        for i in range(4)
+    )
+    e = Ensemble("random", dims, states, complete=False)
+    common = frozenset.intersection(
+        *(overlap_graph(e, e.labels, p, tol).edges for p in range(e.parties))
+    )
+    report = validate(e, tol)
+    assert {(a, b) for a, b, _ in report.offending_pairs} == common
+    for a, b, mag in report.offending_pairs:
+        assert mag > tol
+    assert report.pairwise_orthogonal == (not common)
 
 
 def test_full_bennett9_graphs_are_connected():
