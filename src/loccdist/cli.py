@@ -21,10 +21,12 @@ from .distinguish import (
     TraceStuck,
     Verdict,
     decide,
+    protocol_from_json,
     verdict_to_json,
 )
 from .ensemble import (
     CATALOG_NAMES,
+    Ensemble,
     catalog,
     emit_ensemble,
     parse_ensemble,
@@ -34,6 +36,7 @@ from .errors import (
     LoccError,
     NotFoundError,
     NumericalInstabilityError,
+    SchemaError,
     TooLargeError,
 )
 from .jsonio import canonical_dumps, complex_to_json, parse_json
@@ -42,8 +45,10 @@ from .oracle import exhaustive_decide
 from .simulate import (
     BUILTIN_PROTOCOL_NAMES,
     LocalOperator,
+    SimTree,
     builtin_protocol,
     canonicalize_operator,
+    lift_protocol,
     parse_sim_protocol,
     report_to_json,
     run_protocol,
@@ -174,6 +179,20 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_protocol(path: str, e: Ensemble, tol: float) -> SimTree:
+    """An instrument-tree file, or a ``check --json`` verdict lifted onto e."""
+    text = _read_file(path)
+    try:
+        return parse_sim_protocol(text)
+    except SchemaError:
+        doc = parse_json(text)
+        if not isinstance(doc, dict) or "verdict" not in doc:
+            raise
+    if "protocol" not in doc:
+        raise SchemaError(f"{path}: the verdict carries no protocol to replay")
+    return lift_protocol(protocol_from_json(doc["protocol"]), e, tol)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     if (args.protocol is None) == (args.builtin is None):
@@ -185,7 +204,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except NotFoundError as exc:
             raise _UsageError(str(exc)) from None
     else:
-        root = parse_sim_protocol(_read_file(args.protocol))
+        root = _read_protocol(args.protocol, e, tol)
     report = run_protocol(e, root, tol)
     doc: dict = {"tol": tol}
     doc.update(report_to_json(report))

@@ -36,6 +36,7 @@ __all__ = [
     "emit_protocol",
     "finest_step",
     "parse_protocol",
+    "protocol_from_json",
     "stuck_certificate",
     "verdict_to_json",
 ]
@@ -241,7 +242,8 @@ def emit_protocol(t: ProtocolTree) -> str:
     return canonical_dumps(_tree_to_json(t))
 
 
-def _tree_from_json(data: object, where: str = "protocol") -> ProtocolTree:
+def protocol_from_json(data: object, where: str = "protocol") -> ProtocolTree:
+    """Build a protocol tree from its decoded JSON, as in a verdict's ``protocol``."""
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: node must be a JSON object")
     if "leaf" in data:
@@ -279,14 +281,14 @@ def _tree_from_json(data: object, where: str = "protocol") -> ProtocolTree:
         outcomes.append(StepOutcome(block=tuple(block), basis=vectors))
     step = MeasurementStep(party=party, outcomes=tuple(outcomes))
     children = tuple(
-        _tree_from_json(raw, f"{where}.children[{i}]") for i, raw in enumerate(raw_children)
+        protocol_from_json(raw, f"{where}.children[{i}]") for i, raw in enumerate(raw_children)
     )
     return ProtocolNode(step=step, children=children)
 
 
 def parse_protocol(text: str) -> ProtocolTree:
     """Parse the canonical protocol JSON back into a tree."""
-    return _tree_from_json(parse_json(text))
+    return protocol_from_json(parse_json(text))
 
 
 def _graph_to_json(g: OverlapGraph) -> dict:

@@ -18,12 +18,13 @@ import numpy as np
 from .distinguish import ProtocolLeaf, ProtocolNode, ProtocolTree, decide
 from .ensemble import Ensemble, ProductState
 from .errors import DimensionError, InstrumentError, NotFoundError, SchemaError
-from .jsonio import canonical_dumps, parse_json
+from .jsonio import canonical_dumps, complex_from_json, complex_to_json, parse_json
 from .linalg import (
     DEFAULT_TOL,
     LocalVector,
     SVDResult,
     emit_matrix,
+    normalize,
     parse_matrix,
     projector_matrix,
     svd_decompose,
@@ -54,10 +55,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
-    """One Kraus operator acting on a single party's factor."""
+    """One Kraus operator acting on a single party's factor.
+
+    ``basis`` and ``complement`` record a matrix built as the projector onto
+    an orthonormal family, or as the identity minus the projectors before it
+    in its instrument.  The protocol format stores that form instead of the
+    matrix; the matrix is what every computation reads.
+    """
 
     party: int
     matrix: np.ndarray
+    basis: tuple[LocalVector, ...] | None = None
+    complement: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.party, int) or self.party < 0:
@@ -341,6 +350,17 @@ def canonicalize_operator(op: LocalOperator, tol: float = DEFAULT_TOL) -> Canoni
     return CanonicalOperator(svd=result, physical=all(s <= 1.0 + tol for s in result.sigmas))
 
 
+def _projector(party: int, basis: Sequence[LocalVector]) -> LocalOperator:
+    return LocalOperator(party, projector_matrix(basis), basis=tuple(basis))
+
+
+def _complement(party: int, projectors: Sequence[LocalOperator]) -> LocalOperator:
+    """The identity minus the given projectors, the rest of a projective instrument."""
+    d = projectors[0].in_dim
+    rest = np.eye(d, dtype=np.complex128) - sum(op.matrix for op in projectors)
+    return LocalOperator(party, rest, complement=True)
+
+
 def lift_protocol(t: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -> SimTree:
     """Turn a projective protocol tree into a runnable instrument tree.
 
@@ -351,20 +371,21 @@ def lift_protocol(t: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -> Sim
     if isinstance(t, ProtocolLeaf):
         return SimLeaf(t.label)
     party = t.step.party
+    if party >= e.parties:
+        raise DimensionError(f"protocol measures party {party}, the ensemble has {e.parties}")
     d = e.dims[party]
-    mats = [projector_matrix(o.basis) for o in t.step.outcomes]
     for o in t.step.outcomes:
         if o.basis[0].dim != d:
             raise DimensionError(
                 f"outcome basis dimension {o.basis[0].dim} does not match party {party} ({d})"
             )
-    residual = np.eye(d, dtype=np.complex128) - sum(mats)
+    ops = [_projector(party, o.basis) for o in t.step.outcomes]
+    rest = _complement(party, ops)
     children = [lift_protocol(c, e, tol) for c in t.children]
-    if float(np.max(np.abs(residual))) > tol:
-        mats.append(residual)
+    if float(np.max(np.abs(rest.matrix))) > tol:
+        ops.append(rest)
         children.append(SimLeaf(None))
-    ins = Instrument(party, tuple(LocalOperator(party, m) for m in mats))
-    return SimNode(instrument=ins, children=tuple(children))
+    return SimNode(instrument=Instrument(party, tuple(ops)), children=tuple(children))
 
 
 def extend_with_projective(e: Ensemble, ins: Instrument, tol: float = DEFAULT_TOL) -> SimNode:
@@ -455,12 +476,20 @@ def builtin_protocol(name: str, e: Ensemble, tol: float = DEFAULT_TOL) -> SimTre
 # serialization
 
 
+def _operator_to_json(op: LocalOperator) -> dict:
+    if op.basis is not None:
+        return {"basis": [complex_to_json(b.entries) for b in op.basis]}
+    if op.complement:
+        return {"complement": True}
+    return emit_matrix(op.matrix)
+
+
 def _sim_to_json(root: SimTree) -> dict:
     if isinstance(root, SimLeaf):
         return {"announce": root.announce}
     return {
         "party": root.instrument.party,
-        "operators": [emit_matrix(op.matrix) for op in root.instrument.operators],
+        "operators": [_operator_to_json(op) for op in root.instrument.operators],
         "children": [_sim_to_json(c) for c in root.children],
     }
 
@@ -468,6 +497,33 @@ def _sim_to_json(root: SimTree) -> dict:
 def emit_sim_protocol(root: SimTree) -> str:
     """Serialize an instrument tree to canonical JSON."""
     return canonical_dumps(_sim_to_json(root))
+
+
+def _operators_from_json(party: int, raw_ops: list, where: str) -> tuple[LocalOperator, ...]:
+    ops: list[LocalOperator] = []
+    for i, raw in enumerate(raw_ops):
+        at = f"{where}: operator {i}"
+        if isinstance(raw, dict) and "basis" in raw:
+            vectors = raw["basis"]
+            if len(raw) != 1 or not isinstance(vectors, list) or not vectors:
+                raise SchemaError(f"{at}: basis must be a non-empty list of vectors")
+            basis = tuple(
+                normalize(complex_from_json(v, f"{at}: basis vector {j}"))
+                for j, v in enumerate(vectors)
+            )
+            d = ops[0].in_dim if ops else basis[0].dim
+            if any(b.dim != d for b in basis):
+                raise SchemaError(f"{at}: basis vectors must have dimension {d}")
+            ops.append(_projector(party, basis))
+        elif isinstance(raw, dict) and "complement" in raw:
+            if len(raw) != 1 or raw["complement"] is not True:
+                raise SchemaError(f"{at}: complement must be {{\"complement\": true}}")
+            if i != len(raw_ops) - 1 or not ops or any(op.basis is None for op in ops):
+                raise SchemaError(f"{at}: complement must come last, after basis operators")
+            ops.append(_complement(party, ops))
+        else:
+            ops.append(LocalOperator(party, parse_matrix(raw)))
+    return tuple(ops)
 
 
 def _sim_from_json(data: object, where: str = "protocol") -> SimTree:
@@ -492,7 +548,7 @@ def _sim_from_json(data: object, where: str = "protocol") -> SimTree:
         raise SchemaError(
             f"{where}: {len(raw_ops)} operators need {len(raw_ops)} children"
         )
-    ops = tuple(LocalOperator(party, parse_matrix(m)) for m in raw_ops)
+    ops = _operators_from_json(party, raw_ops, where)
     children = tuple(
         _sim_from_json(c, f"{where}.children[{i}]") for i, c in enumerate(raw_children)
     )
@@ -500,7 +556,13 @@ def _sim_from_json(data: object, where: str = "protocol") -> SimTree:
 
 
 def parse_sim_protocol(text: str) -> SimTree:
-    """Parse the instrument-tree JSON format."""
+    """Parse the instrument-tree JSON format.
+
+    An operator is a dense ``{"rows", "cols", "entries"}`` matrix, the
+    projector ``{"basis": [v1, ...]}`` onto an orthonormal family, or, last
+    and after basis operators only, ``{"complement": true}``: the identity
+    minus the instrument's other operators.
+    """
     return _sim_from_json(parse_json(text))
 
 

@@ -17,9 +17,12 @@ from loccdist import (
     ProductState,
     basis_vector,
     catalog,
+    decide,
     emit_ensemble,
+    lift_protocol,
     normalize,
     parse_ensemble,
+    random_product_basis,
     validate,
 )
 from loccdist.cli import (
@@ -33,6 +36,7 @@ from loccdist.cli import (
 )
 from loccdist.jsonio import canonical_dumps
 from loccdist.linalg import emit_matrix
+from loccdist.simulate import emit_sim_protocol
 
 
 @pytest.fixture()
@@ -338,6 +342,84 @@ def test_simulate_incomplete_instrument_file(run, ensemble_file, tmp_path):
     code, _, err = run("simulate", ensemble_file("comp2x2"), str(proto))
     assert code == EXIT_DATA
     assert "incomplete" in err
+    # unit vectors that are not orthogonal: not a projector, so not complete
+    skew = {
+        "party": 0,
+        "operators": [{"basis": [[[1, 0], [0, 0]], [[0.6, 0], [0.8, 0]]]}, {"complement": True}],
+        "children": [{"announce": None}, {"announce": None}],
+    }
+    proto.write_text(canonical_dumps(skew), encoding="utf-8")
+    code, _, err = run("simulate", ensemble_file("comp2x2"), str(proto))
+    assert code == EXIT_DATA
+    assert "incomplete" in err
+
+
+@pytest.mark.parametrize(
+    "operators",
+    [
+        [{"complement": True}, {"basis": [[[1, 0], [0, 0]]]}],
+        [{"basis": [[[1, 0], [0, 0]]]}, {"complement": True}, {"basis": [[[0, 0], [1, 0]]]}],
+        [{"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+         {"complement": True}],
+        [{"basis": []}, {"complement": True}],
+        [{"basis": [[[1, 0], [0, 0], [0, 0]]]}, {"complement": True}],
+    ],
+    ids=["complement-first", "complement-not-last", "complement-after-dense", "empty-basis",
+         "basis-wrong-dimension"],
+)
+def test_simulate_malformed_factored_operator(run, ensemble_file, tmp_path, operators):
+    proto = tmp_path / "proto.json"
+    doc = {"party": 0, "operators": operators, "children": [{"announce": None}] * len(operators)}
+    proto.write_text(canonical_dumps(doc), encoding="utf-8")
+    code, out, err = run("simulate", ensemble_file("comp2x2"), str(proto))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_simulate_replays_a_verdict(run, tmp_path):
+    # the protocol of `check --json` is lifted on load, and replays exactly
+    # like the instrument tree that lift_protocol and emit_sim_protocol write
+    path = str(tmp_path / "basis.json")
+    Path(path).write_text(emit_ensemble(random_product_basis((4, 4, 4), 3, depth=6)), encoding="utf-8")
+    e = parse_ensemble(Path(path).read_text(encoding="utf-8"))
+    code, verdict, _ = run("check", path, "--json")
+    assert code == EXIT_OK
+    (tmp_path / "verdict.json").write_text(verdict, encoding="utf-8")
+    tree = lift_protocol(decide(e, "complete").tree, e)
+    assert '{"complement": true}' in emit_sim_protocol(tree)
+    (tmp_path / "tree.json").write_text(emit_sim_protocol(tree), encoding="utf-8")
+    code, out, _ = run("simulate", path, str(tmp_path / "verdict.json"))
+    assert code == EXIT_OK
+    assert json.loads(out)["perfect"] is True
+    assert run("simulate", path, str(tmp_path / "tree.json")) == (EXIT_OK, out, "")
+
+
+@pytest.mark.parametrize("party", [0, 5])
+def test_simulate_verdict_for_another_ensemble(run, ensemble_file, tmp_path, party):
+    # a qutrit step replayed on qubits, and a step at a party that is not there
+    outcome = {"block": ["s00"], "basis": [[[1, 0], [0, 0], [0, 0]]]}
+    step = {"party": party, "outcomes": [outcome, dict(outcome, block=["s01"])],
+            "children": [{"leaf": "s00"}, {"leaf": "s01"}]}
+    proto = tmp_path / "verdict.json"
+    proto.write_text(canonical_dumps({"verdict": "distinguishable", "protocol": step}),
+                     encoding="utf-8")
+    code, out, err = run("simulate", ensemble_file("comp2x2"), str(proto))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["bennett9", "finkelstein9"])
+def test_simulate_verdict_without_protocol(run, ensemble_file, tmp_path, name):
+    path = ensemble_file(name)
+    _, verdict, _ = run("check", path, "--json")
+    assert "protocol" not in json.loads(verdict)
+    (tmp_path / "verdict.json").write_text(verdict, encoding="utf-8")
+    code, out, err = run("simulate", path, str(tmp_path / "verdict.json"))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "no protocol" in err
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +470,11 @@ HOSTILE_PAIRS = {
         ("check", "bad.json"),
         ("simulate", "bad.json", "giveup.json"),
         ("simulate", "good.json", "proto.json"),
+        ("simulate", "good.json", "factored.json"),
         ("decompose", "op.json"),
     ],
-    ids=["check", "simulate-ensemble", "simulate-protocol", "decompose"],
+    ids=["check", "simulate-ensemble", "simulate-protocol", "simulate-factored-protocol",
+         "decompose"],
 )
 @pytest.mark.parametrize("pair", HOSTILE_PAIRS.values(), ids=HOSTILE_PAIRS.keys())
 def test_hostile_number_is_a_data_error(run, tmp_path, argv, pair):
@@ -406,6 +490,9 @@ def test_hostile_number_is_a_data_error(run, tmp_path, argv, pair):
         "giveup.json": '{"announce": null}',
         "op.json": matrix,
         "proto.json": f'{{"party": 0, "operators": [{matrix}], "children": [{{"announce": null}}]}}',
+        "factored.json": f'{{"party": 0, "operators": [{{"basis": [[{pair}, {pair}]]}},'
+                         ' {"complement": true}], "children": [{"announce": null},'
+                         ' {"announce": null}]}',
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

@@ -1,18 +1,23 @@
-"""Byte identity of `check --json` and `check --trace` output.
+"""Byte identity of `check --json`, `check --trace` and `simulate` output.
 
-The digests below were taken from the pairwise-loop implementation that
+The `check` digests were taken from the pairwise-loop implementation that
 preceded the array-backed relativity layer.  Any drift in a verdict, a
 protocol's blocks or basis vectors, or a certificate's edges changes them.
+The `simulate` digests were taken when lifted protocols were still written
+as dense matrices, so they also pin that the factored file rebuilds every
+operator bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
-from loccdist import catalog, emit_ensemble, random_product_basis
+from loccdist import catalog, decide, emit_ensemble, lift_protocol, random_product_basis
 from loccdist.cli import main
+from loccdist.simulate import emit_sim_protocol
 
 CASES = {
     "bennett9": lambda: catalog("bennett9"),
@@ -54,3 +59,30 @@ def test_check_output_is_byte_identical(case, flag, tmp_path, capsys):
     code = main(["check", str(path), flag])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN[(case, flag)]
+
+
+# (case, protocol) -> (exit code, sha256 of `simulate` stdout); "lifted" is
+# the instrument tree of the case's own verdict, written as a file
+SIMULATE_GOLDEN = {
+    ("random-4x4x4-seed3-depth6", "lifted"):
+        (0, "d6dfcc1a40f9be37be3155654b88608e7430542ddac33a78abb8e7ab3253a557"),
+    ("random-6x6x6-seed5-depth10", "lifted"):
+        (0, "c2eb7a4e997a985d6570a90d1be15791e23e9d535c64ab718c1a19ee106b026d"),
+    ("finkelstein9", "--builtin=finkelstein-povm"):
+        (0, "1ca096bad03b896a1e031e35bb7186a667d4e98768c70f1085b5e5346bcb7014"),
+}
+
+
+@pytest.mark.parametrize("case,protocol", sorted(SIMULATE_GOLDEN))
+def test_simulate_output_is_byte_identical(case, protocol, tmp_path, capsys):
+    e = CASES[case]()
+    path = tmp_path / f"{case}.json"
+    path.write_text(emit_ensemble(e) + "\n", encoding="utf-8")
+    arg = protocol
+    if protocol == "lifted":
+        arg = str(tmp_path / "protocol.json")
+        tree = lift_protocol(decide(e, "complete").tree, e)
+        Path(arg).write_text(emit_sim_protocol(tree) + "\n", encoding="utf-8")
+    code = main(["simulate", str(path), arg])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == SIMULATE_GOLDEN[(case, protocol)]

@@ -8,6 +8,7 @@ raw numpy before the library's own versions are trusted.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -42,6 +43,7 @@ from loccdist import (
     validate_instrument,
 )
 from loccdist.jsonio import canonical_dumps
+from loccdist.linalg import emit_matrix
 from loccdist.simulate import emit_sim_protocol, parse_sim_protocol, report_to_json
 
 
@@ -432,6 +434,32 @@ def test_sim_leaf_serialization():
     assert parse_sim_protocol('{"announce": "psi1"}') == SimLeaf("psi1")
 
 
+# factored operators that parse_sim_protocol refuses with SchemaError
+FACTORED_MALFORMED = {
+    "complement-first":
+        '{"party": 0, "operators": [{"complement": true}, {"basis": [[[1, 0], [0, 0]]]}],'
+        ' "children": [{"announce": null}, {"announce": null}]}',
+    "complement-not-last":
+        '{"party": 0, "operators": [{"basis": [[[1, 0], [0, 0]]]}, {"complement": true},'
+        ' {"basis": [[[0, 0], [1, 0]]]}],'
+        ' "children": [{"announce": null}, {"announce": null}, {"announce": null}]}',
+    "complement-after-dense":
+        '{"party": 0, "operators": [{"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0],'
+        ' [0, 0]]}, {"complement": true}], "children": [{"announce": null}, {"announce": null}]}',
+    "complement-false":
+        '{"party": 0, "operators": [{"basis": [[[1, 0], [0, 0]]]}, {"complement": false}],'
+        ' "children": [{"announce": null}, {"announce": null}]}',
+    "empty-basis":
+        '{"party": 0, "operators": [{"basis": []}], "children": [{"announce": null}]}',
+    "basis-vector-wrong-dimension":
+        '{"party": 0, "operators": [{"basis": [[[1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}],'
+        ' "children": [{"announce": null}]}',
+    "basis-wrong-dimension-for-instrument":
+        '{"party": 0, "operators": [{"basis": [[[1, 0], [0, 0]]]},'
+        ' {"basis": [[[0, 0], [0, 0], [1, 0]]]}], "children": [{"announce": null}, {"announce": null}]}',
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -445,11 +473,74 @@ def test_sim_leaf_serialization():
         ' "children": []}',
         '{"party": 0, "operators": [{"rows": 1, "cols": 1}],'
         ' "children": [{"announce": null}]}',
+        *FACTORED_MALFORMED.values(),
     ],
 )
 def test_sim_parse_rejects_malformed(text):
     with pytest.raises(SchemaError):
         parse_sim_protocol(text)
+
+
+def test_non_orthonormal_basis_is_an_incomplete_instrument():
+    # |0> and (0.6, 0.8) are unit vectors but not orthogonal, so the
+    # "projector" and its complement do not resolve the identity
+    tree = parse_sim_protocol(
+        '{"party": 0, "operators": [{"basis": [[[1, 0], [0, 0]], [[0.6, 0], [0.8, 0]]]},'
+        ' {"complement": true}], "children": [{"announce": null}, {"announce": null}]}'
+    )
+    with pytest.raises(InstrumentError):
+        run_protocol(catalog("comp2x2"), tree)
+
+
+def _dense_json(root):
+    """The instrument tree with every operator written as a dense matrix."""
+    if isinstance(root, SimLeaf):
+        return {"announce": root.announce}
+    return {
+        "party": root.instrument.party,
+        "operators": [emit_matrix(op.matrix) for op in root.instrument.operators],
+        "children": [_dense_json(c) for c in root.children],
+    }
+
+
+def _factored_cases():
+    for dims in [(2, 2), (2, 3), (3, 3), (4, 4), (2, 2, 2), (3, 3, 3), (4, 4, 4), (6, 6, 6)]:
+        for depth in (0, 3, 8):
+            seed = 3 * depth + len(dims)
+            e = _dressed(random_product_basis(dims, seed, depth=depth), seed)
+            yield e, lift_protocol(decide(e, "complete").tree, e)
+    f9 = catalog("finkelstein9")
+    yield f9, builtin_protocol("finkelstein-povm", f9)
+
+
+def test_factored_protocol_replays_like_the_dense_one():
+    # Projective operators are written as their basis vectors, the give-up
+    # remainder as a complement marker; parsing rebuilds every matrix bit
+    # for bit, so the replay report is byte-identical to the dense file's.
+    for e, tree in _factored_cases():
+        text = emit_sim_protocol(tree)
+        again = parse_sim_protocol(text)
+        assert _sim_trees_equal(tree, again)
+        assert emit_sim_protocol(again) == text
+        dense = parse_sim_protocol(canonical_dumps(_dense_json(tree)))
+        assert _sim_trees_equal(dense, again)
+        for tol in (1e-9, 1e-3):
+            assert _report_bytes(run_protocol(e, again, tol)) == _report_bytes(
+                run_protocol(e, dense, tol)
+            )
+
+
+def test_only_general_kraus_operators_stay_dense():
+    f9 = catalog("finkelstein9")
+    doc = json.loads(emit_sim_protocol(builtin_protocol("finkelstein-povm", f9)))
+    assert all(set(op) == {"rows", "cols", "entries"} for op in doc["operators"])
+    for child in doc["children"]:
+        kinds = [next(iter(op)) for op in child["operators"]]
+        assert set(kinds) <= {"basis", "complement"} and kinds[0] == "basis"
+    wing = _wing6()
+    text = emit_sim_protocol(lift_protocol(decide(wing, "incomplete").tree, wing))
+    assert '"rows"' not in text
+    assert text.count('{"complement": true}') == 2  # the two give-up arms
 
 
 def test_report_json_layout():
