@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .ensemble import Ensemble, ensure_complete, ensure_orthogonal
 from .errors import InvalidModeError, SchemaError
-from .jsonio import canonical_dumps, complex_from_json, complex_to_json, parse_json
-from .linalg import DEFAULT_TOL, LocalVector, normalize
+from .jsonio import canonical_dumps, complex_rows_from_json, complex_to_json, parse_json
+from .linalg import DEFAULT_TOL, LocalVector, normalize_rows, unit_vectors
 from .relativity import OverlapGraph, components, overlap_graph
 
 __all__ = [
@@ -274,10 +274,12 @@ def protocol_from_json(data: object, where: str = "protocol") -> ProtocolTree:
         basis = raw["basis"]
         if not isinstance(basis, list) or not basis:
             raise SchemaError(f"{where}: outcome {i} basis must be a non-empty list")
-        vectors = tuple(
-            normalize(complex_from_json(vec, f"{where}: outcome {i} basis vector {j}"))
-            for j, vec in enumerate(basis)
-        )
+        at = f"{where}: outcome {i}"
+        flat = complex_rows_from_json(basis, lambda j: f"{at} basis vector {j}")
+        d = len(basis[0])
+        if any(len(v) != d for v in basis):
+            raise SchemaError(f"{at}: basis vectors must have dimension {d}")
+        vectors = unit_vectors(normalize_rows(flat.reshape(-1, d)))
         outcomes.append(StepOutcome(block=tuple(block), basis=vectors))
     step = MeasurementStep(party=party, outcomes=tuple(outcomes))
     children = tuple(

@@ -23,14 +23,17 @@ from .errors import (
     SchemaError,
     TooLargeError,
     UnitarityError,
+    ZeroVectorError,
 )
-from .jsonio import canonical_dumps, complex_from_json, complex_to_json, parse_json
+from .jsonio import canonical_dumps, complex_rows_from_json, complex_to_json, parse_json
 from .linalg import (
     DEFAULT_TOL,
     LocalVector,
     basis_vector,
     normalize,
+    normalize_rows,
     phase_normalize,
+    unit_vectors,
 )
 
 __all__ = [
@@ -269,7 +272,14 @@ def ensure_complete(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 
 def parse_ensemble(text: str, tol: float = DEFAULT_TOL) -> Ensemble:
-    """Parse the ensemble JSON format, normalizing every vector on load."""
+    """Parse the ensemble JSON format, normalizing every vector on load.
+
+    All vectors are decoded in one pass and each party's ``n x d_p`` array
+    is normalized at once, with the per-vector arithmetic of
+    :func:`~loccdist.linalg.normalize`; those arrays become the ensemble's
+    :attr:`~Ensemble.party_arrays`.  An error names the first bad vector in
+    file order, after the layout of every state has been checked.
+    """
     data = parse_json(text)
     if not isinstance(data, dict):
         raise SchemaError("ensemble must be a JSON object")
@@ -291,7 +301,7 @@ def parse_ensemble(text: str, tol: float = DEFAULT_TOL) -> Ensemble:
     raw_states = data["states"]
     if not isinstance(raw_states, list):
         raise SchemaError("states must be a list")
-    states = []
+    labels = []
     for k, raw in enumerate(raw_states):
         if not isinstance(raw, dict) or "label" not in raw or "vectors" not in raw:
             raise SchemaError(f"state {k} must be an object with 'label' and 'vectors'")
@@ -301,15 +311,29 @@ def parse_ensemble(text: str, tol: float = DEFAULT_TOL) -> Ensemble:
         vectors = raw["vectors"]
         if not isinstance(vectors, list) or len(vectors) != len(dims):
             raise SchemaError(f"state {label!r} needs one vector per party ({len(dims)})")
-        locals_ = []
         for p, vec in enumerate(vectors):
             if not isinstance(vec, list) or len(vec) != dims[p]:
-                raise SchemaError(
-                    f"state {label!r} party {p} needs {dims[p]} entries"
-                )
-            locals_.append(normalize(complex_from_json(vec, f"state {label!r} party {p}"), tol))
-        states.append(ProductState(label, tuple(locals_)))
-    return Ensemble(name=name, dims=tuple(dims), states=tuple(states), complete=data["complete"])
+                raise SchemaError(f"state {label!r} party {p} needs {dims[p]} entries")
+        labels.append(label)
+    n, parties = len(labels), len(dims)
+    # One decode of every vector, state-major; then one normalize per party.
+    flat = complex_rows_from_json(
+        [vec for raw in raw_states for vec in raw["vectors"]],
+        lambda j: f"state {labels[j // parties]!r} party {j % parties}",
+    ).reshape(n, sum(dims))
+    starts = list(itertools.accumulate(dims, initial=0))
+    arrays = [np.array(flat[:, a:b]) for a, b in zip(starts, starts[1:])]
+    try:
+        columns = [unit_vectors(normalize_rows(a, tol)) for a in arrays]
+    except (SchemaError, ZeroVectorError):
+        # a refused array is left as it was; name the first bad vector in file order
+        for k, p in itertools.product(range(n), range(parties)):
+            normalize_rows(arrays[p][k : k + 1].copy(), tol)
+        raise
+    states = tuple(ProductState(label, locals_) for label, locals_ in zip(labels, zip(*columns)))
+    e = Ensemble(name=name, dims=tuple(dims), states=states, complete=data["complete"])
+    e.__dict__["party_arrays"] = tuple(arrays)  # the arrays the LocalVectors view
+    return e
 
 
 def emit_ensemble(e: Ensemble, tol: float = DEFAULT_TOL) -> str:

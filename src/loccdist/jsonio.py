@@ -7,8 +7,9 @@ malformed, too deeply nested or out-of-range text surfaces as
 :class:`~loccdist.errors.ParseError`.
 
 Every complex number in every format is an ``[re, im]`` pair of JSON
-numbers.  :func:`complex_from_json` and :func:`complex_to_json` are the only
-code that converts between such lists of pairs and complex arrays.
+numbers.  :func:`complex_from_json`, :func:`complex_rows_from_json` and
+:func:`complex_to_json` are the only code that converts between such lists
+of pairs and complex arrays.
 """
 
 from __future__ import annotations
@@ -16,13 +17,21 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Any
+from json.encoder import encode_basestring
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import ParseError, SchemaError
 
-__all__ = ["canonical_dumps", "complex_from_json", "complex_to_json", "format_float", "parse_json"]
+__all__ = [
+    "canonical_dumps",
+    "complex_from_json",
+    "complex_rows_from_json",
+    "complex_to_json",
+    "format_float",
+    "parse_json",
+]
 
 
 def format_float(x: float) -> str:
@@ -31,46 +40,53 @@ def format_float(x: float) -> str:
     Negative zero collapses to "0" so that re-parsing and re-emitting a
     document cannot flip a sign nobody can observe numerically.
     """
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError("non-finite float cannot be serialized")
     if x == 0.0:
         return "0"
     return format(float(x), ".17g")
 
 
+# The types JSON writes, in the order a subclass is matched against them.
+_KINDS = (str, int, float, list, tuple, dict)
+
+
 def _write(obj: Any, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
+    # Dispatch on the exact type; a subclass such as np.float64 is written as
+    # its base.  encode_basestring is what json.dumps(s, ensure_ascii=False)
+    # calls, without building an encoder per string.
+    t = type(obj)
+    if t not in _KINDS:
+        if obj is None or t is bool:
+            out.append("null" if obj is None else "true" if obj else "false")
+            return
+        t = next((kind for kind in _KINDS if isinstance(obj, kind)), None)
+        if t is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+    if t is float:
         out.append(format_float(obj))
-    elif isinstance(obj, (list, tuple)):
+    elif t is list or t is tuple:
         out.append("[")
         for i, item in enumerate(obj):
             if i:
                 out.append(", ")
             _write(item, out)
         out.append("]")
-    elif isinstance(obj, dict):
+    elif t is str:
+        out.append(encode_basestring(obj))
+    elif t is dict:
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
             if i:
                 out.append(", ")
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(key).__name__}")
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(encode_basestring(key))
             out.append(": ")
             _write(value, out)
         out.append("}")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+        out.append(str(obj))
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -143,6 +159,25 @@ def complex_from_json(data: object, where: str) -> np.ndarray:
             ):
                 raise SchemaError(f"{where}: entry {i} must be a [re, im] pair of finite numbers")
         flat = _flatten(data)
+    return flat.view(np.complex128)
+
+
+def complex_rows_from_json(rows: list, where: Callable[[int], str]) -> np.ndarray:
+    """Decode a list of vectors, each a list of ``[re, im]`` pairs, in one pass.
+
+    Returns all entries, concatenated in order, as one 1-D complex array.
+    Errors are those :func:`complex_from_json` raises on the first bad
+    vector, with ``where(j)`` naming vector j.
+    """
+    for j, row in enumerate(rows):
+        if not isinstance(row, list) or not row:
+            complex_from_json(row, where(j))
+    pairs = list(itertools.chain.from_iterable(rows))
+    flat = _bulk_pairs(pairs) if len(pairs) >= _BULK_PAIRS else None
+    if flat is None:
+        for j, row in enumerate(rows):
+            complex_from_json(row, where(j))
+        flat = _flatten(pairs)
     return flat.view(np.complex128)
 
 

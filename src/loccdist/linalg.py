@@ -8,6 +8,17 @@ some party's local vectors are.  The package applies that rule in one place,
 relativity graphs read.  It takes the magnitudes from row-blocked Gram
 products and recomputes those within rounding of ``tol`` pairwise with
 ``np.vdot``, the arithmetic of :func:`inner_product`.
+
+Vectors travel as the rows of stacked ``k x d`` arrays, and two kernels
+work on rows with the per-vector arithmetic, bit for bit.
+:func:`normalize_rows` takes the norms as stacked real dot products, as
+``np.linalg.norm`` takes one; the parsers and the simulation call it once
+per array.  :func:`span_basis` orthonormalizes rows in order, with two
+``np.vdot`` projection passes, the norm ``sqrt(re.re + im.im)`` and the
+:func:`phase_normalize` rule per row; the relativity blocks and the oracle
+take their spans from it.  Both hand rows out through
+:func:`unit_vectors`, which checks a whole array once and wraps its rows
+as :class:`LocalVector` views.
 """
 
 from __future__ import annotations
@@ -30,11 +41,14 @@ __all__ = [
     "gram_schmidt",
     "inner_product",
     "normalize",
+    "normalize_rows",
     "parse_matrix",
     "phase_normalize",
     "projector_matrix",
     "rank",
+    "span_basis",
     "svd_decompose",
+    "unit_vectors",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -116,59 +130,137 @@ def inner_product(u: LocalVector, v: LocalVector) -> complex:
     return complex(np.vdot(u.entries, v.entries))
 
 
+# A norm this close to 1 is kept: the row is already a unit vector, and
+# dividing by its norm would only move its last bits.
+_UNIT_SLACK = 64.0 * np.finfo(np.float64).eps
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a ``k x d`` complex array.
+
+    Each squared norm is ``re.re + im.im`` as two real dot products, the
+    arithmetic of ``np.linalg.norm`` on one vector, bit for bit.
+    """
+    re, im = a.real, a.imag
+    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
+    return np.sqrt(sq[:, 0, 0])
+
+
+def _refuse_norms(norms: Iterable[float], tol: float) -> None:
+    """Raise for the first norm that no unit vector can be made from."""
+    for n in norms:
+        if not tol < n < math.inf:
+            if not math.isfinite(n):
+                raise SchemaError("cannot normalize a vector whose squared norm overflows a double")
+            raise ZeroVectorError(f"cannot normalize a vector of norm {n!r}")
+
+
 # An overflowing squared norm is reported as SchemaError, not as numpy's
 # RuntimeWarning.  The decorator costs less per call than a with-block.
+@np.errstate(over="ignore", invalid="ignore")
+def normalize_rows(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Scale every row of a finite ``k x d`` complex array to unit norm, in place.
+
+    Rows whose norm is already 1 up to a few ulps are kept verbatim, so
+    reloading serialized unit vectors reproduces them bit for bit.  The
+    first row whose squared norm overflows raises SchemaError, and the
+    first whose norm is at most ``tol`` raises ZeroVectorError.  Returns ``a``.
+    """
+    norms = _row_norms(a)
+    listed = norms.tolist()
+    _refuse_norms(listed, tol)
+    scale = [abs(n - 1.0) > _UNIT_SLACK for n in listed]
+    if all(scale):
+        np.divide(a, norms[:, None], out=a)
+    elif any(scale):
+        np.divide(a, norms[:, None], out=a, where=np.array(scale)[:, None])
+    return a
+
+
+def unit_vectors(a: np.ndarray) -> tuple[LocalVector, ...]:
+    """The rows of a C-contiguous ``k x d`` complex128 array as LocalVectors that view them.
+
+    The whole array is checked once for what LocalVector requires of each
+    vector, finite entries and unit norm; then it is frozen, and its rows
+    are wrapped without a copy or a second check.
+    """
+    x = a.view(np.float64)
+    for q in np.einsum("ij,ij->i", x, x).tolist():
+        n = math.sqrt(q)
+        if not abs(n - 1.0) <= DEFAULT_TOL:
+            if not np.isfinite(a).all():
+                raise ValueError("vector entries must be finite")
+            raise ValueError(f"LocalVector requires unit norm, got {n!r}")
+    a.setflags(write=False)
+    out = []
+    for row in a:
+        v = object.__new__(LocalVector)
+        object.__setattr__(v, "entries", row)
+        out.append(v)
+    return tuple(out)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def normalize(raw: object, tol: float = DEFAULT_TOL) -> LocalVector:
     """Scale raw entries to unit norm, preserving the global phase.
 
-    Entries whose norm is already 1 up to a few ulps are kept verbatim, so
-    reloading serialized unit vectors reproduces them bit for bit.  Finite
-    entries whose squared norm overflows raise SchemaError.
+    The arithmetic and the checks of :func:`normalize_rows`, for one vector:
+    entries whose norm is already 1 up to a few ulps are kept verbatim, and
+    finite entries whose squared norm overflows raise SchemaError.
     """
     arr = _as_vector_entries(raw)
     n = float(np.linalg.norm(arr))
-    if not math.isfinite(n):
-        raise SchemaError("cannot normalize a vector whose squared norm overflows a double")
-    if n <= tol:
-        raise ZeroVectorError(f"cannot normalize a vector of norm {n!r}")
-    if abs(n - 1.0) <= 64.0 * np.finfo(np.float64).eps:
-        return LocalVector(arr)
-    return LocalVector(arr / n)
+    _refuse_norms((n,), tol)
+    return LocalVector(arr if abs(n - 1.0) <= _UNIT_SLACK else arr / n)
+
+
+def _phase_fixed(entries: np.ndarray, tol: float) -> np.ndarray:
+    """Entries rotated so the first above tol is real positive; the input if it is."""
+    for entry in entries:
+        mag = abs(entry)
+        if mag > tol:
+            if entry.imag == 0.0 and entry.real > 0.0:
+                return entries
+            return entries * (entry.conjugate() / mag)
+    return entries
 
 
 def phase_normalize(v: LocalVector, tol: float = DEFAULT_TOL) -> LocalVector:
     """Rotate the global phase so the first entry above tol is real positive."""
-    for entry in v.entries:
-        mag = abs(entry)
-        if mag > tol:
-            if entry.imag == 0.0 and entry.real > 0.0:
-                return v
-            return LocalVector(v.entries * (entry.conjugate() / mag))
-    return v
+    fixed = _phase_fixed(v.entries, tol)
+    return v if fixed is v.entries else LocalVector(fixed)
+
+
+def span_basis(rows: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[LocalVector, ...]:
+    """Orthonormalize the rows of a ``k x d`` complex array in order.
+
+    Each row is projected off the basis so far twice, which keeps the
+    output orthonormal well below tol even for nearly dependent rows, and
+    joins the basis when its residual norm exceeds tol.  Outputs are
+    phase-normalized.
+    """
+    basis: list[np.ndarray] = []
+    for w in rows:
+        for b in basis * 2:  # two projection passes
+            w = w - np.vdot(b, w) * b
+        re, im = w.real, w.imag
+        n = math.sqrt(re.dot(re) + im.dot(im))
+        if n > tol:
+            basis.append(w / n)
+    fixed = np.array([_phase_fixed(b, tol) for b in basis])
+    return unit_vectors(fixed.reshape(-1, rows.shape[1]))
 
 
 def gram_schmidt(vectors: Iterable[LocalVector], tol: float = DEFAULT_TOL) -> tuple[LocalVector, ...]:
     """Orthonormalize in input order, dropping residuals of norm at most tol.
 
-    A second projection pass keeps the output orthonormal well below tol even
-    for nearly dependent inputs.  Outputs are phase-normalized.
+    :func:`span_basis` on the stacked entries.
     """
-    basis: list[np.ndarray] = []
-    dim: int | None = None
+    vectors = list(vectors)
     for v in vectors:
-        if dim is None:
-            dim = v.dim
-        elif v.dim != dim:
-            raise DimensionError(f"mixed dimensions in gram_schmidt: {dim} vs {v.dim}")
-        w = v.entries.astype(np.complex128)
-        for _ in range(2):
-            for b in basis:
-                w = w - np.vdot(b, w) * b
-        n = float(np.linalg.norm(w))
-        if n > tol:
-            basis.append(w / n)
-    return tuple(phase_normalize(LocalVector(b), tol) for b in basis)
+        if v.dim != vectors[0].dim:
+            raise DimensionError(f"mixed dimensions in gram_schmidt: {vectors[0].dim} vs {v.dim}")
+    return span_basis(np.array([v.entries for v in vectors]), tol) if vectors else ()
 
 
 def rank(vectors: Iterable[LocalVector], tol: float = DEFAULT_TOL) -> int:

@@ -27,7 +27,7 @@ from .distinguish import (
 )
 from .ensemble import Ensemble, ensure_complete
 from .errors import TooLargeError
-from .linalg import DEFAULT_TOL, gram_schmidt
+from .linalg import DEFAULT_TOL, span_basis
 from .relativity import components, overlap_graph
 
 __all__ = [
@@ -130,11 +130,9 @@ def exhaustive_decide(e: Ensemble, tol: float = DEFAULT_TOL) -> Verdict:
         if entry[0] == "leaf":
             return ProtocolLeaf(subset[0])
         _, party, partition = entry
+        rows = e.party_arrays[party]
         outcomes = tuple(
-            StepOutcome(
-                block=block,
-                basis=gram_schmidt((e.vector(label, party) for label in block), tol),
-            )
+            StepOutcome(block, span_basis(rows[[e.index(label) for label in block]], tol))
             for block in partition
         )
         step = MeasurementStep(party=party, outcomes=outcomes)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalInstabilityError
 from .ensemble import Ensemble, ensure_complete
-from .linalg import DEFAULT_TOL, LocalVector, gram_schmidt, inner_product
+from .linalg import DEFAULT_TOL, LocalVector, inner_product, span_basis
 
 __all__ = [
     "OverlapGraph",
@@ -134,9 +134,8 @@ def components(g: OverlapGraph, e: Ensemble, tol: float = DEFAULT_TOL) -> Partit
     than silently absorbed.
     """
     blocks = g.blocks()
-    spans = tuple(
-        gram_schmidt((e.vector(label, g.party) for label in block), tol) for block in blocks
-    )
+    rows = e.party_arrays[g.party]
+    spans = tuple(span_basis(rows[[e.index(label) for label in block]], tol) for block in blocks)
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             for u in spans[i]:
@@ -172,10 +171,11 @@ def relativity_chain(
     g = overlap_graph(e, e.labels, party, tol)
     neighbor_map = {m: g.neighbors(m) for m in g.members}
 
+    rows = e.party_arrays[party]
     orthobasis: list[np.ndarray] = []
 
     def residual(label: str) -> np.ndarray | None:
-        w = e.vector(label, party).entries.astype(np.complex128)
+        w = rows[e.index(label)]
         for _ in range(2):
             for b in orthobasis:
                 w = w - np.vdot(b, w) * b

@@ -18,16 +18,18 @@ import numpy as np
 from .distinguish import ProtocolLeaf, ProtocolNode, ProtocolTree, decide
 from .ensemble import Ensemble, ProductState
 from .errors import DimensionError, InstrumentError, NotFoundError, SchemaError
-from .jsonio import canonical_dumps, complex_from_json, complex_to_json, parse_json
+from .jsonio import canonical_dumps, complex_rows_from_json, complex_to_json, parse_json
 from .linalg import (
     DEFAULT_TOL,
     LocalVector,
     SVDResult,
+    _row_norms,
     emit_matrix,
-    normalize,
+    normalize_rows,
     parse_matrix,
     projector_matrix,
     svd_decompose,
+    unit_vectors,
 )
 
 __all__ = [
@@ -169,21 +171,15 @@ def _apply_rows(
     probability exceeds tol, and those rows' images, renormalized and
     phase-fixed.  The arithmetic is that of :func:`normalize` and
     :func:`phase_normalize` on ``m @ row``, bit for bit: ``matmul`` against
-    column vectors, squared norms as real dot products, the probability as
-    a scalar power and entry magnitudes by ``hypot``.
+    column vectors, :func:`normalize_rows`, the probability as a scalar
+    power and entry magnitudes by ``hypot``.
     """
     w = np.matmul(m, v[:, :, None])[:, :, 0]
-    re, im = w.real, w.imag
-    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
-    norms = np.sqrt(sq[:, 0, 0])
+    norms = _row_norms(w)
     probs = np.array([x**2 for x in norms.tolist()])
     kept = np.flatnonzero(probs > tol)
-    n = norms[kept, None]
-    if not np.isfinite(n).all():
-        raise SchemaError("cannot normalize a vector whose squared norm overflows a double")
-    w = w[kept]
-    # rows already of unit norm up to a few ulps stay verbatim, as in normalize
-    np.divide(w, n, out=w, where=np.abs(n - 1.0) > 64.0 * np.finfo(np.float64).eps)
+    # a kept row's probability exceeds tol > 0, so only an overflow can be refused
+    w = normalize_rows(w[kept], 0.0)
     mags = np.hypot(w.real, w.imag)
     above = mags > tol
     rows = np.arange(len(w))
@@ -507,13 +503,11 @@ def _operators_from_json(party: int, raw_ops: list, where: str) -> tuple[LocalOp
             vectors = raw["basis"]
             if len(raw) != 1 or not isinstance(vectors, list) or not vectors:
                 raise SchemaError(f"{at}: basis must be a non-empty list of vectors")
-            basis = tuple(
-                normalize(complex_from_json(v, f"{at}: basis vector {j}"))
-                for j, v in enumerate(vectors)
-            )
-            d = ops[0].in_dim if ops else basis[0].dim
-            if any(b.dim != d for b in basis):
+            flat = complex_rows_from_json(vectors, lambda j: f"{at}: basis vector {j}")
+            d = ops[0].in_dim if ops else len(vectors[0])
+            if any(len(v) != d for v in vectors):
                 raise SchemaError(f"{at}: basis vectors must have dimension {d}")
+            basis = unit_vectors(normalize_rows(flat.reshape(-1, d)))
             ops.append(_projector(party, basis))
         elif isinstance(raw, dict) and "complement" in raw:
             if len(raw) != 1 or raw["complement"] is not True:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from loccdist import (
     Ensemble,
     InvalidModeError,
+    LoccError,
     NumericalInstabilityError,
     ProductState,
     ProtocolLeaf,
@@ -394,6 +397,25 @@ def test_leaf_serialization():
 def test_protocol_parse_rejects_malformed(text):
     with pytest.raises(SchemaError):
         parse_protocol(text)
+
+
+@pytest.mark.parametrize(
+    "second,message",
+    [
+        ([[0, 0], [True, 0]],
+         "protocol: outcome 0 basis vector 1: entry 1 must be a [re, im] pair of finite numbers"),
+        ([[0, 0], [0, 0]], "cannot normalize a vector of norm 0.0"),
+        ([[0, 0], [0, 0], [1, 0]], "protocol: outcome 0: basis vectors must have dimension 2"),
+    ],
+)
+def test_protocol_basis_errors_name_the_vector_and_entry(second, message):
+    outcome = {"block": ["a"], "basis": [[[1, 0], [0, 0]], second]}
+    other = {"block": ["b"], "basis": [[[0, 0], [1, 0]]]}
+    text = json.dumps({"party": 0, "outcomes": [outcome, other],
+                       "children": [{"leaf": "a"}, {"leaf": "b"}]})
+    with pytest.raises(LoccError) as info:
+        parse_protocol(text)
+    assert str(info.value) == message
 
 
 def test_verdict_json_layouts():

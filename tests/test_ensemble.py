@@ -7,10 +7,13 @@ on the package's own inner products to certify the canned ensembles.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loccdist import (
     CATALOG_NAMES,
@@ -34,6 +37,7 @@ from loccdist import (
     random_unitary,
     validate,
 )
+from loccdist.jsonio import complex_from_json
 
 R2 = 1.0 / math.sqrt(2.0)
 R3 = math.sqrt(3.0)
@@ -324,6 +328,107 @@ def test_parse_rejects_zero_vector():
      "states": [{"label": "a", "vectors": [[[0.0, 0.0], [0.0, 0.0]]]}]}
     """
     with pytest.raises(ZeroVectorError):
+        parse_ensemble(text)
+
+
+# The per-vector parse that the stacked parse replaced: each vector decoded
+# on its own, then normalized with np.linalg.norm, in file order.
+
+
+def _reference_normalize(arr, tol):
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = float(np.linalg.norm(arr))
+    if not math.isfinite(n):
+        raise SchemaError("cannot normalize a vector whose squared norm overflows a double")
+    if n <= tol:
+        raise ZeroVectorError(f"cannot normalize a vector of norm {n!r}")
+    if abs(n - 1.0) <= 64.0 * np.finfo(np.float64).eps:
+        return arr
+    return arr / n
+
+
+def _reference_parse(text, tol):
+    data = json.loads(text)
+    rows = [[] for _ in data["dims"]]
+    for raw in data["states"]:
+        for p, vec in enumerate(raw["vectors"]):
+            where = f"state {raw['label']!r} party {p}"
+            rows[p].append(_reference_normalize(complex_from_json(vec, where), tol))
+    return rows
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001  the type and message are compared
+        return (type(exc), str(exc))
+
+
+BAD_PAIRS = [[True, 0], ["1", 0], [0.5], [float("nan"), 0], [10**400, 0], None]
+
+
+@st.composite
+def ensemble_texts(draw):
+    """A random ensemble document, maybe with one fault at a random (state, party)."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n = draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    states = []
+    for k in range(n):
+        vectors = []
+        for d in dims:
+            scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+            v = np.array([complex(draw(unit), draw(unit)) * scale for _ in range(d)])
+            if np.linalg.norm(v) < scale / 2:  # no zero vector but the one drawn below
+                v[0] += scale
+            if draw(st.booleans()):  # unit up to a few ulps
+                v = v / np.linalg.norm(v)
+            vectors.append(v.view(np.float64).reshape(-1, 2).tolist())
+        states.append({"label": f"s{k}", "vectors": vectors})
+    fault = draw(st.sampled_from(["none", "entry", "zero", "overflow"]))
+    k, p = draw(st.integers(0, n - 1)), draw(st.integers(0, len(dims) - 1))
+    vec = states[k]["vectors"][p]
+    if fault == "entry":
+        vec[draw(st.integers(0, dims[p] - 1))] = draw(st.sampled_from(BAD_PAIRS))
+    elif fault == "zero":
+        vec[:] = [[0.0, 0.0]] * dims[p]
+    elif fault == "overflow":
+        vec[draw(st.integers(0, dims[p] - 1))] = [1e308, -1e308]
+    doc = {"name": "t", "dims": dims, "complete": False, "states": states}
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ensemble_texts(), st.sampled_from([1e-9, 1e-4]))
+def test_stacked_parse_matches_per_vector_reference(text, tol):
+    # Norms span 1e-3 to 1e3, so most vectors are rescaled; half are unit vectors already, which are kept verbatim
+    # when within a few ulps of norm 1.  A fault makes both raise the same
+    # error.
+    expected = _outcome(_reference_parse, text, tol)
+    got = _outcome(parse_ensemble, text, tol)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert not isinstance(got, tuple), got
+    for p, rows in enumerate(expected):
+        ref = np.array(rows)
+        assert got.party_arrays[p].tobytes() == ref.tobytes()
+        assert not got.party_arrays[p].flags.writeable
+        for s, row in zip(got.states, rows):
+            assert s.locals[p].entries.tobytes() == row.tobytes()
+            assert np.shares_memory(s.locals[p].entries, got.party_arrays[p])
+
+
+def test_parse_reports_the_first_bad_vector_in_file_order():
+    # a zero vector at state a party 1 comes before one at state b party 0
+    text = json.dumps({
+        "name": "t", "dims": [2, 2], "complete": False,
+        "states": [
+            {"label": "a", "vectors": [[[1, 0], [0, 0]], [[0, 0], [1e-12, 0]]]},
+            {"label": "b", "vectors": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]},
+        ],
+    })
+    with pytest.raises(ZeroVectorError, match=r"norm 1e-12$"):
         parse_ensemble(text)
 
 

@@ -1,6 +1,9 @@
-"""The JSON boundary: parse errors and the [re, im] complex codec."""
+"""The JSON boundary: parse errors, canonical emission and the [re, im] codec."""
 
 from __future__ import annotations
+
+import collections
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +11,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from loccdist import ParseError, SchemaError
-from loccdist.jsonio import complex_from_json, complex_to_json, parse_json
+from loccdist.jsonio import (
+    canonical_dumps,
+    complex_from_json,
+    complex_rows_from_json,
+    complex_to_json,
+    parse_json,
+)
 
 doubles = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -84,3 +93,53 @@ def test_codec_error_names_where_and_entry():
 def test_overlong_int_literal_is_a_parse_error():
     with pytest.raises(ParseError, match="malformed JSON"):
         parse_json("[" + "9" * 5000 + ", 0]")
+
+
+@given(st.lists(st.lists(st.tuples(doubles, doubles), min_size=1, max_size=6), min_size=1,
+                max_size=8))
+def test_rows_codec_is_the_per_row_codec_concatenated(rows):
+    data = [[list(pair) for pair in row] for row in rows]
+    expected = np.concatenate([complex_from_json(row, "test") for row in data])
+    assert complex_rows_from_json(data, lambda j: f"v{j}").tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [[1.0], [True, 0], ["1", 0], [float("nan"), 0], [10**400, 0]])
+@pytest.mark.parametrize("rows", [3, 40])
+def test_rows_codec_names_the_first_bad_vector_and_entry(bad, rows):
+    # few entries take the per-entry loop, many the whole-list passes; both
+    # name the vector and the entry's index inside it, as one call per vector did
+    data = [[[0.5, -0.5], [1, 0]] for _ in range(rows)]
+    data[rows - 2] = [[1, 0], bad]
+    data[rows - 1] = [[True, 0]]
+    with pytest.raises(SchemaError, match=rf"^v{rows - 2}: entry 1 must be a \[re, im\] pair"):
+        complex_rows_from_json(data, lambda j: f"v{j}")
+
+
+@pytest.mark.parametrize("row", [[], {"re": 1}, None])
+def test_rows_codec_refuses_a_vector_that_is_not_a_list_of_pairs(row):
+    with pytest.raises(SchemaError, match=r"^v1: expected a non-empty list of \[re, im\] pairs$"):
+        complex_rows_from_json([[[1, 0]], row, [[True, 0]]], lambda j: f"v{j}")
+
+
+@given(st.text())
+@example("caf\u00e9 \"quoted\" \\ \n\t\x00\u2028 \ud83d\ude00")
+def test_strings_and_keys_are_emitted_as_json_dumps_does(text):
+    assert canonical_dumps(text) == json.dumps(text, ensure_ascii=False)
+    assert canonical_dumps({text: [text]}) == json.dumps({text: [text]}, ensure_ascii=False)
+
+
+class _Label(str):
+    pass
+
+
+def test_subclasses_take_the_isinstance_path():
+    doc = collections.OrderedDict(
+        [(_Label("a"), np.float64(0.1)), ("b", (True, None, _Label("x\n"), 3)), ("c", [-0.0])]
+    )
+    assert canonical_dumps(doc) == '{"a": 0.10000000000000001, "b": [true, null, "x\\n", 3], "c": [0]}'
+
+
+@pytest.mark.parametrize("obj", [np.int64(1), {1: 2}, b"x", {1.5}, np.bool_(True)])
+def test_emission_refuses_what_it_cannot_write_canonically(obj):
+    with pytest.raises(TypeError):
+        canonical_dumps(obj)

@@ -28,7 +28,8 @@ from loccdist import (
     rank,
     svd_decompose,
 )
-from loccdist.linalg import emit_matrix, parse_matrix
+from loccdist import linalg
+from loccdist.linalg import emit_matrix, parse_matrix, span_basis
 
 TOL = 1e-9
 
@@ -165,6 +166,77 @@ def test_gram_schmidt_empty():
 def test_gram_schmidt_mixed_dims():
     with pytest.raises(DimensionError):
         gram_schmidt([basis_vector(2, 0), basis_vector(3, 0)])
+
+
+def _reference_gram_schmidt(vectors, tol):
+    """gram_schmidt as it was before span_basis: LocalVector in, LocalVector out."""
+    basis = []
+    for v in vectors:
+        w = v.entries.astype(np.complex128)
+        for _ in range(2):
+            for b in basis:
+                w = w - np.vdot(b, w) * b
+        n = float(np.linalg.norm(w))
+        if n > tol:
+            basis.append(w / n)
+    out = []
+    for b in basis:
+        for entry in b:
+            mag = abs(entry)
+            if mag > tol:
+                if not (entry.imag == 0.0 and entry.real > 0.0):
+                    b = b * (entry.conjugate() / mag)
+                break
+        out.append(b)
+    return out
+
+
+def _random_block(rng, tol):
+    """Unit rows, many of them within a hair of the span of earlier rows."""
+    d = int(rng.integers(1, 6))
+    rows = []
+    for _ in range(int(rng.integers(1, 8))):
+        kind = rng.integers(4) if rows else 0
+        if kind == 0:  # generic
+            w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        elif kind == 1:  # an earlier row, exactly
+            w = rows[int(rng.integers(len(rows)))].entries.copy()
+        else:  # a combination of earlier rows, nudged by about tol or less
+            c = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+            w = sum(ci * r.entries for ci, r in zip(c, rows))
+            w = w + tol * 10.0 ** rng.uniform(-3, 1) * rng.standard_normal(d)
+        if rng.random() < 0.3:  # leading entries at or below tol
+            w[: int(rng.integers(1, d + 1))] *= tol * rng.random()
+        if rng.random() < 0.2:  # a real positive leading entry
+            w = w * (abs(w[0]) / w[0]) if w[0] != 0 else w
+        if np.linalg.norm(w) > 1e-6:
+            rows.append(normalize(w))
+    return rows or [basis_vector(d, 0)]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_span_basis_is_bit_identical_to_the_per_vector_reference(tol):
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        rows = _random_block(rng, tol)
+        expected = _reference_gram_schmidt(rows, tol)
+        stacked = np.array([v.entries for v in rows])
+        for got in (span_basis(stacked, tol), gram_schmidt(rows, tol)):
+            assert len(got) == len(expected)
+            for g, e in zip(got, expected):
+                assert g.entries.tobytes() == e.tobytes()
+                assert not g.entries.flags.writeable
+
+
+def test_unit_vectors_wrap_rows_after_one_check():
+    a = np.array([[0.6, 0.8j], [1.0, 0.0]])
+    u, v = linalg.unit_vectors(a)
+    assert np.shares_memory(u.entries, a) and not a.flags.writeable
+    assert u == LocalVector(np.array([0.6, 0.8j])) and v == basis_vector(2, 0)
+    with pytest.raises(ValueError, match="requires unit norm"):
+        linalg.unit_vectors(np.array([[1.0, 0.0], [1.0, 1e-4]]))
+    with pytest.raises(ValueError, match="must be finite"):
+        linalg.unit_vectors(np.array([[1.0, 0.0], [np.nan, 0.0]]))
 
 
 @settings(max_examples=60)

@@ -26,6 +26,7 @@ from loccdist import (
     SchemaError,
     SimLeaf,
     SimNode,
+    ZeroVectorError,
     apply_local_unitaries,
     apply_operator,
     builtin_protocol,
@@ -479,6 +480,49 @@ FACTORED_MALFORMED = {
 def test_sim_parse_rejects_malformed(text):
     with pytest.raises(SchemaError):
         parse_sim_protocol(text)
+
+
+def _factored(vectors):
+    basis = json.dumps(vectors)
+    return (f'{{"party": 0, "operators": [{{"basis": {basis}}}, {{"complement": true}}],'
+            ' "children": [{"announce": null}, {"announce": null}]}')
+
+
+@pytest.mark.parametrize("d", [2, 7])  # 7: three vectors take the whole-list passes
+@pytest.mark.parametrize(
+    "fault,error,message",
+    [
+        ("entry", SchemaError,
+         r"protocol: operator 0: basis vector 1: entry 1 must be a [re, im] pair of finite numbers"),
+        ("not-a-list", SchemaError,
+         r"protocol: operator 0: basis vector 1: expected a non-empty list of [re, im] pairs"),
+        ("dimension", SchemaError, "protocol: operator 0: basis vectors must have dimension {d}"),
+        ("zero", ZeroVectorError, "cannot normalize a vector of norm 0.0"),
+        ("overflow", SchemaError, "cannot normalize a vector whose squared norm overflows a double"),
+    ],
+)
+def test_factored_basis_errors_name_the_vector_and_entry(d, fault, error, message):
+    # each basis is decoded in one pass, and normalized in one, yet reports
+    # what decoding and normalizing vector by vector reported
+    vectors = [[[1.0 if i == j else 0.0, 0.0] for i in range(d)] for j in range(min(d, 3))]
+    vectors[1] = {
+        "entry": vectors[1][:1] + [[True, 0]] + vectors[1][2:],
+        "not-a-list": {"re": 1},
+        "dimension": vectors[1] + [[0.0, 0.0]],
+        "zero": [[0.0, 0.0]] * d,
+        "overflow": [[1e308, 1e308]] * d,
+    }[fault]
+    with pytest.raises(error) as info:
+        parse_sim_protocol(_factored(vectors))
+    assert str(info.value) == message.format(d=d)
+
+
+def test_factored_basis_is_normalized_as_one_vector_at_a_time():
+    raw = [[[3.0, 0.0], [0.0, 4.0]], [[0.0, -4.0], [3.0, 0.0]]]
+    root = parse_sim_protocol(_factored(raw))
+    for v, entries in zip(root.instrument.operators[0].basis, raw):
+        expected = normalize(np.array([complex(re, im) for re, im in entries]))
+        assert v.entries.tobytes() == expected.entries.tobytes()
 
 
 def test_non_orthonormal_basis_is_an_incomplete_instrument():
