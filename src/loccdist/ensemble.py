@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -61,9 +62,14 @@ party at the cap, 16 MiB at n = 4096.  Larger ensembles raise
 :class:`~loccdist.errors.TooLargeError` before anything is allocated.
 """
 
-# Entries per row block (4 MiB of complex Gram products), so that no n x n
-# array beyond the cached adjacencies is ever held whole.
-_BLOCK_ENTRIES = 1 << 18
+# Entries per row block (1 MiB of complex Gram products), so that no n x n
+# array beyond the cached adjacencies is ever held whole.  Smaller blocks
+# stay in cache: at n = 512 and 1000 they build faster than 4 MiB ones, and
+# they leave room for the graphs and spans the memo keeps.
+_BLOCK_ENTRIES = 1 << 16
+
+T = TypeVar("T")
+_MISSING = object()
 
 # Bulk products sum in another order than a pairwise np.vdot, which moves a
 # magnitude by a few ulps per party dimension.  Entries this close to tol are
@@ -122,7 +128,7 @@ class Ensemble:
                 f"got {len(self.states)}"
             )
         object.__setattr__(self, "_index", seen)
-        object.__setattr__(self, "_adjacency", {})
+        object.__setattr__(self, "_memo", {})
 
     @property
     def parties(self) -> int:
@@ -159,37 +165,50 @@ class Ensemble:
             out.append(a)
         return tuple(out)
 
+    def memo(self, key: tuple, build: Callable[[], T]) -> T:
+        """The value of ``build()`` for ``key``, computed on the first call only.
+
+        The one cache for what is derived from the frozen ensemble: the
+        adjacency per ``("adjacency", party, tol)``, and the overlap graphs
+        and block spans of :mod:`loccdist.relativity`.  It dies with the
+        ensemble.  A ``build`` that raises caches nothing.
+        """
+        cache: dict = self._memo  # type: ignore[attr-defined]
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = cache[key] = build()
+        return value
+
     def adjacency(self, party: int, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Read-only ``n x n`` boolean array: states i != j are relative at ``party``.
 
         Relative means ``|<u_i|u_j>| > tol`` for the party's vectors.  Built
-        once per ``(party, tol)`` from row blocks of the Gram matrix and
-        cached; the ensemble is frozen, so the cache never goes stale.
+        once per ``(party, tol)`` from row blocks of the Gram matrix and kept
+        in :meth:`memo`, next to the overlap graphs sliced from it and their
+        block spans, each keyed by ``(party, rows, tol)`` with ``rows`` the
+        ascending tuple of state indices.
         """
         if not 0 <= party < self.parties:
             raise DimensionError(f"party {party} out of range for {self.parties} parties")
-        cache: dict = self._adjacency  # type: ignore[attr-defined]
-        key = (party, float(tol))
-        if key not in cache:
-            n = len(self.states)
-            if n > MAX_GRAPH_STATES:
-                raise TooLargeError(
-                    f"overlap graphs handle at most {MAX_GRAPH_STATES} states, got {n}"
-                )
-            a = self.party_arrays[party]
-            adj = np.zeros((n, n), dtype=bool)
-            step = max(1, _BLOCK_ENTRIES // max(n, 1))
-            for i0 in range(0, n, step):
-                i1 = min(i0 + step, n)
-                mags = np.abs(a[i0:i1].conj() @ a[i0:].T)
-                near = np.triu(np.abs(mags - tol) <= _ROUNDING, 1)
-                for k, c in zip(*np.nonzero(near)):
-                    mags[k, c] = abs(complex(np.vdot(a[i0 + k], a[i0 + c])))
-                adj[i0:i1, i0:] = np.triu(mags > tol, 1)
-            adj |= adj.T
-            adj.setflags(write=False)
-            cache[key] = adj
-        return cache[key]
+        return self.memo(("adjacency", party, float(tol)), lambda: self._build_adjacency(party, tol))
+
+    def _build_adjacency(self, party: int, tol: float) -> np.ndarray:
+        n = len(self.states)
+        if n > MAX_GRAPH_STATES:
+            raise TooLargeError(f"overlap graphs handle at most {MAX_GRAPH_STATES} states, got {n}")
+        a = self.party_arrays[party]
+        adj = np.zeros((n, n), dtype=bool)
+        step = max(1, _BLOCK_ENTRIES // max(n, 1))
+        for i0 in range(0, n, step):
+            i1 = min(i0 + step, n)
+            mags = np.abs(a[i0:i1].conj() @ a[i0:].T)
+            near = np.triu(np.abs(mags - tol) <= _ROUNDING, 1)
+            for k, c in zip(*np.nonzero(near)):
+                mags[k, c] = abs(complex(np.vdot(a[i0 + k], a[i0 + c])))
+            adj[i0:i1, i0:] = np.triu(mags > tol, 1)
+        adj |= adj.T
+        adj.setflags(write=False)
+        return adj
 
 
 # ---------------------------------------------------------------------------

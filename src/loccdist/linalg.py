@@ -162,12 +162,19 @@ def normalize_rows(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Scale every row of a finite ``k x d`` complex array to unit norm, in place.
 
     Rows whose norm is already 1 up to a few ulps are kept verbatim, so
-    reloading serialized unit vectors reproduces them bit for bit.  The
-    first row whose squared norm overflows raises SchemaError, and the
-    first whose norm is at most ``tol`` raises ZeroVectorError.  Returns ``a``.
+    reloading serialized unit vectors reproduces them bit for bit.  A row
+    whose squared norm overflows is measured again after dividing it by its
+    largest magnitude; the first row whose norm still overflows raises
+    SchemaError, and the first whose norm is at most ``tol`` raises
+    ZeroVectorError.  Returns ``a``.
     """
     norms = _row_norms(a)
     listed = norms.tolist()
+    if math.inf in listed:
+        huge = np.isinf(norms)
+        big = np.abs(a[huge]).max(axis=1)
+        norms[huge] = big * _row_norms(a[huge] / big[:, None])
+        listed = norms.tolist()
     _refuse_norms(listed, tol)
     scale = [abs(n - 1.0) > _UNIT_SLACK for n in listed]
     if all(scale):
@@ -206,10 +213,12 @@ def normalize(raw: object, tol: float = DEFAULT_TOL) -> LocalVector:
 
     The arithmetic and the checks of :func:`normalize_rows`, for one vector:
     entries whose norm is already 1 up to a few ulps are kept verbatim, and
-    finite entries whose squared norm overflows raise SchemaError.
+    a squared norm that overflows is rescaled as there.
     """
     arr = _as_vector_entries(raw)
     n = float(np.linalg.norm(arr))
+    if n == math.inf:
+        return LocalVector(normalize_rows(arr[None, :].copy(), tol)[0])
     _refuse_norms((n,), tol)
     return LocalVector(arr if abs(n - 1.0) <= _UNIT_SLACK else arr / n)
 

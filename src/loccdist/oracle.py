@@ -27,8 +27,8 @@ from .distinguish import (
 )
 from .ensemble import Ensemble, ensure_complete
 from .errors import TooLargeError
-from .linalg import DEFAULT_TOL, span_basis
-from .relativity import components, overlap_graph
+from .linalg import DEFAULT_TOL
+from .relativity import block_span, components, overlap_graph
 
 __all__ = [
     "MAX_ORACLE_STATES",
@@ -130,11 +130,7 @@ def exhaustive_decide(e: Ensemble, tol: float = DEFAULT_TOL) -> Verdict:
         if entry[0] == "leaf":
             return ProtocolLeaf(subset[0])
         _, party, partition = entry
-        rows = e.party_arrays[party]
-        outcomes = tuple(
-            StepOutcome(block, span_basis(rows[[e.index(label) for label in block]], tol))
-            for block in partition
-        )
+        outcomes = tuple(StepOutcome(block, block_span(e, block, party, tol)) for block in partition)
         step = MeasurementStep(party=party, outcomes=outcomes)
         return ProtocolNode(step=step, children=tuple(build(block) for block in partition))
 

@@ -5,6 +5,16 @@ inner product (within tolerance).  The resulting graph, its connected
 components, and chains of consecutively relative, linearly independent
 vectors are the raw material for both the decision procedure and the
 sufficient indistinguishability criterion.
+
+Graphs and block spans depend only on the frozen ensemble, the party, the
+subset and ``tol``, so each is built once and kept in the ensemble's
+:meth:`~loccdist.ensemble.Ensemble.memo`: a graph per
+``("graph", party, rows, tol)`` and a span per ``("span", party, rows,
+tol)``, with ``rows`` the ascending tuple of state indices.  The decision
+procedure and the exhaustive oracle, which walk many of the same subsets,
+share them.  :func:`components` still checks the spans of distinct blocks
+against each other on every call, so a repeated call raises as the first
+one did.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from .linalg import DEFAULT_TOL, LocalVector, inner_product, span_basis
 __all__ = [
     "OverlapGraph",
     "Partition",
+    "block_span",
     "chain_criterion",
     "components",
     "overlap_graph",
@@ -100,20 +111,42 @@ class OverlapGraph:
 def overlap_graph(
     e: Ensemble, subset: Iterable[str], party: int, tol: float = DEFAULT_TOL
 ) -> OverlapGraph:
-    """Build the relativity graph of ``subset`` at ``party``.
+    """The relativity graph of ``subset`` at ``party``.
 
-    The graph is a slice of the ensemble's cached per-party adjacency, so
-    no overlap is computed twice for one ``(ensemble, tol)``.
+    The graph is a slice of the ensemble's cached per-party adjacency, built
+    once per ``(party, rows, tol)`` and kept in :meth:`Ensemble.memo`, so
+    every later call on the same subset, in any order, returns the same
+    object with its edges and blocks already found.
     """
     if not 0 <= party < e.parties:
         raise DimensionError(f"party {party} out of range for {e.parties} parties")
-    idx = sorted({e.index(label) for label in subset})  # NotFoundError for unknown labels
-    adj = e.adjacency(party, tol)
-    if len(idx) < len(e.states):
-        adj = adj.take(idx, axis=0).take(idx, axis=1)
-        adj.setflags(write=False)
-    members = tuple(e.states[i].label for i in idx)
-    return OverlapGraph(party=party, members=members, adjacency=adj)
+    rows = tuple(sorted({e.index(label) for label in subset}))  # NotFoundError for unknown labels
+
+    def build() -> OverlapGraph:
+        adj = e.adjacency(party, tol)
+        if len(rows) < len(e.states):
+            adj = adj.take(rows, axis=0).take(rows, axis=1)
+            adj.setflags(write=False)
+        members = tuple(e.states[i].label for i in rows)
+        return OverlapGraph(party=party, members=members, adjacency=adj)
+
+    return e.memo(("graph", party, rows, float(tol)), build)
+
+
+def block_span(
+    e: Ensemble, block: Sequence[str], party: int, tol: float = DEFAULT_TOL
+) -> tuple[LocalVector, ...]:
+    """Orthonormal basis of the span of ``block``'s vectors at ``party``.
+
+    :func:`~loccdist.linalg.span_basis` on the block's rows of the party
+    array, taken in the order given, computed once per
+    ``(party, rows, tol)`` and kept in :meth:`Ensemble.memo`.
+    """
+    rows = tuple(e.index(label) for label in block)
+    return e.memo(
+        ("span", party, rows, float(tol)),
+        lambda: span_basis(e.party_arrays[party][list(rows)], tol),
+    )
 
 
 @dataclass(frozen=True)
@@ -134,8 +167,7 @@ def components(g: OverlapGraph, e: Ensemble, tol: float = DEFAULT_TOL) -> Partit
     than silently absorbed.
     """
     blocks = g.blocks()
-    rows = e.party_arrays[g.party]
-    spans = tuple(span_basis(rows[[e.index(label) for label in block]], tol) for block in blocks)
+    spans = tuple(block_span(e, block, g.party, tol) for block in blocks)
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             for u in spans[i]:

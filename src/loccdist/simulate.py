@@ -18,7 +18,13 @@ import numpy as np
 from .distinguish import ProtocolLeaf, ProtocolNode, ProtocolTree, decide
 from .ensemble import Ensemble, ProductState
 from .errors import DimensionError, InstrumentError, NotFoundError, SchemaError
-from .jsonio import canonical_dumps, complex_rows_from_json, complex_to_json, parse_json
+from .jsonio import (
+    canonical_dumps,
+    complex_from_json,
+    complex_rows_from_json,
+    complex_to_json,
+    parse_json,
+)
 from .linalg import (
     DEFAULT_TOL,
     LocalVector,
@@ -162,6 +168,8 @@ def _fit(op: LocalOperator, dims: Sequence[int]) -> None:
         )
 
 
+# An overflowing image is reported as SchemaError, not as numpy's RuntimeWarning.
+@np.errstate(over="ignore", invalid="ignore")
 def _apply_rows(
     m: np.ndarray, v: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,13 +180,15 @@ def _apply_rows(
     phase-fixed.  The arithmetic is that of :func:`normalize` and
     :func:`phase_normalize` on ``m @ row``, bit for bit: ``matmul`` against
     column vectors, :func:`normalize_rows`, the probability as a scalar
-    power and entry magnitudes by ``hypot``.
+    power and entry magnitudes by ``hypot``.  An image whose squared norm,
+    its probability, is not a finite double raises SchemaError.
     """
     w = np.matmul(m, v[:, :, None])[:, :, 0]
     norms = _row_norms(w)
+    if not np.isfinite(norms).all():
+        raise SchemaError("an outcome probability overflows a double")
     probs = np.array([x**2 for x in norms.tolist()])
     kept = np.flatnonzero(probs > tol)
-    # a kept row's probability exceeds tol > 0, so only an overflow can be refused
     w = normalize_rows(w[kept], 0.0)
     mags = np.hypot(w.real, w.imag)
     above = mags > tol
@@ -496,27 +506,57 @@ def emit_sim_protocol(root: SimTree) -> str:
 
 
 def _operators_from_json(party: int, raw_ops: list, where: str) -> tuple[LocalOperator, ...]:
-    ops: list[LocalOperator] = []
+    """Decode one instrument's operators.
+
+    The layout of every operator is checked first, and dense matrices are
+    decoded as they come.  Then all of the instrument's basis vectors go
+    through one codec call and one :func:`normalize_rows`, whose errors
+    still name the operator and the vector.
+    """
+    layout: list = []  # per operator: its basis vector count, "complement" or its matrix
+    vectors: list = []
+    owners: list[tuple[int, int]] = []  # (operator, basis vector) of each vector
+    d = 0
     for i, raw in enumerate(raw_ops):
         at = f"{where}: operator {i}"
         if isinstance(raw, dict) and "basis" in raw:
-            vectors = raw["basis"]
-            if len(raw) != 1 or not isinstance(vectors, list) or not vectors:
+            basis = raw["basis"]
+            if len(raw) != 1 or not isinstance(basis, list) or not basis:
                 raise SchemaError(f"{at}: basis must be a non-empty list of vectors")
-            flat = complex_rows_from_json(vectors, lambda j: f"{at}: basis vector {j}")
-            d = ops[0].in_dim if ops else len(vectors[0])
-            if any(len(v) != d for v in vectors):
+            for j, v in enumerate(basis):
+                if not isinstance(v, list) or not v:
+                    complex_from_json(v, f"{at}: basis vector {j}")
+            d = d or len(basis[0])
+            if any(len(v) != d for v in basis):
                 raise SchemaError(f"{at}: basis vectors must have dimension {d}")
-            basis = unit_vectors(normalize_rows(flat.reshape(-1, d)))
-            ops.append(_projector(party, basis))
+            layout.append(len(basis))
+            vectors += basis
+            owners += ((i, j) for j in range(len(basis)))
         elif isinstance(raw, dict) and "complement" in raw:
             if len(raw) != 1 or raw["complement"] is not True:
                 raise SchemaError(f"{at}: complement must be {{\"complement\": true}}")
-            if i != len(raw_ops) - 1 or not ops or any(op.basis is None for op in ops):
+            if i != len(raw_ops) - 1 or not layout or not all(isinstance(k, int) for k in layout):
                 raise SchemaError(f"{at}: complement must come last, after basis operators")
+            layout.append("complement")
+        else:
+            matrix = parse_matrix(raw)
+            d = d or matrix.shape[1]
+            layout.append(matrix)
+    if vectors:
+        flat = complex_rows_from_json(
+            vectors, lambda k: "{}: operator {}: basis vector {}".format(where, *owners[k])
+        )
+        rows = unit_vectors(normalize_rows(flat.reshape(-1, d)))
+    ops: list[LocalOperator] = []
+    start = 0
+    for kind in layout:
+        if isinstance(kind, np.ndarray):
+            ops.append(LocalOperator(party, kind))
+        elif kind == "complement":
             ops.append(_complement(party, ops))
         else:
-            ops.append(LocalOperator(party, parse_matrix(raw)))
+            ops.append(_projector(party, rows[start : start + kind]))
+            start += kind
     return tuple(ops)
 
 

@@ -338,6 +338,9 @@ def test_parse_rejects_zero_vector():
 def _reference_normalize(arr, tol):
     with np.errstate(over="ignore", invalid="ignore"):
         n = float(np.linalg.norm(arr))
+        if n == math.inf:  # the squared norm overflowed; the norm may still be a double
+            big = float(np.abs(arr).max())
+            n = big * float(np.linalg.norm(arr / big))
     if not math.isfinite(n):
         raise SchemaError("cannot normalize a vector whose squared norm overflows a double")
     if n <= tol:
@@ -385,14 +388,16 @@ def ensemble_texts(draw):
                 v = v / np.linalg.norm(v)
             vectors.append(v.view(np.float64).reshape(-1, 2).tolist())
         states.append({"label": f"s{k}", "vectors": vectors})
-    fault = draw(st.sampled_from(["none", "entry", "zero", "overflow"]))
+    fault = draw(st.sampled_from(["none", "entry", "zero", "overflow", "huge"]))
     k, p = draw(st.integers(0, n - 1)), draw(st.integers(0, len(dims) - 1))
     vec = states[k]["vectors"][p]
     if fault == "entry":
         vec[draw(st.integers(0, dims[p] - 1))] = draw(st.sampled_from(BAD_PAIRS))
     elif fault == "zero":
         vec[:] = [[0.0, 0.0]] * dims[p]
-    elif fault == "overflow":
+    elif fault == "overflow":  # an entry whose magnitude overflows: refused
+        vec[draw(st.integers(0, dims[p] - 1))] = [1.5e308, -1.5e308]
+    elif fault == "huge":  # a squared norm that overflows: refused iff the norm does too
         vec[draw(st.integers(0, dims[p] - 1))] = [1e308, -1e308]
     doc = {"name": "t", "dims": dims, "complete": False, "states": states}
     return json.dumps(doc)

@@ -29,7 +29,7 @@ from loccdist import (
     svd_decompose,
 )
 from loccdist import linalg
-from loccdist.linalg import emit_matrix, parse_matrix, span_basis
+from loccdist.linalg import emit_matrix, normalize_rows, parse_matrix, span_basis
 
 TOL = 1e-9
 
@@ -121,7 +121,27 @@ def test_normalize_zero_vector():
 def test_normalize_rejects_overflowing_norm():
     # finite entries whose norm is inf would divide down to a zero vector
     with pytest.raises(SchemaError, match="overflows"):
-        normalize(np.array([1e308 + 1e308j, 0.0]))
+        normalize(np.array([1e308 + 1e308j, 1e308 + 1e308j]))
+    with pytest.raises(SchemaError, match="overflows"):
+        normalize_rows(np.array([[1.0, 0.0], [1e308 + 1e308j, 1e308 + 1e308j]]))
+
+
+@pytest.mark.parametrize(
+    "raw,unit",
+    [
+        ([1e200, 0.0], [1.0, 0.0]),
+        ([3e200, 4e200j], [0.6, 0.8j]),
+        ([1e308 + 1e308j, 0.0], [(1 + 1j) / math.sqrt(2), 0.0]),
+    ],
+)
+def test_normalize_accepts_overflowing_squared_norm(raw, unit):
+    # the norm is a double although its square is not: rescaled by the
+    # largest magnitude, the vector is measured and normalized
+    v = normalize(np.array(raw))
+    assert np.allclose(v.entries, unit, rtol=0, atol=1e-15)
+    rows = normalize_rows(np.array([[0.6, 0.8], raw, [0.0, 2.0]], dtype=np.complex128))
+    assert rows[1].tobytes() == v.entries.tobytes()
+    assert rows[[0, 2]].tobytes() == np.array([[0.6, 0.8], [0.0, 1.0]], dtype=np.complex128).tobytes()
 
 
 def test_phase_normalize_first_entry_real_positive():

@@ -37,6 +37,9 @@ from loccdist import (
     verdict_to_json,
 )
 from loccdist.jsonio import canonical_dumps
+from loccdist.linalg import span_basis
+from loccdist.oracle import exhaustive_decide
+from loccdist.relativity import block_span
 
 TOL = 1e-9
 
@@ -437,3 +440,99 @@ def test_adjacency_size_guard(monkeypatch):
         decide(e, "complete")
     monkeypatch.setattr("loccdist.ensemble.MAX_GRAPH_STATES", 9)
     assert decide(e, "complete").kind == "indistinguishable"
+
+
+# ---------------------------------------------------------------------------
+# the per-ensemble memo of graphs and block spans
+
+
+def test_graph_is_built_once_per_party_subset_and_tol():
+    e = catalog("bennett9")
+    subset = e.labels[1:7]
+    g = overlap_graph(e, subset, 1)
+    assert overlap_graph(e, tuple(reversed(subset)), 1) is g
+    assert overlap_graph(e, set(subset) | {subset[0]}, 1, TOL) is g
+    assert overlap_graph(e, subset, 0) is not g
+    other = overlap_graph(e, subset, 1, 1e-5)
+    assert other is not g and other is overlap_graph(e, subset, 1, 1e-5)
+    # the checks run before the memo is read
+    with pytest.raises(DimensionError):
+        overlap_graph(e, subset, 2)
+    with pytest.raises(NotFoundError):
+        overlap_graph(e, (*subset, "nope"), 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_memoized_spans_equal_span_basis(seed):
+    e = random_product_basis((3, 4), seed, depth=seed + 1)
+    for tol in (TOL, 1e-6):
+        for party in range(e.parties):
+            for block in overlap_graph(e, e.labels, party, tol).blocks() + (e.labels,):
+                rows = e.party_arrays[party][[e.index(label) for label in block]]
+                expected = span_basis(rows, tol)
+                got = block_span(e, block, party, tol)
+                assert block_span(e, block, party, tol) is got
+                assert len(got) == len(expected)
+                for u, w in zip(got, expected):
+                    assert u.entries.tobytes() == w.entries.tobytes()
+            part = components(overlap_graph(e, e.labels, party, tol), e, tol)
+            for block, span in zip(part.blocks, part.spans):
+                assert span is block_span(e, block, party, tol)
+
+
+def test_span_memo_keys_on_tol():
+    # s1 and s3 hold b and c at party 0, 1e-6 apart: two dimensions at
+    # tol 1e-9, one at tol 1e-5
+    e = parse_ensemble(_tilted_pair_text())
+    assert len(block_span(e, ("s1", "s3"), 0, 1e-9)) == 2
+    assert len(block_span(e, ("s1", "s3"), 0, 1e-5)) == 1
+    assert len(block_span(e, ("s1", "s3"), 0, 1e-9)) == 2
+
+
+def _memo_cases():
+    yield parse_ensemble(_tilted_pair_text())  # its verdict moves with tol
+    yield from (catalog(name) for name in ("comp2x2", "bennett9"))
+    for dims, seed in [((2, 2), 0), ((2, 3), 1), ((3, 3), 2), ((2, 2, 2), 3), ((2, 2, 3), 4)]:
+        yield random_product_basis(dims, seed, depth=seed + 2)
+
+
+@pytest.mark.parametrize("oracle_first", [False, True])
+def test_shared_ensemble_gives_the_verdicts_of_fresh_copies(oracle_first):
+    runs = [
+        lambda e, tol: verdict_to_json(decide(e, "complete", tol)),
+        lambda e, tol: verdict_to_json(exhaustive_decide(e, tol)),
+    ]
+    if oracle_first:
+        runs.reverse()
+    for e in _memo_cases():
+        text = emit_ensemble(e)
+        shared = parse_ensemble(text)
+        for tol in (TOL, 1e-5):
+            for run in runs:
+                fresh = canonical_dumps(run(parse_ensemble(text), tol))
+                assert canonical_dumps(run(shared, tol)) == fresh
+
+
+def _unstable_ensemble():
+    # one party: b's sliver along e2 is just above tol, so the span of the
+    # block {a, b} holds all of e2, while c, half along e2, stays below tol
+    # against a and b: two blocks whose spans overlap by 0.5
+    tol = 1e-3
+    a = normalize(np.array([1.0, 0.0, 0.0]))
+    b = normalize(np.array([1.0, 1.5 * tol, 0.0]))
+    c = normalize(np.array([0.0, 0.5, np.sqrt(0.75)]))
+    states = tuple(ProductState(label, (v,)) for label, v in zip("abc", (a, b, c)))
+    return Ensemble("unstable-tilt", (3,), states, complete=False), tol
+
+
+def test_repeated_components_call_raises_instability_again():
+    e, tol = _unstable_ensemble()
+    g = overlap_graph(e, e.labels, 0, tol)
+    assert g.blocks() == (("a", "b"), ("c",))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NumericalInstabilityError) as info:
+            components(overlap_graph(e, e.labels, 0, tol), e, tol)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "span overlap 5.000e-01" in messages[0]

@@ -517,6 +517,73 @@ def test_factored_basis_errors_name_the_vector_and_entry(d, fault, error, messag
     assert str(info.value) == message.format(d=d)
 
 
+def _instrument(operators):
+    children = ", ".join(['{"announce": null}'] * len(operators))
+    return f'{{"party": 0, "operators": {json.dumps(operators)}, "children": [{children}]}}'
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        ("entry", "protocol: operator 2: basis vector 1: entry 2 must be a [re, im] pair of finite numbers"),
+        ("not-a-list", "protocol: operator 2: basis vector 1: expected a non-empty list of [re, im] pairs"),
+        ("dimension", "protocol: operator 2: basis vectors must have dimension 4"),
+    ],
+)
+def test_instrument_basis_errors_name_the_operator(fault, message):
+    # all of an instrument's basis vectors are decoded in one codec call,
+    # yet an error names the operator, the vector and the entry
+    unit = [[[1.0 if i == j else 0.0, 0.0] for i in range(4)] for j in range(4)]
+    vectors = [unit[0], unit[1]]
+    vectors[1] = {
+        "entry": unit[1][:2] + [[0.0, float("inf")]] + unit[1][3:],
+        "not-a-list": 7,
+        "dimension": unit[1][:3],
+    }[fault]
+    ops = [{"basis": [unit[2]]}, {"basis": [unit[3]]}, {"basis": vectors}, {"complement": True}]
+    with pytest.raises(SchemaError) as info:
+        parse_sim_protocol(_instrument(ops).replace("Infinity", "1e999"))
+    assert str(info.value) == message
+
+
+def test_instrument_layout_fault_is_reported_before_an_earlier_entry_fault():
+    # the layout of every operator is checked before any basis vector is
+    # decoded, so of two faults the layout one is reported
+    ops = [{"basis": [[[True, 0], [0, 0]]]}, {"basis": [[[0, 0], [1, 0], [0, 0]]]}]
+    with pytest.raises(SchemaError, match="operator 1: basis vectors must have dimension 2"):
+        parse_sim_protocol(_instrument(ops))
+    ops = [{"basis": [[[True, 0], [0, 0]]]}, {"basis": [[[0, 0], [1, 0]]]}]
+    with pytest.raises(SchemaError, match=r"operator 0: basis vector 0: entry 0 must be"):
+        parse_sim_protocol(_instrument(ops))
+
+
+def test_instrument_bases_decode_like_one_basis_at_a_time():
+    e = random_product_basis((3, 4), 5, depth=4)
+    root = lift_protocol(decide(e, "complete").tree, e)
+    text = emit_sim_protocol(root)
+    parsed = parse_sim_protocol(text)
+    assert emit_sim_protocol(parsed) == text
+    todo = [(root, parsed)]
+    while todo:
+        a, b = todo.pop()
+        if isinstance(a, SimNode):
+            for x, y in zip(a.instrument.operators, b.instrument.operators):
+                assert x.matrix.tobytes() == y.matrix.tobytes()
+                assert (x.basis is None) == (y.basis is None) and x.complement == y.complement
+            todo.extend(zip(a.children, b.children))
+
+
+def test_apply_operator_overflow_is_refused_without_a_warning():
+    # pytest turns numpy's RuntimeWarning into an error, so a warning from
+    # the image's squared norm fails this test before SchemaError is seen
+    s = catalog("comp2x2").states[0]
+    with pytest.raises(SchemaError, match="probability overflows"):
+        apply_operator(s, LocalOperator(0, 1e200 * np.eye(2)))
+    # a norm near the overflow edge, with a finite probability, still works
+    out, prob = apply_operator(s, LocalOperator(0, 1e150 * np.eye(2)))
+    assert math.isclose(prob, 1e300) and out.locals[0].entries.tolist() == [1.0, 0.0]
+
+
 def test_factored_basis_is_normalized_as_one_vector_at_a_time():
     raw = [[[3.0, 0.0], [0.0, 4.0]], [[0.0, -4.0], [3.0, 0.0]]]
     root = parse_sim_protocol(_factored(raw))
