@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -155,7 +155,10 @@ class Ensemble:
 
     @functools.cached_property
     def party_arrays(self) -> tuple[np.ndarray, ...]:
-        """One read-only ``n x d_p`` complex array per party, rows in state order."""
+        """One read-only ``n x d_p`` complex array per party, rows in state order.
+
+        Copied from the LocalVectors, unless the ensemble was built from rows.
+        """
         out = []
         for p, d in enumerate(self.dims):
             a = np.empty((len(self.states), d), dtype=np.complex128)
@@ -294,10 +297,10 @@ def parse_ensemble(text: str, tol: float = DEFAULT_TOL) -> Ensemble:
     """Parse the ensemble JSON format, normalizing every vector on load.
 
     All vectors are decoded in one pass and each party's ``n x d_p`` array
-    is normalized at once, with the per-vector arithmetic of
-    :func:`~loccdist.linalg.normalize`; those arrays become the ensemble's
-    :attr:`~Ensemble.party_arrays`.  An error names the first bad vector in
-    file order, after the layout of every state has been checked.
+    is normalized at once by :func:`~loccdist.linalg.normalize_rows`; those
+    arrays become the ensemble's :attr:`~Ensemble.party_arrays`.  An error
+    names the first bad vector in file order, after the layout of every
+    state has been checked.
     """
     data = parse_json(text)
     if not isinstance(data, dict):
@@ -334,24 +337,48 @@ def parse_ensemble(text: str, tol: float = DEFAULT_TOL) -> Ensemble:
             if not isinstance(vec, list) or len(vec) != dims[p]:
                 raise SchemaError(f"state {label!r} party {p} needs {dims[p]} entries")
         labels.append(label)
-    n, parties = len(labels), len(dims)
+    parties = len(dims)
     # One decode of every vector, state-major; then one normalize per party.
     flat = complex_rows_from_json(
         [vec for raw in raw_states for vec in raw["vectors"]],
         lambda j: f"state {labels[j // parties]!r} party {j % parties}",
-    ).reshape(n, sum(dims))
+    ).reshape(len(labels), sum(dims))
     starts = list(itertools.accumulate(dims, initial=0))
     arrays = [np.array(flat[:, a:b]) for a, b in zip(starts, starts[1:])]
-    try:
-        columns = [unit_vectors(normalize_rows(a, tol)) for a in arrays]
-    except (SchemaError, ZeroVectorError):
-        # a refused array is left as it was; name the first bad vector in file order
-        for k, p in itertools.product(range(n), range(parties)):
-            normalize_rows(arrays[p][k : k + 1].copy(), tol)
-        raise
+    return _from_rows(name, labels, _normalized(arrays, tol), data["complete"])
+
+
+def _normalized(arrays: list[np.ndarray], tol: float) -> list[np.ndarray]:
+    """Each party's ``n x d_p`` rows normalized in place by :func:`~loccdist.linalg.normalize_rows`.
+
+    A refusal names the first bad vector in state order, parties inner, as
+    normalizing vector by vector would.
+    """
+    for p, a in enumerate(arrays):
+        try:
+            normalize_rows(a, tol)
+        except (SchemaError, ZeroVectorError):
+            # this array and the later ones are left as they were; the earlier
+            # ones, already normalized, hold no bad vector
+            for k, q in itertools.product(range(len(a)), range(p, len(arrays))):
+                normalize_rows(arrays[q][k : k + 1].copy(), tol)
+            raise
+    return arrays
+
+
+def _from_rows(
+    name: str, labels: Sequence[str], arrays: Sequence[np.ndarray], complete: bool
+) -> Ensemble:
+    """The ensemble whose :attr:`~Ensemble.party_arrays` are ``arrays``, one per party.
+
+    The one constructor from stacked rows: each C-contiguous ``n x d_p``
+    array of unit rows is checked once and frozen, and the states'
+    LocalVectors are views of its rows.
+    """
+    columns = [unit_vectors(a) for a in arrays]
     states = tuple(ProductState(label, locals_) for label, locals_ in zip(labels, zip(*columns)))
-    e = Ensemble(name=name, dims=tuple(dims), states=states, complete=data["complete"])
-    e.__dict__["party_arrays"] = tuple(arrays)  # the arrays the LocalVectors view
+    e = Ensemble(name, tuple(a.shape[1] for a in arrays), states, complete)
+    e.__dict__["party_arrays"] = tuple(arrays)
     return e
 
 
@@ -513,14 +540,9 @@ def apply_local_unitaries(
         if dev > tol:
             raise UnitarityError(f"party {p} matrix deviates from unitarity by {dev:.3e}")
         mats.append(m)
-    states = tuple(
-        ProductState(
-            s.label,
-            tuple(normalize(mats[p] @ s.locals[p].entries, tol) for p in range(e.parties)),
-        )
-        for s in e.states
-    )
-    return Ensemble(e.name, e.dims, states, e.complete)
+    # a stacked matmul against column vectors: the bits of m @ v per row
+    arrays = [np.matmul(m, a[:, :, None])[:, :, 0] for m, a in zip(mats, e.party_arrays)]
+    return _from_rows(e.name, e.labels, _normalized(arrays, tol), e.complete)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -533,41 +555,33 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _product_states(bases: tuple[tuple[LocalVector, ...], ...]) -> list[tuple[LocalVector, ...]]:
-    out = []
-    for combo in itertools.product(*[range(len(b)) for b in bases]):
-        out.append(tuple(bases[p][i] for p, i in enumerate(combo)))
-    return out
-
-
-def _rotate_basis(basis: tuple[LocalVector, ...], rng: np.random.Generator) -> tuple[LocalVector, ...]:
-    cols = np.column_stack([v.entries for v in basis])
-    mixed = cols @ random_unitary(len(basis), rng)
-    return tuple(normalize(mixed[:, j]) for j in range(len(basis)))
+def _rotate_basis(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The ``k x d`` rows mixed by a random ``k x k`` unitary, each normalized again."""
+    mixed = np.ascontiguousarray(rows.T) @ random_unitary(len(rows), rng)
+    return normalize_rows(np.ascontiguousarray(mixed.T))
 
 
 def _split_basis(
-    bases: tuple[tuple[LocalVector, ...], ...], rng: np.random.Generator, depth: int
-) -> list[tuple[LocalVector, ...]]:
+    bases: tuple[np.ndarray, ...], rng: np.random.Generator, depth: int
+) -> list[np.ndarray]:
+    """The product states of ``depth`` rounds of splitting, as one array of rows per party."""
     splittable = [p for p, b in enumerate(bases) if len(b) >= 2]
     if depth <= 0 or not splittable:
-        return _product_states(bases)
+        index = np.indices([len(b) for b in bases]).reshape(len(bases), -1)
+        return [b[i] for b, i in zip(bases, index)]
     p = splittable[int(rng.integers(len(splittable)))]
     k = len(bases[p])
     mask = int(rng.integers(1, 2**k - 1))
-    groups = (
-        tuple(bases[p][i] for i in range(k) if (mask >> i) & 1),
-        tuple(bases[p][i] for i in range(k) if not (mask >> i) & 1),
-    )
-    states: list[tuple[LocalVector, ...]] = []
-    for group in groups:
+    picked = np.array([(mask >> i) & 1 for i in range(k)], dtype=bool)
+    sides = []
+    for group in (bases[p][picked], bases[p][~picked]):
         sub = list(bases)
         sub[p] = _rotate_basis(group, rng)
         for q in range(len(bases)):
             if q != p:
                 sub[q] = _rotate_basis(bases[q], rng)
-        states.extend(_split_basis(tuple(sub), rng, depth - 1))
-    return states
+        sides.append(_split_basis(tuple(sub), rng, depth - 1))
+    return [np.concatenate(rows) for rows in zip(*sides)]
 
 
 def random_product_basis(dims: tuple[int, ...], seed: int, depth: int = 3) -> Ensemble:
@@ -584,10 +598,7 @@ def random_product_basis(dims: tuple[int, ...], seed: int, depth: int = 3) -> En
     if not dims or any(d < 1 for d in dims):
         raise SchemaError(f"dims must be positive integers, got {dims!r}")
     rng = np.random.default_rng(seed)
-    bases = tuple(tuple(basis_vector(d, i) for i in range(d)) for d in dims)
-    combos = _split_basis(bases, rng, depth)
-    states = tuple(
-        ProductState(f"s{i + 1}", locals_) for i, locals_ in enumerate(combos)
-    )
+    arrays = _split_basis(tuple(np.eye(d, dtype=np.complex128) for d in dims), rng, depth)
+    labels = [f"s{i + 1}" for i in range(math.prod(dims))]
     shape = "x".join(str(d) for d in dims)
-    return Ensemble(f"random-{shape}-seed{seed}-depth{depth}", dims, states, complete=True)
+    return _from_rows(f"random-{shape}-seed{seed}-depth{depth}", labels, arrays, True)

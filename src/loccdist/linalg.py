@@ -9,16 +9,17 @@ relativity graphs read.  It takes the magnitudes from row-blocked Gram
 products and recomputes those within rounding of ``tol`` pairwise with
 ``np.vdot``, the arithmetic of :func:`inner_product`.
 
-Vectors travel as the rows of stacked ``k x d`` arrays, and two kernels
-work on rows with the per-vector arithmetic, bit for bit.
-:func:`normalize_rows` takes the norms as stacked real dot products, as
-``np.linalg.norm`` takes one; the parsers and the simulation call it once
-per array.  :func:`span_basis` orthonormalizes rows in order, with two
-``np.vdot`` projection passes, the norm ``sqrt(re.re + im.im)`` and the
-:func:`phase_normalize` rule per row; the relativity blocks and the oracle
-take their spans from it.  Both hand rows out through
-:func:`unit_vectors`, which checks a whole array once and wraps its rows
-as :class:`LocalVector` views.
+Vectors travel as the rows of stacked ``k x d`` arrays, and each vector
+rule exists once, on rows.  :func:`normalize_rows` is the one normalize:
+it takes the norms as stacked real dot products, as ``np.linalg.norm``
+takes one, and :func:`normalize` is its one-row case.  The parsers, the
+generators, the local unitaries and the simulation call it once per array.
+:func:`unit_vectors` applies the one unit-norm check, the one
+:class:`LocalVector` construction also applies, to a whole array and wraps
+its rows as views.  :func:`_residual` is the one residual step, two
+``np.vdot`` projection passes and the norm ``sqrt(re.re + im.im)``;
+:func:`span_basis` builds spans from it with the :func:`phase_normalize`
+rule per row, and the relativity chains their independence test.
 """
 
 from __future__ import annotations
@@ -91,9 +92,7 @@ class LocalVector:
 
     def __post_init__(self) -> None:
         arr = _as_vector_entries(self.entries).copy()
-        n = float(np.linalg.norm(arr))
-        if abs(n - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"LocalVector requires unit norm, got {n!r}")
+        _require_unit(arr[None, :])
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -146,15 +145,6 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0])
 
 
-def _refuse_norms(norms: Iterable[float], tol: float) -> None:
-    """Raise for the first norm that no unit vector can be made from."""
-    for n in norms:
-        if not tol < n < math.inf:
-            if not math.isfinite(n):
-                raise SchemaError("cannot normalize a vector whose squared norm overflows a double")
-            raise ZeroVectorError(f"cannot normalize a vector of norm {n!r}")
-
-
 # An overflowing squared norm is reported as SchemaError, not as numpy's
 # RuntimeWarning.  The decorator costs less per call than a with-block.
 @np.errstate(over="ignore", invalid="ignore")
@@ -175,7 +165,11 @@ def normalize_rows(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         big = np.abs(a[huge]).max(axis=1)
         norms[huge] = big * _row_norms(a[huge] / big[:, None])
         listed = norms.tolist()
-    _refuse_norms(listed, tol)
+    for n in listed:
+        if not tol < n < math.inf:
+            if not math.isfinite(n):
+                raise SchemaError("cannot normalize a vector whose squared norm overflows a double")
+            raise ZeroVectorError(f"cannot normalize a vector of norm {n!r}")
     scale = [abs(n - 1.0) > _UNIT_SLACK for n in listed]
     if all(scale):
         np.divide(a, norms[:, None], out=a)
@@ -184,12 +178,10 @@ def normalize_rows(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return a
 
 
-def unit_vectors(a: np.ndarray) -> tuple[LocalVector, ...]:
-    """The rows of a C-contiguous ``k x d`` complex128 array as LocalVectors that view them.
+def _require_unit(a: np.ndarray) -> None:
+    """The unit-norm check of LocalVector, on every row of a C-contiguous ``k x d`` array.
 
-    The whole array is checked once for what LocalVector requires of each
-    vector, finite entries and unit norm; then it is frozen, and its rows
-    are wrapped without a copy or a second check.
+    Raises ValueError unless each row is finite with norm 1 up to DEFAULT_TOL.
     """
     x = a.view(np.float64)
     for q in np.einsum("ij,ij->i", x, x).tolist():
@@ -198,6 +190,15 @@ def unit_vectors(a: np.ndarray) -> tuple[LocalVector, ...]:
             if not np.isfinite(a).all():
                 raise ValueError("vector entries must be finite")
             raise ValueError(f"LocalVector requires unit norm, got {n!r}")
+
+
+def unit_vectors(a: np.ndarray) -> tuple[LocalVector, ...]:
+    """The rows of a C-contiguous ``k x d`` complex128 array as LocalVectors that view them.
+
+    The whole array is checked once, by LocalVector's own rule; then it is
+    frozen, and its rows are wrapped without a copy or a second check.
+    """
+    _require_unit(a)
     a.setflags(write=False)
     out = []
     for row in a:
@@ -207,20 +208,14 @@ def unit_vectors(a: np.ndarray) -> tuple[LocalVector, ...]:
     return tuple(out)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def normalize(raw: object, tol: float = DEFAULT_TOL) -> LocalVector:
     """Scale raw entries to unit norm, preserving the global phase.
 
-    The arithmetic and the checks of :func:`normalize_rows`, for one vector:
-    entries whose norm is already 1 up to a few ulps are kept verbatim, and
-    a squared norm that overflows is rescaled as there.
+    :func:`normalize_rows` on the one row: entries whose norm is already 1
+    up to a few ulps are kept verbatim, and a squared norm that overflows
+    is rescaled as there.
     """
-    arr = _as_vector_entries(raw)
-    n = float(np.linalg.norm(arr))
-    if n == math.inf:
-        return LocalVector(normalize_rows(arr[None, :].copy(), tol)[0])
-    _refuse_norms((n,), tol)
-    return LocalVector(arr if abs(n - 1.0) <= _UNIT_SLACK else arr / n)
+    return unit_vectors(normalize_rows(_as_vector_entries(raw)[None, :].copy(), tol))[0]
 
 
 def _phase_fixed(entries: np.ndarray, tol: float) -> np.ndarray:
@@ -240,22 +235,32 @@ def phase_normalize(v: LocalVector, tol: float = DEFAULT_TOL) -> LocalVector:
     return v if fixed is v.entries else LocalVector(fixed)
 
 
+def _residual(w: np.ndarray, basis: list[np.ndarray], tol: float) -> np.ndarray | None:
+    """``w`` projected off an orthonormal basis and scaled to unit norm, or None.
+
+    None when the projected norm is at most tol.  Two projection passes keep
+    the result orthogonal to the basis well below tol even for a nearly
+    dependent ``w``.  The norm is ``sqrt(re.re + im.im)``, the arithmetic of
+    ``np.linalg.norm``.
+    """
+    for b in basis * 2:
+        w = w - np.vdot(b, w) * b
+    re, im = w.real, w.imag
+    n = math.sqrt(re.dot(re) + im.dot(im))
+    return w / n if n > tol else None
+
+
 def span_basis(rows: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[LocalVector, ...]:
     """Orthonormalize the rows of a ``k x d`` complex array in order.
 
-    Each row is projected off the basis so far twice, which keeps the
-    output orthonormal well below tol even for nearly dependent rows, and
-    joins the basis when its residual norm exceeds tol.  Outputs are
-    phase-normalized.
+    Each row's :func:`_residual` against the basis so far joins the basis
+    when its norm exceeds tol.  Outputs are phase-normalized.
     """
     basis: list[np.ndarray] = []
     for w in rows:
-        for b in basis * 2:  # two projection passes
-            w = w - np.vdot(b, w) * b
-        re, im = w.real, w.imag
-        n = math.sqrt(re.dot(re) + im.dot(im))
-        if n > tol:
-            basis.append(w / n)
+        r = _residual(w, basis, tol)
+        if r is not None:
+            basis.append(r)
     fixed = np.array([_phase_fixed(b, tol) for b in basis])
     return unit_vectors(fixed.reshape(-1, rows.shape[1]))
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalInstabilityError
 from .ensemble import Ensemble, ensure_complete
-from .linalg import DEFAULT_TOL, LocalVector, inner_product, span_basis
+from .linalg import DEFAULT_TOL, LocalVector, _residual, inner_product, span_basis
 
 __all__ = [
     "OverlapGraph",
@@ -205,22 +205,11 @@ def relativity_chain(
 
     rows = e.party_arrays[party]
     orthobasis: list[np.ndarray] = []
-
-    def residual(label: str) -> np.ndarray | None:
-        w = rows[e.index(label)]
-        for _ in range(2):
-            for b in orthobasis:
-                w = w - np.vdot(b, w) * b
-        n = float(np.linalg.norm(w))
-        if n <= tol:
-            return None
-        return w / n
-
     path: list[str] = []
     visited: set[str] = set()
 
     def extend(label: str) -> tuple[str, ...] | None:
-        r = residual(label)
+        r = _residual(rows[e.index(label)], orthobasis, tol)
         if r is None:
             return None
         path.append(label)

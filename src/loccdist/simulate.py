@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .distinguish import ProtocolLeaf, ProtocolNode, ProtocolTree, decide
-from .ensemble import Ensemble, ProductState
+from .ensemble import Ensemble, ProductState, _from_rows
 from .errors import DimensionError, InstrumentError, NotFoundError, SchemaError
 from .jsonio import (
     canonical_dumps,
@@ -132,6 +132,12 @@ def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> bool:
     return completeness_defect(ins) <= tol
 
 
+def _require_complete(ins: Instrument, tol: float) -> None:
+    defect = completeness_defect(ins)
+    if not defect <= tol:  # a NaN defect is incomplete too
+        raise InstrumentError(f"instrument at party {ins.party} is incomplete: defect {defect:.3e}")
+
+
 @dataclass(frozen=True)
 class SimLeaf:
     """Protocol endpoint: announce one label, or None to give up."""
@@ -177,11 +183,14 @@ def _apply_rows(
 
     Returns each row's outcome probability, the indices of the rows whose
     probability exceeds tol, and those rows' images, renormalized and
-    phase-fixed.  The arithmetic is that of :func:`normalize` and
-    :func:`phase_normalize` on ``m @ row``, bit for bit: ``matmul`` against
-    column vectors, :func:`normalize_rows`, the probability as a scalar
-    power and entry magnitudes by ``hypot``.  An image whose squared norm,
-    its probability, is not a finite double raises SchemaError.
+    phase-fixed.  ``matmul`` against column vectors, :func:`normalize_rows`,
+    the probability as a scalar power and entry magnitudes by ``hypot``
+    give the bits of :func:`normalize` and :func:`phase_normalize` on ``m @
+    row`` for images of two or more entries.  For a one-entry image the
+    phase fix is a contiguous complex product, which numpy may round
+    differently from the scalar one in the last bits of the imaginary part.
+    An image whose squared norm, its probability, is not a finite double
+    raises SchemaError.
     """
     w = np.matmul(m, v[:, :, None])[:, :, 0]
     norms = _row_norms(w)
@@ -200,12 +209,6 @@ def _apply_rows(
     return probs, kept, w
 
 
-def _with_factor(s: ProductState, party: int, entries: np.ndarray) -> ProductState:
-    locals_ = list(s.locals)
-    locals_[party] = LocalVector(entries)
-    return ProductState(s.label, tuple(locals_))
-
-
 def apply_operator(
     s: ProductState, op: LocalOperator, tol: float = DEFAULT_TOL
 ) -> tuple[ProductState | None, float]:
@@ -220,7 +223,9 @@ def apply_operator(
     prob = float(probs[0])
     if not kept.size:
         return None, prob
-    return _with_factor(s, op.party, images[0]), prob
+    locals_ = list(s.locals)
+    locals_[op.party] = unit_vectors(images)[0]
+    return ProductState(s.label, tuple(locals_)), prob
 
 
 @dataclass(frozen=True)
@@ -269,11 +274,7 @@ def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> Discri
     instruments: list[Instrument] = []
     _collect_instruments(root, instruments)
     for ins in instruments:
-        defect = completeness_defect(ins)
-        if not defect <= tol:  # a NaN defect is incomplete too
-            raise InstrumentError(
-                f"instrument at party {ins.party} is incomplete: defect {defect:.3e}"
-            )
+        _require_complete(ins, tol)
     leaf_announce: dict[tuple[int, ...], str | None] = {}
     _collect_leaves(root, (), leaf_announce)
     labels = e.labels
@@ -403,28 +404,17 @@ def extend_with_projective(e: Ensemble, ins: Instrument, tol: float = DEFAULT_TO
     continuation gets stuck, since then the combined protocol cannot
     discriminate perfectly.
     """
-    if not validate_instrument(ins, tol):
-        raise InstrumentError(
-            f"instrument at party {ins.party} is incomplete: "
-            f"defect {completeness_defect(ins):.3e}"
-        )
+    _require_complete(ins, tol)
     children: list[SimTree] = []
     for i, op in enumerate(ins.operators):
         _fit(op, e.dims)
         _, kept, images = _apply_rows(op.matrix, e.party_arrays[op.party], tol)
-        survivors = [
-            _with_factor(e.states[j], op.party, row) for j, row in zip(kept.tolist(), images)
-        ]
-        if not survivors:
-            children.append(SimLeaf(None))
+        labels = [e.labels[j] for j in kept.tolist()]
+        if len(labels) < 2:
+            children.append(SimLeaf(labels[0] if labels else None))
             continue
-        if len(survivors) == 1:
-            children.append(SimLeaf(survivors[0].label))
-            continue
-        dims = tuple(
-            op.out_dim if p == ins.party else d for p, d in enumerate(e.dims)
-        )
-        sub = Ensemble(f"{e.name}.outcome{i}", dims, tuple(survivors), complete=False)
+        arrays = [images if p == op.party else a[kept] for p, a in enumerate(e.party_arrays)]
+        sub = _from_rows(f"{e.name}.outcome{i}", labels, arrays, complete=False)
         verdict = decide(sub, "incomplete", tol)
         if not verdict.distinguishable:
             raise InstrumentError(

@@ -7,6 +7,7 @@ on the package's own inner products to certify the canned ensembles.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -437,6 +438,17 @@ def test_parse_reports_the_first_bad_vector_in_file_order():
         parse_ensemble(text)
 
 
+def test_a_refusal_names_the_input_norm_not_a_normalized_one():
+    # at tol 1.2 party 0 (norm 1.3) passes and is normalized in place, to
+    # norm 1.0; the refusal is party 1's norm 0.5, from either builder
+    text = json.dumps({"name": "t", "dims": [2, 2], "complete": False, "states": [
+        {"label": "a", "vectors": [[[1.3, 0], [0, 0]], [[0.5, 0], [0, 0]]]}]})
+    with pytest.raises(ZeroVectorError, match=r"norm 0\.5$"):
+        parse_ensemble(text, 1.2)
+    with pytest.raises(ZeroVectorError, match=r"norm 0\.5$"):
+        apply_local_unitaries(catalog("comp2x2"), [1.3 * np.eye(2), 0.5 * np.eye(2)], tol=1.2)
+
+
 # ---------------------------------------------------------------------------
 # local unitaries
 
@@ -536,6 +548,92 @@ def test_single_level_party_is_allowed():
     e = random_product_basis((1, 2), seed=3)
     assert len(e.states) == 2
     assert validate(e).passed
+
+
+# The per-vector generator and rotation that the stacked rows replaced: each
+# vector mixed on its own and normalized with np.linalg.norm.
+
+
+def _reference_rotate(basis, rng):
+    mixed = np.column_stack(basis) @ random_unitary(len(basis), rng)
+    return [_reference_normalize(mixed[:, j], 1e-9) for j in range(len(basis))]
+
+
+def _reference_split(bases, rng, depth):
+    splittable = [p for p, b in enumerate(bases) if len(b) >= 2]
+    if depth <= 0 or not splittable:
+        return list(itertools.product(*bases))
+    p = splittable[int(rng.integers(len(splittable)))]
+    mask = int(rng.integers(1, 2 ** len(bases[p]) - 1))
+    states = []
+    for side in (1, 0):
+        sub = list(bases)
+        group = [b for i, b in enumerate(bases[p]) if (mask >> i) & 1 == side]
+        sub[p] = _reference_rotate(group, rng)
+        for q in range(len(bases)):
+            if q != p:
+                sub[q] = _reference_rotate(bases[q], rng)
+        states.extend(_reference_split(sub, rng, depth - 1))
+    return states
+
+
+def _reference_basis_rows(dims, seed, depth):
+    """random_product_basis's vectors, one array of rows per party."""
+    rng = np.random.default_rng(seed)
+    states = _reference_split([list(np.eye(d, dtype=np.complex128)) for d in dims], rng, depth)
+    return [np.array([s[p] for s in states]) for p in range(len(dims))]
+
+
+def _reference_unitary_rows(rows, us, tol=1e-9):
+    """apply_local_unitaries's vectors, rotated and normalized state by state."""
+    states = [
+        [_reference_normalize(u @ a[i], tol) for u, a in zip(us, rows)] for i in range(len(rows[0]))
+    ]
+    return [np.array([s[p] for s in states]) for p in range(len(us))]
+
+
+def _assert_rows(e, rows):
+    for p, ref in enumerate(rows):
+        a = e.party_arrays[p]
+        assert a.shape == ref.shape and a.tobytes() == ref.tobytes()
+        assert not a.flags.writeable
+        for s, row in zip(e.states, ref):
+            assert s.locals[p].entries.tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(1,), (2,), (6,), (1, 2), (2, 1), (3, 1, 2), (4, 4), (5, 2), (6, 6), (2, 3, 1, 2)],
+    ids=lambda d: "x".join(map(str, d)),
+)
+def test_row_generators_are_bit_identical_to_the_per_vector_reference(dims):
+    for depth in range(11):
+        seed = 13 * depth + sum(dims)
+        e = random_product_basis(dims, seed, depth)
+        rows = _reference_basis_rows(dims, seed, depth)
+        _assert_rows(e, rows)
+        rng = np.random.default_rng(seed)
+        us = [random_unitary(d, rng) for d in dims]
+        _assert_rows(apply_local_unitaries(e, us), _reference_unitary_rows(rows, us))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_dressing_is_bit_identical_to_the_per_vector_reference(name):
+    e = catalog(name)
+    rng = np.random.default_rng(5)
+    us = [random_unitary(d, rng) for d in e.dims]
+    _assert_rows(apply_local_unitaries(e, us), _reference_unitary_rows(e.party_arrays, us))
+
+
+def test_dressing_refuses_the_first_short_vector_in_state_order():
+    # with tol 0.8 these contractions pass as unitaries; s00 loses norm at
+    # party 1 (0.5) before s10 does at party 0 (0.45)
+    us = [np.diag([1.0, 0.45]), np.diag([0.5, 1.0])]
+    e = catalog("comp2x2")
+    with pytest.raises(ZeroVectorError, match=r"norm 0\.5$"):
+        apply_local_unitaries(e, us, tol=0.8)
+    with pytest.raises(ZeroVectorError, match=r"norm 0\.5$"):
+        _reference_unitary_rows(e.party_arrays, us, tol=0.8)
 
 
 def test_normalize_helper_reexported():

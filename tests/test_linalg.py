@@ -144,6 +144,69 @@ def test_normalize_accepts_overflowing_squared_norm(raw, unit):
     assert rows[[0, 2]].tobytes() == np.array([[0.6, 0.8], [0.0, 1.0]], dtype=np.complex128).tobytes()
 
 
+def _reference_normalize(raw, tol=TOL):
+    """normalize as it was before it became the one-row normalize_rows."""
+    arr = np.asarray(raw, dtype=np.complex128)
+    if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
+        raise ValueError("not a finite vector")
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = float(np.linalg.norm(arr))
+        if n == math.inf:  # the squared norm overflowed; the norm may still be a double
+            big = float(np.abs(arr).max())
+            n = big * float(np.linalg.norm(arr / big))
+    if not math.isfinite(n):
+        raise SchemaError("cannot normalize a vector whose squared norm overflows a double")
+    if n <= tol:
+        raise ZeroVectorError(f"cannot normalize a vector of norm {n!r}")
+    return arr if abs(n - 1.0) <= 64.0 * np.finfo(np.float64).eps else arr / n
+
+
+def _outcome(fn, raw, tol):
+    try:
+        return fn(raw, tol)
+    except (SchemaError, ZeroVectorError) as exc:
+        return (type(exc), str(exc))
+
+
+NORMALIZE_CASES = [
+    [1e200, 0.0],  # huge: the squared norm overflows, the norm does not
+    [3e200, -4e200j, 1e199],
+    [1e308 + 1e308j, 0.0],
+    [1e-12, 0.0],  # tiny: refused as a zero vector
+    [1e-300, 1e-300j],
+    [3e-9, 4e-9j],  # tiny, but above a tolerance of 1e-9
+    [0.0, 0.0, 0.0],
+    [0.6, 0.8j],  # already unit
+    [1.0],
+    [-1.0, 0.0],
+    [1.0 + 1e-15, 0.0],  # unit up to a few ulps: kept verbatim
+    [1.0 + 1e-13, 0.0],
+    [1e308 + 1e308j, 1e308 + 1e308j],  # overflowing: the norm is not a double
+    [1.5e308, -1.5e308j],
+    [3.0, 4.0],
+    [0.0, 3.0j],
+]
+
+
+@pytest.mark.parametrize("tol", [TOL, 1e-4])
+def test_normalize_is_bit_identical_to_the_per_vector_reference(tol):
+    rng = np.random.default_rng(11)
+    cases = list(NORMALIZE_CASES)
+    for _ in range(300):
+        d = int(rng.integers(1, 7))
+        w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        cases.append(w * 10.0 ** rng.uniform(-6, 6))
+        cases.append(w / np.linalg.norm(w))
+    for raw in cases:
+        expected = _outcome(_reference_normalize, np.array(raw, dtype=np.complex128), tol)
+        got = _outcome(normalize, np.array(raw, dtype=np.complex128), tol)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got.entries.tobytes() == expected.tobytes()
+            assert not got.entries.flags.writeable
+
+
 def test_phase_normalize_first_entry_real_positive():
     v = phase_normalize(normalize(np.array([1.0j, 0.0])))
     assert np.allclose(v.entries, [1.0, 0.0])

@@ -415,6 +415,39 @@ def test_extension_handles_empty_and_single_survivor_arms():
     assert run_protocol(pair, node).perfect
 
 
+def _reference_extension(e, ins, tol):
+    """extend_with_projective as it was: each survivor rebuilt by apply_operator."""
+    children = []
+    for i, op in enumerate(ins.operators):
+        survivors = [t for t, _ in (apply_operator(s, op, tol) for s in e.states) if t is not None]
+        if len(survivors) < 2:
+            children.append(SimLeaf(survivors[0].label if survivors else None))
+            continue
+        dims = tuple(op.out_dim if p == ins.party else d for p, d in enumerate(e.dims))
+        sub = Ensemble(f"{e.name}.outcome{i}", dims, tuple(survivors), complete=False)
+        children.append(lift_protocol(decide(sub, "incomplete", tol).tree, sub, tol))
+    return SimNode(ins, tuple(children))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_extension_is_bit_identical_to_the_per_survivor_reference(tol):
+    # the sub-ensembles are built from the stacked images and rows
+    f9 = catalog("finkelstein9")
+    rng = np.random.default_rng(8)
+    dressed = apply_local_unitaries(f9, [random_unitary(3, rng), random_unitary(3, rng), np.eye(2)])
+    # a qutrit factor cut into a qubit and a one-dimensional factor, on a
+    # basis whose qutrit vectors the cut does not damage
+    cut = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8j], [0.0, 0.8, -0.6j]])
+    squeeze = Instrument(0, (LocalOperator(0, cut[:2]), LocalOperator(0, cut[2:])))
+    grid = apply_local_unitaries(
+        random_product_basis((3, 2), 4, depth=0), [cut.conj().T, random_unitary(2, rng)]
+    )
+    cases = [(f9, _triple_instrument()), (dressed, _triple_instrument()), (grid, squeeze)]
+    for e, ins in cases:
+        got = emit_sim_protocol(extend_with_projective(e, ins, tol))
+        assert got == emit_sim_protocol(_reference_extension(e, ins, tol))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -772,7 +805,7 @@ def _dressed(e, seed):
     return apply_local_unitaries(e, [random_unitary(d, rng) for d in e.dims])
 
 
-REFERENCE_DIMS = [(2, 2), (2, 3), (3, 3), (4, 4), (2, 2, 2), (3, 3, 3), (4, 4, 4),
+REFERENCE_DIMS = [(2, 2), (2, 3), (3, 3), (4, 4), (2, 2, 2), (2, 1, 2), (3, 3, 3), (4, 4, 4),
                   (5, 5, 5), (6, 6, 6), (2, 2, 2, 2)]
 REFERENCE_TOLS = [1e-9, 1e-3, 0.05, 0.3]
 
