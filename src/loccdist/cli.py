@@ -10,6 +10,7 @@ tolerance in use.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Sequence
@@ -17,7 +18,6 @@ from typing import Sequence
 from .distinguish import (
     TraceLeaf,
     TraceNode,
-    TraceSplit,
     TraceStuck,
     Verdict,
     decide,
@@ -91,20 +91,19 @@ def _read_file(path: str) -> str:
 
 
 def _resolve_tol(args: argparse.Namespace) -> float:
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise _UsageError(f"--tol must be positive, got {args.tol}")
-        return args.tol
-    env = os.environ.get("LOCC_TOL")
-    if env:
+    """``--tol``, else ``LOCC_TOL``, else the default; a finite positive number."""
+    source, value = "--tol", args.tol
+    if value is None:
+        source, env = "LOCC_TOL", os.environ.get("LOCC_TOL")
+        if not env:
+            return DEFAULT_TOL
         try:
             value = float(env)
         except ValueError:
             raise _UsageError(f"LOCC_TOL is not a number: {env!r}") from None
-        if value <= 0:
-            raise _UsageError(f"LOCC_TOL must be positive, got {env!r}")
-        return value
-    return DEFAULT_TOL
+    if not (math.isfinite(value) and value > 0):
+        raise _UsageError(f"{source} must be a finite positive number, got {value!r}")
+    return value
 
 
 def _render_trace(node: TraceNode, indent: int = 0) -> list[str]:
@@ -117,12 +116,12 @@ def _render_trace(node: TraceNode, indent: int = 0) -> list[str]:
             f"{pad}stuck: {len(node.certificate.subset)} states "
             f"{{{labels}}} with every party's graph connected"
         ]
-    assert isinstance(node, TraceSplit)
+    outcomes = node.step.outcomes
     lines = [
         f"{pad}measure party {node.step.party}: "
-        f"{len(node.step.outcomes)} outcomes over {len(node.subset)} states"
+        f"{len(outcomes)} outcomes over {sum(len(o.block) for o in outcomes)} states"
     ]
-    for i, (outcome, child) in enumerate(zip(node.step.outcomes, node.children)):
+    for i, (outcome, child) in enumerate(zip(outcomes, node.children)):
         labels = " ".join(outcome.block)
         lines.append(f"{pad}  outcome {i} keeps {{{labels}}}:")
         lines.extend(_render_trace(child, indent + 2))
@@ -326,6 +325,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"error: a tree nests deeper than the recursion limit ({limit})", file=sys.stderr)
         return EXIT_USAGE
     except NumericalInstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,11 @@ party's graph connected, no local protocol whatsoever can tell the states
 apart, and the stuck subset is the certificate.  For incomplete ensembles a
 stuck subset merely exhausts projective measurements, so the verdict
 degrades to unknown.
+
+One tree type, :data:`TraceNode`, is both exploration and protocol:
+:class:`TraceSplit` steps over :class:`TraceLeaf` labels and
+:class:`TraceStuck` certificates.  With no stuck leaf it is a protocol, as
+:func:`decide`, the oracle and :func:`protocol_from_json` return it.
 """
 
 from __future__ import annotations
@@ -17,23 +22,21 @@ from dataclasses import dataclass
 
 from .ensemble import Ensemble, ensure_complete, ensure_orthogonal
 from .errors import InvalidModeError, SchemaError
-from .jsonio import canonical_dumps, complex_rows_from_json, complex_to_json, parse_json
+from .jsonio import canonical_dumps  # noqa: F401  (perfbench/tracing.py wraps it here)
+from .jsonio import complex_rows_from_json, complex_to_json, parse_json
 from .linalg import DEFAULT_TOL, LocalVector, normalize_rows, unit_vectors
 from .relativity import OverlapGraph, components, overlap_graph
 
 __all__ = [
     "MeasurementStep",
-    "ProtocolLeaf",
-    "ProtocolNode",
-    "ProtocolTree",
     "StepOutcome",
     "StuckCertificate",
     "TraceLeaf",
+    "TraceNode",
     "TraceSplit",
     "TraceStuck",
     "Verdict",
     "decide",
-    "emit_protocol",
     "finest_step",
     "parse_protocol",
     "protocol_from_json",
@@ -63,30 +66,6 @@ class MeasurementStep:
 
 
 @dataclass(frozen=True)
-class ProtocolLeaf:
-    """Terminal point of a protocol: exactly one state remains."""
-
-    label: str
-
-
-@dataclass(frozen=True)
-class ProtocolNode:
-    """Internal point of a protocol: a step and one subtree per outcome."""
-
-    step: MeasurementStep
-    children: tuple["ProtocolTree", ...]
-
-    def __post_init__(self) -> None:
-        if len(self.children) != len(self.step.outcomes):
-            raise SchemaError(
-                f"node has {len(self.children)} children for {len(self.step.outcomes)} outcomes"
-            )
-
-
-ProtocolTree = ProtocolLeaf | ProtocolNode
-
-
-@dataclass(frozen=True)
 class StuckCertificate:
     """A subset on which every party's overlap graph is connected.
 
@@ -107,19 +86,30 @@ class StuckCertificate:
 
 @dataclass(frozen=True)
 class TraceLeaf:
+    """Terminal point of a protocol: exactly one state remains."""
+
     label: str
 
 
 @dataclass(frozen=True)
 class TraceStuck:
+    """A block that no party can split without damage."""
+
     certificate: StuckCertificate
 
 
 @dataclass(frozen=True)
 class TraceSplit:
-    subset: tuple[str, ...]
+    """Internal point of a protocol: a step and one subtree per outcome."""
+
     step: MeasurementStep
     children: tuple["TraceNode", ...]
+
+    def __post_init__(self) -> None:
+        if len(self.children) != len(self.step.outcomes):
+            raise SchemaError(
+                f"node has {len(self.children)} children for {len(self.step.outcomes)} outcomes"
+            )
 
 
 TraceNode = TraceLeaf | TraceStuck | TraceSplit
@@ -127,10 +117,15 @@ TraceNode = TraceLeaf | TraceStuck | TraceSplit
 
 @dataclass(frozen=True)
 class Verdict:
-    """Decision outcome plus whichever witness backs it up."""
+    """Decision outcome plus whichever witness backs it up.
+
+    ``trace`` is decide's whole exploration.  A distinguishable verdict's
+    ``tree`` is that same object; otherwise ``certificate`` is the trace's
+    first stuck block in pre-order.  The oracle's verdicts have no trace.
+    """
 
     kind: str  # "distinguishable" | "indistinguishable" | "unknown"
-    tree: ProtocolTree | None = None
+    tree: TraceNode | None = None
     certificate: StuckCertificate | None = None
     trace: TraceNode | None = None
 
@@ -167,32 +162,18 @@ def stuck_certificate(
     return StuckCertificate(subset=subset, graphs=graphs)
 
 
-def _explore(e: Ensemble, subset: tuple[str, ...], tol: float) -> TraceNode:
+def _explore(
+    e: Ensemble, subset: tuple[str, ...], tol: float, stuck: list[StuckCertificate]
+) -> TraceNode:
+    """The exploration below ``subset``; stuck blocks are appended in pre-order."""
     if len(subset) == 1:
         return TraceLeaf(subset[0])
     step = finest_step(e, subset, tol)
     if step is None:
-        return TraceStuck(stuck_certificate(e, subset, tol))
-    children = tuple(_explore(e, outcome.block, tol) for outcome in step.outcomes)
-    return TraceSplit(subset=subset, step=step, children=children)
-
-
-def _first_stuck(node: TraceNode) -> TraceStuck | None:
-    if isinstance(node, TraceStuck):
-        return node
-    if isinstance(node, TraceSplit):
-        for child in node.children:
-            found = _first_stuck(child)
-            if found is not None:
-                return found
-    return None
-
-
-def _to_tree(node: TraceNode) -> ProtocolTree:
-    if isinstance(node, TraceLeaf):
-        return ProtocolLeaf(node.label)
-    assert isinstance(node, TraceSplit)
-    return ProtocolNode(step=node.step, children=tuple(_to_tree(c) for c in node.children))
+        stuck.append(stuck_certificate(e, subset, tol))
+        return TraceStuck(stuck[-1])
+    children = tuple(_explore(e, outcome.block, tol, stuck) for outcome in step.outcomes)
+    return TraceSplit(step=step, children=children)
 
 
 def decide(e: Ensemble, mode: str, tol: float = DEFAULT_TOL) -> Verdict:
@@ -202,7 +183,8 @@ def decide(e: Ensemble, mode: str, tol: float = DEFAULT_TOL) -> Verdict:
     validated complete basis and may return an indistinguishability verdict;
     incomplete mode demands pairwise orthogonality only and reports a stuck
     search as unknown.  The full exploration (every block, not just the
-    first stuck one) is kept on the verdict as ``trace``.
+    first stuck one) is kept on the verdict as ``trace``; with no stuck
+    block it is also the verdict's ``tree``.
     """
     if mode == "complete":
         ensure_complete(e, tol)
@@ -212,20 +194,20 @@ def decide(e: Ensemble, mode: str, tol: float = DEFAULT_TOL) -> Verdict:
         raise InvalidModeError(f"mode must be 'complete' or 'incomplete', got {mode!r}")
     if not e.states:
         raise InvalidModeError("cannot decide an empty ensemble")
-    trace = _explore(e, e.labels, tol)
-    stuck = _first_stuck(trace)
-    if stuck is None:
-        return Verdict(kind="distinguishable", tree=_to_tree(trace), trace=trace)
+    stuck: list[StuckCertificate] = []
+    trace = _explore(e, e.labels, tol, stuck)
+    if not stuck:
+        return Verdict(kind="distinguishable", tree=trace, trace=trace)
     kind = "indistinguishable" if mode == "complete" else "unknown"
-    return Verdict(kind=kind, certificate=stuck.certificate, trace=trace)
+    return Verdict(kind=kind, certificate=stuck[0], trace=trace)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _tree_to_json(t: ProtocolTree) -> dict:
-    if isinstance(t, ProtocolLeaf):
+def _tree_to_json(t: TraceNode) -> dict:
+    if isinstance(t, TraceLeaf):
         return {"leaf": t.label}
     return {
         "party": t.step.party,
@@ -237,19 +219,14 @@ def _tree_to_json(t: ProtocolTree) -> dict:
     }
 
 
-def emit_protocol(t: ProtocolTree) -> str:
-    """Serialize a protocol tree to canonical JSON."""
-    return canonical_dumps(_tree_to_json(t))
-
-
-def protocol_from_json(data: object, where: str = "protocol") -> ProtocolTree:
+def protocol_from_json(data: object, where: str = "protocol") -> TraceNode:
     """Build a protocol tree from its decoded JSON, as in a verdict's ``protocol``."""
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: node must be a JSON object")
     if "leaf" in data:
         if not isinstance(data["leaf"], str):
             raise SchemaError(f"{where}: leaf label must be a string")
-        return ProtocolLeaf(data["leaf"])
+        return TraceLeaf(data["leaf"])
     for key in ("party", "outcomes", "children"):
         if key not in data:
             raise SchemaError(f"{where}: node is missing key {key!r}")
@@ -285,10 +262,10 @@ def protocol_from_json(data: object, where: str = "protocol") -> ProtocolTree:
     children = tuple(
         protocol_from_json(raw, f"{where}.children[{i}]") for i, raw in enumerate(raw_children)
     )
-    return ProtocolNode(step=step, children=children)
+    return TraceSplit(step=step, children=children)
 
 
-def parse_protocol(text: str) -> ProtocolTree:
+def parse_protocol(text: str) -> TraceNode:
     """Parse the canonical protocol JSON back into a tree."""
     return protocol_from_json(parse_json(text))
 

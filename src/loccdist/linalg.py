@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,14 +39,12 @@ __all__ = [
     "SVDResult",
     "basis_vector",
     "emit_matrix",
-    "gram_schmidt",
     "inner_product",
     "normalize",
     "normalize_rows",
     "parse_matrix",
     "phase_normalize",
     "projector_matrix",
-    "rank",
     "span_basis",
     "svd_decompose",
     "unit_vectors",
@@ -263,23 +261,6 @@ def span_basis(rows: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[LocalVector,
             basis.append(r)
     fixed = np.array([_phase_fixed(b, tol) for b in basis])
     return unit_vectors(fixed.reshape(-1, rows.shape[1]))
-
-
-def gram_schmidt(vectors: Iterable[LocalVector], tol: float = DEFAULT_TOL) -> tuple[LocalVector, ...]:
-    """Orthonormalize in input order, dropping residuals of norm at most tol.
-
-    :func:`span_basis` on the stacked entries.
-    """
-    vectors = list(vectors)
-    for v in vectors:
-        if v.dim != vectors[0].dim:
-            raise DimensionError(f"mixed dimensions in gram_schmidt: {vectors[0].dim} vs {v.dim}")
-    return span_basis(np.array([v.entries for v in vectors]), tol) if vectors else ()
-
-
-def rank(vectors: Iterable[LocalVector], tol: float = DEFAULT_TOL) -> int:
-    """Dimension of the span of the given vectors, within tol."""
-    return len(gram_schmidt(vectors, tol))
 
 
 def projector_matrix(basis: Sequence[LocalVector]) -> np.ndarray:

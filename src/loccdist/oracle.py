@@ -17,10 +17,10 @@ from typing import Iterator
 
 from .distinguish import (
     MeasurementStep,
-    ProtocolLeaf,
-    ProtocolNode,
-    ProtocolTree,
     StepOutcome,
+    TraceLeaf,
+    TraceNode,
+    TraceSplit,
     Verdict,
     finest_step,
     stuck_certificate,
@@ -124,15 +124,15 @@ def exhaustive_decide(e: Ensemble, tol: float = DEFAULT_TOL) -> Verdict:
         memo[key] = None
         return False
 
-    def build(subset: tuple[str, ...]) -> ProtocolTree:
+    def build(subset: tuple[str, ...]) -> TraceNode:
         entry = memo[frozenset(subset)]
         assert entry is not None
         if entry[0] == "leaf":
-            return ProtocolLeaf(subset[0])
+            return TraceLeaf(subset[0])
         _, party, partition = entry
         outcomes = tuple(StepOutcome(block, block_span(e, block, party, tol)) for block in partition)
         step = MeasurementStep(party=party, outcomes=outcomes)
-        return ProtocolNode(step=step, children=tuple(build(block) for block in partition))
+        return TraceSplit(step=step, children=tuple(build(block) for block in partition))
 
     def descend_to_stuck(subset: tuple[str, ...]) -> tuple[str, ...]:
         step = finest_step(e, subset, tol)

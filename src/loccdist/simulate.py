@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distinguish import ProtocolLeaf, ProtocolNode, ProtocolTree, decide
+from .distinguish import TraceLeaf, TraceNode, TraceStuck, decide
 from .ensemble import Ensemble, ProductState, _from_rows
 from .errors import DimensionError, InstrumentError, NotFoundError, SchemaError
 from .jsonio import (
@@ -240,21 +240,16 @@ class DiscriminationReport:
     warnings: tuple[str, ...]
 
 
-def _collect_instruments(root: SimTree, out: list[Instrument]) -> None:
-    if isinstance(root, SimNode):
-        out.append(root.instrument)
-        for child in root.children:
-            _collect_instruments(child, out)
-
-
-def _collect_leaves(
-    root: SimTree, path: tuple[int, ...], out: dict[tuple[int, ...], str | None]
+def _collect(
+    root: SimTree, path: tuple[int, ...], instruments: list[Instrument], leaves: dict
 ) -> None:
+    """The tree's instruments in pre-order, and each leaf's announcement by path."""
     if isinstance(root, SimLeaf):
-        out[path] = root.announce
-    else:
-        for i, child in enumerate(root.children):
-            _collect_leaves(child, path + (i,), out)
+        leaves[path] = root.announce
+        return
+    instruments.append(root.instrument)
+    for i, child in enumerate(root.children):
+        _collect(child, path + (i,), instruments, leaves)
 
 
 def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> DiscriminationReport:
@@ -272,11 +267,10 @@ def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> Discri
     operator acts on all of them at once.
     """
     instruments: list[Instrument] = []
-    _collect_instruments(root, instruments)
+    leaf_announce: dict[tuple[int, ...], str | None] = {}
+    _collect(root, (), instruments, leaf_announce)
     for ins in instruments:
         _require_complete(ins, tol)
-    leaf_announce: dict[tuple[int, ...], str | None] = {}
-    _collect_leaves(root, (), leaf_announce)
     labels = e.labels
     known = set(labels)
     for path, announce in leaf_announce.items():
@@ -368,15 +362,18 @@ def _complement(party: int, projectors: Sequence[LocalOperator]) -> LocalOperato
     return LocalOperator(party, rest, complement=True)
 
 
-def lift_protocol(t: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -> SimTree:
+def lift_protocol(t: TraceNode, e: Ensemble, tol: float = DEFAULT_TOL) -> SimTree:
     """Turn a projective protocol tree into a runnable instrument tree.
 
     Each step becomes the family of projectors onto its outcome spans; when
     those do not fill the whole factor, the remainder projector is appended
-    with a give-up leaf so the instrument is complete.
+    with a give-up leaf so the instrument is complete.  A stuck block is
+    no protocol, so a tree that holds one raises SchemaError.
     """
-    if isinstance(t, ProtocolLeaf):
+    if isinstance(t, TraceLeaf):
         return SimLeaf(t.label)
+    if isinstance(t, TraceStuck):
+        raise SchemaError(f"cannot lift a stuck block of {len(t.certificate.subset)} states")
     party = t.step.party
     if party >= e.parties:
         raise DimensionError(f"protocol measures party {party}, the ensemble has {e.parties}")

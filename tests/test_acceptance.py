@@ -24,7 +24,7 @@ from loccdist import (
     random_product_basis,
     random_unitary,
 )
-from loccdist.distinguish import ProtocolLeaf, ProtocolNode, TraceSplit, TraceStuck
+from loccdist.distinguish import TraceLeaf, TraceSplit, TraceStuck
 from loccdist.linalg import projector_matrix
 from loccdist.simulate import (
     Instrument,
@@ -171,10 +171,10 @@ def test_criterion_6_oracle_equivalence():
 
 def _walk_projectors(e, node, scope):
     """Check the non-damaging invariant at every split, then recurse."""
-    if isinstance(node, ProtocolLeaf):
+    if isinstance(node, TraceLeaf):
         assert scope == (node.label,)
         return
-    assert isinstance(node, ProtocolNode)
+    assert isinstance(node, TraceSplit)
     step = node.step
     for outcome, child in zip(step.outcomes, node.children):
         p = projector_matrix(outcome.basis)

@@ -240,6 +240,58 @@ def test_tol_env_must_be_a_positive_number(run, ensemble_file, monkeypatch):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", ["bennett9", "comp2x2"])
+def test_tol_must_be_finite_and_positive(run, ensemble_file, monkeypatch, name, value):
+    # a NaN tolerance used to reach normalize and exit 65 with a misleading message
+    code, out, err = run("check", f"--tol={value}", ensemble_file(name))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "--tol must be a finite positive number" in err
+    monkeypatch.setenv("LOCC_TOL", value)
+    code, out, err = run("check", ensemble_file(name))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "LOCC_TOL must be a finite positive number" in err
+
+
+def _staircase(m):
+    """2m pairwise-orthogonal states on (m+1) x (m+1) that decide peels off one at a time.
+
+    ``o_j = e_j (x) (f_j + ... + f_m)`` and ``e_j = (e_{j+1} + ... + e_m) (x) f_j``,
+    normalized, so the protocol tree is about 2m splits deep.
+    """
+    d = m + 1
+
+    def tail(start):
+        w = np.zeros(d)
+        w[start:] = 1.0
+        return normalize(w)
+
+    states = []
+    for j in range(m):
+        states.append(ProductState(f"o{j}", (basis_vector(d, j), tail(j))))
+        states.append(ProductState(f"e{j}", (tail(j + 1), basis_vector(d, j))))
+    return Ensemble(f"staircase{m}", (d, d), tuple(states), complete=False)
+
+
+@pytest.mark.parametrize("limit,code,verdict", [(None, EXIT_OK, "distinguishable\n"),
+                                                (100, EXIT_USAGE, "")])
+def test_a_tree_deeper_than_the_recursion_limit_is_refused(tmp_path, limit, code, verdict):
+    # a RecursionError used to escape as a traceback with exit 1, "indistinguishable"
+    path = tmp_path / "staircase.json"
+    path.write_text(emit_ensemble(_staircase(30)), encoding="utf-8")
+    script = "import sys; from loccdist.cli import main; "
+    if limit is not None:
+        script += f"sys.setrecursionlimit({limit}); "
+    script += "sys.exit(main(['check', sys.argv[1]]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(loccdist.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, verdict)
+    assert "Traceback" not in proc.stderr
+    if limit is not None:
+        assert proc.stderr == "error: a tree nests deeper than the recursion limit (100)\n"
+
+
 # ---------------------------------------------------------------------------
 # catalog
 

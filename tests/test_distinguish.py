@@ -13,17 +13,15 @@ from loccdist import (
     LoccError,
     NumericalInstabilityError,
     ProductState,
-    ProtocolLeaf,
-    ProtocolNode,
     SchemaError,
     StuckCertificate,
     TraceLeaf,
     TraceSplit,
     TraceStuck,
+    Verdict,
     apply_local_unitaries,
     catalog,
     decide,
-    emit_protocol,
     finest_step,
     normalize,
     overlap_graph,
@@ -33,7 +31,7 @@ from loccdist import (
     stuck_certificate,
     verdict_to_json,
 )
-from loccdist.jsonio import parse_json
+from loccdist.jsonio import canonical_dumps, parse_json
 
 
 def _wing6():
@@ -42,8 +40,13 @@ def _wing6():
     return Ensemble("wing6", e.dims, e.states[3:], complete=False)
 
 
+def _protocol_text(tree):
+    """A protocol tree's JSON, as ``check --json`` writes it."""
+    return canonical_dumps(verdict_to_json(Verdict("distinguishable", tree=tree))["protocol"])
+
+
 def _leaf_labels(tree):
-    if isinstance(tree, ProtocolLeaf):
+    if isinstance(tree, TraceLeaf):
         return [tree.label]
     out = []
     for child in tree.children:
@@ -53,7 +56,7 @@ def _leaf_labels(tree):
 
 def _tree_shape(tree):
     """Party/block skeleton, ignoring the numerical projector bases."""
-    if isinstance(tree, ProtocolLeaf):
+    if isinstance(tree, TraceLeaf):
         return ("leaf", tree.label)
     return (
         "node",
@@ -130,6 +133,12 @@ def test_step_requires_at_least_two_outcomes():
         MeasurementStep(0, (StepOutcome(("a",), (basis_vector(2, 0),)),))
 
 
+def test_split_needs_one_child_per_outcome():
+    step = decide(catalog("comp2x2"), "complete").tree.step
+    with pytest.raises(SchemaError, match="node has 1 children for 2 outcomes"):
+        TraceSplit(step=step, children=(TraceLeaf("s00"),))
+
+
 # ---------------------------------------------------------------------------
 # decide: catalog verdicts
 
@@ -139,11 +148,11 @@ def test_computational_basis_is_distinguishable():
     assert v.kind == "distinguishable" and v.distinguishable
     assert v.certificate is None
     tree = v.tree
-    assert isinstance(tree, ProtocolNode) and tree.step.party == 0
+    assert isinstance(tree, TraceSplit) and tree.step.party == 0
     for child in tree.children:
-        assert isinstance(child, ProtocolNode) and child.step.party == 1
+        assert isinstance(child, TraceSplit) and child.step.party == 1
         for leaf in child.children:
-            assert isinstance(leaf, ProtocolLeaf)
+            assert isinstance(leaf, TraceLeaf)
     assert sorted(_leaf_labels(tree)) == ["s00", "s01", "s10", "s11"]
 
 
@@ -165,6 +174,25 @@ def test_grid16_is_indistinguishable():
     v = decide(e, "complete")
     assert v.kind == "indistinguishable"
     assert v.certificate.subset == e.labels
+
+
+def _preorder(node):
+    yield node
+    for child in getattr(node, "children", ()):
+        yield from _preorder(child)
+
+
+@pytest.mark.parametrize("name", ["bennett9", "grid16", "cube64", "finkelstein9", "comp2x2"])
+def test_certificate_is_the_first_stuck_block_and_a_protocol_is_the_trace(name):
+    e = catalog(name)
+    v = decide(e, "complete" if e.complete else "incomplete")
+    stuck = [n.certificate for n in _preorder(v.trace) if isinstance(n, TraceStuck)]
+    if stuck:
+        assert v.kind != "distinguishable" and v.tree is None
+        assert v.certificate is stuck[0]
+    else:
+        assert v.kind == "distinguishable" and v.certificate is None
+        assert v.tree is v.trace
 
 
 def test_cube64_splits_once_then_sticks_everywhere():
@@ -202,7 +230,7 @@ def test_wing6_protocol_structure():
     v = decide(_wing6(), "incomplete")
     assert v.kind == "distinguishable"
     root = v.tree
-    assert isinstance(root, ProtocolNode)
+    assert isinstance(root, TraceSplit)
     assert root.step.party == 1
     assert tuple(o.block for o in root.step.outcomes) == (
         ("psi4", "psi5", "psi6", "psi7"),
@@ -210,19 +238,19 @@ def test_wing6_protocol_structure():
     )
     # left branch: the first party separates {4,5} from the isolated 6 and 7
     left = root.children[0]
-    assert isinstance(left, ProtocolNode) and left.step.party == 0
+    assert isinstance(left, TraceSplit) and left.step.party == 0
     assert tuple(o.block for o in left.step.outcomes) == (
         ("psi4", "psi5"),
         ("psi6",),
         ("psi7",),
     )
     pair, leaf6, leaf7 = left.children
-    assert isinstance(pair, ProtocolNode) and pair.step.party == 1
+    assert isinstance(pair, TraceSplit) and pair.step.party == 1
     assert tuple(o.block for o in pair.step.outcomes) == (("psi4",), ("psi5",))
-    assert leaf6 == ProtocolLeaf("psi6") and leaf7 == ProtocolLeaf("psi7")
+    assert leaf6 == TraceLeaf("psi6") and leaf7 == TraceLeaf("psi7")
     # right branch: the first party separates 8 from 9
     right = root.children[1]
-    assert isinstance(right, ProtocolNode) and right.step.party == 0
+    assert isinstance(right, TraceSplit) and right.step.party == 0
     assert tuple(o.block for o in right.step.outcomes) == (("psi8",), ("psi9",))
     assert sorted(_leaf_labels(root)) == sorted(_wing6().labels)
 
@@ -351,7 +379,7 @@ def test_certificate_rejects_splittable_subset():
 
 def test_protocol_round_trip_identity_comp2x2():
     tree = decide(catalog("comp2x2"), "complete").tree
-    assert parse_protocol(emit_protocol(tree)) == tree
+    assert parse_protocol(_protocol_text(tree)) == tree
 
 
 @pytest.mark.parametrize("seed", [0, 4, 7])
@@ -360,11 +388,11 @@ def test_protocol_round_trip_identity_generated(seed):
     v = decide(e, "complete")
     assert v.kind == "distinguishable"
     tree = v.tree
-    assert parse_protocol(emit_protocol(tree)) == tree
+    assert parse_protocol(_protocol_text(tree)) == tree
 
 
 def test_protocol_json_layout():
-    doc = parse_json(emit_protocol(decide(catalog("comp2x2"), "complete").tree))
+    doc = parse_json(_protocol_text(decide(catalog("comp2x2"), "complete").tree))
     assert doc["party"] == 0
     assert doc["outcomes"][0]["block"] == ["s00", "s01"]
     assert doc["outcomes"][0]["basis"] == [[[1, 0], [0, 0]]]
@@ -374,8 +402,8 @@ def test_protocol_json_layout():
 
 
 def test_leaf_serialization():
-    assert emit_protocol(ProtocolLeaf("psi1")) == '{"leaf": "psi1"}'
-    assert parse_protocol('{"leaf": "psi1"}') == ProtocolLeaf("psi1")
+    assert _protocol_text(TraceLeaf("psi1")) == '{"leaf": "psi1"}'
+    assert parse_protocol('{"leaf": "psi1"}') == TraceLeaf("psi1")
 
 
 @pytest.mark.parametrize(

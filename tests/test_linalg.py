@@ -21,11 +21,9 @@ from loccdist import (
     SchemaError,
     ZeroVectorError,
     basis_vector,
-    gram_schmidt,
     inner_product,
     normalize,
     phase_normalize,
-    rank,
     svd_decompose,
 )
 from loccdist import linalg
@@ -36,6 +34,11 @@ TOL = 1e-9
 
 def _vec(*entries):
     return normalize(np.array(entries, dtype=np.complex128))
+
+
+def _stacked(vectors):
+    """The vectors' entries as the rows of one array, as span_basis takes them."""
+    return np.array([v.entries for v in vectors])
 
 
 # ---------------------------------------------------------------------------
@@ -222,37 +225,32 @@ def test_phase_normalize_is_idempotent_and_phase_only(v):
 
 
 # ---------------------------------------------------------------------------
-# gram_schmidt and rank
+# span_basis and the rank it gives
 
 
-def test_gram_schmidt_rank_three_example():
+def test_span_basis_rank_three_example():
     # |1+2>, |2+3>, |1> in a qutrit: the raw stack has nonzero determinant,
     # so all three must survive.
     raw = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 0]], dtype=float)
     assert abs(np.linalg.det(raw)) > 0.5  # oracle: exactly 1
     vectors = [_vec(1, 1, 0), _vec(0, 1, 1), _vec(1, 0, 0)]
-    basis = gram_schmidt(vectors)
+    basis = span_basis(_stacked(vectors))
     assert len(basis) == 3
     gram = np.array([[inner_product(a, b) for b in basis] for a in basis])
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
 
-def test_gram_schmidt_drops_duplicates():
+def test_span_basis_drops_duplicates():
     v = _vec(1, 1)
-    assert len(gram_schmidt([v, v])) == 1
+    assert len(span_basis(_stacked([v, v]))) == 1
 
 
-def test_gram_schmidt_empty():
-    assert gram_schmidt([]) == ()
-
-
-def test_gram_schmidt_mixed_dims():
-    with pytest.raises(DimensionError):
-        gram_schmidt([basis_vector(2, 0), basis_vector(3, 0)])
+def test_span_basis_of_no_rows():
+    assert span_basis(np.empty((0, 3), dtype=np.complex128)) == ()
 
 
 def _reference_gram_schmidt(vectors, tol):
-    """gram_schmidt as it was before span_basis: LocalVector in, LocalVector out."""
+    """Gram-Schmidt as it was before span_basis: LocalVector in, LocalVector out."""
     basis = []
     for v in vectors:
         w = v.entries.astype(np.complex128)
@@ -303,12 +301,11 @@ def test_span_basis_is_bit_identical_to_the_per_vector_reference(tol):
     for _ in range(400):
         rows = _random_block(rng, tol)
         expected = _reference_gram_schmidt(rows, tol)
-        stacked = np.array([v.entries for v in rows])
-        for got in (span_basis(stacked, tol), gram_schmidt(rows, tol)):
-            assert len(got) == len(expected)
-            for g, e in zip(got, expected):
-                assert g.entries.tobytes() == e.tobytes()
-                assert not g.entries.flags.writeable
+        got = span_basis(_stacked(rows), tol)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.entries.tobytes() == e.tobytes()
+            assert not g.entries.flags.writeable
 
 
 def test_unit_vectors_wrap_rows_after_one_check():
@@ -324,8 +321,8 @@ def test_unit_vectors_wrap_rows_after_one_check():
 
 @settings(max_examples=60)
 @given(st.lists(unit_vectors(dim=4), min_size=1, max_size=6))
-def test_gram_schmidt_output_is_orthonormal_and_spans_inputs(vectors):
-    basis = gram_schmidt(vectors)
+def test_span_basis_output_is_orthonormal_and_spans_inputs(vectors):
+    basis = span_basis(_stacked(vectors))
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             expected = 1.0 if i == j else 0.0
@@ -339,7 +336,7 @@ def test_gram_schmidt_output_is_orthonormal_and_spans_inputs(vectors):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_rank_matches_numpy_on_generated_stacks(seed):
+def test_span_rank_matches_numpy_on_generated_stacks(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 6))
     true_rank = int(rng.integers(1, dim + 1))
@@ -353,22 +350,22 @@ def test_rank_matches_numpy_on_generated_stacks(seed):
     stack = coeffs @ generators
     vectors = [normalize(row) for row in stack]
     assert np.linalg.matrix_rank(stack, tol=1e-6) == true_rank  # oracle
-    assert rank(vectors) == true_rank
+    assert len(span_basis(_stacked(vectors))) == true_rank
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_rank_invariant_under_permutation_and_scaling(seed):
+def test_span_rank_invariant_under_permutation_and_scaling(seed):
     rng = np.random.default_rng(100 + seed)
     vectors = [
         normalize(rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(5)
     ]
-    base = rank(vectors)
+    base = len(span_basis(_stacked(vectors)))
     perm = list(rng.permutation(5))
-    assert rank([vectors[i] for i in perm]) == base
+    assert len(span_basis(_stacked([vectors[i] for i in perm]))) == base
     scale = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
     scaled = list(vectors)
     scaled[2] = normalize(scaled[2].entries * scale)
-    assert rank(scaled) == base
+    assert len(span_basis(_stacked(scaled))) == base
 
 
 # ---------------------------------------------------------------------------

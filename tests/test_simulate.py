@@ -354,6 +354,13 @@ def test_lift_projectors_preserve_or_annihilate_in_scope_states():
     check(v.tree, e.labels)
 
 
+@pytest.mark.parametrize("name", ["bennett9", "cube64"])
+def test_lift_refuses_a_trace_with_a_stuck_block(name):
+    e = catalog(name)
+    with pytest.raises(SchemaError, match="cannot lift a stuck block of"):
+        lift_protocol(decide(e, "complete").trace, e)
+
+
 def test_lift_computational_protocol_has_no_residuals():
     e = catalog("comp2x2")
     lifted = lift_protocol(decide(e, "complete").tree, e)
