@@ -58,7 +58,9 @@ MAX_GRAPH_STATES = 8192
 """Largest state count whose per-party adjacency :meth:`Ensemble.adjacency` builds.
 
 Each party's adjacency is an ``n x n`` boolean array, n² bytes: 64 MiB per
-party at the cap, 16 MiB at n = 4096.  Larger ensembles raise
+party at the cap, 16 MiB at n = 4096.  The overlap graphs add the same
+adjacency packed as bit rows, about n²/8 bytes per party: 8 MiB at the cap,
+2 MiB at n = 4096.  Larger ensembles raise
 :class:`~loccdist.errors.TooLargeError` before anything is allocated.
 """
 
@@ -171,10 +173,17 @@ class Ensemble:
     def memo(self, key: tuple, build: Callable[[], T]) -> T:
         """The value of ``build()`` for ``key``, computed on the first call only.
 
-        The one cache for what is derived from the frozen ensemble: the
-        adjacency per ``("adjacency", party, tol)``, and the overlap graphs
-        and block spans of :mod:`loccdist.relativity`.  It dies with the
-        ensemble.  A ``build`` that raises caches nothing.
+        The one cache for what is derived from the frozen ensemble, keyed by
+        kind first:
+
+        - ``("adjacency", party, tol)``: :meth:`adjacency`;
+        - ``("validate", tol)``: the :func:`validate` report;
+        - ``("bits", party, tol)``: the adjacency packed as one int per state;
+        - ``("graph", party, rows, tol)`` and ``("span", party, rows, tol)``:
+          the overlap graphs and block spans of :mod:`loccdist.relativity`,
+          with ``rows`` a tuple of state indices.
+
+        It dies with the ensemble.  A ``build`` that raises caches nothing.
         """
         cache: dict = self._memo  # type: ignore[attr-defined]
         value = cache.get(key, _MISSING)
@@ -187,9 +196,7 @@ class Ensemble:
 
         Relative means ``|<u_i|u_j>| > tol`` for the party's vectors.  Built
         once per ``(party, tol)`` from row blocks of the Gram matrix and kept
-        in :meth:`memo`, next to the overlap graphs sliced from it and their
-        block spans, each keyed by ``(party, rows, tol)`` with ``rows`` the
-        ascending tuple of state indices.
+        in :meth:`memo`.
         """
         if not 0 <= party < self.parties:
             raise DimensionError(f"party {party} out of range for {self.parties} parties")
@@ -244,8 +251,13 @@ def validate(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
 
     Two product states are orthogonal iff some party's overlap is at most
     ``tol``, the rule the overlap graphs use: a pair offends iff it is an
-    edge of every party's :meth:`Ensemble.adjacency`.
+    edge of every party's :meth:`Ensemble.adjacency`.  The frozen report is
+    made once per ``tol`` and kept in :meth:`Ensemble.memo`.
     """
+    return e.memo(("validate", float(tol)), lambda: _validate(e, tol))
+
+
+def _validate(e: Ensemble, tol: float) -> ValidationReport:
     adjs = [e.adjacency(p, tol) for p in range(e.parties)]
     n = len(e.states)
     step = max(1, _BLOCK_ENTRIES // max(n, 1))

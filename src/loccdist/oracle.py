@@ -50,7 +50,7 @@ class PartitionFamily:
     partitions: tuple[tuple[tuple[str, ...], ...], ...]
 
 
-def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
+def _set_partitions(items: list) -> Iterator[list[list]]:
     if not items:
         yield []
         return
@@ -67,21 +67,19 @@ def enumerate_valid_partitions(
     """Every coarsening of the component partition of ``subset`` at ``party``.
 
     The family always contains the trivial one-block partition; its size is
-    the Bell number of the component count.
+    the Bell number of the component count.  Only a graph that splits has
+    its component spans computed, by :func:`components`, which raises
+    NumericalInstabilityError when they are not orthogonal.
     """
     g = overlap_graph(e, subset, party, tol)
-    blocks = components(g, e, tol).blocks
-    position = {label: e.index(label) for label in g.members}
+    blocks = g.blocks()
+    if len(blocks) >= 2:
+        components(g, e, tol)
     partitions = []
-    for grouping in _set_partitions(list(range(len(blocks)))):
-        merged = []
-        for group in grouping:
-            labels = sorted(
-                (label for b in group for label in blocks[b]), key=position.__getitem__
-            )
-            merged.append(tuple(labels))
-        merged.sort(key=lambda block: position[block[0]])
-        partitions.append(tuple(merged))
+    for grouping in _set_partitions(list(g.row_blocks)):
+        # disjoint ascending rows: sorting them sorts blocks by earliest state
+        merged = sorted(sorted(i for block in group for i in block) for group in grouping)
+        partitions.append(tuple(tuple(e.labels[i] for i in rows) for rows in merged))
     partitions.sort(key=len, reverse=True)  # finest first, trivial last
     return PartitionFamily(
         party=party,

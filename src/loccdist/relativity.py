@@ -6,15 +6,23 @@ components, and chains of consecutively relative, linearly independent
 vectors are the raw material for both the decision procedure and the
 sufficient indistinguishability criterion.
 
-Graphs and block spans depend only on the frozen ensemble, the party, the
-subset and ``tol``, so each is built once and kept in the ensemble's
-:meth:`~loccdist.ensemble.Ensemble.memo`: a graph per
-``("graph", party, rows, tol)`` and a span per ``("span", party, rows,
-tol)``, with ``rows`` the ascending tuple of state indices.  The decision
-procedure and the exhaustive oracle, which walk many of the same subsets,
-share them.  :func:`components` still checks the spans of distinct blocks
-against each other on every call, so a repeated call raises as the first
-one did.
+Everything here depends only on the frozen ensemble, the party, the
+subset and ``tol``, so each piece is built once and kept in the ensemble's
+:meth:`~loccdist.ensemble.Ensemble.memo`:
+
+- per ``("bits", party, tol)``, the party's adjacency packed as one Python
+  int per state, bit j of row i the edge i-j;
+- per ``("graph", party, rows, tol)``, an :class:`OverlapGraph`, with
+  ``rows`` the ascending tuple of state indices.  It copies no matrix: its
+  blocks come from a search over the bit rows masked to ``rows``, and its
+  sliced adjacency and edges are made only when read, as by a certificate;
+- per ``("span", party, rows, tol)``, a block span, which the search needs
+  only where a graph splits.
+
+The decision procedure and the exhaustive oracle, which walk many of the
+same subsets, share them.  :func:`components` still checks the spans of
+distinct blocks against each other on every call, so a repeated call raises
+as the first one did.
 """
 
 from __future__ import annotations
@@ -40,18 +48,44 @@ __all__ = [
 ]
 
 
+def _bit_rows(e: Ensemble, party: int, tol: float) -> tuple[int, ...]:
+    """The party's adjacency as one Python int per state: bit j of row i is the edge i-j.
+
+    Packed once per ``(party, tol)`` from :meth:`Ensemble.adjacency` and
+    kept in :meth:`Ensemble.memo` under ``("bits", party, tol)``.
+    """
+
+    def build() -> tuple[int, ...]:
+        adj = e.adjacency(party, tol)
+        n = len(adj)
+        width = (n + 7) // 8
+        packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
+        return tuple(
+            int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(n)
+        )
+
+    return e.memo(("bits", party, float(tol)), build)
+
+
 @dataclass(frozen=True, eq=False)
 class OverlapGraph:
     """Relativity graph of a state subset at one party.
 
-    Members keep the ensemble order.  ``adjacency`` is the read-only boolean
-    matrix over members, without self-loops.  ``edges``, the unordered label
-    pairs with the earlier member first, is derived from it on first read.
+    Members keep the ensemble order; ``rows`` are their ascending state
+    indices.  The graph holds no matrix of its own, only references to the
+    party's whole adjacency and its bit rows (:func:`_bit_rows`), so
+    building one costs no copy.  :meth:`blocks` searches the bit rows masked
+    to ``rows``.  ``adjacency``, the read-only boolean matrix over members
+    without self-loops, is sliced from the party's on first read; ``edges``,
+    the unordered label pairs with the earlier member first, and
+    :meth:`neighbors` read it.
     """
 
     party: int
     members: tuple[str, ...]
-    adjacency: np.ndarray = field(repr=False)
+    rows: tuple[int, ...] = field(repr=False)
+    source: np.ndarray = field(repr=False)
+    bits: tuple[int, ...] = field(repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OverlapGraph):
@@ -66,6 +100,14 @@ class OverlapGraph:
         return hash((self.party, self.members))
 
     @functools.cached_property
+    def adjacency(self) -> np.ndarray:
+        if len(self.rows) == len(self.source):
+            return self.source
+        adj = self.source.take(self.rows, axis=0).take(self.rows, axis=1)
+        adj.setflags(write=False)
+        return adj
+
+    @functools.cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
         rows, cols = np.nonzero(np.triu(self.adjacency, 1))
         m = self.members
@@ -78,15 +120,15 @@ class OverlapGraph:
         return tuple(m for m, adjacent in zip(self.members, row.tolist()) if adjacent)
 
     @functools.cached_property
-    def _blocks(self) -> tuple[tuple[str, ...], ...]:
-        # Breadth-first search with Python ints as bit sets: bit j of rows[i]
-        # is the edge i-j, so each step ORs whole rows, and every size costs
-        # O(m²/64) word operations with no per-vertex numpy call.
-        m = len(self.members)
-        width = (m + 7) // 8
-        packed = np.packbits(self.adjacency, axis=1, bitorder="little").tobytes()
-        rows = [int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(m)]
-        unseen = (1 << m) - 1
+    def row_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components as ascending state indices, ordered by earliest one."""
+        # Breadth-first search with Python ints as bit sets over state
+        # indices: each step ORs whole bit rows, and ANDing with the unseen
+        # members keeps the search inside the subset.
+        bits = self.bits
+        unseen = 0
+        for i in self.rows:
+            unseen |= 1 << i
         out = []
         while unseen:
             frontier = unseen & -unseen
@@ -97,11 +139,16 @@ class OverlapGraph:
                 while frontier:
                     low = frontier & -frontier
                     found.append(low.bit_length() - 1)
-                    reach |= rows[found[-1]]
+                    reach |= bits[found[-1]]
                     frontier ^= low
                 frontier = reach & unseen
-            out.append(tuple(self.members[i] for i in sorted(found)))
+            out.append(tuple(sorted(found)))
         return tuple(out)
+
+    @functools.cached_property
+    def _blocks(self) -> tuple[tuple[str, ...], ...]:
+        label = dict(zip(self.rows, self.members))
+        return tuple(tuple(label[i] for i in block) for block in self.row_blocks)
 
     def blocks(self) -> tuple[tuple[str, ...], ...]:
         """Connected components, ordered by earliest member, members in order."""
@@ -113,24 +160,29 @@ def overlap_graph(
 ) -> OverlapGraph:
     """The relativity graph of ``subset`` at ``party``.
 
-    The graph is a slice of the ensemble's cached per-party adjacency, built
-    once per ``(party, rows, tol)`` and kept in :meth:`Ensemble.memo`, so
-    every later call on the same subset, in any order, returns the same
-    object with its edges and blocks already found.
+    The graph refers to the ensemble's cached per-party adjacency and bit
+    rows, and is built once per ``(party, rows, tol)`` and kept in
+    :meth:`Ensemble.memo`, so every later call on the same subset, in any
+    order, returns the same object with whatever it has found already.
     """
     if not 0 <= party < e.parties:
         raise DimensionError(f"party {party} out of range for {e.parties} parties")
     rows = tuple(sorted({e.index(label) for label in subset}))  # NotFoundError for unknown labels
 
     def build() -> OverlapGraph:
-        adj = e.adjacency(party, tol)
-        if len(rows) < len(e.states):
-            adj = adj.take(rows, axis=0).take(rows, axis=1)
-            adj.setflags(write=False)
         members = tuple(e.states[i].label for i in rows)
-        return OverlapGraph(party=party, members=members, adjacency=adj)
+        return OverlapGraph(
+            party, members, rows, e.adjacency(party, tol), _bit_rows(e, party, tol)
+        )
 
     return e.memo(("graph", party, rows, float(tol)), build)
+
+
+def _span(e: Ensemble, party: int, rows: tuple[int, ...], tol: float) -> tuple[LocalVector, ...]:
+    return e.memo(
+        ("span", party, rows, float(tol)),
+        lambda: span_basis(e.party_arrays[party][list(rows)], tol),
+    )
 
 
 def block_span(
@@ -142,11 +194,7 @@ def block_span(
     array, taken in the order given, computed once per
     ``(party, rows, tol)`` and kept in :meth:`Ensemble.memo`.
     """
-    rows = tuple(e.index(label) for label in block)
-    return e.memo(
-        ("span", party, rows, float(tol)),
-        lambda: span_basis(e.party_arrays[party][list(rows)], tol),
-    )
+    return _span(e, party, tuple(e.index(label) for label in block), tol)
 
 
 @dataclass(frozen=True)
@@ -167,7 +215,7 @@ def components(g: OverlapGraph, e: Ensemble, tol: float = DEFAULT_TOL) -> Partit
     than silently absorbed.
     """
     blocks = g.blocks()
-    spans = tuple(block_span(e, block, g.party, tol) for block in blocks)
+    spans = tuple(_span(e, g.party, rows, tol) for rows in g.row_blocks)
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             for u in spans[i]:

@@ -216,6 +216,26 @@ def test_validate_reports_offending_pairs():
         assert abs(mag - R2) < 1e-12
 
 
+def test_validate_report_is_made_once_per_tol():
+    e = catalog("bennett9")
+    report = validate(e)
+    assert validate(e) is report
+    assert validate(e, 1e-9) is report
+    other = validate(e, 1e-5)
+    assert other is not report and validate(e, 1e-5) is other
+    assert other == report  # both pass
+    bad = _corrupt_bennett9()
+    first = validate(bad)
+    assert validate(bad) is first
+    fresh = validate(_corrupt_bennett9())
+    assert fresh is not first
+    assert first.offending_pairs == fresh.offending_pairs
+    assert [(a, b) for a, b, _ in first.offending_pairs] == [("psi1", "psi6"), ("psi1", "psi7")]
+    # at a tol above the offending overlap, 1/sqrt(2), the pairs are orthogonal
+    assert validate(bad, 0.8).offending_pairs == ()
+    assert validate(bad).offending_pairs == fresh.offending_pairs
+
+
 def test_ensure_orthogonal_rejects_corrupted_ensemble():
     with pytest.raises(InvalidModeError):
         ensure_orthogonal(_corrupt_bennett9())

@@ -25,6 +25,8 @@ from loccdist import (
     run_protocol,
     finest_step,
 )
+from loccdist.errors import NumericalInstabilityError
+from test_relativity import _unstable_ensemble
 
 
 def _all_set_partitions(items):
@@ -126,6 +128,36 @@ def test_family_respects_subset_argument():
     assert family.subset == subset
     assert family.component_blocks == (("psi4",), ("psi5",), ("psi8", "psi9"))
     assert len(family.partitions) == 5  # Bell(3)
+
+
+def test_family_of_an_unstable_split_raises():
+    # two blocks whose spans overlap by 0.5: the family is refused, as the
+    # component partition is
+    e, tol = _unstable_ensemble()
+    assert overlap_graph(e, e.labels, 0, tol).blocks() == (("a", "b"), ("c",))
+    for _ in range(2):
+        with pytest.raises(NumericalInstabilityError):
+            enumerate_valid_partitions(e, e.labels, 0, tol)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: catalog("bennett9"), lambda: random_product_basis((2, 2, 3), 4, depth=5)]
+)
+def test_no_span_is_computed_for_a_connected_graph(make):
+    # neither search measures a party whose graph on the whole ensemble is
+    # connected, so nobody computes that party's span of every state
+    e = make()
+    everything = tuple(range(len(e.labels)))
+    connected = [p for p in range(e.parties) if len(overlap_graph(e, e.labels, p).blocks()) == 1]
+    assert len(connected) == 2
+    decide(e, "complete")
+    exhaustive_decide(e)
+    spans = [key for key in e._memo if key[0] == "span"]
+    assert not [key for key in spans if key[1] in connected and key[2] == everything]
+    # a one-block family offers exactly the trivial partition, still computing no span
+    for party in connected:
+        assert enumerate_valid_partitions(e, e.labels, party).partitions == ((e.labels,),)
+    assert [key for key in e._memo if key[0] == "span"] == spans
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from loccdist import (
     InvalidModeError,
     NotFoundError,
     NumericalInstabilityError,
-    OverlapGraph,
     ProductState,
     TooLargeError,
     basis_vector,
@@ -209,13 +208,42 @@ def _reference_blocks(members, adjacency):
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 130])
 @pytest.mark.parametrize("density", [0.0, 0.01, 0.05, 0.3])
 def test_blocks_match_reference_search(m, density):
+    # a random graph, seeded into a one-party ensemble's memo as the party
+    # adjacency, so overlap_graph packs its bit rows from it
     rng = np.random.default_rng(m * 1000 + int(density * 100))
     upper = np.triu(rng.random((m, m)) < density, 1)
     adjacency = upper | upper.T
     adjacency.setflags(write=False)
-    members = tuple(f"v{i}" for i in range(m))
-    g = OverlapGraph(party=0, members=members, adjacency=adjacency)
-    assert g.blocks() == _reference_blocks(members, adjacency)
+    e = random_product_basis((m,), 0, 0)
+    assert e.memo(("adjacency", 0, TOL), lambda: adjacency) is adjacency
+    g = overlap_graph(e, e.labels, 0, TOL)
+    assert g.blocks() == _reference_blocks(e.labels, adjacency)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    seed=st.integers(0, 2**31 - 1),
+    depth=st.integers(0, 6),
+    data=st.data(),
+)
+def test_subset_graphs_match_the_sliced_adjacency(dims, seed, depth, data):
+    e = random_product_basis(tuple(dims), seed, depth)
+    n = len(e.labels)
+    picked = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    subset = tuple(e.labels[i] for i in picked)  # in drawn order
+    rows = sorted(picked)
+    members = tuple(e.labels[i] for i in rows)
+    for party in range(e.parties):
+        sliced = e.adjacency(party)[np.ix_(rows, rows)]
+        g = overlap_graph(e, subset, party)
+        assert g.members == members
+        assert g.blocks() == _reference_blocks(members, sliced)
+        assert g.adjacency.dtype == sliced.dtype and g.adjacency.shape == sliced.shape
+        assert g.adjacency.tobytes() == sliced.tobytes()
+        i, j = np.nonzero(np.triu(sliced, 1))
+        assert g.edges == frozenset((members[a], members[b]) for a, b in zip(i, j))
+        assert g.edges == _oracle_edges(e, subset, party)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +488,21 @@ def test_graph_is_built_once_per_party_subset_and_tol():
         overlap_graph(e, subset, 2)
     with pytest.raises(NotFoundError):
         overlap_graph(e, (*subset, "nope"), 1)
+
+
+def test_search_graphs_hold_no_matrix_of_their_own():
+    # decide reads only blocks: no graph slices the party adjacency, and
+    # each party's bit rows are packed once
+    e = random_product_basis((3, 3, 2), 5, depth=6)
+    assert decide(e, "complete").kind == "distinguishable"
+    memo = e._memo
+    graphs = [v for k, v in memo.items() if k[0] == "graph"]
+    assert len(graphs) > e.parties
+    assert all("adjacency" not in g.__dict__ and "edges" not in g.__dict__ for g in graphs)
+    assert sorted(k for k in memo if k[0] == "bits") == [("bits", p, TOL) for p in range(3)]
+    for g in graphs:
+        assert g.bits is memo[("bits", g.party, TOL)]
+        assert g.source is e.adjacency(g.party)
 
 
 @pytest.mark.parametrize("seed", range(4))
