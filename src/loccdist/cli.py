@@ -240,12 +240,18 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:
         if args.seed_sweep is None:
             raise _UsageError("oracle needs an ensemble path or --seed-sweep")
+        if args.seed_sweep < 1:
+            raise _UsageError(f"--seed-sweep must be a positive count, got {args.seed_sweep}")
         if not args.dims:
             raise _UsageError("--seed-sweep requires --dims, e.g. --dims=2,3")
         try:
             dims = tuple(int(part) for part in args.dims.split(","))
         except ValueError:
             raise _UsageError(f"cannot parse --dims={args.dims!r}") from None
+        if min(dims) < 1:
+            raise _UsageError(f"--dims must be positive integers, got {args.dims!r}")
+        if args.depth < 0:
+            raise _UsageError(f"--depth must be non-negative, got {args.depth}")
         for seed in range(args.seed_sweep):
             ensembles.append(random_product_basis(dims, seed, args.depth))
     cases = []

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ensemble import Ensemble, ensure_complete, ensure_orthogonal
 from .errors import InvalidModeError, SchemaError
 from .jsonio import canonical_dumps  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .jsonio import complex_rows_from_json, complex_to_json, parse_json
-from .linalg import DEFAULT_TOL, LocalVector, normalize_rows, unit_vectors
+from .linalg import DEFAULT_TOL, normalize_rows
 from .relativity import OverlapGraph, components, overlap_graph
 
 __all__ = [
@@ -45,12 +47,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepOutcome:
-    """One measurement outcome: the states it keeps and its projector basis."""
+    """One measurement outcome: the states it keeps and, as read-only rows, its projector basis."""
 
     block: tuple[str, ...]
-    basis: tuple[LocalVector, ...]
+    basis: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StepOutcome):
+            return NotImplemented
+        return self.block == other.block and bool(np.array_equal(self.basis, other.basis))
+
+    def __hash__(self) -> int:
+        return hash((self.block, self.basis.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -146,10 +156,7 @@ def finest_step(
         g = overlap_graph(e, subset, party, tol)
         if len(g.blocks()) >= 2:
             part = components(g, e, tol)
-            outcomes = tuple(
-                StepOutcome(block=block, basis=span)
-                for block, span in zip(part.blocks, part.spans)
-            )
+            outcomes = tuple(map(StepOutcome, part.blocks, part.spans))
             return MeasurementStep(party=party, outcomes=outcomes)
     return None
 
@@ -192,7 +199,7 @@ def decide(e: Ensemble, mode: str, tol: float = DEFAULT_TOL) -> Verdict:
         ensure_orthogonal(e, tol)
     else:
         raise InvalidModeError(f"mode must be 'complete' or 'incomplete', got {mode!r}")
-    if not e.states:
+    if not e.labels:
         raise InvalidModeError("cannot decide an empty ensemble")
     stuck: list[StuckCertificate] = []
     trace = _explore(e, e.labels, tol, stuck)
@@ -212,7 +219,7 @@ def _tree_to_json(t: TraceNode) -> dict:
     return {
         "party": t.step.party,
         "outcomes": [
-            {"block": list(o.block), "basis": [complex_to_json(b.entries) for b in o.basis]}
+            {"block": list(o.block), "basis": [complex_to_json(b) for b in o.basis]}
             for o in t.step.outcomes
         ],
         "children": [_tree_to_json(c) for c in t.children],
@@ -256,8 +263,9 @@ def protocol_from_json(data: object, where: str = "protocol") -> TraceNode:
         d = len(basis[0])
         if any(len(v) != d for v in basis):
             raise SchemaError(f"{at}: basis vectors must have dimension {d}")
-        vectors = unit_vectors(normalize_rows(flat.reshape(-1, d)))
-        outcomes.append(StepOutcome(block=tuple(block), basis=vectors))
+        rows = normalize_rows(flat.reshape(-1, d))
+        rows.setflags(write=False)
+        outcomes.append(StepOutcome(block=tuple(block), basis=rows))
     step = MeasurementStep(party=party, outcomes=tuple(outcomes))
     children = tuple(
         protocol_from_json(raw, f"{where}.children[{i}]") for i, raw in enumerate(raw_children)

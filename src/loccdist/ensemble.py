@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -30,10 +30,10 @@ from .jsonio import canonical_dumps, complex_rows_from_json, complex_to_json, pa
 from .linalg import (
     DEFAULT_TOL,
     LocalVector,
+    _phase_fixed,
     basis_vector,
     normalize,
     normalize_rows,
-    phase_normalize,
     unit_vectors,
 )
 
@@ -80,6 +80,13 @@ _MISSING = object()
 _ROUNDING = 1e-12
 
 
+def _positive_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    checked = tuple(int(d) for d in dims)
+    if not checked or any(d < 1 for d in checked):
+        raise SchemaError(f"dims must be positive integers, got {dims!r}")
+    return checked
+
+
 @dataclass(frozen=True)
 class ProductState:
     """One labeled product state, one unit vector per party."""
@@ -95,26 +102,27 @@ class ProductState:
             raise SchemaError(f"state {self.label!r} has no local vectors")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
-    """Ordered collection of product states over fixed local dimensions."""
+    """Ordered collection of product states over fixed local dimensions.
+
+    Held as ``labels`` and :attr:`party_arrays`, one read-only ``n x d_p``
+    array per party; ``states`` is a view built on first read.  Equality is
+    identity, as each ensemble carries its own :meth:`memo`.
+    """
 
     name: str
     dims: tuple[int, ...]
-    states: tuple[ProductState, ...]
+    labels: tuple[str, ...]
+    party_arrays: tuple[np.ndarray, ...] = field(repr=False)
     complete: bool
 
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise SchemaError(f"dims must be positive integers, got {self.dims!r}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "states", tuple(self.states))
-        seen: dict[str, int] = {}
-        for i, s in enumerate(self.states):
-            if s.label in seen:
-                raise SchemaError(f"duplicate state label {s.label!r}")
-            seen[s.label] = i
+    def __init__(
+        self, name: str, dims: Sequence[int], states: Sequence[ProductState], complete: bool
+    ) -> None:
+        dims = _positive_dims(dims)
+        states = tuple(states)
+        for s in states:
             if len(s.locals) != len(dims):
                 raise SchemaError(
                     f"state {s.label!r} has {len(s.locals)} local vectors, expected {len(dims)}"
@@ -124,22 +132,41 @@ class Ensemble:
                     raise SchemaError(
                         f"state {s.label!r} party {p} has dim {v.dim}, expected {dims[p]}"
                     )
-        if self.complete and len(self.states) != math.prod(dims):
+        arrays = [
+            np.array([s.locals[p].entries for s in states], dtype=np.complex128).reshape(-1, d)
+            for p, d in enumerate(dims)
+        ]
+        self._set(name, [s.label for s in states], arrays, complete)
+        self.__dict__["states"] = states
+
+    def _set(self, name: str, labels: Sequence[str], arrays: list, complete: bool) -> None:
+        """Check the labels and the state count, freeze the arrays and set every field."""
+        dims = _positive_dims(tuple(a.shape[1] for a in arrays))
+        if not all(isinstance(label, str) and label for label in labels):
+            raise SchemaError("state label must be a non-empty string")
+        index: dict[str, int] = {}
+        for i, label in enumerate(labels):
+            if index.setdefault(label, i) != i:
+                raise SchemaError(f"duplicate state label {label!r}")
+        if complete and len(labels) != math.prod(dims):
             raise SchemaError(
                 f"complete ensemble over dims {dims} needs {math.prod(dims)} states, "
-                f"got {len(self.states)}"
+                f"got {len(labels)}"
             )
-        object.__setattr__(self, "_index", seen)
-        object.__setattr__(self, "_memo", {})
+        for a in arrays:
+            a.setflags(write=False)
+        fields = dict(name=name, dims=dims, labels=tuple(labels), party_arrays=tuple(arrays))
+        self.__dict__.update(fields, complete=complete, _index=index, _memo={})
+
+    @functools.cached_property
+    def states(self) -> tuple[ProductState, ...]:
+        """The states in order, built on first read; their LocalVectors view the rows."""
+        columns = [unit_vectors(a) for a in self.party_arrays]
+        return tuple(ProductState(label, vs) for label, vs in zip(self.labels, zip(*columns)))
 
     @property
     def parties(self) -> int:
         return len(self.dims)
-
-    @functools.cached_property
-    def labels(self) -> tuple[str, ...]:
-        """State labels in state order."""
-        return tuple(s.label for s in self.states)
 
     def index(self, label: str) -> int:
         try:
@@ -154,21 +181,6 @@ class Ensemble:
         if not 0 <= party < self.parties:
             raise DimensionError(f"party {party} out of range for {self.parties} parties")
         return self.state(label).locals[party]
-
-    @functools.cached_property
-    def party_arrays(self) -> tuple[np.ndarray, ...]:
-        """One read-only ``n x d_p`` complex array per party, rows in state order.
-
-        Copied from the LocalVectors, unless the ensemble was built from rows.
-        """
-        out = []
-        for p, d in enumerate(self.dims):
-            a = np.empty((len(self.states), d), dtype=np.complex128)
-            for i, s in enumerate(self.states):
-                a[i] = s.locals[p].entries
-            a.setflags(write=False)
-            out.append(a)
-        return tuple(out)
 
     def memo(self, key: tuple, build: Callable[[], T]) -> T:
         """The value of ``build()`` for ``key``, computed on the first call only.
@@ -203,7 +215,7 @@ class Ensemble:
         return self.memo(("adjacency", party, float(tol)), lambda: self._build_adjacency(party, tol))
 
     def _build_adjacency(self, party: int, tol: float) -> np.ndarray:
-        n = len(self.states)
+        n = len(self.labels)
         if n > MAX_GRAPH_STATES:
             raise TooLargeError(f"overlap graphs handle at most {MAX_GRAPH_STATES} states, got {n}")
         a = self.party_arrays[party]
@@ -259,7 +271,7 @@ def validate(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 def _validate(e: Ensemble, tol: float) -> ValidationReport:
     adjs = [e.adjacency(p, tol) for p in range(e.parties)]
-    n = len(e.states)
+    n = len(e.labels)
     step = max(1, _BLOCK_ENTRIES // max(n, 1))
     offending: list[tuple[str, str, float]] = []
     for i0 in range(0, n, step):
@@ -267,10 +279,10 @@ def _validate(e: Ensemble, tol: float) -> ValidationReport:
         for k, j in zip(*np.nonzero(np.triu(rows, i0 + 1))):
             i = i0 + k
             mag = min(abs(complex(np.vdot(a[i], a[j]))) for a in e.party_arrays)
-            offending.append((e.states[i].label, e.states[j].label, mag))
+            offending.append((e.labels[i], e.labels[j], mag))
     return ValidationReport(
         pairwise_orthogonal=not offending,
-        complete_count=len(e.states) == math.prod(e.dims),
+        complete_count=len(e.labels) == math.prod(e.dims),
         offending_pairs=tuple(offending),
         claimed_complete=e.complete,
     )
@@ -295,7 +307,7 @@ def ensure_complete(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
         raise InvalidModeError(f"ensemble {e.name!r} is not flagged complete")
     if not report.complete_count:
         raise InvalidModeError(
-            f"ensemble {e.name!r} has {len(e.states)} states but dims {e.dims} "
+            f"ensemble {e.name!r} has {len(e.labels)} states but dims {e.dims} "
             f"require {math.prod(e.dims)}"
         )
     return report
@@ -383,14 +395,12 @@ def _from_rows(
 ) -> Ensemble:
     """The ensemble whose :attr:`~Ensemble.party_arrays` are ``arrays``, one per party.
 
-    The one constructor from stacked rows: each C-contiguous ``n x d_p``
-    array of unit rows is checked once and frozen, and the states'
-    LocalVectors are views of its rows.
+    The one constructor from stacked rows, which the caller has normalized:
+    it checks the labels and the state count as :class:`Ensemble` does, and
+    freezes and keeps the C-contiguous ``n x d_p`` arrays, building no state.
     """
-    columns = [unit_vectors(a) for a in arrays]
-    states = tuple(ProductState(label, locals_) for label, locals_ in zip(labels, zip(*columns)))
-    e = Ensemble(name, tuple(a.shape[1] for a in arrays), states, complete)
-    e.__dict__["party_arrays"] = tuple(arrays)
+    e = object.__new__(Ensemble)
+    e._set(name, labels, list(arrays), complete)
     return e
 
 
@@ -398,10 +408,10 @@ def emit_ensemble(e: Ensemble, tol: float = DEFAULT_TOL) -> str:
     """Serialize to canonical JSON: phase-normalized vectors, 17 digit floats."""
     states = [
         {
-            "label": s.label,
-            "vectors": [complex_to_json(phase_normalize(v, tol).entries) for v in s.locals],
+            "label": label,
+            "vectors": [complex_to_json(_phase_fixed(a[i], tol)) for a in e.party_arrays],
         }
-        for s in e.states
+        for i, label in enumerate(e.labels)
     ]
     doc = {
         "name": e.name,
@@ -465,40 +475,33 @@ def _grid16_parts() -> list[tuple[LocalVector, LocalVector]]:
     ]
 
 
+def _psi(name: str, dims: tuple[int, ...], parts: list, complete: bool = True) -> Ensemble:
+    """The states of ``parts``, one tuple of LocalVectors each, labeled psi1, psi2, ..."""
+    states = tuple(ProductState(f"psi{i + 1}", vs) for i, vs in enumerate(parts))
+    return Ensemble(name, dims, states, complete)
+
+
 def _bennett9() -> Ensemble:
-    states = tuple(
-        ProductState(f"psi{i + 1}", (a, b)) for i, (a, b) in enumerate(_bennett9_parts())
-    )
-    return Ensemble("bennett9", (3, 3), states, complete=True)
+    return _psi("bennett9", (3, 3), _bennett9_parts())
 
 
 def _grid16() -> Ensemble:
-    states = tuple(
-        ProductState(f"psi{i + 1}", (a, b)) for i, (a, b) in enumerate(_grid16_parts())
-    )
-    return Ensemble("grid16", (4, 4), states, complete=True)
+    return _psi("grid16", (4, 4), _grid16_parts())
 
 
 def _cube64() -> Ensemble:
-    ab = _grid16_parts()
-    states = []
-    for c in range(4):
-        for i, (a, b) in enumerate(ab):
-            states.append(ProductState(f"psi{c * 16 + i + 1}", (a, b, basis_vector(4, c))))
-    return Ensemble("cube64", (4, 4, 4), states=tuple(states), complete=True)
+    parts = [(a, b, basis_vector(4, c)) for c in range(4) for a, b in _grid16_parts()]
+    return _psi("cube64", (4, 4, 4), parts)
 
 
 def _finkelstein9() -> Ensemble:
-    ab = _bennett9_parts()
     third = [
         basis_vector(2, 0),
         normalize(np.array([1.0, math.sqrt(3.0)]) / 2.0),
         normalize(np.array([1.0, -math.sqrt(3.0)]) / 2.0),
     ]
-    states = tuple(
-        ProductState(f"psi{i + 1}", (a, b, third[i // 3])) for i, (a, b) in enumerate(ab)
-    )
-    return Ensemble("finkelstein9", (3, 3, 2), states, complete=False)
+    parts = [(a, b, third[i // 3]) for i, (a, b) in enumerate(_bennett9_parts())]
+    return _psi("finkelstein9", (3, 3, 2), parts, complete=False)
 
 
 def _comp2x2() -> Ensemble:
@@ -606,9 +609,7 @@ def random_product_basis(dims: tuple[int, ...], seed: int, depth: int = 3) -> En
     chosen party alone, so the result is always a valid complete basis.
     Depth 0 reproduces the computational product basis exactly.
     """
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise SchemaError(f"dims must be positive integers, got {dims!r}")
+    dims = _positive_dims(dims)
     rng = np.random.default_rng(seed)
     arrays = _split_basis(tuple(np.eye(d, dtype=np.complex128) for d in dims), rng, depth)
     labels = [f"s{i + 1}" for i in range(math.prod(dims))]

@@ -5,28 +5,25 @@ are orthogonal iff the magnitude of their inner product is at most ``tol``
 (default :data:`DEFAULT_TOL`), and two product states are orthogonal iff
 some party's local vectors are.  The package applies that rule in one place,
 :meth:`loccdist.ensemble.Ensemble.adjacency`, which both validation and the
-relativity graphs read.  It takes the magnitudes from row-blocked Gram
-products and recomputes those within rounding of ``tol`` pairwise with
-``np.vdot``, the arithmetic of :func:`inner_product`.
+relativity graphs read.
 
-Vectors travel as the rows of stacked ``k x d`` arrays, and each vector
-rule exists once, on rows.  :func:`normalize_rows` is the one normalize:
-it takes the norms as stacked real dot products, as ``np.linalg.norm``
-takes one, and :func:`normalize` is its one-row case.  The parsers, the
-generators, the local unitaries and the simulation call it once per array.
-:func:`unit_vectors` applies the one unit-norm check, the one
-:class:`LocalVector` construction also applies, to a whole array and wraps
-its rows as views.  :func:`_residual` is the one residual step, two
+Inside the library a family of vectors is one read-only ``k x d`` complex
+array, one vector per row, and each vector rule exists once, on rows.
+:func:`normalize_rows` is the one normalize: it takes the norms as stacked
+real dot products, as ``np.linalg.norm`` takes one, and :func:`normalize` is
+its one-row case.  :func:`_residual` is the one residual step, two
 ``np.vdot`` projection passes and the norm ``sqrt(re.re + im.im)``;
-:func:`span_basis` builds spans from it with the :func:`phase_normalize`
-rule per row, and the relativity chains their independence test.
+:func:`span_basis` builds spans from it as stacked rows with the
+:func:`phase_normalize` rule per row, and the relativity chains their
+independence test.  :class:`LocalVector` is the public one-vector view:
+:func:`unit_vectors` applies its unit-norm check to a whole array and wraps
+the rows, only where a caller asks for vectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +36,6 @@ __all__ = [
     "SVDResult",
     "basis_vector",
     "emit_matrix",
-    "inner_product",
     "normalize",
     "normalize_rows",
     "parse_matrix",
@@ -118,13 +114,6 @@ def basis_vector(dim: int, index: int) -> LocalVector:
     e = np.zeros(dim, dtype=np.complex128)
     e[index] = 1.0
     return LocalVector(e)
-
-
-def inner_product(u: LocalVector, v: LocalVector) -> complex:
-    """Hermitian inner product <u|v>, conjugate-linear in the first slot."""
-    if u.dim != v.dim:
-        raise DimensionError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    return complex(np.vdot(u.entries, v.entries))
 
 
 # A norm this close to 1 is kept: the row is already a unit vector, and
@@ -248,31 +237,32 @@ def _residual(w: np.ndarray, basis: list[np.ndarray], tol: float) -> np.ndarray 
     return w / n if n > tol else None
 
 
-def span_basis(rows: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[LocalVector, ...]:
+def span_basis(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormalize the rows of a ``k x d`` complex array in order.
 
     Each row's :func:`_residual` against the basis so far joins the basis
-    when its norm exceeds tol.  Outputs are phase-normalized.
+    when its norm exceeds tol.  The basis comes back phase-normalized, as
+    the rows of a read-only ``r x d`` array.
     """
     basis: list[np.ndarray] = []
     for w in rows:
         r = _residual(w, basis, tol)
         if r is not None:
             basis.append(r)
-    fixed = np.array([_phase_fixed(b, tol) for b in basis])
-    return unit_vectors(fixed.reshape(-1, rows.shape[1]))
+    fixed = np.array([_phase_fixed(b, tol) for b in basis], dtype=np.complex128)
+    fixed = fixed.reshape(-1, rows.shape[1])
+    fixed.setflags(write=False)
+    return fixed
 
 
-def projector_matrix(basis: Sequence[LocalVector]) -> np.ndarray:
-    """Sum of |b><b| over an orthonormal family (orthonormality not rechecked)."""
-    if not basis:
+def projector_matrix(rows: np.ndarray) -> np.ndarray:
+    """Sum of |b><b| over the rows b of a ``k x d`` orthonormal family (not rechecked)."""
+    if not len(rows):
         raise DimensionError("projector needs at least one basis vector")
-    dim = basis[0].dim
+    dim = rows.shape[1]
     p = np.zeros((dim, dim), dtype=np.complex128)
-    for b in basis:
-        if b.dim != dim:
-            raise DimensionError(f"mixed dimensions in projector: {dim} vs {b.dim}")
-        p += np.outer(b.entries, b.entries.conj())
+    for b in rows:
+        p += np.outer(b, b.conj())
     return p
 
 
@@ -295,11 +285,8 @@ class SVDResult:
 
 
 def _lex_key(v: LocalVector) -> tuple[float, ...]:
-    flat: list[float] = []
-    for z in v.entries:
-        flat.append(z.real)
-        flat.append(z.imag)
-    return tuple(flat)
+    """Real and imaginary parts in entry order."""
+    return tuple(v.entries.view(np.float64).tolist())
 
 
 def svd_decompose(a: object, tol: float = DEFAULT_TOL) -> SVDResult:

@@ -17,17 +17,19 @@ subset and ``tol``, so each piece is built once and kept in the ensemble's
   blocks come from a search over the bit rows masked to ``rows``, and its
   sliced adjacency and edges are made only when read, as by a certificate;
 - per ``("span", party, rows, tol)``, a block span, which the search needs
-  only where a graph splits.
+  only where a graph splits, as the read-only rows of
+  :func:`~loccdist.linalg.span_basis`.
 
 The decision procedure and the exhaustive oracle, which walk many of the
 same subsets, share them.  :func:`components` still checks the spans of
-distinct blocks against each other on every call, so a repeated call raises
-as the first one did.
+distinct blocks against each other on every call, with one product per pair
+of blocks, so a repeated call raises as the first one did.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalInstabilityError
 from .ensemble import Ensemble, ensure_complete
-from .linalg import DEFAULT_TOL, LocalVector, _residual, inner_product, span_basis
+from .linalg import DEFAULT_TOL, _residual, span_basis
 
 __all__ = [
     "OverlapGraph",
@@ -170,7 +172,7 @@ def overlap_graph(
     rows = tuple(sorted({e.index(label) for label in subset}))  # NotFoundError for unknown labels
 
     def build() -> OverlapGraph:
-        members = tuple(e.states[i].label for i in rows)
+        members = tuple(e.labels[i] for i in rows)
         return OverlapGraph(
             party, members, rows, e.adjacency(party, tol), _bit_rows(e, party, tol)
         )
@@ -178,7 +180,7 @@ def overlap_graph(
     return e.memo(("graph", party, rows, float(tol)), build)
 
 
-def _span(e: Ensemble, party: int, rows: tuple[int, ...], tol: float) -> tuple[LocalVector, ...]:
+def _span(e: Ensemble, party: int, rows: tuple[int, ...], tol: float) -> np.ndarray:
     return e.memo(
         ("span", party, rows, float(tol)),
         lambda: span_basis(e.party_arrays[party][list(rows)], tol),
@@ -187,8 +189,8 @@ def _span(e: Ensemble, party: int, rows: tuple[int, ...], tol: float) -> tuple[L
 
 def block_span(
     e: Ensemble, block: Sequence[str], party: int, tol: float = DEFAULT_TOL
-) -> tuple[LocalVector, ...]:
-    """Orthonormal basis of the span of ``block``'s vectors at ``party``.
+) -> np.ndarray:
+    """Orthonormal basis of the span of ``block``'s vectors at ``party``, as rows.
 
     :func:`~loccdist.linalg.span_basis` on the block's rows of the party
     array, taken in the order given, computed once per
@@ -197,35 +199,34 @@ def block_span(
     return _span(e, party, tuple(e.index(label) for label in block), tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Connected components of an overlap graph with orthonormal block spans."""
+    """Connected components of an overlap graph with orthonormal block spans, as rows."""
 
     party: int
     blocks: tuple[tuple[str, ...], ...]
-    spans: tuple[tuple[LocalVector, ...], ...]
+    spans: tuple[np.ndarray, ...]
 
 
 def components(g: OverlapGraph, e: Ensemble, tol: float = DEFAULT_TOL) -> Partition:
     """Component partition of ``g`` with a span basis per block.
 
     Distinct blocks have no edges between them, so their spans must come out
-    orthogonal; a cross-block overlap beyond 10 * tol means the tolerance no
-    longer separates signal from noise and is reported as instability rather
-    than silently absorbed.
+    orthogonal (the non-damaging condition of Walgate & Hardy, PRL 89,
+    147901, 2002).  One product per pair of spans checks it; the first
+    overlap beyond 10 * tol means the tolerance no longer separates signal
+    from noise and is reported as instability rather than silently absorbed.
     """
     blocks = g.blocks()
     spans = tuple(_span(e, g.party, rows, tol) for rows in g.row_blocks)
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            for u in spans[i]:
-                for w in spans[j]:
-                    overlap = abs(inner_product(u, w))
-                    if overlap > 10.0 * tol:
-                        raise NumericalInstabilityError(
-                            f"blocks {i} and {j} at party {g.party} have span overlap "
-                            f"{overlap:.3e}, beyond 10*tol"
-                        )
+    for i, j in itertools.combinations(range(len(spans)), 2):
+        overlaps = np.abs(spans[i].conj() @ spans[j].T)
+        over = np.flatnonzero(overlaps > 10.0 * tol)
+        if over.size:
+            raise NumericalInstabilityError(
+                f"blocks {i} and {j} at party {g.party} have span overlap "
+                f"{overlaps.flat[over[0]]:.3e}, beyond 10*tol"
+            )
     return Partition(party=g.party, blocks=blocks, spans=spans)
 
 
@@ -296,14 +297,8 @@ def chain_criterion(e: Ensemble, tol: float = DEFAULT_TOL) -> bool:
         if d == 1:
             continue
         g = overlap_graph(e, e.labels, party, tol)
-        part = components(g, e, tol)
-        span_rank: dict[str, int] = {}
-        for block, span in zip(part.blocks, part.spans):
-            for label in block:
-                span_rank[label] = len(span)
-        for label in e.labels:
-            if span_rank[label] < d:
-                return False
+        if any(len(span) < d for span in components(g, e, tol).spans):
+            return False
         for label in e.labels:
             if relativity_chain(e, party, label, d - 1, tol) is None:
                 return False

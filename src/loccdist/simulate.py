@@ -27,7 +27,6 @@ from .jsonio import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    LocalVector,
     SVDResult,
     _row_norms,
     emit_matrix,
@@ -66,14 +65,15 @@ class LocalOperator:
     """One Kraus operator acting on a single party's factor.
 
     ``basis`` and ``complement`` record a matrix built as the projector onto
-    an orthonormal family, or as the identity minus the projectors before it
-    in its instrument.  The protocol format stores that form instead of the
-    matrix; the matrix is what every computation reads.
+    an orthonormal family, the rows of a ``k x d`` array, or as the identity
+    minus the projectors before it in its instrument.  The protocol format
+    stores that form instead of the matrix; the matrix is what every
+    computation reads.
     """
 
     party: int
     matrix: np.ndarray
-    basis: tuple[LocalVector, ...] | None = None
+    basis: np.ndarray | None = None
     complement: bool = False
 
     def __post_init__(self) -> None:
@@ -351,10 +351,6 @@ def canonicalize_operator(op: LocalOperator, tol: float = DEFAULT_TOL) -> Canoni
     return CanonicalOperator(svd=result, physical=all(s <= 1.0 + tol for s in result.sigmas))
 
 
-def _projector(party: int, basis: Sequence[LocalVector]) -> LocalOperator:
-    return LocalOperator(party, projector_matrix(basis), basis=tuple(basis))
-
-
 def _complement(party: int, projectors: Sequence[LocalOperator]) -> LocalOperator:
     """The identity minus the given projectors, the rest of a projective instrument."""
     d = projectors[0].in_dim
@@ -379,11 +375,11 @@ def lift_protocol(t: TraceNode, e: Ensemble, tol: float = DEFAULT_TOL) -> SimTre
         raise DimensionError(f"protocol measures party {party}, the ensemble has {e.parties}")
     d = e.dims[party]
     for o in t.step.outcomes:
-        if o.basis[0].dim != d:
+        if o.basis.shape[1] != d:
             raise DimensionError(
-                f"outcome basis dimension {o.basis[0].dim} does not match party {party} ({d})"
+                f"outcome basis dimension {o.basis.shape[1]} does not match party {party} ({d})"
             )
-    ops = [_projector(party, o.basis) for o in t.step.outcomes]
+    ops = [LocalOperator(party, projector_matrix(o.basis), basis=o.basis) for o in t.step.outcomes]
     rest = _complement(party, ops)
     children = [lift_protocol(c, e, tol) for c in t.children]
     if float(np.max(np.abs(rest.matrix))) > tol:
@@ -471,7 +467,7 @@ def builtin_protocol(name: str, e: Ensemble, tol: float = DEFAULT_TOL) -> SimTre
 
 def _operator_to_json(op: LocalOperator) -> dict:
     if op.basis is not None:
-        return {"basis": [complex_to_json(b.entries) for b in op.basis]}
+        return {"basis": [complex_to_json(b) for b in op.basis]}
     if op.complement:
         return {"complement": True}
     return emit_matrix(op.matrix)
@@ -533,7 +529,8 @@ def _operators_from_json(party: int, raw_ops: list, where: str) -> tuple[LocalOp
         flat = complex_rows_from_json(
             vectors, lambda k: "{}: operator {}: basis vector {}".format(where, *owners[k])
         )
-        rows = unit_vectors(normalize_rows(flat.reshape(-1, d)))
+        rows = normalize_rows(flat.reshape(-1, d))
+        rows.setflags(write=False)
     ops: list[LocalOperator] = []
     start = 0
     for kind in layout:
@@ -542,7 +539,8 @@ def _operators_from_json(party: int, raw_ops: list, where: str) -> tuple[LocalOp
         elif kind == "complement":
             ops.append(_complement(party, ops))
         else:
-            ops.append(_projector(party, rows[start : start + kind]))
+            basis = rows[start : start + kind]
+            ops.append(LocalOperator(party, projector_matrix(basis), basis=basis))
             start += kind
     return tuple(ops)
 

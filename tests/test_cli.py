@@ -623,6 +623,26 @@ def test_oracle_argument_validation(run, ensemble_file):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--seed-sweep=0", "--dims=2,2"), "--seed-sweep must be a positive count, got 0"),
+        (("--seed-sweep=-1", "--dims=2,2"), "--seed-sweep must be a positive count, got -1"),
+        (("--seed-sweep=3", "--dims=0,2"), "--dims must be positive integers, got '0,2'"),
+        (("--seed-sweep=3", "--dims=2,-2"), "--dims must be positive integers, got '2,-2'"),
+        (("--seed-sweep=3", "--dims=2,2", "--depth=-3"), "--depth must be non-negative, got -3"),
+    ],
+)
+def test_oracle_sweep_that_would_check_nothing_or_a_bad_basis_is_usage_error(run, argv, message):
+    # an empty sweep used to print "agree": true over no cases and exit 0, a
+    # zero dimension exited 65 as a data error, and a negative depth ran as
+    # depth 0 under the name "...-depth-3"
+    code, out, err = run("oracle", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 # ---------------------------------------------------------------------------
 # top level
 

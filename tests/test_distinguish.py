@@ -22,15 +22,19 @@ from loccdist import (
     apply_local_unitaries,
     catalog,
     decide,
+    emit_ensemble,
+    exhaustive_decide,
     finest_step,
     normalize,
     overlap_graph,
+    parse_ensemble,
     parse_protocol,
     random_product_basis,
     random_unitary,
     stuck_certificate,
     verdict_to_json,
 )
+from loccdist import distinguish, ensemble, linalg, oracle, relativity, simulate
 from loccdist.jsonio import canonical_dumps, parse_json
 
 
@@ -92,8 +96,8 @@ def test_first_step_on_computational_basis():
     step = finest_step(e, e.labels)
     assert step is not None and step.party == 0
     assert tuple(o.block for o in step.outcomes) == (("s00", "s01"), ("s10", "s11"))
-    assert np.allclose(step.outcomes[0].basis[0].entries, [1.0, 0.0])
-    assert np.allclose(step.outcomes[1].basis[0].entries, [0.0, 1.0])
+    assert np.allclose(step.outcomes[0].basis, [[1.0, 0.0]])
+    assert np.allclose(step.outcomes[1].basis, [[0.0, 1.0]])
 
 
 def test_cube64_root_step_splits_third_party_into_four():
@@ -103,8 +107,8 @@ def test_cube64_root_step_splits_third_party_into_four():
     assert len(step.outcomes) == 4
     for c, outcome in enumerate(step.outcomes):
         assert outcome.block == tuple(f"psi{c * 16 + i + 1}" for i in range(16))
-        assert len(outcome.basis) == 1
-        assert np.allclose(outcome.basis[0].entries, np.eye(4)[c])
+        assert outcome.basis.shape == (1, 4)
+        assert np.allclose(outcome.basis[0], np.eye(4)[c])
 
 
 def test_step_projectors_resolve_the_subset_span():
@@ -117,7 +121,7 @@ def test_step_projectors_resolve_the_subset_span():
     total = np.zeros((3, 3), dtype=np.complex128)
     for outcome in step.outcomes:
         for b in outcome.basis:
-            total += np.outer(b.entries, b.entries.conj())
+            total += np.outer(b, b.conj())
     stack = np.array([e.vector(label, 1).entries for label in subset]).T
     q, _ = np.linalg.qr(stack)
     r = np.linalg.matrix_rank(stack, tol=1e-9)
@@ -521,3 +525,40 @@ def test_noisy_sweep_is_refused_or_keeps_its_verdict():
                         flipped.append((dims, seed, scale))
     assert flipped == [known_flip]
     assert counts == {"invalid": 1425, "unstable": 40, "kept": 134}
+
+
+# ---------------------------------------------------------------------------
+# the check path builds no vector wrappers
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: catalog("bennett9"), lambda: random_product_basis((2, 2, 3), 4, depth=5)],
+    ids=["bennett9", "random-2x2x3"],
+)
+def test_check_path_builds_no_vector_wrappers(monkeypatch, make):
+    # spans, step bases and parsed rows stay stacked arrays from parse to
+    # verdict JSON and through the oracle; no LocalVector or ProductState is
+    # made, and the ensemble's states view is never built
+    text = emit_ensemble(make())
+    counts = {"LocalVector": 0, "ProductState": 0, "unit_vectors": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (linalg.LocalVector, ensemble.ProductState):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    for module in (linalg, ensemble, relativity, distinguish, simulate, oracle):
+        if hasattr(module, "unit_vectors"):
+            monkeypatch.setattr(module, "unit_vectors", counted("unit_vectors", module.unit_vectors))
+    e = parse_ensemble(text)
+    verdict = decide(e, "complete")
+    doc = verdict_to_json(verdict)
+    assert exhaustive_decide(e).kind == verdict.kind
+    assert counts == {"LocalVector": 0, "ProductState": 0, "unit_vectors": 0}
+    assert "states" not in e.__dict__
+    assert doc["verdict"] == verdict.kind

@@ -659,3 +659,35 @@ def test_dressing_refuses_the_first_short_vector_in_state_order():
 def test_normalize_helper_reexported():
     v = normalize(np.array([3.0, 4.0]))
     assert abs(np.linalg.norm(v.entries) - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# states are a view built on first read
+
+
+@pytest.mark.parametrize(
+    "labels, complete, message",
+    [
+        (["a", ""], False, "state label must be a non-empty string"),
+        (["a", "b", "a"], False, "duplicate state label 'a'"),
+        (["a"], True, "complete ensemble over dims (2,) needs 2 states, got 1"),
+    ],
+)
+def test_parse_refuses_bad_labels_and_counts_before_states_are_read(labels, complete, message):
+    states = [{"label": label, "vectors": [[[1, 0], [0, 0]]]} for label in labels]
+    text = json.dumps({"name": "t", "dims": [2], "complete": complete, "states": states})
+    with pytest.raises(SchemaError) as info:
+        parse_ensemble(text)
+    assert str(info.value) == message
+
+
+def test_states_view_is_built_once_from_the_rows():
+    e = parse_ensemble(emit_ensemble(catalog("bennett9")))
+    assert "states" not in e.__dict__
+    assert e.states is e.states and "states" in e.__dict__
+    assert tuple(s.label for s in e.states) == e.labels
+    for p, a in enumerate(e.party_arrays):
+        for s, row in zip(e.states, a):
+            assert s.locals[p].entries.tobytes() == row.tobytes()
+            assert np.shares_memory(s.locals[p].entries, a)
+    assert e.state("psi2") is e.states[1] and e.vector("psi2", 1) is e.states[1].locals[1]

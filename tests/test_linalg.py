@@ -15,13 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccdist import (
-    DimensionError,
     LocalVector,
     SVDResult,
     SchemaError,
     ZeroVectorError,
     basis_vector,
-    inner_product,
     normalize,
     phase_normalize,
     svd_decompose,
@@ -39,6 +37,11 @@ def _vec(*entries):
 def _stacked(vectors):
     """The vectors' entries as the rows of one array, as span_basis takes them."""
     return np.array([v.entries for v in vectors])
+
+
+def _overlaps(a, b):
+    """Entry (u, w) is <a_u|b_w>: the stacked product that relativity.components takes."""
+    return a.conj() @ b.T
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +62,7 @@ def unit_vectors(draw, dim=None):
 
 
 # ---------------------------------------------------------------------------
-# construction and inner products
+# construction and stacked inner products
 
 
 def test_local_vector_requires_unit_norm():
@@ -80,31 +83,40 @@ def test_local_vector_entries_are_frozen():
         v.entries[0] = 0.0
 
 
-def test_inner_product_mismatch():
-    with pytest.raises(DimensionError):
-        inner_product(basis_vector(2, 0), basis_vector(3, 0))
+def test_stacked_product_mismatch():
+    with pytest.raises(ValueError):
+        _overlaps(_stacked([basis_vector(2, 0)]), _stacked([basis_vector(3, 0)]))
 
 
-def test_inner_product_plus_state_against_basis():
+def test_stacked_product_plus_state_against_basis():
     # <e1 | (e1+e2)/sqrt(2)> recomputed directly
     expected = 1.0 / math.sqrt(2.0)
-    got = inner_product(basis_vector(3, 0), _vec(1, 1, 0))
-    assert abs(got - expected) < 1e-15
+    got = _overlaps(_stacked([basis_vector(3, 0)]), _stacked([_vec(1, 1, 0)]))
+    assert got.shape == (1, 1) and abs(got[0, 0] - expected) < 1e-15
 
 
-@given(unit_vectors(dim=4), unit_vectors(dim=4))
-def test_inner_product_conjugate_symmetry(u, v):
-    assert abs(inner_product(u, v) - inner_product(v, u).conjugate()) < 1e-12
+@given(
+    st.lists(unit_vectors(dim=4), min_size=1, max_size=4),
+    st.lists(unit_vectors(dim=4), min_size=1, max_size=4),
+)
+def test_stacked_product_conjugate_symmetry_and_vdot(us, vs):
+    a, b = _stacked(us), _stacked(vs)
+    got = _overlaps(a, b)
+    assert np.max(np.abs(got - _overlaps(b, a).conj().T)) < 1e-12
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            assert abs(got[i, j] - np.vdot(u.entries, v.entries)) < 1e-12
 
 
-@given(unit_vectors())
-def test_inner_product_normalization(v):
-    assert abs(inner_product(v, v) - 1.0) < 1e-12
+@given(st.lists(unit_vectors(dim=3), min_size=1, max_size=4))
+def test_stacked_product_normalization(vs):
+    a = _stacked(vs)
+    assert np.max(np.abs(np.diagonal(_overlaps(a, a)) - 1.0)) < 1e-12
 
 
 @given(unit_vectors(dim=5), unit_vectors(dim=5))
 def test_cauchy_schwarz(u, v):
-    assert abs(inner_product(u, v)) <= 1.0 + 1e-12
+    assert np.abs(_overlaps(_stacked([u]), _stacked([v]))).max() <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +233,7 @@ def test_phase_normalize_first_entry_real_positive():
 def test_phase_normalize_is_idempotent_and_phase_only(v):
     w = phase_normalize(v)
     assert np.allclose(phase_normalize(w).entries, w.entries, atol=1e-12)
-    assert abs(abs(inner_product(v, w)) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(v.entries, w.entries)) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +247,8 @@ def test_span_basis_rank_three_example():
     assert abs(np.linalg.det(raw)) > 0.5  # oracle: exactly 1
     vectors = [_vec(1, 1, 0), _vec(0, 1, 1), _vec(1, 0, 0)]
     basis = span_basis(_stacked(vectors))
-    assert len(basis) == 3
-    gram = np.array([[inner_product(a, b) for b in basis] for a in basis])
-    assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+    assert basis.shape == (3, 3)
+    assert np.max(np.abs(_overlaps(basis, basis) - np.eye(3))) < 1e-12
 
 
 def test_span_basis_drops_duplicates():
@@ -246,7 +257,8 @@ def test_span_basis_drops_duplicates():
 
 
 def test_span_basis_of_no_rows():
-    assert span_basis(np.empty((0, 3), dtype=np.complex128)) == ()
+    empty = span_basis(np.empty((0, 3), dtype=np.complex128))
+    assert empty.shape == (0, 3) and empty.dtype == np.complex128
 
 
 def _reference_gram_schmidt(vectors, tol):
@@ -302,10 +314,8 @@ def test_span_basis_is_bit_identical_to_the_per_vector_reference(tol):
         rows = _random_block(rng, tol)
         expected = _reference_gram_schmidt(rows, tol)
         got = span_basis(_stacked(rows), tol)
-        assert len(got) == len(expected)
-        for g, e in zip(got, expected):
-            assert g.entries.tobytes() == e.tobytes()
-            assert not g.entries.flags.writeable
+        assert len(got) == len(expected) and not got.flags.writeable
+        assert got.tobytes() == b"".join(e.tobytes() for e in expected)
 
 
 def test_unit_vectors_wrap_rows_after_one_check():
@@ -323,15 +333,12 @@ def test_unit_vectors_wrap_rows_after_one_check():
 @given(st.lists(unit_vectors(dim=4), min_size=1, max_size=6))
 def test_span_basis_output_is_orthonormal_and_spans_inputs(vectors):
     basis = span_basis(_stacked(vectors))
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            expected = 1.0 if i == j else 0.0
-            assert abs(inner_product(a, b) - expected) < 1e-10
+    assert np.max(np.abs(_overlaps(basis, basis) - np.eye(len(basis)))) < 1e-10
     # every input is reproduced by its projection onto the output span
     for v in vectors:
         proj = np.zeros(4, dtype=np.complex128)
         for b in basis:
-            proj += np.vdot(b.entries, v.entries) * b.entries
+            proj += np.vdot(b, v.entries) * b
         assert np.linalg.norm(proj - v.entries) < 1e-8
 
 
@@ -426,10 +433,8 @@ def test_svd_reconstruction_and_orthonormality(seed):
     assert np.max(np.abs(rebuilt - a)) < 1e-9
     assert list(result.sigmas) == sorted(result.sigmas, reverse=True)
     for family in (result.left, result.right):
-        for i, u in enumerate(family):
-            for j, v in enumerate(family):
-                expected = 1.0 if i == j else 0.0
-                assert abs(inner_product(u, v) - expected) < 1e-10
+        rows = _stacked(family)
+        assert np.max(np.abs(_overlaps(rows, rows) - np.eye(len(rows)))) < 1e-10
 
 
 def test_svd_right_vectors_are_phase_normalized():

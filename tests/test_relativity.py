@@ -255,13 +255,11 @@ def test_component_partition_of_wing_subset():
     subset = ("psi4", "psi5", "psi6", "psi7", "psi8", "psi9")
     part = components(overlap_graph(e, subset, 1), e)
     assert part.blocks == (("psi4", "psi5", "psi6", "psi7"), ("psi8", "psi9"))
-    assert len(part.spans[0]) == 2  # span{e1, e2}
-    assert len(part.spans[1]) == 1  # span{e3}
+    assert part.spans[0].shape == (2, 3)  # span{e1, e2}
+    assert part.spans[1].shape == (1, 3)  # span{e3}
     # spans are orthonormal and mutually orthogonal
     all_vecs = [v for span in part.spans for v in span]
-    gram = np.array(
-        [[np.vdot(a.entries, b.entries) for b in all_vecs] for a in all_vecs]
-    )
+    gram = np.array([[np.vdot(a, b) for b in all_vecs] for a in all_vecs])
     assert np.max(np.abs(gram - np.eye(len(all_vecs)))) < 1e-12
 
 
@@ -269,7 +267,7 @@ def test_block_spans_cover_their_members():
     e = catalog("grid16")
     part = components(overlap_graph(e, e.labels, 0), e)
     for block, span in zip(part.blocks, part.spans):
-        mat = np.column_stack([v.entries for v in span])
+        mat = span.T
         proj = mat @ mat.conj().T
         for label in block:
             v = e.vector(label, 0).entries
@@ -515,9 +513,8 @@ def test_memoized_spans_equal_span_basis(seed):
                 expected = span_basis(rows, tol)
                 got = block_span(e, block, party, tol)
                 assert block_span(e, block, party, tol) is got
-                assert len(got) == len(expected)
-                for u, w in zip(got, expected):
-                    assert u.entries.tobytes() == w.entries.tobytes()
+                assert got.shape == expected.shape and not got.flags.writeable
+                assert got.tobytes() == expected.tobytes()
             part = components(overlap_graph(e, e.labels, party, tol), e, tol)
             for block, span in zip(part.blocks, part.spans):
                 assert span is block_span(e, block, party, tol)
@@ -578,4 +575,67 @@ def test_repeated_components_call_raises_instability_again():
             components(overlap_graph(e, e.labels, 0, tol), e, tol)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
-    assert "span overlap 5.000e-01" in messages[0]
+    assert messages[0] == "blocks 0 and 1 at party 0 have span overlap 5.000e-01, beyond 10*tol"
+
+
+def _sliver_ensemble(labeled):
+    """A one-party ensemble over 5 dimensions from (label, raw vector) pairs."""
+    states = tuple(
+        ProductState(label, (normalize(np.array(raw, dtype=complex)),)) for label, raw in labeled
+    )
+    return Ensemble("slivers", (5,), states, complete=False)
+
+
+def _nudged(lead, axis, tol):
+    """Axis ``lead`` nudged by 1.2 * tol along ``axis``.
+
+    It stays relative to the plain ``lead`` axis, and the span of the two
+    holds all of ``axis``.
+    """
+    v = np.eye(5)[lead].copy()
+    v[axis] = 1.2 * tol
+    return v
+
+
+def _cross_block_message(e, tol):
+    with pytest.raises(NumericalInstabilityError) as info:
+        components(overlap_graph(e, e.labels, 0, tol), e, tol)
+    return str(info.value)
+
+
+def test_cross_block_check_reports_the_one_offending_pair():
+    # blocks {x}, {a, b} and {c}: span{a, b} holds all of e1, and c sits half
+    # on e1 while its overlap with b stays below tol; only pair (1, 2) offends
+    tol = 1e-3
+    e = _sliver_ensemble([
+        ("x", np.eye(5)[4]),
+        ("a", np.eye(5)[0]),
+        ("b", _nudged(0, 1, tol)),
+        ("c", [0.0, 0.5, np.sqrt(0.75), 0.0, 0.0]),
+    ])
+    g = overlap_graph(e, e.labels, 0, tol)
+    assert g.blocks() == (("x",), ("a", "b"), ("c",))
+    assert _cross_block_message(e, tol) == (
+        "blocks 1 and 2 at party 0 have span overlap 5.000e-01, beyond 10*tol"
+    )
+
+
+def test_cross_block_check_reports_the_first_offence_in_loop_order():
+    # block 0 spans e0, e1, e2; block 1 spans e4, e3; block 2 is c.  Pairs
+    # (0, 2) and (1, 2) both offend, and within (0, 2) span rows 1 and 2 do:
+    # the report is pair (0, 2), row 1 (0.3), not the largest overlap (0.742)
+    tol = 1e-3
+    e = _sliver_ensemble([
+        ("a0", np.eye(5)[0]),
+        ("b0", _nudged(0, 1, tol)),
+        ("b0p", _nudged(0, 2, tol)),
+        ("a1", np.eye(5)[4]),
+        ("b1", _nudged(4, 3, tol)),
+        ("c", [0.0, 0.3, 0.6, np.sqrt(0.55), 0.0]),
+    ])
+    blocks = overlap_graph(e, e.labels, 0, tol).blocks()
+    assert blocks == (("a0", "b0", "b0p"), ("a1", "b1"), ("c",))
+    assert [len(block_span(e, block, 0, tol)) for block in blocks] == [3, 2, 1]
+    assert _cross_block_message(e, tol) == (
+        "blocks 0 and 2 at party 0 have span overlap 3.000e-01, beyond 10*tol"
+    )

@@ -340,7 +340,7 @@ def test_lift_projectors_preserve_or_annihilate_in_scope_states():
         for outcome in tree.step.outcomes:
             proj = np.zeros((e.dims[tree.step.party],) * 2, dtype=complex)
             for b in outcome.basis:
-                proj += np.outer(b.entries, b.entries.conj())
+                proj += np.outer(b, b.conj())
             for label in scope:
                 vec = e.vector(label, tree.step.party).entries
                 p = float(np.linalg.norm(proj @ vec) ** 2)
@@ -629,7 +629,7 @@ def test_factored_basis_is_normalized_as_one_vector_at_a_time():
     root = parse_sim_protocol(_factored(raw))
     for v, entries in zip(root.instrument.operators[0].basis, raw):
         expected = normalize(np.array([complex(re, im) for re, im in entries]))
-        assert v.entries.tobytes() == expected.entries.tobytes()
+        assert v.tobytes() == expected.entries.tobytes()
 
 
 def test_non_orthonormal_basis_is_an_incomplete_instrument():
