@@ -2,9 +2,9 @@
 
 Subcommands: check, catalog, simulate, decompose, oracle.  Exit codes carry
 the verdict (0 distinguishable or success, 1 indistinguishable or imperfect,
-2 unknown) and failures are split into usage (64), data (65), and internal
-numerical (70) classes.  All JSON output is canonical and echoes the
-tolerance in use.
+2 unknown) and failures are split into usage (64), data (65), internal
+numerical (70) and output (74, stdout closed early) classes.  All JSON
+output is canonical and echoes the tolerance in use.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ __all__ = [
     "EXIT_DATA",
     "EXIT_INDISTINGUISHABLE",
     "EXIT_INTERNAL",
+    "EXIT_IOERR",
     "EXIT_OK",
     "EXIT_UNKNOWN",
     "EXIT_USAGE",
@@ -71,6 +72,7 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
+EXIT_IOERR = 74
 
 
 class _UsageError(Exception):
@@ -318,18 +320,17 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TooLargeError as exc:
+        args = _build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the exit flush writes what is still buffered to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the output was written", file=sys.stderr)
+        return EXIT_IOERR
+    except (_UsageError, TooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

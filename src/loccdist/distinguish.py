@@ -27,7 +27,8 @@ from .errors import InvalidModeError, SchemaError
 from .jsonio import canonical_dumps  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .jsonio import complex_rows_from_json, complex_to_json, parse_json
 from .linalg import DEFAULT_TOL, normalize_rows
-from .relativity import OverlapGraph, components, overlap_graph
+from .relativity import OverlapGraph, _blocks, _checked_spans, _mask, overlap_graph
+from .relativity import components  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
     "MeasurementStep",
@@ -144,21 +145,33 @@ class Verdict:
         return self.kind == "distinguishable"
 
 
+def _split(e: Ensemble, mask: int, tol: float) -> tuple[int, tuple, tuple] | None:
+    """The first party whose graph on the states in ``mask`` splits, with its blocks and spans."""
+    for party in range(e.parties):
+        blocks = _blocks(e, party, mask, tol)
+        if len(blocks) >= 2:
+            return party, blocks, _checked_spans(e, party, blocks, tol)
+    return None
+
+
+def _subset(e: Ensemble, mask: int) -> tuple[str, ...]:
+    """The labels of the states in ``mask``, in ensemble order."""
+    return tuple(label for i, label in enumerate(e.labels) if mask >> i & 1)
+
+
+def _step(e: Ensemble, party: int, blocks: tuple, spans: tuple) -> MeasurementStep:
+    """The measurement onto ``spans``, its outcomes labelled by the states of ``blocks``."""
+    labels = e.labels
+    outcomes = (StepOutcome(tuple(labels[i] for i in rows), s) for rows, s in zip(blocks, spans))
+    return MeasurementStep(party=party, outcomes=tuple(outcomes))
+
+
 def finest_step(
     e: Ensemble, subset: tuple[str, ...], tol: float = DEFAULT_TOL
 ) -> MeasurementStep | None:
-    """First party (ascending) whose graph on ``subset`` is disconnected.
-
-    Returns the component-partition measurement at that party, or None when
-    every party's graph is connected.
-    """
-    for party in range(e.parties):
-        g = overlap_graph(e, subset, party, tol)
-        if len(g.blocks()) >= 2:
-            part = components(g, e, tol)
-            outcomes = tuple(map(StepOutcome, part.blocks, part.spans))
-            return MeasurementStep(party=party, outcomes=outcomes)
-    return None
+    """The component-partition measurement at the first party whose graph on ``subset`` splits."""
+    split = _split(e, _mask(e.index(label) for label in set(subset)), tol)
+    return None if split is None else _step(e, *split)
 
 
 def stuck_certificate(
@@ -169,18 +182,16 @@ def stuck_certificate(
     return StuckCertificate(subset=subset, graphs=graphs)
 
 
-def _explore(
-    e: Ensemble, subset: tuple[str, ...], tol: float, stuck: list[StuckCertificate]
-) -> TraceNode:
-    """The exploration below ``subset``; stuck blocks are appended in pre-order."""
-    if len(subset) == 1:
-        return TraceLeaf(subset[0])
-    step = finest_step(e, subset, tol)
-    if step is None:
-        stuck.append(stuck_certificate(e, subset, tol))
+def _explore(e: Ensemble, mask: int, tol: float, stuck: list[StuckCertificate]) -> TraceNode:
+    """The exploration below the states in ``mask``; stuck blocks are appended in pre-order."""
+    if not mask & (mask - 1):
+        return TraceLeaf(e.labels[mask.bit_length() - 1])
+    split = _split(e, mask, tol)
+    if split is None:
+        stuck.append(stuck_certificate(e, _subset(e, mask), tol))
         return TraceStuck(stuck[-1])
-    children = tuple(_explore(e, outcome.block, tol, stuck) for outcome in step.outcomes)
-    return TraceSplit(step=step, children=children)
+    children = tuple(_explore(e, _mask(rows), tol, stuck) for rows in split[1])
+    return TraceSplit(step=_step(e, *split), children=children)
 
 
 def decide(e: Ensemble, mode: str, tol: float = DEFAULT_TOL) -> Verdict:
@@ -202,7 +213,7 @@ def decide(e: Ensemble, mode: str, tol: float = DEFAULT_TOL) -> Verdict:
     if not e.labels:
         raise InvalidModeError("cannot decide an empty ensemble")
     stuck: list[StuckCertificate] = []
-    trace = _explore(e, e.labels, tol, stuck)
+    trace = _explore(e, (1 << len(e.labels)) - 1, tol, stuck)
     if not stuck:
         return Verdict(kind="distinguishable", tree=trace, trace=trace)
     kind = "indistinguishable" if mode == "complete" else "unknown"

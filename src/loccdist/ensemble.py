@@ -58,7 +58,7 @@ MAX_GRAPH_STATES = 8192
 """Largest state count whose per-party adjacency :meth:`Ensemble.adjacency` builds.
 
 Each party's adjacency is an ``n x n`` boolean array, n² bytes: 64 MiB per
-party at the cap, 16 MiB at n = 4096.  The overlap graphs add the same
+party at the cap, 16 MiB at n = 4096.  The graph searches add the same
 adjacency packed as bit rows, about n²/8 bytes per party: 8 MiB at the cap,
 2 MiB at n = 4096.  Larger ensembles raise
 :class:`~loccdist.errors.TooLargeError` before anything is allocated.
@@ -67,7 +67,7 @@ adjacency packed as bit rows, about n²/8 bytes per party: 8 MiB at the cap,
 # Entries per row block (1 MiB of complex Gram products), so that no n x n
 # array beyond the cached adjacencies is ever held whole.  Smaller blocks
 # stay in cache: at n = 512 and 1000 they build faster than 4 MiB ones, and
-# they leave room for the graphs and spans the memo keeps.
+# they leave room for the blocks and spans the memo keeps.
 _BLOCK_ENTRIES = 1 << 16
 
 T = TypeVar("T")
@@ -191,9 +191,10 @@ class Ensemble:
         - ``("adjacency", party, tol)``: :meth:`adjacency`;
         - ``("validate", tol)``: the :func:`validate` report;
         - ``("bits", party, tol)``: the adjacency packed as one int per state;
-        - ``("graph", party, rows, tol)`` and ``("span", party, rows, tol)``:
-          the overlap graphs and block spans of :mod:`loccdist.relativity`,
-          with ``rows`` a tuple of state indices.
+        - ``("blocks", party, mask, tol)`` and ``("span", party, rows, tol)``:
+          the graph components and block spans of :mod:`loccdist.relativity`,
+          with ``mask`` an int, bit i for state i, and ``rows`` a tuple of
+          state indices.
 
         It dies with the ensemble.  A ``build`` that raises caches nothing.
         """

@@ -5,8 +5,10 @@ partition a non-damaging measurement could implement, at every party, in
 every reachable subset.  Valid partitions are exactly the coarsenings of
 the component partition of the overlap graph: any block must absorb whole
 components, since splitting a component would damage the states bridging
-it.  Memoized over label subsets this stays cheap for small bases and is
-independent enough of the greedy path to serve as ground truth.
+it.  Subsets are bit masks over state indices, partitions hold ascending
+rows, and labels are attached only to the returned tree or certificate.
+Memoized by mask this stays cheap for small bases and is independent
+enough of the greedy path to serve as ground truth.
 """
 
 from __future__ import annotations
@@ -16,19 +18,20 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .distinguish import (
-    MeasurementStep,
-    StepOutcome,
     TraceLeaf,
     TraceNode,
     TraceSplit,
     Verdict,
-    finest_step,
+    _split,
+    _step,
+    _subset,
     stuck_certificate,
 )
 from .ensemble import Ensemble, ensure_complete
 from .errors import TooLargeError
 from .linalg import DEFAULT_TOL
-from .relativity import block_span, components, overlap_graph
+from .relativity import _blocks, _checked_spans, _mask, _span, overlap_graph
+from .relativity import components  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
     "MAX_ORACLE_STATES",
@@ -61,32 +64,39 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
         yield [[first]] + part
 
 
+def _partitions(e: Ensemble, party: int, mask: int, tol: float) -> list[tuple[tuple, ...]]:
+    """Every coarsening of the component partition of the states in ``mask`` at ``party``.
+
+    Finest first, the trivial one-block partition last.  Only a graph that
+    splits has its spans computed and checked, which may raise
+    NumericalInstabilityError.
+    """
+    blocks = _blocks(e, party, mask, tol)
+    if len(blocks) == 1:
+        return [blocks]
+    _checked_spans(e, party, blocks, tol)
+    partitions = [
+        # disjoint ascending rows: sorting them sorts blocks by earliest state
+        tuple(sorted(tuple(sorted(i for block in group for i in block)) for group in grouping))
+        for grouping in _set_partitions(list(blocks))
+    ]
+    partitions.sort(key=len, reverse=True)
+    return partitions
+
+
 def enumerate_valid_partitions(
     e: Ensemble, subset: tuple[str, ...], party: int, tol: float = DEFAULT_TOL
 ) -> PartitionFamily:
     """Every coarsening of the component partition of ``subset`` at ``party``.
 
     The family always contains the trivial one-block partition; its size is
-    the Bell number of the component count.  Only a graph that splits has
-    its component spans computed, by :func:`components`, which raises
-    NumericalInstabilityError when they are not orthogonal.
+    the Bell number of the component count.  The labelled view of what the
+    exhaustive search tries, with the same span check.
     """
     g = overlap_graph(e, subset, party, tol)
-    blocks = g.blocks()
-    if len(blocks) >= 2:
-        components(g, e, tol)
-    partitions = []
-    for grouping in _set_partitions(list(g.row_blocks)):
-        # disjoint ascending rows: sorting them sorts blocks by earliest state
-        merged = sorted(sorted(i for block in group for i in block) for group in grouping)
-        partitions.append(tuple(tuple(e.labels[i] for i in rows) for rows in merged))
-    partitions.sort(key=len, reverse=True)  # finest first, trivial last
-    return PartitionFamily(
-        party=party,
-        subset=g.members,
-        component_blocks=blocks,
-        partitions=tuple(partitions),
-    )
+    named = lambda rows: tuple(e.labels[i] for i in rows)
+    partitions = tuple(tuple(map(named, p)) for p in _partitions(e, party, _mask(g.rows), tol))
+    return PartitionFamily(party, g.members, g.blocks(), partitions)
 
 
 def exhaustive_decide(e: Ensemble, tol: float = DEFAULT_TOL) -> Verdict:
@@ -100,48 +110,36 @@ def exhaustive_decide(e: Ensemble, tol: float = DEFAULT_TOL) -> Verdict:
         raise TooLargeError(
             f"oracle handles at most {MAX_ORACLE_STATES} states, got {math.prod(e.dims)}"
         )
-    # memo: frozenset -> ("leaf",) | ("split", party, partition) | None
-    memo: dict[frozenset[str], tuple | None] = {}
+    # memo: mask -> () for one state | (party, partition) | None
+    memo: dict[int, tuple | None] = {1 << i: () for i in range(len(e.labels))}
 
-    def solve(subset: tuple[str, ...]) -> bool:
-        key = frozenset(subset)
-        if key in memo:
-            return memo[key] is not None
-        if len(subset) == 1:
-            memo[key] = ("leaf",)
-            return True
-        memo[key] = None  # pessimistic placeholder, no cycles possible
+    def solve(mask: int) -> bool:
+        if mask in memo:
+            return memo[mask] is not None
+        memo[mask] = None  # pessimistic placeholder, no cycles possible
         for party in range(e.parties):
-            family = enumerate_valid_partitions(e, subset, party, tol)
-            for partition in family.partitions:
-                if len(partition) < 2:
-                    continue
-                if all(solve(block) for block in partition):
-                    memo[key] = ("split", party, partition)
+            for partition in _partitions(e, party, mask, tol)[:-1]:  # all but the trivial one
+                if all(solve(_mask(rows)) for rows in partition):
+                    memo[mask] = (party, partition)
                     return True
-        memo[key] = None
         return False
 
-    def build(subset: tuple[str, ...]) -> TraceNode:
-        entry = memo[frozenset(subset)]
+    def build(mask: int) -> TraceNode:
+        entry = memo[mask]
         assert entry is not None
-        if entry[0] == "leaf":
-            return TraceLeaf(subset[0])
-        _, party, partition = entry
-        outcomes = tuple(StepOutcome(block, block_span(e, block, party, tol)) for block in partition)
-        step = MeasurementStep(party=party, outcomes=outcomes)
-        return TraceSplit(step=step, children=tuple(build(block) for block in partition))
+        if not entry:
+            return TraceLeaf(e.labels[mask.bit_length() - 1])
+        party, partition = entry
+        spans = tuple(_span(e, party, rows, tol) for rows in partition)
+        children = tuple(build(_mask(rows)) for rows in partition)
+        return TraceSplit(step=_step(e, party, partition, spans), children=children)
 
-    def descend_to_stuck(subset: tuple[str, ...]) -> tuple[str, ...]:
-        step = finest_step(e, subset, tol)
-        if step is None:
-            return subset
-        for outcome in step.outcomes:
-            if not solve(outcome.block):
-                return descend_to_stuck(outcome.block)
-        raise AssertionError("indistinguishable subset with all finest blocks distinguishable")
-
-    if solve(e.labels):
-        return Verdict(kind="distinguishable", tree=build(e.labels))
-    stuck = descend_to_stuck(e.labels)
-    return Verdict(kind="indistinguishable", certificate=stuck_certificate(e, stuck, tol))
+    everything = (1 << len(e.labels)) - 1
+    if solve(everything):
+        return Verdict(kind="distinguishable", tree=build(everything))
+    stuck = everything
+    while (split := _split(e, stuck, tol)) is not None:
+        # an unsolved subset has an unsolved finest block, or its finest split would solve it
+        stuck = next(mask for mask in map(_mask, split[1]) if not solve(mask))
+    certificate = stuck_certificate(e, _subset(e, stuck), tol)
+    return Verdict(kind="indistinguishable", certificate=certificate)

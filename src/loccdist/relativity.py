@@ -8,22 +8,16 @@ sufficient indistinguishability criterion.
 
 Everything here depends only on the frozen ensemble, the party, the
 subset and ``tol``, so each piece is built once and kept in the ensemble's
-:meth:`~loccdist.ensemble.Ensemble.memo`:
-
-- per ``("bits", party, tol)``, the party's adjacency packed as one Python
-  int per state, bit j of row i the edge i-j;
-- per ``("graph", party, rows, tol)``, an :class:`OverlapGraph`, with
-  ``rows`` the ascending tuple of state indices.  It copies no matrix: its
-  blocks come from a search over the bit rows masked to ``rows``, and its
-  sliced adjacency and edges are made only when read, as by a certificate;
-- per ``("span", party, rows, tol)``, a block span, which the search needs
-  only where a graph splits, as the read-only rows of
-  :func:`~loccdist.linalg.span_basis`.
-
-The decision procedure and the exhaustive oracle, which walk many of the
-same subsets, share them.  :func:`components` still checks the spans of
-distinct blocks against each other on every call, with one product per pair
-of blocks, so a repeated call raises as the first one did.
+:meth:`~loccdist.ensemble.Ensemble.memo`: per ``("bits", party, tol)`` the
+party's adjacency packed as one Python int per state, bit j of row i the
+edge i-j; per ``("blocks", party, mask, tol)`` the components of the graph
+on the states set in the bit mask, found by one search over the bit rows;
+per ``("span", party, rows, tol)`` a block span, needed only where a graph
+splits.  The decision procedure and the exhaustive oracle walk subsets as
+masks and share these entries.  :func:`overlap_graph`, :func:`components`
+and :func:`block_span` show the same entries through labels; a graph copies
+no matrix, and its sliced adjacency and edges are made only when read, as
+by a certificate.
 """
 
 from __future__ import annotations
@@ -51,11 +45,7 @@ __all__ = [
 
 
 def _bit_rows(e: Ensemble, party: int, tol: float) -> tuple[int, ...]:
-    """The party's adjacency as one Python int per state: bit j of row i is the edge i-j.
-
-    Packed once per ``(party, tol)`` from :meth:`Ensemble.adjacency` and
-    kept in :meth:`Ensemble.memo` under ``("bits", party, tol)``.
-    """
+    """The party's :meth:`Ensemble.adjacency` as one int per state: bit j of row i is edge i-j."""
 
     def build() -> tuple[int, ...]:
         adj = e.adjacency(party, tol)
@@ -69,69 +59,15 @@ def _bit_rows(e: Ensemble, party: int, tol: float) -> tuple[int, ...]:
     return e.memo(("bits", party, float(tol)), build)
 
 
-@dataclass(frozen=True, eq=False)
-class OverlapGraph:
-    """Relativity graph of a state subset at one party.
+def _blocks(e: Ensemble, party: int, mask: int, tol: float) -> tuple[tuple[int, ...], ...]:
+    """Components of ``party``'s graph on the states in ``mask``: ascending rows, earliest first."""
 
-    Members keep the ensemble order; ``rows`` are their ascending state
-    indices.  The graph holds no matrix of its own, only references to the
-    party's whole adjacency and its bit rows (:func:`_bit_rows`), so
-    building one costs no copy.  :meth:`blocks` searches the bit rows masked
-    to ``rows``.  ``adjacency``, the read-only boolean matrix over members
-    without self-loops, is sliced from the party's on first read; ``edges``,
-    the unordered label pairs with the earlier member first, and
-    :meth:`neighbors` read it.
-    """
-
-    party: int
-    members: tuple[str, ...]
-    rows: tuple[int, ...] = field(repr=False)
-    source: np.ndarray = field(repr=False)
-    bits: tuple[int, ...] = field(repr=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OverlapGraph):
-            return NotImplemented
-        return (
-            self.party == other.party
-            and self.members == other.members
-            and bool(np.array_equal(self.adjacency, other.adjacency))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.party, self.members))
-
-    @functools.cached_property
-    def adjacency(self) -> np.ndarray:
-        if len(self.rows) == len(self.source):
-            return self.source
-        adj = self.source.take(self.rows, axis=0).take(self.rows, axis=1)
-        adj.setflags(write=False)
-        return adj
-
-    @functools.cached_property
-    def edges(self) -> frozenset[tuple[str, str]]:
-        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
-        m = self.members
-        return frozenset((m[i], m[j]) for i, j in zip(rows.tolist(), cols.tolist()))
-
-    def neighbors(self, label: str) -> tuple[str, ...]:
-        if label not in self.members:
-            return ()
-        row = self.adjacency[self.members.index(label)]
-        return tuple(m for m, adjacent in zip(self.members, row.tolist()) if adjacent)
-
-    @functools.cached_property
-    def row_blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components as ascending state indices, ordered by earliest one."""
+    def build() -> tuple[tuple[int, ...], ...]:
         # Breadth-first search with Python ints as bit sets over state
         # indices: each step ORs whole bit rows, and ANDing with the unseen
         # members keeps the search inside the subset.
-        bits = self.bits
-        unseen = 0
-        for i in self.rows:
-            unseen |= 1 << i
-        out = []
+        bits = _bit_rows(e, party, tol)
+        unseen, out = mask, []
         while unseen:
             frontier = unseen & -unseen
             found = []
@@ -147,37 +83,86 @@ class OverlapGraph:
             out.append(tuple(sorted(found)))
         return tuple(out)
 
+    return e.memo(("blocks", party, mask, tol), build)
+
+
+def _mask(rows: Iterable[int]) -> int:
+    """The bit mask with bit i set for each state index i in ``rows``."""
+    mask = 0
+    for i in rows:
+        mask |= 1 << i
+    return mask
+
+
+@dataclass(frozen=True, eq=False)
+class OverlapGraph:
+    """Relativity graph of a state subset at one party.
+
+    Members keep the ensemble order; ``rows`` are their ascending state
+    indices.  :attr:`row_blocks` reads the memo entry of :func:`_blocks`;
+    ``adjacency``, the read-only boolean matrix over members without
+    self-loops, is sliced from the party's on first read, and ``edges``
+    (label pairs, earlier member first) and :meth:`neighbors` read it.
+    """
+
+    party: int
+    members: tuple[str, ...]
+    rows: tuple[int, ...] = field(repr=False)
+    ensemble: Ensemble = field(repr=False)
+    tol: float = field(repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OverlapGraph):
+            return NotImplemented
+        return (
+            self.party == other.party
+            and self.members == other.members
+            and bool(np.array_equal(self.adjacency, other.adjacency))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.party, self.members))
+
     @functools.cached_property
-    def _blocks(self) -> tuple[tuple[str, ...], ...]:
-        label = dict(zip(self.rows, self.members))
-        return tuple(tuple(label[i] for i in block) for block in self.row_blocks)
+    def adjacency(self) -> np.ndarray:
+        source = self.ensemble.adjacency(self.party, self.tol)
+        if len(self.rows) == len(source):
+            return source
+        adj = source.take(self.rows, axis=0).take(self.rows, axis=1)
+        adj.setflags(write=False)
+        return adj
+
+    @functools.cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
+        m = self.members
+        return frozenset((m[i], m[j]) for i, j in zip(rows.tolist(), cols.tolist()))
+
+    def neighbors(self, label: str) -> tuple[str, ...]:
+        if label not in self.members:
+            return ()
+        row = self.adjacency[self.members.index(label)]
+        return tuple(m for m, adjacent in zip(self.members, row.tolist()) if adjacent)
+
+    @property
+    def row_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components as ascending state indices, ordered by earliest one."""
+        return _blocks(self.ensemble, self.party, _mask(self.rows), self.tol)
 
     def blocks(self) -> tuple[tuple[str, ...], ...]:
         """Connected components, ordered by earliest member, members in order."""
-        return self._blocks
+        labels = self.ensemble.labels
+        return tuple(tuple(labels[i] for i in block) for block in self.row_blocks)
 
 
 def overlap_graph(
     e: Ensemble, subset: Iterable[str], party: int, tol: float = DEFAULT_TOL
 ) -> OverlapGraph:
-    """The relativity graph of ``subset`` at ``party``.
-
-    The graph refers to the ensemble's cached per-party adjacency and bit
-    rows, and is built once per ``(party, rows, tol)`` and kept in
-    :meth:`Ensemble.memo`, so every later call on the same subset, in any
-    order, returns the same object with whatever it has found already.
-    """
+    """The relativity graph of ``subset`` at ``party``, whose blocks the searches share."""
     if not 0 <= party < e.parties:
         raise DimensionError(f"party {party} out of range for {e.parties} parties")
     rows = tuple(sorted({e.index(label) for label in subset}))  # NotFoundError for unknown labels
-
-    def build() -> OverlapGraph:
-        members = tuple(e.labels[i] for i in rows)
-        return OverlapGraph(
-            party, members, rows, e.adjacency(party, tol), _bit_rows(e, party, tol)
-        )
-
-    return e.memo(("graph", party, rows, float(tol)), build)
+    return OverlapGraph(party, tuple(e.labels[i] for i in rows), rows, e, float(tol))
 
 
 def _span(e: Ensemble, party: int, rows: tuple[int, ...], tol: float) -> np.ndarray:
@@ -192,9 +177,8 @@ def block_span(
 ) -> np.ndarray:
     """Orthonormal basis of the span of ``block``'s vectors at ``party``, as rows.
 
-    :func:`~loccdist.linalg.span_basis` on the block's rows of the party
-    array, taken in the order given, computed once per
-    ``(party, rows, tol)`` and kept in :meth:`Ensemble.memo`.
+    :func:`~loccdist.linalg.span_basis` on the block's rows in the order
+    given, kept in :meth:`Ensemble.memo` per ``(party, rows, tol)``.
     """
     return _span(e, party, tuple(e.index(label) for label in block), tol)
 
@@ -208,8 +192,10 @@ class Partition:
     spans: tuple[np.ndarray, ...]
 
 
-def components(g: OverlapGraph, e: Ensemble, tol: float = DEFAULT_TOL) -> Partition:
-    """Component partition of ``g`` with a span basis per block.
+def _checked_spans(
+    e: Ensemble, party: int, blocks: Sequence[tuple[int, ...]], tol: float
+) -> tuple[np.ndarray, ...]:
+    """The span of each block of rows at ``party``, checked pairwise, on every call.
 
     Distinct blocks have no edges between them, so their spans must come out
     orthogonal (the non-damaging condition of Walgate & Hardy, PRL 89,
@@ -217,17 +203,22 @@ def components(g: OverlapGraph, e: Ensemble, tol: float = DEFAULT_TOL) -> Partit
     overlap beyond 10 * tol means the tolerance no longer separates signal
     from noise and is reported as instability rather than silently absorbed.
     """
-    blocks = g.blocks()
-    spans = tuple(_span(e, g.party, rows, tol) for rows in g.row_blocks)
+    spans = tuple(_span(e, party, rows, tol) for rows in blocks)
     for i, j in itertools.combinations(range(len(spans)), 2):
         overlaps = np.abs(spans[i].conj() @ spans[j].T)
-        over = np.flatnonzero(overlaps > 10.0 * tol)
-        if over.size:
+        if overlaps.size and overlaps.max() > 10.0 * tol:  # spans are finite, so no NaN
+            first = overlaps.flat[np.flatnonzero(overlaps > 10.0 * tol)[0]]
             raise NumericalInstabilityError(
-                f"blocks {i} and {j} at party {g.party} have span overlap "
-                f"{overlaps.flat[over[0]]:.3e}, beyond 10*tol"
+                f"blocks {i} and {j} at party {party} have span overlap "
+                f"{first:.3e}, beyond 10*tol"
             )
-    return Partition(party=g.party, blocks=blocks, spans=spans)
+    return spans
+
+
+def components(g: OverlapGraph, e: Ensemble, tol: float = DEFAULT_TOL) -> Partition:
+    """Component partition of ``g`` with a span basis per block, by :func:`_checked_spans`."""
+    spans = _checked_spans(e, g.party, g.row_blocks, tol)
+    return Partition(party=g.party, blocks=g.blocks(), spans=spans)
 
 
 def relativity_chain(
@@ -248,36 +239,31 @@ def relativity_chain(
     """
     if length < 0:
         raise DimensionError(f"chain length must be non-negative, got {length}")
-    e.index(start)
-    g = overlap_graph(e, e.labels, party, tol)
-    neighbor_map = {m: g.neighbors(m) for m in g.members}
-
+    first = e.index(start)
+    bits = _bit_rows(e, party, tol)
     rows = e.party_arrays[party]
     orthobasis: list[np.ndarray] = []
-    path: list[str] = []
-    visited: set[str] = set()
+    path: list[int] = []
 
-    def extend(label: str) -> tuple[str, ...] | None:
-        r = _residual(rows[e.index(label)], orthobasis, tol)
+    def extend(i: int, on_path: int) -> bool:
+        r = _residual(rows[i], orthobasis, tol)
         if r is None:
-            return None
-        path.append(label)
-        visited.add(label)
+            return False
+        path.append(i)
         orthobasis.append(r)
         if len(path) == length + 1:
-            return tuple(path)
-        for nxt in neighbor_map[label]:
-            if nxt in visited:
-                continue
-            found = extend(nxt)
-            if found is not None:
-                return found
+            return True
+        todo = bits[i] & ~(on_path | 1 << i)  # neighbors off the path, ascending
+        while todo:
+            low = todo & -todo
+            if extend(low.bit_length() - 1, on_path | 1 << i):
+                return True
+            todo ^= low
         path.pop()
-        visited.discard(label)
         orthobasis.pop()
-        return None
+        return False
 
-    return extend(start)
+    return tuple(e.labels[i] for i in path) if extend(first, 0) else None
 
 
 def chain_criterion(e: Ensemble, tol: float = DEFAULT_TOL) -> bool:

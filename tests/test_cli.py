@@ -24,11 +24,13 @@ from loccdist import (
     parse_ensemble,
     random_product_basis,
     validate,
+    verdict_to_json,
 )
 from loccdist.cli import (
     EXIT_DATA,
     EXIT_INDISTINGUISHABLE,
     EXIT_INTERNAL,
+    EXIT_IOERR,
     EXIT_OK,
     EXIT_UNKNOWN,
     EXIT_USAGE,
@@ -180,6 +182,33 @@ def test_deeply_nested_json_is_a_data_error(tmp_path):
     assert proc.returncode == EXIT_DATA
     assert "Traceback" not in proc.stderr
     assert "nested too deeply" in proc.stderr
+
+
+def test_stdout_closed_by_the_reader_is_an_output_error(tmp_path):
+    # `check --json | true`: the reader is gone before a verdict larger than
+    # a pipe buffer is written.  That is exit 74 with one error line, not a
+    # traceback whose exit status 1 reads as "indistinguishable"
+    path = tmp_path / "b666.json"
+    e = random_product_basis((6, 6, 6), 5, depth=10)
+    path.write_text(emit_ensemble(e) + "\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(loccdist.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loccdist.cli", "check", "--json", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode("utf-8")
+        assert proc.wait(timeout=60) == EXIT_IOERR
+    finally:
+        proc.kill()
+        proc.wait()
+    assert len(canonical_dumps(verdict_to_json(decide(e, "complete")))) > 1 << 16
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_check_graph_size_guard_is_usage_error(run, ensemble_file, monkeypatch):

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loccdist import (
     Ensemble,
@@ -20,6 +22,7 @@ from loccdist import (
     TraceStuck,
     Verdict,
     apply_local_unitaries,
+    basis_vector,
     catalog,
     decide,
     emit_ensemble,
@@ -341,6 +344,65 @@ def test_verdict_survives_reordering_generated(seed):
         assert v.kind == base.kind
         if base.kind == "distinguishable":
             assert sorted(_leaf_labels(v.tree)) == sorted(_leaf_labels(base.tree))
+
+
+def _bennett9_beside(k, position):
+    """bennett9 once per state of a k-dimensional party inserted at ``position``.
+
+    The new party splits the basis into k copies of bennett9, each stuck.
+    """
+    states = []
+    for c in range(k):
+        for s in catalog("bennett9").states:
+            local = (*s.locals[:position], basis_vector(k, c), *s.locals[position:])
+            states.append(ProductState(f"{s.label}-{c}", local))
+    dims = (3, 3)[:position] + (k,) + (3, 3)[position:]
+    return Ensemble(f"bennett9x{k}", dims, states, complete=True)
+
+
+def _stuck_blocks(v):
+    stuck = (n for n in _preorder(v.trace) if isinstance(n, TraceStuck))
+    return {frozenset(n.certificate.subset) for n in stuck}
+
+
+@st.composite
+def _small_bases(draw):
+    """A basis over at most three parties of dimension at most 3, in new local bases."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    if draw(st.booleans()):
+        dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        e = random_product_basis(dims, seed, draw(st.integers(0, 6)))
+    else:
+        e = _bennett9_beside(draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+    rng = np.random.default_rng(seed)
+    return apply_local_unitaries(e, [random_unitary(d, rng) for d in e.dims])
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=_small_bases(), data=st.data())
+def test_stuck_blocks_do_not_depend_on_party_or_state_order(e, data):
+    """The greedy search's stuck blocks, as label sets, are the same in every order.
+
+    Reordering parties changes which party splits first, and reordering
+    states changes the indices, but not the blocks that end up stuck.  A
+    block S that is connected at every party stays inside one component of
+    any superset T at every party, because restricting T's graph to S only
+    removes edges.  So every split of a subset that holds S, in any order,
+    keeps S within one block, and S lies inside a stuck block S' of any other
+    run.  By the same argument S' lies inside a stuck block of the first
+    run, which meets S and so is S: S' = S.  A state that ends in a leaf in
+    one run cannot lie in a stuck block of another for the same reason.
+    Where n <= 12 the exhaustive oracle must agree with both runs.
+    """
+    parties = data.draw(st.permutations(range(e.parties)))
+    states = data.draw(st.permutations(range(len(e.labels))))
+    shuffled = _permute_states(_permute_parties(e, parties), states)
+    base, moved = decide(e, "complete"), decide(shuffled, "complete")
+    assert moved.kind == base.kind
+    assert _stuck_blocks(moved) == _stuck_blocks(base)
+    assert bool(_stuck_blocks(base)) == (base.kind == "indistinguishable")
+    if len(e.labels) <= oracle.MAX_ORACLE_STATES:
+        assert exhaustive_decide(e).kind == exhaustive_decide(shuffled).kind == base.kind
 
 
 @pytest.mark.parametrize("name", ["bennett9", "comp2x2", "cube64"])

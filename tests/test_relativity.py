@@ -38,6 +38,7 @@ from loccdist import (
 from loccdist.jsonio import canonical_dumps
 from loccdist.linalg import span_basis
 from loccdist.oracle import exhaustive_decide
+from loccdist import relativity
 from loccdist.relativity import block_span
 
 TOL = 1e-9
@@ -472,15 +473,18 @@ def test_adjacency_size_guard(monkeypatch):
 # the per-ensemble memo of graphs and block spans
 
 
-def test_graph_is_built_once_per_party_subset_and_tol():
+def test_blocks_are_found_once_per_party_subset_and_tol():
     e = catalog("bennett9")
     subset = e.labels[1:7]
-    g = overlap_graph(e, subset, 1)
-    assert overlap_graph(e, tuple(reversed(subset)), 1) is g
-    assert overlap_graph(e, set(subset) | {subset[0]}, 1, TOL) is g
-    assert overlap_graph(e, subset, 0) is not g
-    other = overlap_graph(e, subset, 1, 1e-5)
-    assert other is not g and other is overlap_graph(e, subset, 1, 1e-5)
+    mask = sum(1 << i for i in range(1, 7))
+    blocks = overlap_graph(e, subset, 1).row_blocks
+    assert e._memo[("blocks", 1, mask, TOL)] is blocks
+    assert overlap_graph(e, tuple(reversed(subset)), 1).row_blocks is blocks
+    assert overlap_graph(e, set(subset) | {subset[0]}, 1, TOL).row_blocks is blocks
+    assert overlap_graph(e, subset, 0).row_blocks is e._memo[("blocks", 0, mask, TOL)]
+    other = overlap_graph(e, subset, 1, 1e-5).row_blocks
+    assert other is e._memo[("blocks", 1, mask, 1e-5)] is not blocks
+    assert not [key for key in e._memo if key[0] == "graph"]
     # the checks run before the memo is read
     with pytest.raises(DimensionError):
         overlap_graph(e, subset, 2)
@@ -488,19 +492,54 @@ def test_graph_is_built_once_per_party_subset_and_tol():
         overlap_graph(e, (*subset, "nope"), 1)
 
 
-def test_search_graphs_hold_no_matrix_of_their_own():
-    # decide reads only blocks: no graph slices the party adjacency, and
-    # each party's bit rows are packed once
-    e = random_product_basis((3, 3, 2), 5, depth=6)
-    assert decide(e, "complete").kind == "distinguishable"
-    memo = e._memo
-    graphs = [v for k, v in memo.items() if k[0] == "graph"]
-    assert len(graphs) > e.parties
-    assert all("adjacency" not in g.__dict__ and "edges" not in g.__dict__ for g in graphs)
-    assert sorted(k for k in memo if k[0] == "bits") == [("bits", p, TOL) for p in range(3)]
-    for g in graphs:
-        assert g.bits is memo[("bits", g.party, TOL)]
-        assert g.source is e.adjacency(g.party)
+def _built_graphs(monkeypatch):
+    """Every OverlapGraph constructed from here on, in order."""
+    made = []
+    init = relativity.OverlapGraph.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(relativity.OverlapGraph, "__init__", counting)
+    return made
+
+
+def _packings(monkeypatch):
+    """The number of np.packbits calls from here on, one per party's bit rows."""
+    calls = []
+    packbits = np.packbits
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return packbits(*args, **kwargs)
+
+    monkeypatch.setattr(np, "packbits", counting)
+    return calls
+
+
+def test_search_graphs_hold_no_matrix_of_their_own(monkeypatch):
+    # both searches walk bit masks: on a distinguishable basis neither builds
+    # an OverlapGraph, and each party's bit rows are packed once
+    e = random_product_basis((2, 2, 3), 4, depth=5)
+    made, packed = _built_graphs(monkeypatch), _packings(monkeypatch)
+    assert decide(e, "complete").kind == exhaustive_decide(e).kind == "distinguishable"
+    assert made == [] and len(packed) == e.parties
+    assert sorted(k for k in e._memo if k[0] == "bits") == [("bits", p, TOL) for p in range(3)]
+    assert {k[0] for k in e._memo} == {"adjacency", "validate", "bits", "blocks", "span"}
+
+
+def test_stuck_searches_build_only_the_certificate_graphs(monkeypatch):
+    # on bennett9 the only graphs are those of the two certificates, one per
+    # party each, and none slices the adjacency until it is read
+    e = catalog("bennett9")
+    made, packed = _built_graphs(monkeypatch), _packings(monkeypatch)
+    greedy, thorough = decide(e, "complete"), exhaustive_decide(e)
+    assert greedy.kind == thorough.kind == "indistinguishable"
+    assert made == [*greedy.certificate.graphs, *thorough.certificate.graphs]
+    assert [g.party for g in made] == [0, 1, 0, 1]
+    assert all(g.members == e.labels and "adjacency" not in g.__dict__ for g in made)
+    assert len(packed) == e.parties
 
 
 @pytest.mark.parametrize("seed", range(4))
