@@ -40,7 +40,7 @@ __all__ = [
     "normalize_rows",
     "parse_matrix",
     "phase_normalize",
-    "projector_matrix",
+    "projectors",
     "span_basis",
     "svd_decompose",
     "unit_vectors",
@@ -255,14 +255,26 @@ def span_basis(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return fixed
 
 
-def projector_matrix(rows: np.ndarray) -> np.ndarray:
-    """Sum of |b><b| over the rows b of a ``k x d`` orthonormal family (not rechecked)."""
-    if not len(rows):
+def projectors(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Projectors onto consecutive orthonormal families of rows, as a read-only ``m x d x d`` stack.
+
+    Family j is the next ``sizes[j]`` rows of the ``k x d`` array (not
+    rechecked).  Each projector adds its ``|b><b|`` to zero in row order, as
+    a loop over rows would, and every family's i-th ``|b><b|`` comes from
+    one broadcast.  Adding the first to zero only turns -0.0 into 0.0.
+    """
+    if not len(sizes) or min(sizes) < 1:
         raise DimensionError("projector needs at least one basis vector")
-    dim = rows.shape[1]
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    for b in rows:
-        p += np.outer(b, b.conj())
+    counts = np.asarray(sizes)
+    starts = np.cumsum(counts) - counts
+    b = rows[starts]
+    p = b[:, :, None] * b.conj()[:, None, :]
+    p += 0.0
+    for i in range(1, counts.max()):
+        have = np.flatnonzero(counts > i)
+        b = rows[starts[have] + i]
+        p[have] += b[:, :, None] * b.conj()[:, None, :]
+    p.setflags(write=False)
     return p
 
 

@@ -6,6 +6,11 @@ party, with one subtree per outcome; each leaf either announces a state
 label or gives up.  Running the tree on every ensemble member yields the
 exact branch probabilities, so perfect discrimination becomes a checkable
 arithmetic fact rather than a claim.
+
+Replay works in stacks: :func:`run_protocol` applies an instrument's
+``K x d_out x d`` operator stacks, one product each, to the stacked factors
+of every state that reaches its node, and :func:`parse_sim_protocol` decodes
+all basis vectors of one dimension, and builds their projectors, at once.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .linalg import (
     emit_matrix,
     normalize_rows,
     parse_matrix,
-    projector_matrix,
+    projectors,
     svd_decompose,
     unit_vectors,
 )
@@ -77,7 +82,7 @@ class LocalOperator:
     complement: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.party, int) or self.party < 0:
+        if not isinstance(self.party, int) or isinstance(self.party, bool) or self.party < 0:
             raise SchemaError(f"party must be a non-negative integer, got {self.party!r}")
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
@@ -97,6 +102,14 @@ class LocalOperator:
         return self.matrix.shape[0]
 
 
+def _built(party: int, matrix: np.ndarray, basis=None, complement=False) -> LocalOperator:
+    """A LocalOperator around a finite read-only matrix built here, without a copy or a check."""
+    op = object.__new__(LocalOperator)  # attributes set in field order keep the dict compact
+    for name, value in dict(party=party, matrix=matrix, basis=basis, complement=complement).items():
+        object.__setattr__(op, name, value)
+    return op
+
+
 @dataclass(frozen=True)
 class Instrument:
     """A complete family of Kraus operators at one party."""
@@ -105,6 +118,8 @@ class Instrument:
     operators: tuple[LocalOperator, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.party, int) or isinstance(self.party, bool) or self.party < 0:
+            raise SchemaError(f"party must be a non-negative integer, got {self.party!r}")
         object.__setattr__(self, "operators", tuple(self.operators))
         if not self.operators:
             raise SchemaError("an instrument needs at least one operator")
@@ -116,15 +131,21 @@ class Instrument:
             if op.in_dim != self.operators[0].in_dim:
                 raise DimensionError("all operators in an instrument share one input dimension")
 
+    @property
+    def stacks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """Operator indices and ``K x d_out x d`` matrices per output dimension, built on read."""
+        ops = self.operators
+        groups: dict[int, list[int]] = {}
+        for i, op in enumerate(ops):
+            groups.setdefault(op.out_dim, []).append(i)
+        return tuple((tuple(ix), np.array([ops[i].matrix for i in ix])) for ix in groups.values())
 
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow shows as an inf or NaN defect
 def completeness_defect(ins: Instrument) -> float:
-    """Largest entrywise deviation of sum(M†M) from the identity."""
-    d = ins.operators[0].in_dim
-    total = np.zeros((d, d), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as an inf or NaN defect
-        for op in ins.operators:
-            total += op.matrix.conj().T @ op.matrix
-    return float(np.max(np.abs(total - np.eye(d))))
+    """Largest entrywise deviation of sum(M†M) = A†A from the identity, A all stacked rows."""
+    a = np.concatenate([ms.reshape(-1, ms.shape[2]) for _, ms in ins.stacks])
+    return float(np.abs(a.conj().T @ a - np.eye(a.shape[1])).max())
 
 
 def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> bool:
@@ -155,10 +176,8 @@ class SimNode:
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", tuple(self.children))
         if len(self.children) != len(self.instrument.operators):
-            raise SchemaError(
-                f"node has {len(self.children)} children for "
-                f"{len(self.instrument.operators)} operators"
-            )
+            n, k = len(self.children), len(self.instrument.operators)
+            raise SchemaError(f"node has {n} children for {k} operators")
 
 
 SimTree = SimLeaf | SimNode
@@ -168,31 +187,28 @@ def _fit(op: LocalOperator, dims: Sequence[int]) -> None:
     """Raise DimensionError unless op acts on a factor of a state with these dims."""
     if op.party >= len(dims):
         raise DimensionError(f"state has no party {op.party}")
-    if op.in_dim != dims[op.party]:
-        raise DimensionError(
-            f"operator expects dimension {op.in_dim}, state party {op.party} has {dims[op.party]}"
-        )
+    if op.in_dim != (d := dims[op.party]):
+        raise DimensionError(f"operator expects dimension {op.in_dim}, "
+                             f"state party {op.party} has {d}")
 
 
 # An overflowing image is reported as SchemaError, not as numpy's RuntimeWarning.
 @np.errstate(over="ignore", invalid="ignore")
-def _apply_rows(
-    m: np.ndarray, v: np.ndarray, tol: float
+def _apply_stack(
+    ms: np.ndarray, v: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply one Kraus matrix to every row of a stacked ``k x d`` factor array.
+    """Apply a ``K x d_out x d`` stack of Kraus matrices to every row of a ``k x d`` array.
 
-    Returns each row's outcome probability, the indices of the rows whose
-    probability exceeds tol, and those rows' images, renormalized and
-    phase-fixed.  ``matmul`` against column vectors, :func:`normalize_rows`,
-    the probability as a scalar power and entry magnitudes by ``hypot``
-    give the bits of :func:`normalize` and :func:`phase_normalize` on ``m @
-    row`` for images of two or more entries.  For a one-entry image the
-    phase fix is a contiguous complex product, which numpy may round
-    differently from the scalar one in the last bits of the imaginary part.
-    An image whose squared norm, its probability, is not a finite double
-    raises SchemaError.
+    Image ``j*k + r`` is matrix j on row r.  Returns every image's outcome
+    probability, the ascending numbers of the images whose probability
+    exceeds tol, and those images, renormalized and phase-fixed.  ``matmul``
+    against column vectors, :func:`normalize_rows`, the probability as a
+    scalar power and magnitudes by ``hypot`` give the bits of
+    :func:`normalize` and :func:`phase_normalize` on ``m @ row``, but for
+    the last bits of a one-entry image's phase fix, a contiguous complex
+    product.  A probability that is not a finite double raises SchemaError.
     """
-    w = np.matmul(m, v[:, :, None])[:, :, 0]
+    w = np.matmul(ms[:, None], v[None, :, :, None]).reshape(len(ms) * len(v), ms.shape[1])
     norms = _row_norms(w)
     if not np.isfinite(norms).all():
         raise SchemaError("an outcome probability overflows a double")
@@ -219,7 +235,7 @@ def apply_operator(
     (prob <= tol).  Global phase of the updated factor is dropped.
     """
     _fit(op, [v.dim for v in s.locals])
-    probs, kept, images = _apply_rows(op.matrix, s.locals[op.party].entries[None, :], tol)
+    probs, kept, images = _apply_stack(op.matrix[None], s.locals[op.party].entries[None, :], tol)
     prob = float(probs[0])
     if not kept.size:
         return None, prob
@@ -240,18 +256,6 @@ class DiscriminationReport:
     warnings: tuple[str, ...]
 
 
-def _collect(
-    root: SimTree, path: tuple[int, ...], instruments: list[Instrument], leaves: dict
-) -> None:
-    """The tree's instruments in pre-order, and each leaf's announcement by path."""
-    if isinstance(root, SimLeaf):
-        leaves[path] = root.announce
-        return
-    instruments.append(root.instrument)
-    for i, child in enumerate(root.children):
-        _collect(child, path + (i,), instruments, leaves)
-
-
 def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> DiscriminationReport:
     """Run a measurement protocol on every state and judge discrimination.
 
@@ -262,15 +266,20 @@ def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> Discri
     within a factor 100 of that threshold are flagged as warnings because
     the verdict starts to hinge on the tolerance.
 
-    The tree is walked once, not once per state: each node carries the
-    stacked factor arrays of the states that reach it, and each Kraus
-    operator acts on all of them at once.
+    The tree is walked once, not once per state, from an explicit stack
+    that pushes children in reverse, so leaves are reached in pre-order.
+    Each node carries the stacked factor arrays of the states that reach it,
+    and each of :attr:`Instrument.stacks` acts on all of them in one product.
     """
-    instruments: list[Instrument] = []
     leaf_announce: dict[tuple[int, ...], str | None] = {}
-    _collect(root, (), instruments, leaf_announce)
-    for ins in instruments:
-        _require_complete(ins, tol)
+    todo: list = [(root, ())]
+    while todo:  # every instrument in pre-order, and each leaf's announcement by path
+        node, path = todo.pop()
+        if isinstance(node, SimLeaf):
+            leaf_announce[path] = node.announce
+            continue
+        _require_complete(node.instrument, tol)
+        todo.extend((node.children[i], path + (i,)) for i in reversed(range(len(node.children))))
     labels = e.labels
     known = set(labels)
     for path, announce in leaf_announce.items():
@@ -278,47 +287,41 @@ def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> Discri
             raise NotFoundError(f"leaf {path} announces unknown label {announce!r}")
 
     recorded: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in labels]
-    flagged: list[tuple[int, str]] = []
+    flagged: list[tuple[int, tuple[int, ...], str]] = []
     reached: dict[tuple[int, ...], tuple[str, ...]] = {}
-
-    def walk(
-        node: SimTree,
-        rows: np.ndarray,
-        probs: np.ndarray,
-        arrays: tuple[np.ndarray, ...],
-        path: tuple[int, ...],
-    ) -> None:
+    n = len(labels)
+    todo = [(root, np.arange(n), np.ones(n), e.party_arrays, ())] if n else []
+    while todo:
+        node, rows, probs, arrays, path = todo.pop()
         # rows: ensemble indices, ascending; probs and arrays: one entry per row
-        if not rows.size:
-            return
         if isinstance(node, SimLeaf):
             pairs = list(zip(rows.tolist(), probs.tolist()))
             for i, prob in pairs:
                 recorded[i].append((path, prob))
             reached[path] = tuple(labels[i] for i, prob in pairs if prob > tol)
-            return
-        dims = [a.shape[1] for a in arrays]
-        for k, op in enumerate(node.instrument.operators):
-            _fit(op, dims)
-            p, kept, images = _apply_rows(op.matrix, arrays[op.party], tol)
-            branch = probs[kept] * p[kept]
+            continue
+        ins, k = node.instrument, len(rows)
+        _fit(ins.operators[0], [a.shape[1] for a in arrays])
+        parts = []
+        for ops, ms in ins.stacks:
+            p, kept, images = _apply_stack(ms, arrays[ins.party], tol)
+            src = kept % k
+            branch = probs[src] * p[kept]
             live = np.flatnonzero(branch > tol)
-            sel = kept[live]
-            for i, b in zip(rows[sel].tolist(), branch[live].tolist()):
-                if b <= 100.0 * tol:
-                    flagged.append(
-                        (i, f"state {labels[i]} path {path + (k,)}: probability "
-                            f"{b:.3e} is within 100*tol of annihilation")
-                    )
-            child = tuple(
-                images[live] if q == op.party else a[sel] for q, a in enumerate(arrays)
-            )
-            walk(node.children[k], rows[sel], branch[live], child, path + (k,))
+            kept, src, branch, images = kept[live], src[live], branch[live], images[live]
+            for x in np.flatnonzero(branch <= 100.0 * tol).tolist():
+                i, at = int(rows[src[x]]), path + (ops[kept[x] // k],)
+                flagged.append((i, at, f"state {labels[i]} path {at}: probability "
+                                       f"{float(branch[x]):.3e} is within 100*tol of annihilation"))
+            cuts = np.searchsorted(kept, np.arange(k, len(ms) * k, k)).tolist()
+            for j, a, b in zip(ops, [0, *cuts], [*cuts, len(kept)]):
+                if a < b:
+                    parts.append((j, src[a:b], branch[a:b], images[a:b]))
+        for j, sel, branch, images in sorted(parts, key=lambda part: -part[0]):
+            child = tuple(images if q == ins.party else a[sel] for q, a in enumerate(arrays))
+            todo.append((node.children[j], rows[sel], branch, child, path + (j,)))
 
-    walk(root, np.arange(len(labels)), np.ones(len(labels)), e.party_arrays, ())
     branches = {label: tuple(recs) for label, recs in zip(labels, recorded)}
-    warnings = [message for _, message in sorted(flagged, key=lambda f: f[0])]
-
     totals = {
         label: sum(prob for path, prob in recs if leaf_announce[path] == label)
         for label, recs in branches.items()
@@ -327,14 +330,9 @@ def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> Discri
     perfect = all(abs(t - 1.0) <= tol for t in totals.values()) and all(
         len(names) < 2 for names in confusion.values()
     )
-    return DiscriminationReport(
-        perfect=perfect,
-        branches=branches,
-        leaf_announce=leaf_announce,
-        confusion=confusion,
-        totals=totals,
-        warnings=tuple(warnings),
-    )
+    # sorted by state, then path: lexicographic paths are in pre-order
+    warnings = tuple(message for _, _, message in sorted(flagged))
+    return DiscriminationReport(perfect, branches, leaf_announce, confusion, totals, warnings)
 
 
 @dataclass(frozen=True)
@@ -351,11 +349,11 @@ def canonicalize_operator(op: LocalOperator, tol: float = DEFAULT_TOL) -> Canoni
     return CanonicalOperator(svd=result, physical=all(s <= 1.0 + tol for s in result.sigmas))
 
 
-def _complement(party: int, projectors: Sequence[LocalOperator]) -> LocalOperator:
-    """The identity minus the given projectors, the rest of a projective instrument."""
-    d = projectors[0].in_dim
-    rest = np.eye(d, dtype=np.complex128) - sum(op.matrix for op in projectors)
-    return LocalOperator(party, rest, complement=True)
+def _complement(party: int, mats: Sequence[np.ndarray]) -> LocalOperator:
+    """The identity minus the given projector matrices, the rest of a projective instrument."""
+    rest = np.eye(mats[0].shape[1], dtype=np.complex128) - sum(mats)
+    rest.setflags(write=False)
+    return _built(party, rest, complement=True)
 
 
 def lift_protocol(t: TraceNode, e: Ensemble, tol: float = DEFAULT_TOL) -> SimTree:
@@ -373,14 +371,14 @@ def lift_protocol(t: TraceNode, e: Ensemble, tol: float = DEFAULT_TOL) -> SimTre
     party = t.step.party
     if party >= e.parties:
         raise DimensionError(f"protocol measures party {party}, the ensemble has {e.parties}")
-    d = e.dims[party]
-    for o in t.step.outcomes:
-        if o.basis.shape[1] != d:
-            raise DimensionError(
-                f"outcome basis dimension {o.basis.shape[1]} does not match party {party} ({d})"
-            )
-    ops = [LocalOperator(party, projector_matrix(o.basis), basis=o.basis) for o in t.step.outcomes]
-    rest = _complement(party, ops)
+    d, bases = e.dims[party], [o.basis for o in t.step.outcomes]
+    for b in bases:
+        if b.shape[1] != d:
+            raise DimensionError(f"outcome basis dimension {b.shape[1]} does not match "
+                                 f"party {party} ({d})")
+    mats = projectors(np.concatenate(bases), [len(b) for b in bases])
+    ops = [_built(party, m, basis=b) for m, b in zip(mats, bases)]
+    rest = _complement(party, mats)
     children = [lift_protocol(c, e, tol) for c in t.children]
     if float(np.max(np.abs(rest.matrix))) > tol:
         ops.append(rest)
@@ -401,7 +399,7 @@ def extend_with_projective(e: Ensemble, ins: Instrument, tol: float = DEFAULT_TO
     children: list[SimTree] = []
     for i, op in enumerate(ins.operators):
         _fit(op, e.dims)
-        _, kept, images = _apply_rows(op.matrix, e.party_arrays[op.party], tol)
+        _, kept, images = _apply_stack(op.matrix[None], e.party_arrays[op.party], tol)
         labels = [e.labels[j] for j in kept.tolist()]
         if len(labels) < 2:
             children.append(SimLeaf(labels[0] if labels else None))
@@ -410,9 +408,8 @@ def extend_with_projective(e: Ensemble, ins: Instrument, tol: float = DEFAULT_TO
         sub = _from_rows(f"{e.name}.outcome{i}", labels, arrays, complete=False)
         verdict = decide(sub, "incomplete", tol)
         if not verdict.distinguishable:
-            raise InstrumentError(
-                f"outcome {i}: surviving states are not projectively distinguishable"
-            )
+            raise InstrumentError(f"outcome {i}: surviving states are not projectively "
+                                  "distinguishable")
         assert verdict.tree is not None
         children.append(lift_protocol(verdict.tree, sub, tol))
     return SimNode(instrument=ins, children=tuple(children))
@@ -425,17 +422,10 @@ def extend_with_projective(e: Ensemble, ins: Instrument, tol: float = DEFAULT_TO
 def _triple_povm_instrument(party: int) -> Instrument:
     # Three rank-one operators sqrt(2/3) |w><w| over qubit directions whose
     # pairwise overlaps are +-1/2; together they resolve the identity.
-    root23 = np.sqrt(2.0 / 3.0)
     half3 = np.sqrt(3.0) / 2.0
-    directions = [
-        np.array([0.0, 1.0], dtype=np.complex128),
-        np.array([half3, -0.5], dtype=np.complex128),
-        np.array([half3, 0.5], dtype=np.complex128),
-    ]
-    ops = tuple(
-        LocalOperator(party, root23 * np.outer(w, w.conj())) for w in directions
-    )
-    return Instrument(party, ops)
+    directions = np.array([[0.0, 1.0], [half3, -0.5], [half3, 0.5]], dtype=np.complex128)
+    ops = (LocalOperator(party, np.sqrt(2.0 / 3.0) * np.outer(w, w.conj())) for w in directions)
+    return Instrument(party, tuple(ops))
 
 
 def _build_finkelstein_povm(e: Ensemble, tol: float) -> SimTree:
@@ -444,9 +434,7 @@ def _build_finkelstein_povm(e: Ensemble, tol: float) -> SimTree:
     return extend_with_projective(e, _triple_povm_instrument(2), tol)
 
 
-_BUILTIN_PROTOCOLS = {
-    "finkelstein-povm": _build_finkelstein_povm,
-}
+_BUILTIN_PROTOCOLS = {"finkelstein-povm": _build_finkelstein_povm}
 
 BUILTIN_PROTOCOL_NAMES: tuple[str, ...] = tuple(_BUILTIN_PROTOCOLS)
 
@@ -488,17 +476,14 @@ def emit_sim_protocol(root: SimTree) -> str:
     return canonical_dumps(_sim_to_json(root))
 
 
-def _operators_from_json(party: int, raw_ops: list, where: str) -> tuple[LocalOperator, ...]:
-    """Decode one instrument's operators.
+def _layout(raw_ops: list, where: str, queue: dict[int, tuple[list, list, list]]) -> list:
+    """Check one instrument's operators and decode its dense ones.
 
-    The layout of every operator is checked first, and dense matrices are
-    decoded as they come.  Then all of the instrument's basis vectors go
-    through one codec call and one :func:`normalize_rows`, whose errors
-    still name the operator and the vector.
+    Basis vectors join ``queue``'s lists for their dimension: the vectors,
+    each one's owner, each basis's size.  Returns per operator its matrix,
+    "complement", or its basis's dimension, number and vectors among that dimension's.
     """
-    layout: list = []  # per operator: its basis vector count, "complement" or its matrix
-    vectors: list = []
-    owners: list[tuple[int, int]] = []  # (operator, basis vector) of each vector
+    layout: list = []
     d = 0
     for i, raw in enumerate(raw_ops):
         at = f"{where}: operator {i}"
@@ -512,66 +497,22 @@ def _operators_from_json(party: int, raw_ops: list, where: str) -> tuple[LocalOp
             d = d or len(basis[0])
             if any(len(v) != d for v in basis):
                 raise SchemaError(f"{at}: basis vectors must have dimension {d}")
-            layout.append(len(basis))
+            vectors, owners, sizes = queue.setdefault(d, ([], [], []))
+            layout.append((d, len(sizes), len(vectors), len(vectors) + len(basis)))
             vectors += basis
-            owners += ((i, j) for j in range(len(basis)))
+            owners += ((at, j) for j in range(len(basis)))
+            sizes.append(len(basis))
         elif isinstance(raw, dict) and "complement" in raw:
             if len(raw) != 1 or raw["complement"] is not True:
                 raise SchemaError(f"{at}: complement must be {{\"complement\": true}}")
-            if i != len(raw_ops) - 1 or not layout or not all(isinstance(k, int) for k in layout):
+            if i != len(raw_ops) - 1 or not layout or not all(isinstance(k, tuple) for k in layout):
                 raise SchemaError(f"{at}: complement must come last, after basis operators")
             layout.append("complement")
         else:
             matrix = parse_matrix(raw)
             d = d or matrix.shape[1]
             layout.append(matrix)
-    if vectors:
-        flat = complex_rows_from_json(
-            vectors, lambda k: "{}: operator {}: basis vector {}".format(where, *owners[k])
-        )
-        rows = normalize_rows(flat.reshape(-1, d))
-        rows.setflags(write=False)
-    ops: list[LocalOperator] = []
-    start = 0
-    for kind in layout:
-        if isinstance(kind, np.ndarray):
-            ops.append(LocalOperator(party, kind))
-        elif kind == "complement":
-            ops.append(_complement(party, ops))
-        else:
-            basis = rows[start : start + kind]
-            ops.append(LocalOperator(party, projector_matrix(basis), basis=basis))
-            start += kind
-    return tuple(ops)
-
-
-def _sim_from_json(data: object, where: str = "protocol") -> SimTree:
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: node must be a JSON object")
-    if "announce" in data:
-        announce = data["announce"]
-        if announce is not None and not isinstance(announce, str):
-            raise SchemaError(f"{where}: announce must be a label or null")
-        return SimLeaf(announce)
-    for key in ("party", "operators", "children"):
-        if key not in data:
-            raise SchemaError(f"{where}: node is missing key {key!r}")
-    party = data["party"]
-    if not isinstance(party, int) or isinstance(party, bool) or party < 0:
-        raise SchemaError(f"{where}: party must be a non-negative integer")
-    raw_ops = data["operators"]
-    raw_children = data["children"]
-    if not isinstance(raw_ops, list) or not raw_ops:
-        raise SchemaError(f"{where}: operators must be a non-empty list")
-    if not isinstance(raw_children, list) or len(raw_children) != len(raw_ops):
-        raise SchemaError(
-            f"{where}: {len(raw_ops)} operators need {len(raw_ops)} children"
-        )
-    ops = _operators_from_json(party, raw_ops, where)
-    children = tuple(
-        _sim_from_json(c, f"{where}.children[{i}]") for i, c in enumerate(raw_children)
-    )
-    return SimNode(instrument=Instrument(party, ops), children=children)
+    return layout
 
 
 def parse_sim_protocol(text: str) -> SimTree:
@@ -581,8 +522,62 @@ def parse_sim_protocol(text: str) -> SimTree:
     projector ``{"basis": [v1, ...]}`` onto an orthonormal family, or, last
     and after basis operators only, ``{"complement": true}``: the identity
     minus the instrument's other operators.
+
+    The whole tree's layout is checked first.  Then the basis vectors of
+    each dimension go through one codec call, whose errors still name the
+    operator and the vector, one :func:`normalize_rows` and one
+    :func:`projectors`, and the tree is built bottom-up.
     """
-    return _sim_from_json(parse_json(text))
+    nodes: list = []  # pre-order: a SimLeaf, or a node's party and operator layout
+    queue: dict[int, tuple[list, list, list]] = {}
+    todo: list[tuple[object, str]] = [(parse_json(text), "protocol")]
+    while todo:
+        data, where = todo.pop()
+        if not isinstance(data, dict):
+            raise SchemaError(f"{where}: node must be a JSON object")
+        if "announce" in data:
+            announce = data["announce"]
+            if announce is not None and not isinstance(announce, str):
+                raise SchemaError(f"{where}: announce must be a label or null")
+            nodes.append(SimLeaf(announce))
+            continue
+        if missing := [key for key in ("party", "operators", "children") if key not in data]:
+            raise SchemaError(f"{where}: node is missing key {missing[0]!r}")
+        party, raw_ops, raw_children = data["party"], data["operators"], data["children"]
+        if not isinstance(party, int) or isinstance(party, bool) or party < 0:
+            raise SchemaError(f"{where}: party must be a non-negative integer")
+        if not isinstance(raw_ops, list) or not raw_ops:
+            raise SchemaError(f"{where}: operators must be a non-empty list")
+        if not isinstance(raw_children, list) or len(raw_children) != len(raw_ops):
+            raise SchemaError(f"{where}: {len(raw_ops)} operators need {len(raw_ops)} children")
+        nodes.append((party, _layout(raw_ops, where, queue)))
+        todo.extend((c, f"{where}.children[{i}]") for i, c in reversed([*enumerate(raw_children)]))
+
+    decoded = {}
+    for d, (vectors, owners, sizes) in queue.items():
+        flat = complex_rows_from_json(vectors, lambda k: "{}: basis vector {}".format(*owners[k]))
+        vectors.clear()  # the last of the JSON tree goes before the projectors come
+        rows = normalize_rows(flat.reshape(-1, d))
+        rows.setflags(write=False)
+        decoded[d] = (projectors(rows, sizes), rows)
+    built: list[SimTree] = []
+    for node in reversed(nodes):
+        if isinstance(node, SimLeaf):
+            built.append(node)
+            continue
+        party, layout = node
+        ops: list[LocalOperator] = []
+        for kind in layout:
+            if isinstance(kind, np.ndarray):
+                ops.append(LocalOperator(party, kind))
+            elif kind == "complement":
+                ops.append(_complement(party, [op.matrix for op in ops]))
+            else:
+                mats, rows = decoded[kind[0]]
+                ops.append(_built(party, mats[kind[1]], basis=rows[kind[2] : kind[3]]))
+        children = tuple(built.pop() for _ in ops)
+        built.append(SimNode(instrument=Instrument(party, tuple(ops)), children=children))
+    return built[0]
 
 
 def report_to_json(report: DiscriminationReport) -> dict:
@@ -590,18 +585,11 @@ def report_to_json(report: DiscriminationReport) -> dict:
     return {
         "perfect": report.perfect,
         "states": [
-            {
-                "label": label,
-                "total": report.totals[label],
-                "branches": [
-                    {"path": list(path), "probability": prob} for path, prob in recs
-                ],
-            }
+            {"label": label, "total": report.totals[label],
+             "branches": [{"path": list(path), "probability": prob} for path, prob in recs]}
             for label, recs in report.branches.items()
         ],
-        "confusion": [
-            {"path": list(path), "labels": list(labels)}
-            for path, labels in report.confusion.items()
-        ],
+        "confusion": [{"path": list(path), "labels": list(labels)}
+                      for path, labels in report.confusion.items()],
         "warnings": list(report.warnings),
     }

@@ -25,7 +25,7 @@ from loccdist import (
     random_unitary,
 )
 from loccdist.distinguish import TraceLeaf, TraceSplit, TraceStuck
-from loccdist.linalg import projector_matrix
+from loccdist.linalg import projectors
 from loccdist.simulate import (
     Instrument,
     LocalOperator,
@@ -177,7 +177,7 @@ def _walk_projectors(e, node, scope):
     assert isinstance(node, TraceSplit)
     step = node.step
     for outcome, child in zip(step.outcomes, node.children):
-        p = projector_matrix(outcome.basis)
+        p = projectors(outcome.basis, [len(outcome.basis)])[0]
         for label in scope:
             kept = p @ e.vector(label, step.party).entries
             weight = float(np.vdot(kept, kept).real)

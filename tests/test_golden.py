@@ -5,17 +5,28 @@ preceded the array-backed relativity layer.  Any drift in a verdict, a
 protocol's blocks or basis vectors, or a certificate's edges changes them.
 The `simulate` digests were taken when lifted protocols were still written
 as dense matrices, so they also pin that the factored file rebuilds every
-operator bit for bit.
+operator bit for bit.  The "redressed" digest was taken from the
+per-operator replay that preceded the stacked kernel.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from loccdist import catalog, decide, emit_ensemble, lift_protocol, random_product_basis
+from loccdist import (
+    apply_local_unitaries,
+    catalog,
+    decide,
+    emit_ensemble,
+    lift_protocol,
+    random_product_basis,
+    random_unitary,
+)
 from loccdist.cli import main
 from loccdist.simulate import emit_sim_protocol
 
@@ -62,8 +73,12 @@ def test_check_output_is_byte_identical(case, flag, tmp_path, capsys):
 
 
 # (case, protocol) -> (exit code, sha256 of `simulate` stdout); "lifted" is
-# the instrument tree of the case's own verdict, written as a file
+# the instrument tree of the case's own verdict, written as a file, and
+# "redressed" replays that file at --tol 1e-3 on the case in random local
+# bases, where its projectors damage every state and prune and warn branches
 SIMULATE_GOLDEN = {
+    ("random-4x4x4-seed3-depth6", "redressed"):
+        (1, "33e1fb4c8332762ccb4fe5f4efb3b5ca0f65d6bd084d6fed3c8d84b253979dfb"),
     ("random-4x4x4-seed3-depth6", "lifted"):
         (0, "d6dfcc1a40f9be37be3155654b88608e7430542ddac33a78abb8e7ab3253a557"),
     ("random-6x6x6-seed5-depth10", "lifted"):
@@ -76,13 +91,24 @@ SIMULATE_GOLDEN = {
 @pytest.mark.parametrize("case,protocol", sorted(SIMULATE_GOLDEN))
 def test_simulate_output_is_byte_identical(case, protocol, tmp_path, capsys):
     e = CASES[case]()
+    args = [protocol]
+    if protocol in ("lifted", "redressed"):
+        args = [str(tmp_path / "protocol.json")]
+        tree = lift_protocol(decide(e, "complete").tree, e)
+        Path(args[0]).write_text(emit_sim_protocol(tree) + "\n", encoding="utf-8")
+    if protocol == "redressed":
+        rng = np.random.default_rng(1)
+        e = apply_local_unitaries(e, [random_unitary(d, rng) for d in e.dims])
+        args += ["--tol", "1e-3"]
     path = tmp_path / f"{case}.json"
     path.write_text(emit_ensemble(e) + "\n", encoding="utf-8")
-    arg = protocol
-    if protocol == "lifted":
-        arg = str(tmp_path / "protocol.json")
-        tree = lift_protocol(decide(e, "complete").tree, e)
-        Path(arg).write_text(emit_sim_protocol(tree) + "\n", encoding="utf-8")
-    code = main(["simulate", str(path), arg])
+    code = main(["simulate", str(path), *args])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == SIMULATE_GOLDEN[(case, protocol)]
+    if protocol == "redressed":
+        doc = json.loads(out)
+        probs = [b["probability"] for s in doc["states"] for b in s["branches"]]
+        assert doc["warnings"]
+        assert any(1e-3 < p < 1.0 - 1e-3 for p in probs)
+        assert all(s["total"] < 1.0 - 1e-3 for s in doc["states"])
+        assert any(sum(b["probability"] for b in s["branches"]) < 1.0 - 1e-6 for s in doc["states"])

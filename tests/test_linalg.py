@@ -25,7 +25,7 @@ from loccdist import (
     svd_decompose,
 )
 from loccdist import linalg
-from loccdist.linalg import emit_matrix, normalize_rows, parse_matrix, span_basis
+from loccdist.linalg import emit_matrix, normalize_rows, parse_matrix, projectors, span_basis
 
 TOL = 1e-9
 
@@ -486,3 +486,24 @@ def test_matrix_round_trip():
 def test_matrix_schema_errors(data):
     with pytest.raises(SchemaError):
         parse_matrix(data)
+
+
+def test_projectors_match_a_loop_over_rows_bit_for_bit():
+    # families of one to four rows; the 0.0 and -0.0 entries of the real
+    # families check that every projector starts from an added zero
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 5):
+        sizes = [int(k) for k in rng.integers(1, min(d, 4) + 1, size=9)]
+        rows = np.concatenate([span_basis(rng.normal(size=(k, d)) * (1 + 1j * (i % 2)))
+                               for i, k in enumerate(sizes)])
+        stack = projectors(rows, sizes)
+        assert stack.shape == (len(sizes), d, d) and not stack.flags.writeable
+        start = 0
+        for p, k in zip(stack, sizes):
+            loop = np.zeros((d, d), dtype=np.complex128)
+            for b in rows[start : start + k]:
+                loop += np.outer(b, b.conj())
+            assert p.tobytes() == loop.tobytes()
+            start += k
+    with pytest.raises(linalg.DimensionError):
+        projectors(np.eye(2, dtype=np.complex128), [2, 0])

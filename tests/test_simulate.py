@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +130,34 @@ def test_instrument_structural_checks():
         LocalOperator(0, np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
+def test_bool_party_is_refused_at_construction():
+    # True == 1, but the protocol format refuses "party": true, so a tree
+    # holding it could be emitted and never read back
+    with pytest.raises(SchemaError, match="party must be a non-negative integer"):
+        LocalOperator(True, np.eye(2))
+    one = (LocalOperator(1, np.eye(2)),)
+    with pytest.raises(SchemaError, match="party must be a non-negative integer"):
+        Instrument(True, one)
+    tree = SimNode(Instrument(1, one), (SimLeaf(None),))
+    text = emit_sim_protocol(tree)
+    assert '"party": 1' in text
+    again = parse_sim_protocol(text)
+    assert type(again.instrument.party) is int and type(again.instrument.operators[0].party) is int
+    assert _sim_trees_equal(tree, again) and emit_sim_protocol(again) == text
+
+
+def test_completeness_defect_matches_the_sum_over_operators():
+    # one product A†A over the stacked rows, against sum(M†M) one operator
+    # at a time; the order of the additions differs, so within 1e-12
+    rng = np.random.default_rng(4)
+    for shapes in [[(2, 2)] * 3, [(1, 3), (2, 3), (3, 3)], [(4, 4), (1, 4), (4, 4), (2, 4)]]:
+        ms = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+        ins = Instrument(0, tuple(LocalOperator(0, m) for m in ms))
+        d = shapes[0][1]
+        loop = np.max(np.abs(sum(m.conj().T @ m for m in ms) - np.eye(d)))
+        assert abs(completeness_defect(ins) - loop) <= 1e-12 * max(1.0, loop)
+
+
 def test_operator_matrix_is_frozen():
     op = LocalOperator(0, np.eye(2))
     with pytest.raises(ValueError):
@@ -215,6 +244,14 @@ def test_giving_up_immediately_is_not_discrimination():
     assert not report.perfect
     assert report.confusion[()] == e.labels
     assert all(t == 0.0 for t in report.totals.values())
+
+
+def test_an_empty_ensemble_reaches_no_leaf():
+    e = Ensemble("empty", (2, 2), (), complete=False)
+    tree = SimNode(_triple_instrument(0), (SimLeaf(None),) * 3)
+    report = run_protocol(e, tree)
+    assert report.perfect and report.branches == {} and report.confusion == {}
+    assert set(report.leaf_announce) == {(0,), (1,), (2,)}
 
 
 def test_announcing_one_label_for_everything_fails():
@@ -869,6 +906,33 @@ def test_stacked_rectangular_run_matches_reference_walk(tol):
     assert validate_instrument(tree.instrument)
     ref = _reference_report(e, tree, tol)
     assert _report_bytes(run_protocol(e, tree, tol)) == _report_bytes(ref)
+
+
+def test_run_walks_a_chain_deeper_than_the_recursion_limit():
+    # 2,000 instruments in a chain, built directly: the identity on either
+    # party above the lifted protocol, which then tells the states apart
+    e = catalog("comp2x2")
+    tree = lift_protocol(decide(e, "complete").tree, e)
+    steps = [Instrument(p, (LocalOperator(p, np.eye(2)),)) for p in (0, 1)]
+    for i in range(2000):
+        tree = SimNode(steps[i % 2], (tree,))
+    assert 2000 > sys.getrecursionlimit()
+    report = run_protocol(e, tree)
+    assert report.perfect and report.warnings == ()
+    for recs in report.branches.values():
+        assert len(recs) == 1 and recs[0][0][:2000] == (0,) * 2000 and recs[0][1] == 1.0
+
+
+def test_stacks_group_operators_by_output_dimension():
+    # a qutrit cut into a qubit and a one-dimensional factor, operators interleaved
+    cut = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8j], [0.0, 0.8, -0.6j]])
+    ins = Instrument(0, (LocalOperator(0, cut[2:]), LocalOperator(0, cut[:2]),
+                         LocalOperator(0, np.zeros((1, 3)))))
+    assert [(ix, ms.shape) for ix, ms in ins.stacks] == [((0, 2), (2, 1, 3)), ((1,), (1, 2, 3))]
+    for ix, ms in ins.stacks:
+        for i, m in zip(ix, ms):
+            assert m.tobytes() == ins.operators[i].matrix.tobytes()
+    assert completeness_defect(ins) < 1e-12
 
 
 def test_confusion_lists_labels_in_ensemble_order():
