@@ -181,14 +181,11 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _read_protocol(path: str, e: Ensemble, tol: float) -> SimTree:
-    """An instrument-tree file, or a ``check --json`` verdict lifted onto e."""
-    text = _read_file(path)
-    try:
-        return parse_sim_protocol(text)
-    except SchemaError:
-        doc = parse_json(text)
-        if not isinstance(doc, dict) or "verdict" not in doc:
-            raise
+    """An instrument-tree file, or a ``check --json`` verdict (no tree node) lifted onto e."""
+    doc = parse_json(_read_file(path))
+    verdict = isinstance(doc, dict) and "verdict" in doc and "announce" not in doc
+    if not verdict or {"party", "operators", "children"} <= doc.keys():
+        return parse_sim_protocol(doc, decoded=True)
     if "protocol" not in doc:
         raise SchemaError(f"{path}: the verdict carries no protocol to replay")
     return lift_protocol(protocol_from_json(doc["protocol"]), e, tol)

@@ -150,7 +150,7 @@ def _split(e: Ensemble, mask: int, tol: float) -> tuple[int, tuple, tuple] | Non
     for party in range(e.parties):
         blocks = _blocks(e, party, mask, tol)
         if len(blocks) >= 2:
-            return party, blocks, _checked_spans(e, party, blocks, tol)
+            return party, blocks, _checked_spans(e, party, mask, tol)
     return None
 
 

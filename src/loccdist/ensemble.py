@@ -191,10 +191,11 @@ class Ensemble:
         - ``("adjacency", party, tol)``: :meth:`adjacency`;
         - ``("validate", tol)``: the :func:`validate` report;
         - ``("bits", party, tol)``: the adjacency packed as one int per state;
-        - ``("blocks", party, mask, tol)`` and ``("span", party, rows, tol)``:
-          the graph components and block spans of :mod:`loccdist.relativity`,
-          with ``mask`` an int, bit i for state i, and ``rows`` a tuple of
-          state indices.
+        - ``("blocks", party, mask, tol)``, ``("span", party, rows, tol)`` and
+          ``("checked", party, mask, tol)``: the graph components, the block
+          spans and a split's pairwise-checked spans of
+          :mod:`loccdist.relativity`, with ``mask`` an int, bit i for state
+          i, and ``rows`` a tuple of state indices.
 
         It dies with the ensemble.  A ``build`` that raises caches nothing.
         """

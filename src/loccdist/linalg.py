@@ -13,11 +13,12 @@ array, one vector per row, and each vector rule exists once, on rows.
 real dot products, as ``np.linalg.norm`` takes one, and :func:`normalize` is
 its one-row case.  :func:`_residual` is the one residual step, two
 ``np.vdot`` projection passes and the norm ``sqrt(re.re + im.im)``;
-:func:`span_basis` builds spans from it as stacked rows with the
-:func:`phase_normalize` rule per row, and the relativity chains their
-independence test.  :class:`LocalVector` is the public one-vector view:
-:func:`unit_vectors` applies its unit-norm check to a whole array and wraps
-the rows, only where a caller asks for vectors.
+:func:`span_basis` builds spans with its arithmetic, on stacked rows for
+longer blocks, and the :func:`phase_normalize` rule per row; the
+relativity chains use it as their independence test.  :class:`LocalVector`
+is the public one-vector view: :func:`unit_vectors` applies its unit-norm
+check to a whole array and wraps the rows, only where a caller asks for
+vectors.
 """
 
 from __future__ import annotations
@@ -135,7 +136,9 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 # An overflowing squared norm is reported as SchemaError, not as numpy's
 # RuntimeWarning.  The decorator costs less per call than a with-block.
 @np.errstate(over="ignore", invalid="ignore")
-def normalize_rows(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def normalize_rows(
+    a: np.ndarray, tol: float = DEFAULT_TOL, norms: np.ndarray | None = None
+) -> np.ndarray:
     """Scale every row of a finite ``k x d`` complex array to unit norm, in place.
 
     Rows whose norm is already 1 up to a few ulps are kept verbatim, so
@@ -143,9 +146,9 @@ def normalize_rows(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     whose squared norm overflows is measured again after dividing it by its
     largest magnitude; the first row whose norm still overflows raises
     SchemaError, and the first whose norm is at most ``tol`` raises
-    ZeroVectorError.  Returns ``a``.
+    ZeroVectorError.  Returns ``a``; ``norms`` are its :func:`_row_norms`, if taken.
     """
-    norms = _row_norms(a)
+    norms = _row_norms(a) if norms is None else norms
     listed = norms.tolist()
     if math.inf in listed:
         huge = np.isinf(norms)
@@ -237,20 +240,50 @@ def _residual(w: np.ndarray, basis: list[np.ndarray], tol: float) -> np.ndarray 
     return w / n if n > tol else None
 
 
+_SCALAR_ROWS = 4  # up to this many rows, the stacked passes cost more than they save
+
+
 def span_basis(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormalize the rows of a ``k x d`` complex array in order.
 
     Each row's :func:`_residual` against the basis so far joins the basis
     when its norm exceeds tol.  The basis comes back phase-normalized, as
     the rows of a read-only ``r x d`` array.
+
+    Past ``_SCALAR_ROWS`` rows both passes run on stacked rows.  The rows
+    not yet taken hold their first pass, extended on all of them as each
+    vector joins.  A round runs the second pass on the first ``size`` of
+    them, twice the rows the last round took: the first above tol joins,
+    the rows before it are dropped.  ``np.matmul`` of ``b.conj()`` with
+    ``d x 1`` columns is ``np.vdot(b, w)`` bit for bit and the rest is
+    elementwise, so every row gets :func:`_residual`'s arithmetic.
     """
     basis: list[np.ndarray] = []
-    for w in rows:
-        r = _residual(w, basis, tol)
-        if r is not None:
-            basis.append(r)
-    fixed = np.array([_phase_fixed(b, tol) for b in basis], dtype=np.complex128)
-    fixed = fixed.reshape(-1, rows.shape[1])
+    if len(rows) <= _SCALAR_ROWS:
+        for w in rows:
+            r = _residual(w, basis, tol)
+            if r is not None:
+                basis.append(r)
+    else:
+        pending, size, conj = rows, 1, []
+        while len(pending):
+            chunk = pending[:size]
+            for b, c in zip(basis, conj):
+                chunk = chunk - np.matmul(c, chunk[:, :, None]) * b
+            norms = _row_norms(chunk).tolist()
+            j = next((i for i, n in enumerate(norms) if n > tol), None)
+            if j is None:
+                pending, size = pending[size:], 2 * size
+                continue
+            basis.append(chunk[j] / norms[j])
+            conj.append(basis[-1].conj())
+            pending, size = pending[j + 1 :], 2 * (j + 1)
+            pending = pending - np.matmul(conj[-1], pending[:, :, None]) * basis[-1]
+    if len(basis) == 1:  # most spans, among them every one-row block's
+        fixed = _phase_fixed(basis[0], tol)[None]
+    else:
+        fixed = np.array([_phase_fixed(b, tol) for b in basis], dtype=np.complex128)
+        fixed = fixed.reshape(-1, rows.shape[1])
     fixed.setflags(write=False)
     return fixed
 

@@ -64,24 +64,23 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
         yield [[first]] + part
 
 
-def _partitions(e: Ensemble, party: int, mask: int, tol: float) -> list[tuple[tuple, ...]]:
+def _partitions(e: Ensemble, party: int, mask: int, tol: float) -> Iterator[tuple[tuple, ...]]:
     """Every coarsening of the component partition of the states in ``mask`` at ``party``.
 
-    Finest first, the trivial one-block partition last.  Only a graph that
-    splits has its spans computed and checked, which may raise
-    NumericalInstabilityError.
+    Finest first, the trivial one-block partition last.  A graph that splits
+    has its spans checked by :func:`_checked_spans`, which may raise
+    NumericalInstabilityError; the coarsenings are built only past the finest.
     """
     blocks = _blocks(e, party, mask, tol)
-    if len(blocks) == 1:
-        return [blocks]
-    _checked_spans(e, party, blocks, tol)
-    partitions = [
+    if len(blocks) > 1:
+        _checked_spans(e, party, mask, tol)
+    yield blocks
+    coarser = [
         # disjoint ascending rows: sorting them sorts blocks by earliest state
         tuple(sorted(tuple(sorted(i for block in group for i in block)) for group in grouping))
         for grouping in _set_partitions(list(blocks))
     ]
-    partitions.sort(key=len, reverse=True)
-    return partitions
+    yield from sorted(coarser, key=len, reverse=True)[1:]  # stable: the finest, the longest, leads
 
 
 def enumerate_valid_partitions(
@@ -118,7 +117,9 @@ def exhaustive_decide(e: Ensemble, tol: float = DEFAULT_TOL) -> Verdict:
             return memo[mask] is not None
         memo[mask] = None  # pessimistic placeholder, no cycles possible
         for party in range(e.parties):
-            for partition in _partitions(e, party, mask, tol)[:-1]:  # all but the trivial one
+            for partition in _partitions(e, party, mask, tol):
+                if len(partition) == 1:  # the trivial one, always last
+                    break
                 if all(solve(_mask(rows)) for rows in partition):
                     memo[mask] = (party, partition)
                     return True

@@ -12,9 +12,10 @@ subset and ``tol``, so each piece is built once and kept in the ensemble's
 party's adjacency packed as one Python int per state, bit j of row i the
 edge i-j; per ``("blocks", party, mask, tol)`` the components of the graph
 on the states set in the bit mask, found by one search over the bit rows;
-per ``("span", party, rows, tol)`` a block span, needed only where a graph
-splits.  The decision procedure and the exhaustive oracle walk subsets as
-masks and share these entries.  :func:`overlap_graph`, :func:`components`
+per ``("span", party, rows, tol)`` a block span and per ``("checked",
+party, mask, tol)`` the spans of a graph that splits, checked pairwise once.
+The decision procedure and the exhaustive oracle walk subsets as masks and
+share these entries.  :func:`overlap_graph`, :func:`components`
 and :func:`block_span` show the same entries through labels; a graph copies
 no matrix, and its sliced adjacency and edges are made only when read, as
 by a certificate.
@@ -192,33 +193,38 @@ class Partition:
     spans: tuple[np.ndarray, ...]
 
 
-def _checked_spans(
-    e: Ensemble, party: int, blocks: Sequence[tuple[int, ...]], tol: float
-) -> tuple[np.ndarray, ...]:
-    """The span of each block of rows at ``party``, checked pairwise, on every call.
+def _checked_spans(e: Ensemble, party: int, mask: int, tol: float) -> tuple[np.ndarray, ...]:
+    """The span of each of :func:`_blocks`' blocks, checked pairwise once per split.
 
     Distinct blocks have no edges between them, so their spans must come out
     orthogonal (the non-damaging condition of Walgate & Hardy, PRL 89,
     147901, 2002).  One product per pair of spans checks it; the first
     overlap beyond 10 * tol means the tolerance no longer separates signal
     from noise and is reported as instability rather than silently absorbed.
+    The checked spans are kept in :meth:`Ensemble.memo` per ``(party, mask,
+    tol)``; a check that raises keeps nothing, so it raises on every call.
     """
-    spans = tuple(_span(e, party, rows, tol) for rows in blocks)
-    for i, j in itertools.combinations(range(len(spans)), 2):
-        overlaps = np.abs(spans[i].conj() @ spans[j].T)
-        if overlaps.size and overlaps.max() > 10.0 * tol:  # spans are finite, so no NaN
-            first = overlaps.flat[np.flatnonzero(overlaps > 10.0 * tol)[0]]
-            raise NumericalInstabilityError(
-                f"blocks {i} and {j} at party {party} have span overlap "
-                f"{first:.3e}, beyond 10*tol"
-            )
-    return spans
+
+    def build() -> tuple[np.ndarray, ...]:
+        spans = tuple(_span(e, party, rows, tol) for rows in _blocks(e, party, mask, tol))
+        for i, j in itertools.combinations(range(len(spans)), 2):
+            overlaps = np.abs(spans[i].conj() @ spans[j].T)
+            if overlaps.size and overlaps.max() > 10.0 * tol:  # spans are finite, so no NaN
+                first = overlaps.flat[np.flatnonzero(overlaps > 10.0 * tol)[0]]
+                raise NumericalInstabilityError(
+                    f"blocks {i} and {j} at party {party} have span overlap "
+                    f"{first:.3e}, beyond 10*tol"
+                )
+        return spans
+
+    return e.memo(("checked", party, mask, tol), build)
 
 
 def components(g: OverlapGraph, e: Ensemble, tol: float = DEFAULT_TOL) -> Partition:
-    """Component partition of ``g`` with a span basis per block, by :func:`_checked_spans`."""
-    spans = _checked_spans(e, g.party, g.row_blocks, tol)
-    return Partition(party=g.party, blocks=g.blocks(), spans=spans)
+    """Component partition of ``g``'s states at ``tol``, with spans by :func:`_checked_spans`."""
+    mask = _mask(g.rows)
+    blocks = tuple(tuple(e.labels[i] for i in rows) for rows in _blocks(e, g.party, mask, tol))
+    return Partition(party=g.party, blocks=blocks, spans=_checked_spans(e, g.party, mask, tol))
 
 
 def relativity_chain(

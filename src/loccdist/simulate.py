@@ -144,7 +144,8 @@ class Instrument:
 @np.errstate(over="ignore", invalid="ignore")  # overflow shows as an inf or NaN defect
 def completeness_defect(ins: Instrument) -> float:
     """Largest entrywise deviation of sum(M†M) = A†A from the identity, A all stacked rows."""
-    a = np.concatenate([ms.reshape(-1, ms.shape[2]) for _, ms in ins.stacks])
+    dims = dict.fromkeys(op.out_dim for op in ins.operators)
+    a = np.concatenate([op.matrix for d in dims for op in ins.operators if op.out_dim == d])
     return float(np.abs(a.conj().T @ a - np.eye(a.shape[1])).max())
 
 
@@ -214,7 +215,7 @@ def _apply_stack(
         raise SchemaError("an outcome probability overflows a double")
     probs = np.array([x**2 for x in norms.tolist()])
     kept = np.flatnonzero(probs > tol)
-    w = normalize_rows(w[kept], 0.0)
+    w = normalize_rows(w[kept], 0.0, norms[kept])
     mags = np.hypot(w.real, w.imag)
     above = mags > tol
     rows = np.arange(len(w))
@@ -515,8 +516,8 @@ def _layout(raw_ops: list, where: str, queue: dict[int, tuple[list, list, list]]
     return layout
 
 
-def parse_sim_protocol(text: str) -> SimTree:
-    """Parse the instrument-tree JSON format.
+def parse_sim_protocol(text: str, *, decoded: bool = False) -> SimTree:
+    """Parse the instrument-tree JSON format; with ``decoded``, ``text`` is its parsed document.
 
     An operator is a dense ``{"rows", "cols", "entries"}`` matrix, the
     projector ``{"basis": [v1, ...]}`` onto an orthonormal family, or, last
@@ -530,7 +531,7 @@ def parse_sim_protocol(text: str) -> SimTree:
     """
     nodes: list = []  # pre-order: a SimLeaf, or a node's party and operator layout
     queue: dict[int, tuple[list, list, list]] = {}
-    todo: list[tuple[object, str]] = [(parse_json(text), "protocol")]
+    todo: list[tuple[object, str]] = [(text if decoded else parse_json(text), "protocol")]
     while todo:
         data, where = todo.pop()
         if not isinstance(data, dict):

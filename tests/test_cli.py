@@ -476,6 +476,36 @@ def test_simulate_replays_a_verdict(run, tmp_path):
     assert run("simulate", path, str(tmp_path / "tree.json")) == (EXIT_OK, out, "")
 
 
+def test_simulate_decodes_each_file_once_and_stacks_each_instrument_once(
+    run, tmp_path, monkeypatch
+):
+    # a verdict file is parsed once and dispatched on its shape, as an
+    # instrument tree is; the run builds each instrument's stacks once
+    path = tmp_path / "basis.json"
+    path.write_text(emit_ensemble(random_product_basis((3, 3, 3), 1, depth=6)), encoding="utf-8")
+    e = parse_ensemble(path.read_text(encoding="utf-8"))
+    _, verdict, _ = run("check", str(path), "--json")
+    (tmp_path / "verdict.json").write_text(verdict, encoding="utf-8")
+    tree = emit_sim_protocol(lift_protocol(decide(e, "complete").tree, e))
+    (tmp_path / "tree.json").write_text(tree, encoding="utf-8")
+    decoded, stacked = [], []
+    for module in (loccdist.cli, loccdist.distinguish, loccdist.ensemble, loccdist.simulate):
+        parse = module.parse_json
+        counted = lambda text, parse=parse: decoded.append(text) or parse(text)
+        monkeypatch.setattr(module, "parse_json", counted)
+    stacks = loccdist.simulate.Instrument.stacks.fget
+    monkeypatch.setattr(loccdist.simulate.Instrument, "stacks",
+                        property(lambda ins: stacked.append(id(ins)) or stacks(ins)))
+    replays = []
+    for name, text in [("verdict.json", verdict), ("tree.json", tree)]:
+        decoded.clear()
+        stacked.clear()
+        replays.append(run("simulate", str(path), str(tmp_path / name)))
+        assert decoded == [path.read_text(encoding="utf-8"), text]
+        assert stacked and len(set(stacked)) == len(stacked)
+    assert replays[0] == replays[1] and replays[0][0] == EXIT_OK
+
+
 @pytest.mark.parametrize("party", [0, 5])
 def test_simulate_verdict_for_another_ensemble(run, ensemble_file, tmp_path, party):
     # a qutrit step replayed on qubits, and a step at a party that is not there

@@ -318,6 +318,67 @@ def test_span_basis_is_bit_identical_to_the_per_vector_reference(tol):
         assert got.tobytes() == b"".join(e.tobytes() for e in expected)
 
 
+def _scalar_span(rows, tol):
+    """span_basis as the plain walk: each row's _residual in order, then the phase fix."""
+    basis = []
+    for w in rows:
+        r = linalg._residual(w, basis, tol)
+        if r is not None:
+            basis.append(r)
+    return [linalg._phase_fixed(b, tol) for b in basis]
+
+
+def _assert_scalar_walk(rows, tol):
+    got = span_basis(rows, tol)
+    expected = _scalar_span(rows, tol)
+    assert got.shape == (len(expected), rows.shape[1]) and not got.flags.writeable
+    assert got.tobytes() == b"".join(b.tobytes() for b in expected)
+
+
+def _unit_rows(rng, k, d):
+    return normalize_rows(rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 200),
+    d=st.integers(1, 64),
+    rank=st.integers(1, 64),
+    tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+)
+def test_stacked_span_kernel_is_the_scalar_walk_bit_for_bit(seed, k, d, rank, tol):
+    # rows drawn from a few directions, so most rows of a long block drop:
+    # exact repeats, fresh combinations, and combinations nudged off the span
+    # by 0.1 to 10 times tol, whose residuals straddle tol
+    rng = np.random.default_rng(seed)
+    directions = _unit_rows(rng, min(rank, d), d)
+    rows = rng.standard_normal((k, len(directions))) @ directions.astype(np.complex128)
+    kind = rng.integers(3, size=k)
+    nudge = tol * 10.0 ** rng.uniform(-1, 1, size=k)
+    rows[kind == 1] += nudge[kind == 1, None] * _unit_rows(rng, int((kind == 1).sum()), d)
+    repeats = np.flatnonzero(kind == 2)
+    rows[repeats] = rows[rng.integers(k, size=len(repeats))]
+    rows = normalize_rows(rows[np.linalg.norm(rows, axis=1) > 1e-6].copy())
+    if len(rows):
+        _assert_scalar_walk(rows, tol)
+
+
+@pytest.mark.parametrize("m", [2, 5, 17, 60])
+def test_stacked_span_kernel_on_staircase_blocks(m):
+    # the staircase's blocks alternate a row that joins with one that drops:
+    # e_j, then (e_{j+1} + ... + e_m) / norm, which the earlier rows span
+    d = m + 1
+    rows = []
+    for j in range(m):
+        tail = np.zeros(d, dtype=np.complex128)
+        tail[j + 1 :] = 1.0
+        rows += [np.eye(d, dtype=np.complex128)[j], tail / np.linalg.norm(tail)]
+    for tol in (TOL, 1e-3):
+        _assert_scalar_walk(np.array(rows), tol)
+        _assert_scalar_walk(np.array(rows[::-1]), tol)
+
+
 def test_unit_vectors_wrap_rows_after_one_check():
     a = np.array([[0.6, 0.8j], [1.0, 0.0]])
     u, v = linalg.unit_vectors(a)

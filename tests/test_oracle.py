@@ -13,6 +13,8 @@ import pytest
 from loccdist import (
     Ensemble,
     InvalidModeError,
+    LocalVector,
+    ProductState,
     TooLargeError,
     catalog,
     components,
@@ -25,7 +27,9 @@ from loccdist import (
     run_protocol,
     finest_step,
 )
+from loccdist import oracle
 from loccdist.errors import NumericalInstabilityError
+from loccdist.linalg import basis_vector
 from test_relativity import _unstable_ensemble
 
 
@@ -160,6 +164,28 @@ def test_no_span_is_computed_for_a_connected_graph(make):
     assert [key for key in e._memo if key[0] == "span"] == spans
 
 
+def test_family_order_is_the_stable_sort_of_every_grouping_by_block_count():
+    # the order of a family built in full, as before the finest was tried first
+    def reference(e, blocks):
+        rows = [[e.index(label) for label in block] for block in blocks]
+        merged = [
+            tuple(sorted(tuple(sorted(i for block in group for i in block)) for group in raw))
+            for raw in _all_set_partitions(rows)
+        ]
+        named = lambda p: tuple(tuple(e.labels[i] for i in block) for block in p)
+        return tuple(named(p) for p in sorted(merged, key=len, reverse=True))
+
+    cube = catalog("cube64")
+    bennett = catalog("bennett9")
+    for e, subset, party in [
+        (cube, cube.labels, 2),
+        (bennett, ("psi4", "psi5", "psi8", "psi9"), 1),
+        (catalog("comp2x2"), ("s00", "s01", "s10", "s11"), 0),
+    ]:
+        family = enumerate_valid_partitions(e, subset, party)
+        assert family.partitions == reference(e, family.component_blocks)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive_decide
 
@@ -209,3 +235,76 @@ def test_oracle_agrees_with_greedy_on_generated_bases(dims, seed):
 def test_oracle_certificate_subset_is_stuck():
     v = exhaustive_decide(catalog("bennett9"))
     assert finest_step(catalog("bennett9"), v.certificate.subset) is None
+
+
+def _bennett9_beside_three():
+    """bennett9 in a 3 x 4 basis: three more states carry e3 at party 1.
+
+    Party 1 splits the whole set into bennett9, which is stuck, and the three
+    new states: the finest split fails there and the oracle must try
+    coarsenings.
+    """
+    bennett = catalog("bennett9")
+    states = [
+        ProductState(s.label, (s.locals[0], LocalVector(np.append(s.locals[1].entries, 0.0))))
+        for s in bennett.states
+    ]
+    states += [ProductState(f"x{i}", (basis_vector(3, i), basis_vector(4, 3))) for i in range(3)]
+    return Ensemble("bennett9+3", (3, 4), tuple(states), complete=True)
+
+
+def _built_keys(monkeypatch):
+    """The key of every memo entry built from here on, in order."""
+    built = []
+    memo = Ensemble.memo
+
+    def recording(self, key, build):
+        def recorded():
+            built.append(key)
+            return build()
+
+        return memo(self, key, recorded)
+
+    monkeypatch.setattr(Ensemble, "memo", recording)
+    return built
+
+
+def _enumerations(monkeypatch):
+    """The number of coarsening enumerations from here on."""
+    calls = []
+    enumerate_all = oracle._set_partitions
+
+    def counting(items):
+        calls.append(len(items))
+        return enumerate_all(items)
+
+    monkeypatch.setattr(oracle, "_set_partitions", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make, kind, enumerates",
+    [
+        (lambda: random_product_basis((2, 2, 3), 4, depth=5), "distinguishable", False),
+        (lambda: catalog("bennett9"), "indistinguishable", False),
+        (_bennett9_beside_three, "indistinguishable", True),
+    ],
+)
+def test_each_split_is_checked_once_and_the_oracle_tries_the_finest_first(
+    monkeypatch, make, kind, enumerates
+):
+    # decide and then the oracle check each (party, mask) split at most once,
+    # and build each block span once; the oracle enumerates coarsenings only
+    # where a finest split fails, which never happens on a distinguishable basis
+    e = make()
+    built, enumerated = _built_keys(monkeypatch), _enumerations(monkeypatch)
+    assert decide(e, "complete").kind == kind
+    greedy = [key for key in built if key[0] == "checked"]
+    assert exhaustive_decide(e).kind == kind
+    checks = [key for key in built if key[0] == "checked"]
+    spans = [key for key in built if key[0] == "span"]
+    assert len(set(checks)) == len(checks) and checks[: len(greedy)] == greedy
+    assert len(set(spans)) == len(spans)
+    assert bool(enumerated) == enumerates
+    if kind == "distinguishable":  # the oracle takes the greedy's splits and checks none anew
+        assert checks == greedy and greedy

@@ -526,7 +526,8 @@ def test_search_graphs_hold_no_matrix_of_their_own(monkeypatch):
     assert decide(e, "complete").kind == exhaustive_decide(e).kind == "distinguishable"
     assert made == [] and len(packed) == e.parties
     assert sorted(k for k in e._memo if k[0] == "bits") == [("bits", p, TOL) for p in range(3)]
-    assert {k[0] for k in e._memo} == {"adjacency", "validate", "bits", "blocks", "span"}
+    kinds = {"adjacency", "validate", "bits", "blocks", "span", "checked"}
+    assert {k[0] for k in e._memo} == kinds
 
 
 def test_stuck_searches_build_only_the_certificate_graphs(monkeypatch):
