@@ -3,8 +3,8 @@
 Subcommands: check, catalog, simulate, decompose, oracle.  Exit codes carry
 the verdict (0 distinguishable or success, 1 indistinguishable or imperfect,
 2 unknown) and failures are split into usage (64), data (65), internal
-numerical (70) and output (74, stdout closed early) classes.  All JSON
-output is canonical and echoes the tolerance in use.
+numerical (70) and output (74, stdout closed early or ``--out`` unwritable)
+classes.  All JSON output is canonical and echoes the tolerance in use.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoccError(f"cannot read {path}: {exc}") from None
 
 
@@ -173,8 +173,12 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         raise _UsageError(str(exc)) from None
     text = emit_ensemble(e, tol)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_IOERR
     else:
         print(text)
     return EXIT_OK

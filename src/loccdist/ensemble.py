@@ -12,8 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -55,19 +56,18 @@ __all__ = [
 ]
 
 MAX_GRAPH_STATES = 8192
-"""Largest state count whose per-party adjacency :meth:`Ensemble.adjacency` builds.
+"""Largest state count whose per-party relativity graphs are built.
 
-Each party's adjacency is an ``n x n`` boolean array, n² bytes: 64 MiB per
-party at the cap, 16 MiB at n = 4096.  The graph searches add the same
-adjacency packed as bit rows, about n²/8 bytes per party: 8 MiB at the cap,
-2 MiB at n = 4096.  Larger ensembles raise
-:class:`~loccdist.errors.TooLargeError` before anything is allocated.
+Each party's graph is kept as bit rows, one Python int of n bits per state,
+about n²/8 bytes per party: 8 MiB at the cap, 2 MiB at n = 4096.  Larger
+ensembles raise :class:`~loccdist.errors.TooLargeError` before anything is
+allocated.
 """
 
 # Entries per row block (1 MiB of complex Gram products), so that no n x n
-# array beyond the cached adjacencies is ever held whole.  Smaller blocks
-# stay in cache: at n = 512 and 1000 they build faster than 4 MiB ones, and
-# they leave room for the blocks and spans the memo keeps.
+# array is ever held whole.  Smaller blocks stay in cache: at n = 512 and
+# 1000 they build faster than 4 MiB ones, and they leave room for the blocks
+# and spans the memo keeps.
 _BLOCK_ENTRIES = 1 << 16
 
 T = TypeVar("T")
@@ -188,9 +188,9 @@ class Ensemble:
         The one cache for what is derived from the frozen ensemble, keyed by
         kind first:
 
-        - ``("adjacency", party, tol)``: :meth:`adjacency`;
+        - ``("bits", party, tol)``: the party's relativity graph as one int
+          per state, bit j of row i the edge i-j;
         - ``("validate", tol)``: the :func:`validate` report;
-        - ``("bits", party, tol)``: the adjacency packed as one int per state;
         - ``("blocks", party, mask, tol)``, ``("span", party, rows, tol)`` and
           ``("checked", party, mask, tol)``: the graph components, the block
           spans and a split's pairwise-checked spans of
@@ -205,34 +205,48 @@ class Ensemble:
             value = cache[key] = build()
         return value
 
-    def adjacency(self, party: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Read-only ``n x n`` boolean array: states i != j are relative at ``party``.
 
-        Relative means ``|<u_i|u_j>| > tol`` for the party's vectors.  Built
-        once per ``(party, tol)`` from row blocks of the Gram matrix and kept
-        in :meth:`memo`.
-        """
-        if not 0 <= party < self.parties:
-            raise DimensionError(f"party {party} out of range for {self.parties} parties")
-        return self.memo(("adjacency", party, float(tol)), lambda: self._build_adjacency(party, tol))
+def _bit_rows(e: Ensemble, party: int, tol: float) -> tuple[int, ...]:
+    """The party's relativity graph as one int per state: bit j of row i is edge i-j.
 
-    def _build_adjacency(self, party: int, tol: float) -> np.ndarray:
-        n = len(self.labels)
+    States i != j are relative iff ``|<u_i|u_j>| > tol``; this is the one
+    home of that rule.  Built once per ``(party, tol)`` in one pass over
+    row blocks of the Gram matrix, each block packed straight into ints, and
+    kept in :meth:`Ensemble.memo`.  An entry within ``_ROUNDING`` of ``tol``
+    is recomputed pairwise, earlier state first, so the rows are symmetric
+    and each pair lies on the side of ``tol`` that ``np.vdot`` puts it on.
+    """
+
+    def build() -> tuple[int, ...]:
+        if not 0 <= party < e.parties:
+            raise DimensionError(f"party {party} out of range for {e.parties} parties")
+        n = len(e.labels)
         if n > MAX_GRAPH_STATES:
             raise TooLargeError(f"overlap graphs handle at most {MAX_GRAPH_STATES} states, got {n}")
-        a = self.party_arrays[party]
-        adj = np.zeros((n, n), dtype=bool)
+        a = e.party_arrays[party]
         step = max(1, _BLOCK_ENTRIES // max(n, 1))
+        rows: list[int] = []
         for i0 in range(0, n, step):
             i1 = min(i0 + step, n)
-            mags = np.abs(a[i0:i1].conj() @ a[i0:].T)
-            near = np.triu(np.abs(mags - tol) <= _ROUNDING, 1)
-            for k, c in zip(*np.nonzero(near)):
-                mags[k, c] = abs(complex(np.vdot(a[i0 + k], a[i0 + c])))
-            adj[i0:i1, i0:] = np.triu(mags > tol, 1)
-        adj |= adj.T
-        adj.setflags(write=False)
-        return adj
+            mags = np.abs(a[i0:i1].conj() @ a.T)
+            for k, j in zip(*np.nonzero(np.abs(mags - tol) <= _ROUNDING)):
+                first, last = sorted((i0 + k, j))
+                mags[k, j] = abs(complex(np.vdot(a[first], a[last])))
+            edges = mags > tol
+            edges[np.arange(i1 - i0), np.arange(i0, i1)] = False
+            packed = np.packbits(edges, axis=1, bitorder="little")
+            rows.extend(int.from_bytes(row, "little") for row in packed)
+        return tuple(rows)
+
+    return e.memo(("bits", party, float(tol)), build)
+
+
+def _ones(mask: int) -> Iterator[int]:
+    """The indices of the bits set in ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +279,17 @@ def validate(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
 
     Two product states are orthogonal iff some party's overlap is at most
     ``tol``, the rule the overlap graphs use: a pair offends iff it is an
-    edge of every party's :meth:`Ensemble.adjacency`.  The frozen report is
-    made once per ``tol`` and kept in :meth:`Ensemble.memo`.
+    edge of every party's bit rows.  The frozen report is made once per
+    ``tol`` and kept in :meth:`Ensemble.memo`.
     """
     return e.memo(("validate", float(tol)), lambda: _validate(e, tol))
 
 
 def _validate(e: Ensemble, tol: float) -> ValidationReport:
-    adjs = [e.adjacency(p, tol) for p in range(e.parties)]
-    n = len(e.labels)
-    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+    bits = [_bit_rows(e, p, tol) for p in range(e.parties)]
     offending: list[tuple[str, str, float]] = []
-    for i0 in range(0, n, step):
-        rows = np.logical_and.reduce([a[i0 : i0 + step] for a in adjs])
-        for k, j in zip(*np.nonzero(np.triu(rows, i0 + 1))):
-            i = i0 + k
+    for i, row in enumerate(zip(*bits)):
+        for j in _ones(functools.reduce(operator.and_, row) >> (i + 1) << (i + 1)):
             mag = min(abs(complex(np.vdot(a[i], a[j]))) for a in e.party_arrays)
             offending.append((e.labels[i], e.labels[j], mag))
     return ValidationReport(
@@ -334,9 +344,7 @@ def parse_ensemble(text: str, tol: float = DEFAULT_TOL) -> Ensemble:
     for key in ("name", "dims", "complete", "states"):
         if key not in data:
             raise SchemaError(f"ensemble is missing key {key!r}")
-    name = data["name"]
-    if not isinstance(name, str):
-        raise SchemaError("ensemble name must be a string")
+    name = _text(data["name"], "ensemble name")
     dims = data["dims"]
     if (
         not isinstance(dims, list)
@@ -353,9 +361,7 @@ def parse_ensemble(text: str, tol: float = DEFAULT_TOL) -> Ensemble:
     for k, raw in enumerate(raw_states):
         if not isinstance(raw, dict) or "label" not in raw or "vectors" not in raw:
             raise SchemaError(f"state {k} must be an object with 'label' and 'vectors'")
-        label = raw["label"]
-        if not isinstance(label, str):
-            raise SchemaError(f"state {k} label must be a string")
+        label = _text(raw["label"], f"state {k} label")
         vectors = raw["vectors"]
         if not isinstance(vectors, list) or len(vectors) != len(dims):
             raise SchemaError(f"state {label!r} needs one vector per party ({len(dims)})")
@@ -372,6 +378,17 @@ def parse_ensemble(text: str, tol: float = DEFAULT_TOL) -> Ensemble:
     starts = list(itertools.accumulate(dims, initial=0))
     arrays = [np.array(flat[:, a:b]) for a, b in zip(starts, starts[1:])]
     return _from_rows(name, labels, _normalized(arrays, tol), data["complete"])
+
+
+def _text(value: object, what: str) -> str:
+    """``value`` if it is a string that encodes as UTF-8 (no lone surrogate)."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(f"{what} is not valid Unicode: {value!r}") from None
+    return value
 
 
 def _normalized(arrays: list[np.ndarray], tol: float) -> list[np.ndarray]:

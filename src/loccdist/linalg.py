@@ -4,8 +4,8 @@ A single tolerance convention governs the whole package: two local vectors
 are orthogonal iff the magnitude of their inner product is at most ``tol``
 (default :data:`DEFAULT_TOL`), and two product states are orthogonal iff
 some party's local vectors are.  The package applies that rule in one place,
-:meth:`loccdist.ensemble.Ensemble.adjacency`, which both validation and the
-relativity graphs read.
+``loccdist.ensemble._bit_rows``, whose per-party bit rows both validation and
+the relativity graphs read.
 
 Inside the library a family of vectors is one read-only ``k x d`` complex
 array, one vector per row, and each vector rule exists once, on rows.

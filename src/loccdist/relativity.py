@@ -9,16 +9,16 @@ sufficient indistinguishability criterion.
 Everything here depends only on the frozen ensemble, the party, the
 subset and ``tol``, so each piece is built once and kept in the ensemble's
 :meth:`~loccdist.ensemble.Ensemble.memo`: per ``("bits", party, tol)`` the
-party's adjacency packed as one Python int per state, bit j of row i the
-edge i-j; per ``("blocks", party, mask, tol)`` the components of the graph
+party's graph as one Python int per state, bit j of row i the edge i-j,
+built by :func:`loccdist.ensemble._bit_rows`, which validation reads too;
+per ``("blocks", party, mask, tol)`` the components of the graph
 on the states set in the bit mask, found by one search over the bit rows;
 per ``("span", party, rows, tol)`` a block span and per ``("checked",
 party, mask, tol)`` the spans of a graph that splits, checked pairwise once.
 The decision procedure and the exhaustive oracle walk subsets as masks and
 share these entries.  :func:`overlap_graph`, :func:`components`
 and :func:`block_span` show the same entries through labels; a graph copies
-no matrix, and its sliced adjacency and edges are made only when read, as
-by a certificate.
+no bit rows, and its edges are made only when read, as by a certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NumericalInstabilityError
-from .ensemble import Ensemble, ensure_complete
+from .ensemble import Ensemble, _bit_rows, _ones, ensure_complete
 from .linalg import DEFAULT_TOL, _residual, span_basis
 
 __all__ = [
@@ -43,21 +43,6 @@ __all__ = [
     "overlap_graph",
     "relativity_chain",
 ]
-
-
-def _bit_rows(e: Ensemble, party: int, tol: float) -> tuple[int, ...]:
-    """The party's :meth:`Ensemble.adjacency` as one int per state: bit j of row i is edge i-j."""
-
-    def build() -> tuple[int, ...]:
-        adj = e.adjacency(party, tol)
-        n = len(adj)
-        width = (n + 7) // 8
-        packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
-        return tuple(
-            int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(n)
-        )
-
-    return e.memo(("bits", party, float(tol)), build)
 
 
 def _blocks(e: Ensemble, party: int, mask: int, tol: float) -> tuple[tuple[int, ...], ...]:
@@ -101,9 +86,8 @@ class OverlapGraph:
 
     Members keep the ensemble order; ``rows`` are their ascending state
     indices.  :attr:`row_blocks` reads the memo entry of :func:`_blocks`;
-    ``adjacency``, the read-only boolean matrix over members without
-    self-loops, is sliced from the party's on first read, and ``edges``
-    (label pairs, earlier member first) and :meth:`neighbors` read it.
+    ``edges`` (label pairs, earlier member first, made on first read) and
+    :meth:`neighbors` read the party's bit rows masked to the members.
     """
 
     party: int
@@ -115,35 +99,25 @@ class OverlapGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OverlapGraph):
             return NotImplemented
-        return (
-            self.party == other.party
-            and self.members == other.members
-            and bool(np.array_equal(self.adjacency, other.adjacency))
-        )
+        return (self.party, self.members, self.edges) == (other.party, other.members, other.edges)
 
     def __hash__(self) -> int:
         return hash((self.party, self.members))
 
     @functools.cached_property
-    def adjacency(self) -> np.ndarray:
-        source = self.ensemble.adjacency(self.party, self.tol)
-        if len(self.rows) == len(source):
-            return source
-        adj = source.take(self.rows, axis=0).take(self.rows, axis=1)
-        adj.setflags(write=False)
-        return adj
-
-    @functools.cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
-        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
-        m = self.members
-        return frozenset((m[i], m[j]) for i, j in zip(rows.tolist(), cols.tolist()))
+        bits, labels = _bit_rows(self.ensemble, self.party, self.tol), self.ensemble.labels
+        later, out = _mask(self.rows), set()
+        for i in self.rows:
+            later ^= 1 << i
+            out.update((labels[i], labels[j]) for j in _ones(bits[i] & later))
+        return frozenset(out)
 
     def neighbors(self, label: str) -> tuple[str, ...]:
         if label not in self.members:
             return ()
-        row = self.adjacency[self.members.index(label)]
-        return tuple(m for m, adjacent in zip(self.members, row.tolist()) if adjacent)
+        row = _bit_rows(self.ensemble, self.party, self.tol)[self.ensemble.index(label)]
+        return tuple(self.ensemble.labels[j] for j in _ones(row & _mask(self.rows)))
 
     @property
     def row_blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -259,12 +233,9 @@ def relativity_chain(
         orthobasis.append(r)
         if len(path) == length + 1:
             return True
-        todo = bits[i] & ~(on_path | 1 << i)  # neighbors off the path, ascending
-        while todo:
-            low = todo & -todo
-            if extend(low.bit_length() - 1, on_path | 1 << i):
+        for j in _ones(bits[i] & ~(on_path | 1 << i)):  # neighbors off the path, ascending
+            if extend(j, on_path | 1 << i):
                 return True
-            todo ^= low
         path.pop()
         orthobasis.pop()
         return False

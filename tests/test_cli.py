@@ -159,6 +159,34 @@ def test_check_missing_file(run, tmp_path):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["check", "simulate", "decompose", "oracle"])
+def test_file_that_is_not_utf8_is_a_data_error(run, tmp_path, command):
+    # a decode error is bad data (65), not a traceback whose exit status 1
+    # reads as "indistinguishable"
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    argv = [command, str(path)] + ([str(path)] if command == "simulate" else [])
+    code, out, err = run(*argv)
+    assert code == EXIT_DATA and out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["check", "--json"], ["oracle"]])
+@pytest.mark.parametrize("where", ["name", "label"])
+def test_lone_surrogate_in_a_file_is_a_data_error(run, tmp_path, command, where):
+    # json.loads accepts "\ud800", but no UTF-8 output can carry it
+    doc = json.loads(emit_ensemble(catalog("comp2x2")))
+    if where == "name":
+        doc["name"] = "\ud800"
+    else:
+        doc["states"][1]["label"] = "\ud800"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    code, out, err = run(*command, str(path))
+    assert code == EXIT_DATA and out == ""
+    assert "is not valid Unicode" in err and err.count("\n") == 1
+
+
 def test_check_malformed_file(run, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -352,6 +380,15 @@ def test_catalog_emit_to_file(run, tmp_path):
     text = target.read_text(encoding="utf-8")
     assert text.endswith("\n")
     assert len(parse_ensemble(text).states) == 16
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_catalog_emit_to_an_unwritable_path_is_an_output_error(run, tmp_path, target):
+    # a missing directory or a directory: exit 74 with one error line
+    path = tmp_path / target
+    code, out, err = run("catalog", "emit", "bennett9", "--out", str(path))
+    assert code == EXIT_IOERR and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 def test_catalog_emit_requires_name(run):

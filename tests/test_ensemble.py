@@ -316,6 +316,34 @@ def test_parse_normalizes_vectors():
 
 
 @pytest.mark.parametrize(
+    "name, label, message",
+    [
+        ("t", "\\ud800", "state 0 label is not valid Unicode"),
+        ("\\udfff", "a", "ensemble name is not valid Unicode"),
+        ("t", "x\\udc00y", "state 0 label is not valid Unicode"),
+    ],
+)
+def test_parse_rejects_lone_surrogates(name, label, message):
+    # valid JSON, but no UTF-8 encoding: printing the label or name later
+    # would crash, so the file is refused as bad data up front
+    text = (
+        f'{{"name": "{name}", "dims": [2], "complete": false,'
+        f' "states": [{{"label": "{label}", "vectors": [[[1.0, 0.0], [0.0, 0.0]]]}}]}}'
+    )
+    with pytest.raises(SchemaError, match=message):
+        parse_ensemble(text)
+
+
+def test_parse_keeps_non_ascii_labels():
+    text = (
+        '{"name": "\\u03c8", "dims": [2], "complete": false,'
+        ' "states": [{"label": "\\ud83d\\ude00", "vectors": [[[1.0, 0.0], [0.0, 0.0]]]}]}'
+    )
+    e = parse_ensemble(text)
+    assert (e.name, e.labels) == ("\u03c8", ("\U0001f600",))
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "not json",

@@ -35,6 +35,7 @@ from loccdist import (
     validate,
     verdict_to_json,
 )
+from loccdist.ensemble import _BLOCK_ENTRIES, _bit_rows
 from loccdist.jsonio import canonical_dumps
 from loccdist.linalg import span_basis
 from loccdist.oracle import exhaustive_decide
@@ -95,6 +96,40 @@ def test_overlap_at_tol_is_not_an_edge():
         ("u", "above"),
         ("at", "above"),
     ]
+
+
+def test_row_blocks_recheck_near_tol_pairs_across_the_boundary():
+    # n = 300 states split into row blocks of 218.  At party 0 the standard
+    # basis of C^300, turned by a random unitary, has a few states tilted by
+    # 1e-6 toward an earlier one, some of the pairs straddling the block
+    # boundary; party 1 is one-dimensional, so every pair overlaps there.
+    # tol is set to each tilted overlap and one ulp below it, where the bulk
+    # products must defer to the pairwise np.vdot, earlier state first.
+    n = 300
+    b = _BLOCK_ENTRIES // n
+    assert b < n
+    pairs = [(3, 4), (5, 6), (5, n - 1), (10, b + 32), (100, b + 42)]
+    pairs += [(b - 1, b), (b + 1, b + 3), (b + 2, b + 12)]
+    rows = np.eye(n, dtype=np.complex128)
+    for i, j in pairs:
+        rows[j] = np.sqrt(1.0 - 1e-12) * rows[j] + 1e-6 * rows[i]
+    rows = rows @ random_unitary(n, np.random.default_rng(7)).T
+    one = basis_vector(1, 0)
+    states = tuple(ProductState(f"s{i}", (normalize(r), one)) for i, r in enumerate(rows))
+    e = Ensemble("tilted", (n, 1), states, complete=False)
+    a = e.party_arrays[0]
+    mags = {(i, j): abs(complex(np.vdot(a[i], a[j]))) for i in range(n) for j in range(i + 1, n)}
+    tols = [mags[pair] for pair in pairs]
+    for tol in tols + [float(np.nextafter(t, 0.0)) for t in tols]:
+        bits = _bit_rows(e, 0, tol)
+        assert not any(bits[i] >> i & 1 for i in range(n))
+        for (i, j), mag in mags.items():
+            assert bits[i] >> j & 1 == bits[j] >> i & 1 == (mag > tol)
+        expected = [(f"s{i}", f"s{j}", mag) for (i, j), mag in mags.items() if mag > tol]
+        assert list(validate(e, tol).offending_pairs) == expected
+    # below every tilt all eight pairs offend, in state order across the boundary
+    low = float(np.nextafter(min(tols), 0.0))
+    assert [(e.index(x), e.index(y)) for x, y, _ in validate(e, low).offending_pairs] == pairs
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,6 +223,21 @@ def test_subset_graph_is_induced_subgraph(seed):
         assert sub.edges == induced
 
 
+def _reference_adjacency(e, party, tol=TOL):
+    # pairwise np.vdot, earlier state first, without self-loops
+    a = e.party_arrays[party]
+    adjacency = np.zeros((len(a), len(a)), dtype=bool)
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            adjacency[i, j] = adjacency[j, i] = abs(np.vdot(a[i], a[j])) > tol
+    return adjacency
+
+
+def _packed(adjacency):
+    # bit j of row i set iff adjacency[i, j]
+    return tuple(sum(1 << j for j in np.flatnonzero(row).tolist()) for row in adjacency)
+
+
 def _reference_blocks(members, adjacency):
     # plain depth-first search over the edge list, in member order
     seen, out = set(), []
@@ -209,14 +259,14 @@ def _reference_blocks(members, adjacency):
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 130])
 @pytest.mark.parametrize("density", [0.0, 0.01, 0.05, 0.3])
 def test_blocks_match_reference_search(m, density):
-    # a random graph, seeded into a one-party ensemble's memo as the party
-    # adjacency, so overlap_graph packs its bit rows from it
+    # a random graph, seeded into a one-party ensemble's memo as the party's
+    # bit rows, so overlap_graph searches it
     rng = np.random.default_rng(m * 1000 + int(density * 100))
     upper = np.triu(rng.random((m, m)) < density, 1)
     adjacency = upper | upper.T
-    adjacency.setflags(write=False)
+    bits = _packed(adjacency)
     e = random_product_basis((m,), 0, 0)
-    assert e.memo(("adjacency", 0, TOL), lambda: adjacency) is adjacency
+    assert e.memo(("bits", 0, TOL), lambda: bits) is bits
     g = overlap_graph(e, e.labels, 0, TOL)
     assert g.blocks() == _reference_blocks(e.labels, adjacency)
 
@@ -236,12 +286,14 @@ def test_subset_graphs_match_the_sliced_adjacency(dims, seed, depth, data):
     rows = sorted(picked)
     members = tuple(e.labels[i] for i in rows)
     for party in range(e.parties):
-        sliced = e.adjacency(party)[np.ix_(rows, rows)]
+        full = _reference_adjacency(e, party)
+        assert _bit_rows(e, party, TOL) == _packed(full)
+        sliced = full[np.ix_(rows, rows)]
         g = overlap_graph(e, subset, party)
         assert g.members == members
         assert g.blocks() == _reference_blocks(members, sliced)
-        assert g.adjacency.dtype == sliced.dtype and g.adjacency.shape == sliced.shape
-        assert g.adjacency.tobytes() == sliced.tobytes()
+        for k, label in enumerate(members):
+            assert g.neighbors(label) == tuple(members[c] for c in np.flatnonzero(sliced[k]))
         i, j = np.nonzero(np.triu(sliced, 1))
         assert g.edges == frozenset((members[a], members[b]) for a, b in zip(i, j))
         assert g.edges == _oracle_edges(e, subset, party)
@@ -441,20 +493,17 @@ def test_one_ensemble_decided_at_two_tolerances(tols):
         )
 
 
-def test_stacked_arrays_and_adjacency_are_read_only():
+def test_stacked_arrays_are_read_only_and_bit_rows_are_kept():
     e = catalog("cube64")
     for party in range(e.parties):
-        arrays = (
-            e.party_arrays[party],
-            e.adjacency(party),
-            overlap_graph(e, e.labels, party).adjacency,
-            overlap_graph(e, e.labels[:10], party).adjacency,
-        )
-        for arr in arrays:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0, 0] = arr[0, 0]
-        assert e.adjacency(party) is e.adjacency(party)
+        arr = e.party_arrays[party]
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = arr[0, 0]
+        bits = _bit_rows(e, party, TOL)
+        assert type(bits) is tuple and all(type(row) is int for row in bits)
+        assert _bit_rows(e, party, TOL) is bits is e._memo[("bits", party, TOL)]
+        assert bits == _packed(_reference_adjacency(e, party))
         assert np.array_equal(
             e.party_arrays[party], np.array([s.locals[party].entries for s in e.states])
         )
@@ -506,7 +555,7 @@ def _built_graphs(monkeypatch):
 
 
 def _packings(monkeypatch):
-    """The number of np.packbits calls from here on, one per party's bit rows."""
+    """The number of np.packbits calls from here on, one per row block of a party's bit rows."""
     calls = []
     packbits = np.packbits
 
@@ -520,26 +569,27 @@ def _packings(monkeypatch):
 
 def test_search_graphs_hold_no_matrix_of_their_own(monkeypatch):
     # both searches walk bit masks: on a distinguishable basis neither builds
-    # an OverlapGraph, and each party's bit rows are packed once
+    # an OverlapGraph, and each party's bit rows, one row block of 12 states,
+    # are packed once
     e = random_product_basis((2, 2, 3), 4, depth=5)
     made, packed = _built_graphs(monkeypatch), _packings(monkeypatch)
     assert decide(e, "complete").kind == exhaustive_decide(e).kind == "distinguishable"
     assert made == [] and len(packed) == e.parties
     assert sorted(k for k in e._memo if k[0] == "bits") == [("bits", p, TOL) for p in range(3)]
-    kinds = {"adjacency", "validate", "bits", "blocks", "span", "checked"}
+    kinds = {"validate", "bits", "blocks", "span", "checked"}
     assert {k[0] for k in e._memo} == kinds
 
 
 def test_stuck_searches_build_only_the_certificate_graphs(monkeypatch):
     # on bennett9 the only graphs are those of the two certificates, one per
-    # party each, and none slices the adjacency until it is read
+    # party each, and none lists its edges until they are read
     e = catalog("bennett9")
     made, packed = _built_graphs(monkeypatch), _packings(monkeypatch)
     greedy, thorough = decide(e, "complete"), exhaustive_decide(e)
     assert greedy.kind == thorough.kind == "indistinguishable"
     assert made == [*greedy.certificate.graphs, *thorough.certificate.graphs]
     assert [g.party for g in made] == [0, 1, 0, 1]
-    assert all(g.members == e.labels and "adjacency" not in g.__dict__ for g in made)
+    assert all(g.members == e.labels and "edges" not in g.__dict__ for g in made)
     assert len(packed) == e.parties
 
 
