@@ -28,15 +28,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .jsonio import canonical_dumps, complex_rows_from_json, complex_to_json, parse_json
-from .linalg import (
-    DEFAULT_TOL,
-    LocalVector,
-    _phase_fixed,
-    basis_vector,
-    normalize,
-    normalize_rows,
-    unit_vectors,
-)
+from .linalg import DEFAULT_TOL, basis_vector, normalize, normalize_rows, phase_normalize
 
 __all__ = [
     "CATALOG_NAMES",
@@ -81,18 +73,37 @@ _ROUNDING = 1e-12
 
 
 def _positive_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    checked = tuple(int(d) for d in dims)
-    if not checked or any(d < 1 for d in checked):
+    """``dims`` as Python ints, if each is a Python or numpy integer of at least 1."""
+    dims = tuple(dims)
+    if not dims or not all(
+        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in dims
+    ):
         raise SchemaError(f"dims must be positive integers, got {dims!r}")
-    return checked
+    return tuple(int(d) for d in dims)
 
 
-@dataclass(frozen=True)
+def _require_unit(a: np.ndarray, labels: Sequence[str], party: int) -> None:
+    """Raise SchemaError unless every row of the ``n x d`` complex128 array is a finite unit vector.
+
+    A norm passes within DEFAULT_TOL of 1.  The error names the first bad
+    row's state and the party.
+    """
+    x = a.view(np.float64)
+    for i, q in enumerate(np.einsum("ij,ij->i", x, x).tolist()):
+        n = math.sqrt(q)
+        if not abs(n - 1.0) <= DEFAULT_TOL:
+            at = f"state {labels[i]!r} party {party}"
+            if not np.isfinite(a[i]).all():
+                raise SchemaError(f"{at} has non-finite entries")
+            raise SchemaError(f"{at} is not a unit vector: norm {n!r}")
+
+
+@dataclass(frozen=True, eq=False)
 class ProductState:
-    """One labeled product state, one unit vector per party."""
+    """One labeled product state: one unit vector per party, each a 1-D complex array."""
 
     label: str
-    locals: tuple[LocalVector, ...]
+    locals: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
@@ -108,7 +119,9 @@ class Ensemble:
 
     Held as ``labels`` and :attr:`party_arrays`, one read-only ``n x d_p``
     array per party; ``states`` is a view built on first read.  Equality is
-    identity, as each ensemble carries its own :meth:`memo`.
+    identity, as each ensemble carries its own :meth:`memo`.  The constructor
+    stacks each party's vectors into its array and requires every one to be
+    a finite unit vector of the party's dimension.
     """
 
     name: str
@@ -128,16 +141,18 @@ class Ensemble:
                     f"state {s.label!r} has {len(s.locals)} local vectors, expected {len(dims)}"
                 )
             for p, v in enumerate(s.locals):
-                if v.dim != dims[p]:
+                if np.shape(v) != (dims[p],):
                     raise SchemaError(
-                        f"state {s.label!r} party {p} has dim {v.dim}, expected {dims[p]}"
+                        f"state {s.label!r} party {p} has shape {np.shape(v)}, "
+                        f"expected ({dims[p]},)"
                     )
-        arrays = [
-            np.array([s.locals[p].entries for s in states], dtype=np.complex128).reshape(-1, d)
-            for p, d in enumerate(dims)
-        ]
-        self._set(name, [s.label for s in states], arrays, complete)
-        self.__dict__["states"] = states
+        labels = [s.label for s in states]
+        arrays = []
+        for p, d in enumerate(dims):
+            a = np.array([s.locals[p] for s in states], dtype=np.complex128).reshape(-1, d)
+            _require_unit(a, labels, p)
+            arrays.append(a)
+        self._set(name, labels, arrays, complete)
 
     def _set(self, name: str, labels: Sequence[str], arrays: list, complete: bool) -> None:
         """Check the labels and the state count, freeze the arrays and set every field."""
@@ -160,9 +175,9 @@ class Ensemble:
 
     @functools.cached_property
     def states(self) -> tuple[ProductState, ...]:
-        """The states in order, built on first read; their LocalVectors view the rows."""
-        columns = [unit_vectors(a) for a in self.party_arrays]
-        return tuple(ProductState(label, vs) for label, vs in zip(self.labels, zip(*columns)))
+        """The states in order, built on first read; their vectors are read-only row views."""
+        rows = zip(*self.party_arrays)
+        return tuple(ProductState(label, vs) for label, vs in zip(self.labels, rows))
 
     @property
     def parties(self) -> int:
@@ -173,14 +188,6 @@ class Ensemble:
             return self._index[label]  # type: ignore[attr-defined]
         except KeyError:
             raise NotFoundError(f"no state labeled {label!r} in ensemble {self.name!r}") from None
-
-    def state(self, label: str) -> ProductState:
-        return self.states[self.index(label)]
-
-    def vector(self, label: str, party: int) -> LocalVector:
-        if not 0 <= party < self.parties:
-            raise DimensionError(f"party {party} out of range for {self.parties} parties")
-        return self.state(label).locals[party]
 
     def memo(self, key: tuple, build: Callable[[], T]) -> T:
         """The value of ``build()`` for ``key``, computed on the first call only.
@@ -428,7 +435,7 @@ def emit_ensemble(e: Ensemble, tol: float = DEFAULT_TOL) -> str:
     states = [
         {
             "label": label,
-            "vectors": [complex_to_json(_phase_fixed(a[i], tol)) for a in e.party_arrays],
+            "vectors": [complex_to_json(phase_normalize(a[i], tol)) for a in e.party_arrays],
         }
         for i, label in enumerate(e.labels)
     ]
@@ -445,14 +452,14 @@ def emit_ensemble(e: Ensemble, tol: float = DEFAULT_TOL) -> str:
 # catalog
 
 
-def _plus_minus(dim: int, i: int, j: int, sign: int) -> LocalVector:
+def _plus_minus(dim: int, i: int, j: int, sign: int) -> np.ndarray:
     e = np.zeros(dim, dtype=np.complex128)
     e[i] = 1.0
     e[j] = float(sign)
     return normalize(e)
 
 
-def _bennett9_parts() -> list[tuple[LocalVector, LocalVector]]:
+def _bennett9_parts() -> list[tuple[np.ndarray, np.ndarray]]:
     # Two-qutrit tile construction: one corner state plus four +/- pairs
     # wrapped around it.
     k = lambda i: basis_vector(3, i)
@@ -470,7 +477,7 @@ def _bennett9_parts() -> list[tuple[LocalVector, LocalVector]]:
     ]
 
 
-def _grid16_parts() -> list[tuple[LocalVector, LocalVector]]:
+def _grid16_parts() -> list[tuple[np.ndarray, np.ndarray]]:
     # Two-ququart analogue of the tile construction.
     k = lambda i: basis_vector(4, i)
     pm = lambda i, j, s: _plus_minus(4, i, j, s)
@@ -495,7 +502,7 @@ def _grid16_parts() -> list[tuple[LocalVector, LocalVector]]:
 
 
 def _psi(name: str, dims: tuple[int, ...], parts: list, complete: bool = True) -> Ensemble:
-    """The states of ``parts``, one tuple of LocalVectors each, labeled psi1, psi2, ..."""
+    """The states of ``parts``, one tuple of vectors each, labeled psi1, psi2, ..."""
     states = tuple(ProductState(f"psi{i + 1}", vs) for i, vs in enumerate(parts))
     return Ensemble(name, dims, states, complete)
 

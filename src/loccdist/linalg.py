@@ -7,18 +7,16 @@ some party's local vectors are.  The package applies that rule in one place,
 ``loccdist.ensemble._bit_rows``, whose per-party bit rows both validation and
 the relativity graphs read.
 
-Inside the library a family of vectors is one read-only ``k x d`` complex
-array, one vector per row, and each vector rule exists once, on rows.
-:func:`normalize_rows` is the one normalize: it takes the norms as stacked
-real dot products, as ``np.linalg.norm`` takes one, and :func:`normalize` is
-its one-row case.  :func:`_residual` is the one residual step, two
-``np.vdot`` projection passes and the norm ``sqrt(re.re + im.im)``;
-:func:`span_basis` builds spans with its arithmetic, on stacked rows for
-longer blocks, and the :func:`phase_normalize` rule per row; the
-relativity chains use it as their independence test.  :class:`LocalVector`
-is the public one-vector view: :func:`unit_vectors` applies its unit-norm
-check to a whole array and wraps the rows, only where a caller asks for
-vectors.
+Every vector the package takes or returns is a read-only 1-D complex128
+array, and every family of vectors one read-only ``k x d`` array, one vector
+per row; each vector rule exists once, on rows.  :func:`normalize_rows` is
+the one normalize: it takes the norms as stacked real dot products, as
+``np.linalg.norm`` takes one, and :func:`normalize` is its one-row case.
+:func:`_residual` is the one residual step, two ``np.vdot`` projection
+passes and the norm ``sqrt(re.re + im.im)``; :func:`span_basis` builds
+spans with its arithmetic, on stacked rows for longer blocks, and the
+:func:`phase_normalize` rule per row; the relativity chains use it as their
+independence test.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from .jsonio import complex_from_json, complex_to_json
 
 __all__ = [
     "DEFAULT_TOL",
-    "LocalVector",
     "SVDResult",
     "basis_vector",
     "emit_matrix",
@@ -44,7 +41,6 @@ __all__ = [
     "projectors",
     "span_basis",
     "svd_decompose",
-    "unit_vectors",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -73,48 +69,14 @@ def _as_matrix_entries(raw: object) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class LocalVector:
-    """Unit-norm state vector of a single party.
-
-    The entries array is copied on construction and frozen; instances are
-    immutable and safe to share.  Construction rejects anything that is not
-    a finite unit-norm 1-D complex vector, so raw (unnormalized) data must
-    go through :func:`normalize` first.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _as_vector_entries(self.entries).copy()
-        _require_unit(arr[None, :])
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LocalVector):
-            return NotImplemented
-        return self.dim == other.dim and bool(np.array_equal(self.entries, other.entries))
-
-    def __hash__(self) -> int:
-        return hash(self.entries.tobytes())
-
-    def __repr__(self) -> str:
-        body = ", ".join(format(z, ".6g") for z in self.entries)
-        return f"LocalVector([{body}])"
-
-
-def basis_vector(dim: int, index: int) -> LocalVector:
-    """Computational basis vector |index> in a dim-dimensional space."""
+def basis_vector(dim: int, index: int) -> np.ndarray:
+    """Computational basis vector |index> in a dim-dimensional space, read-only."""
     if not 0 <= index < dim:
         raise DimensionError(f"basis index {index} out of range for dimension {dim}")
     e = np.zeros(dim, dtype=np.complex128)
     e[index] = 1.0
-    return LocalVector(e)
+    e.setflags(write=False)
+    return e
 
 
 # A norm this close to 1 is kept: the row is already a unit vector, and
@@ -168,61 +130,33 @@ def normalize_rows(
     return a
 
 
-def _require_unit(a: np.ndarray) -> None:
-    """The unit-norm check of LocalVector, on every row of a C-contiguous ``k x d`` array.
-
-    Raises ValueError unless each row is finite with norm 1 up to DEFAULT_TOL.
-    """
-    x = a.view(np.float64)
-    for q in np.einsum("ij,ij->i", x, x).tolist():
-        n = math.sqrt(q)
-        if not abs(n - 1.0) <= DEFAULT_TOL:
-            if not np.isfinite(a).all():
-                raise ValueError("vector entries must be finite")
-            raise ValueError(f"LocalVector requires unit norm, got {n!r}")
-
-
-def unit_vectors(a: np.ndarray) -> tuple[LocalVector, ...]:
-    """The rows of a C-contiguous ``k x d`` complex128 array as LocalVectors that view them.
-
-    The whole array is checked once, by LocalVector's own rule; then it is
-    frozen, and its rows are wrapped without a copy or a second check.
-    """
-    _require_unit(a)
-    a.setflags(write=False)
-    out = []
-    for row in a:
-        v = object.__new__(LocalVector)
-        object.__setattr__(v, "entries", row)
-        out.append(v)
-    return tuple(out)
-
-
-def normalize(raw: object, tol: float = DEFAULT_TOL) -> LocalVector:
-    """Scale raw entries to unit norm, preserving the global phase.
+def normalize(raw: object, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Raw entries scaled to unit norm, global phase kept, as a read-only 1-D array.
 
     :func:`normalize_rows` on the one row: entries whose norm is already 1
     up to a few ulps are kept verbatim, and a squared norm that overflows
     is rescaled as there.
     """
-    return unit_vectors(normalize_rows(_as_vector_entries(raw)[None, :].copy(), tol))[0]
+    v = normalize_rows(_as_vector_entries(raw)[None, :].copy(), tol)[0]
+    v.setflags(write=False)
+    return v
 
 
-def _phase_fixed(entries: np.ndarray, tol: float) -> np.ndarray:
-    """Entries rotated so the first above tol is real positive; the input if it is."""
+def phase_normalize(entries: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """A 1-D complex array's global phase rotated so the first entry above tol is real positive.
+
+    Returns ``entries`` itself when that entry already is, or when none is
+    above tol; otherwise a new read-only array.
+    """
     for entry in entries:
         mag = abs(entry)
         if mag > tol:
             if entry.imag == 0.0 and entry.real > 0.0:
                 return entries
-            return entries * (entry.conjugate() / mag)
+            fixed = entries * (entry.conjugate() / mag)
+            fixed.setflags(write=False)
+            return fixed
     return entries
-
-
-def phase_normalize(v: LocalVector, tol: float = DEFAULT_TOL) -> LocalVector:
-    """Rotate the global phase so the first entry above tol is real positive."""
-    fixed = _phase_fixed(v.entries, tol)
-    return v if fixed is v.entries else LocalVector(fixed)
 
 
 def _residual(w: np.ndarray, basis: list[np.ndarray], tol: float) -> np.ndarray | None:
@@ -280,9 +214,9 @@ def span_basis(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
             pending, size = pending[j + 1 :], 2 * (j + 1)
             pending = pending - np.matmul(conj[-1], pending[:, :, None]) * basis[-1]
     if len(basis) == 1:  # most spans, among them every one-row block's
-        fixed = _phase_fixed(basis[0], tol)[None]
+        fixed = phase_normalize(basis[0], tol)[None]
     else:
-        fixed = np.array([_phase_fixed(b, tol) for b in basis], dtype=np.complex128)
+        fixed = np.array([phase_normalize(b, tol) for b in basis], dtype=np.complex128)
         fixed = fixed.reshape(-1, rows.shape[1])
     fixed.setflags(write=False)
     return fixed
@@ -311,43 +245,37 @@ def projectors(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SVDResult:
-    """Singular value decomposition A = sum_j sigmas[j] |left_j><right_j|."""
+    """Singular value decomposition A = sum_j sigmas[j] |left_j><right_j|.
+
+    ``left`` and ``right`` are read-only ``r x rows`` and ``r x cols``
+    arrays, row j holding the j-th singular vector.
+    """
 
     sigmas: tuple[float, ...]
-    left: tuple[LocalVector, ...]
-    right: tuple[LocalVector, ...]
+    left: np.ndarray
+    right: np.ndarray
     rank: int
 
     def reconstruct(self) -> np.ndarray:
-        rows = self.left[0].dim
-        cols = self.right[0].dim
-        a = np.zeros((rows, cols), dtype=np.complex128)
-        for s, l, r in zip(self.sigmas, self.left, self.right):
-            a += s * np.outer(l.entries, r.entries.conj())
-        return a
-
-
-def _lex_key(v: LocalVector) -> tuple[float, ...]:
-    """Real and imaginary parts in entry order."""
-    return tuple(v.entries.view(np.float64).tolist())
+        return (self.left.T * np.array(self.sigmas)) @ self.right.conj()
 
 
 def svd_decompose(a: object, tol: float = DEFAULT_TOL) -> SVDResult:
     """Deterministic compact SVD of a rectangular complex matrix.
 
     Singular values come out descending; within a run of values equal up to
-    tol the triples are ordered by descending lexicographic key of the
-    phase-normalized right vectors, so mathematically equal inputs produce
-    identically ordered output.  A finite matrix whose singular values
-    overflow a double raises SchemaError.
+    tol the triples are ordered by descending lexicographic key (real and
+    imaginary parts in entry order) of the phase-normalized right vectors,
+    so mathematically equal inputs produce identically ordered output.  A
+    finite matrix whose singular values overflow a double raises SchemaError.
     """
     arr = _as_matrix_entries(a)
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
     if not np.isfinite(s).all():
         raise SchemaError("matrix singular values overflow a double")
-    triples: list[tuple[float, LocalVector, LocalVector]] = []
+    triples: list[tuple[float, np.ndarray, np.ndarray]] = []
     for j in range(s.shape[0]):
         left_raw = u[:, j]
         right_raw = vh[j].conj()
@@ -359,30 +287,22 @@ def svd_decompose(a: object, tol: float = DEFAULT_TOL) -> SVDResult:
             if mag > tol:
                 phase = entry.conjugate() / mag
                 break
-        triples.append(
-            (
-                float(s[j]),
-                LocalVector(left_raw * phase),
-                LocalVector(right_raw * phase),
-            )
-        )
+        triples.append((float(s[j]), left_raw * phase, right_raw * phase))
     # Stable within groups of equal sigmas.
-    ordered: list[tuple[float, LocalVector, LocalVector]] = []
+    ordered: list[tuple[float, np.ndarray, np.ndarray]] = []
     i = 0
     while i < len(triples):
         j = i + 1
         while j < len(triples) and triples[j - 1][0] - triples[j][0] <= tol:
             j += 1
-        group = sorted(triples[i:j], key=lambda t: _lex_key(t[2]), reverse=True)
+        group = sorted(triples[i:j], key=lambda t: t[2].view(np.float64).tolist(), reverse=True)
         ordered.extend(group)
         i = j
-    sigmas = tuple(t[0] for t in ordered)
-    return SVDResult(
-        sigmas=sigmas,
-        left=tuple(t[1] for t in ordered),
-        right=tuple(t[2] for t in ordered),
-        rank=sum(1 for s_j in sigmas if s_j > tol),
-    )
+    sigmas, left, right = zip(*ordered)
+    left, right = np.array(left), np.array(right)
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return SVDResult(sigmas, left, right, rank=sum(1 for s_j in sigmas if s_j > tol))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from .linalg import (
     parse_matrix,
     projectors,
     svd_decompose,
-    unit_vectors,
 )
 
 __all__ = [
@@ -235,13 +234,14 @@ def apply_operator(
     probability, or (None, prob) when the branch is annihilated
     (prob <= tol).  Global phase of the updated factor is dropped.
     """
-    _fit(op, [v.dim for v in s.locals])
-    probs, kept, images = _apply_stack(op.matrix[None], s.locals[op.party].entries[None, :], tol)
+    _fit(op, [len(v) for v in s.locals])
+    probs, kept, images = _apply_stack(op.matrix[None], s.locals[op.party][None, :], tol)
     prob = float(probs[0])
     if not kept.size:
         return None, prob
+    images.setflags(write=False)
     locals_ = list(s.locals)
-    locals_[op.party] = unit_vectors(images)[0]
+    locals_[op.party] = images[0]
     return ProductState(s.label, tuple(locals_)), prob
 
 
@@ -363,7 +363,8 @@ def lift_protocol(t: TraceNode, e: Ensemble, tol: float = DEFAULT_TOL) -> SimTre
     Each step becomes the family of projectors onto its outcome spans; when
     those do not fill the whole factor, the remainder projector is appended
     with a give-up leaf so the instrument is complete.  A stuck block is
-    no protocol, so a tree that holds one raises SchemaError.
+    no protocol, so a tree that holds one raises SchemaError; an outcome
+    block that names a label the ensemble lacks raises NotFoundError.
     """
     if isinstance(t, TraceLeaf):
         return SimLeaf(t.label)
@@ -372,6 +373,9 @@ def lift_protocol(t: TraceNode, e: Ensemble, tol: float = DEFAULT_TOL) -> SimTre
     party = t.step.party
     if party >= e.parties:
         raise DimensionError(f"protocol measures party {party}, the ensemble has {e.parties}")
+    for o in t.step.outcomes:
+        for label in o.block:
+            e.index(label)
     d, bases = e.dims[party], [o.basis for o in t.step.outcomes]
     for b in bases:
         if b.shape[1] != d:

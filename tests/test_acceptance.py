@@ -179,7 +179,7 @@ def _walk_projectors(e, node, scope):
     for outcome, child in zip(step.outcomes, node.children):
         p = projectors(outcome.basis, [len(outcome.basis)])[0]
         for label in scope:
-            kept = p @ e.vector(label, step.party).entries
+            kept = p @ e.party_arrays[step.party][e.index(label)]
             weight = float(np.vdot(kept, kept).real)
             if label in outcome.block:
                 assert abs(weight - 1.0) <= 1e-8

@@ -558,6 +558,20 @@ def test_simulate_verdict_for_another_ensemble(run, ensemble_file, tmp_path, par
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_simulate_verdict_naming_an_unknown_block_label(run, ensemble_file, tmp_path):
+    # the leaves still announce known labels; only the root outcome's block
+    # names a state the ensemble lacks
+    path = ensemble_file("comp2x2")
+    _, verdict, _ = run("check", path, "--json")
+    edited = verdict.replace('"s00"', '"zzz"', 1)
+    assert json.loads(edited)["protocol"]["outcomes"][0]["block"][0] == "zzz"
+    (tmp_path / "verdict.json").write_text(edited, encoding="utf-8")
+    code, out, err = run("simulate", path, str(tmp_path / "verdict.json"))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "'zzz'" in err
+
+
 @pytest.mark.parametrize("name", ["bennett9", "finkelstein9"])
 def test_simulate_verdict_without_protocol(run, ensemble_file, tmp_path, name):
     path = ensemble_file(name)

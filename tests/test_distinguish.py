@@ -37,7 +37,7 @@ from loccdist import (
     stuck_certificate,
     verdict_to_json,
 )
-from loccdist import distinguish, ensemble, linalg, oracle, relativity, simulate
+from loccdist import ensemble, oracle
 from loccdist.jsonio import canonical_dumps, parse_json
 
 
@@ -125,7 +125,7 @@ def test_step_projectors_resolve_the_subset_span():
     for outcome in step.outcomes:
         for b in outcome.basis:
             total += np.outer(b, b.conj())
-    stack = np.array([e.vector(label, 1).entries for label in subset]).T
+    stack = np.array([e.party_arrays[1][e.index(label)] for label in subset]).T
     q, _ = np.linalg.qr(stack)
     r = np.linalg.matrix_rank(stack, tol=1e-9)
     expected = q[:, :r] @ q[:, :r].conj().T
@@ -564,9 +564,9 @@ def test_noisy_sweep_is_refused_or_keeps_its_verdict():
                         s.label,
                         tuple(
                             normalize(
-                                v.entries
+                                v
                                 + scale
-                                * (rng.standard_normal(v.dim) + 1j * rng.standard_normal(v.dim))
+                                * (rng.standard_normal(len(v)) + 1j * rng.standard_normal(len(v)))
                             )
                             for v in s.locals
                         ),
@@ -600,27 +600,21 @@ def test_noisy_sweep_is_refused_or_keeps_its_verdict():
 )
 def test_check_path_builds_no_vector_wrappers(monkeypatch, make):
     # spans, step bases and parsed rows stay stacked arrays from parse to
-    # verdict JSON and through the oracle; no LocalVector or ProductState is
-    # made, and the ensemble's states view is never built
+    # verdict JSON and through the oracle; no ProductState is made, and the
+    # ensemble's states view is never built
     text = emit_ensemble(make())
-    counts = {"LocalVector": 0, "ProductState": 0, "unit_vectors": 0}
+    counts = {"ProductState": 0}
+    post_init = ensemble.ProductState.__post_init__
 
-    def counted(name, f):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return f(*args, **kwargs)
+    def counted(*args, **kwargs):
+        counts["ProductState"] += 1
+        return post_init(*args, **kwargs)
 
-        return wrapper
-
-    for cls in (linalg.LocalVector, ensemble.ProductState):
-        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
-    for module in (linalg, ensemble, relativity, distinguish, simulate, oracle):
-        if hasattr(module, "unit_vectors"):
-            monkeypatch.setattr(module, "unit_vectors", counted("unit_vectors", module.unit_vectors))
+    monkeypatch.setattr(ensemble.ProductState, "__post_init__", counted)
     e = parse_ensemble(text)
     verdict = decide(e, "complete")
     doc = verdict_to_json(verdict)
     assert exhaustive_decide(e).kind == verdict.kind
-    assert counts == {"LocalVector": 0, "ProductState": 0, "unit_vectors": 0}
+    assert counts == {"ProductState": 0}
     assert "states" not in e.__dict__
     assert doc["verdict"] == verdict.kind

@@ -45,7 +45,7 @@ R3 = math.sqrt(3.0)
 
 
 def _arrays(e, label):
-    return [v.entries for v in e.state(label).locals]
+    return [a[e.index(label)] for a in e.party_arrays]
 
 
 def _raw_pairwise_overlaps(e):
@@ -55,7 +55,7 @@ def _raw_pairwise_overlaps(e):
         for b in e.states[i + 1 :]:
             mag = 1.0
             for u, v in zip(a.locals, b.locals):
-                mag *= abs(np.vdot(u.entries, v.entries))
+                mag *= abs(np.vdot(u, v))
             out[(a.label, b.label)] = mag
     return out
 
@@ -65,7 +65,7 @@ def _equal_up_to_party_phase(e1, e2, atol=1e-12):
         return False
     for s1, s2 in zip(e1.states, e2.states):
         for u, v in zip(s1.locals, s2.locals):
-            if abs(abs(np.vdot(u.entries, v.entries)) - 1.0) > atol:
+            if abs(abs(np.vdot(u, v)) - 1.0) > atol:
                 return False
     return True
 
@@ -133,11 +133,11 @@ def test_cube64_is_grid16_stacked_over_a_third_party():
         for i in range(16):
             s = e.states[c * 16 + i]
             assert s.label == f"psi{c * 16 + i + 1}"
-            assert np.array_equal(s.locals[0].entries, grid.states[i].locals[0].entries)
-            assert np.array_equal(s.locals[1].entries, grid.states[i].locals[1].entries)
+            assert np.array_equal(s.locals[0], grid.states[i].locals[0])
+            assert np.array_equal(s.locals[1], grid.states[i].locals[1])
             expected_c = np.zeros(4)
             expected_c[c] = 1.0
-            assert np.allclose(s.locals[2].entries, expected_c)
+            assert np.allclose(s.locals[2], expected_c)
 
 
 def test_finkelstein9_shares_bennett_parts_and_adds_a_qubit():
@@ -146,9 +146,9 @@ def test_finkelstein9_shares_bennett_parts_and_adds_a_qubit():
     assert e.dims == (3, 3, 2) and not e.complete and len(e.states) == 9
     third_expected = [[1.0, 0.0], [0.5, R3 / 2.0], [0.5, -R3 / 2.0]]
     for i, s in enumerate(e.states):
-        assert np.array_equal(s.locals[0].entries, bennett.states[i].locals[0].entries)
-        assert np.array_equal(s.locals[1].entries, bennett.states[i].locals[1].entries)
-        assert np.allclose(s.locals[2].entries, third_expected[i // 3], atol=1e-12)
+        assert np.array_equal(s.locals[0], bennett.states[i].locals[0])
+        assert np.array_equal(s.locals[1], bennett.states[i].locals[1])
+        assert np.allclose(s.locals[2], third_expected[i // 3], atol=1e-12)
     # the three qubit directions overlap pairwise with magnitude exactly 1/2
     x, y, z = (np.array(t, dtype=complex) for t in third_expected)
     for u, v in [(x, y), (x, z), (y, z)]:
@@ -161,8 +161,8 @@ def test_comp2x2_is_the_computational_basis():
     assert e.labels == ("s00", "s01", "s10", "s11")
     for s in e.states:
         i, j = int(s.label[1]), int(s.label[2])
-        assert np.allclose(s.locals[0].entries, np.eye(2)[i])
-        assert np.allclose(s.locals[1].entries, np.eye(2)[j])
+        assert np.allclose(s.locals[0], np.eye(2)[i])
+        assert np.allclose(s.locals[1], np.eye(2)[j])
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -275,6 +275,35 @@ def test_complete_flag_needs_full_count():
         Ensemble("bad", (2, 2), s, complete=True)
 
 
+@pytest.mark.parametrize(
+    "local, message",
+    [
+        (np.array([1.0, 1.0]), r"state 'b' party 1 is not a unit vector: norm 1\.41421"),
+        (np.array([1e-3, 0.0]), r"state 'b' party 1 is not a unit vector: norm 0\.001"),
+        (np.array([np.nan, 0.0]), r"state 'b' party 1 has non-finite entries"),
+        (np.array([np.inf, 0.0]), r"state 'b' party 1 has non-finite entries"),
+        (np.array([1.0, 0.0, 0.0]), r"state 'b' party 1 has shape \(3,\), expected \(2,\)"),
+        (np.array([[1.0, 0.0]]), r"state 'b' party 1 has shape \(1, 2\), expected \(2,\)"),
+        (np.complex128(1.0), r"state 'b' party 1 has shape \(\), expected \(2,\)"),
+    ],
+)
+def test_ensemble_refuses_a_local_that_is_not_a_unit_vector_of_its_dimension(local, message):
+    good = basis_vector(2, 0)
+    states = (ProductState("a", (good, good)), ProductState("b", (good, local)))
+    with pytest.raises(SchemaError, match=message):
+        Ensemble("x", (2, 2), states, complete=False)
+
+
+def test_ensemble_copies_and_freezes_the_locals_it_is_given():
+    # a unit vector up to DEFAULT_TOL is kept as given, in a read-only array
+    # of the ensemble's own; the caller's array stays writable and apart
+    v = np.array([1.0 + 1e-10, 0.0], dtype=np.complex128)
+    e = Ensemble("x", (2,), (ProductState("a", (v,)),), complete=False)
+    assert e.party_arrays[0].tobytes() == v.tobytes() and not e.party_arrays[0].flags.writeable
+    v[0] = 5.0
+    assert e.party_arrays[0][0, 0] == 1.0 + 1e-10 and e.states[0].locals[0][0] == 1.0 + 1e-10
+
+
 def test_empty_label_rejected():
     with pytest.raises(SchemaError):
         ProductState("", (basis_vector(2, 0),))
@@ -283,8 +312,6 @@ def test_empty_label_rejected():
 def test_unknown_label_lookup():
     with pytest.raises(NotFoundError):
         catalog("comp2x2").index("nope")
-    with pytest.raises(DimensionError):
-        catalog("comp2x2").vector("s00", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +339,7 @@ def test_parse_normalizes_vectors():
      "states": [{"label": "a", "vectors": [[[2.0, 0.0], [0.0, 0.0]]]}]}
     """
     e = parse_ensemble(text)
-    assert np.allclose(e.states[0].locals[0].entries, [1.0, 0.0])
+    assert np.allclose(e.states[0].locals[0], [1.0, 0.0])
 
 
 @pytest.mark.parametrize(
@@ -469,8 +496,8 @@ def test_stacked_parse_matches_per_vector_reference(text, tol):
         assert got.party_arrays[p].tobytes() == ref.tobytes()
         assert not got.party_arrays[p].flags.writeable
         for s, row in zip(got.states, rows):
-            assert s.locals[p].entries.tobytes() == row.tobytes()
-            assert np.shares_memory(s.locals[p].entries, got.party_arrays[p])
+            assert s.locals[p].tobytes() == row.tobytes()
+            assert np.shares_memory(s.locals[p], got.party_arrays[p])
 
 
 def test_parse_reports_the_first_bad_vector_in_file_order():
@@ -507,7 +534,7 @@ def test_identity_unitaries_leave_states_in_place():
     assert out.labels == e.labels
     for s, t in zip(e.states, out.states):
         for u, v in zip(s.locals, t.locals):
-            assert np.allclose(u.entries, v.entries, atol=1e-12)
+            assert np.allclose(u, v, atol=1e-12)
 
 
 def test_non_unitary_matrix_rejected():
@@ -557,7 +584,7 @@ def test_random_basis_is_deterministic():
     assert a.labels == b.labels and a.name == b.name
     for s, t in zip(a.states, b.states):
         for u, v in zip(s.locals, t.locals):
-            assert np.array_equal(u.entries, v.entries)
+            assert np.array_equal(u, v)
     c = random_product_basis((2, 3), seed=12)
     assert not _equal_up_to_party_phase(a, c)
 
@@ -576,8 +603,8 @@ def test_random_basis_depth_zero_is_computational():
     assert e.labels == ("s1", "s2", "s3", "s4")
     expected = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for s, (i, j) in zip(e.states, expected):
-        assert np.array_equal(s.locals[0].entries, np.eye(2, dtype=complex)[i])
-        assert np.array_equal(s.locals[1].entries, np.eye(2, dtype=complex)[j])
+        assert np.array_equal(s.locals[0], np.eye(2, dtype=complex)[i])
+        assert np.array_equal(s.locals[1], np.eye(2, dtype=complex)[j])
 
 
 def test_random_basis_name_embeds_parameters():
@@ -590,6 +617,24 @@ def test_random_basis_rejects_bad_dims():
         random_product_basis((), seed=0)
     with pytest.raises(SchemaError):
         random_product_basis((0, 2), seed=0)
+
+
+@pytest.mark.parametrize(
+    "dims", [(2.5, 2), (2.9, True * 2), (2.0, 2), (True, 2), (2, False), ("2", 2), (-1,)]
+)
+def test_dims_that_are_not_integers_of_at_least_one_are_refused(dims):
+    # a float used to be truncated and a bool read as 1
+    with pytest.raises(SchemaError, match="dims must be positive integers"):
+        random_product_basis(dims, seed=1)
+    with pytest.raises(SchemaError, match="dims must be positive integers"):
+        Ensemble("x", dims, (), complete=False)
+
+
+def test_numpy_integer_dims_are_kept_as_python_ints():
+    e = random_product_basis((np.int64(2), np.int32(3)), seed=1)
+    assert e.name == "random-2x3-seed1-depth3"
+    assert e.dims == (2, 3) and all(type(d) is int for d in e.dims)
+    assert emit_ensemble(e) == emit_ensemble(random_product_basis((2, 3), seed=1))
 
 
 def test_single_level_party_is_allowed():
@@ -646,7 +691,7 @@ def _assert_rows(e, rows):
         assert a.shape == ref.shape and a.tobytes() == ref.tobytes()
         assert not a.flags.writeable
         for s, row in zip(e.states, ref):
-            assert s.locals[p].entries.tobytes() == row.tobytes()
+            assert s.locals[p].tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -686,7 +731,7 @@ def test_dressing_refuses_the_first_short_vector_in_state_order():
 
 def test_normalize_helper_reexported():
     v = normalize(np.array([3.0, 4.0]))
-    assert abs(np.linalg.norm(v.entries) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +761,6 @@ def test_states_view_is_built_once_from_the_rows():
     assert tuple(s.label for s in e.states) == e.labels
     for p, a in enumerate(e.party_arrays):
         for s, row in zip(e.states, a):
-            assert s.locals[p].entries.tobytes() == row.tobytes()
-            assert np.shares_memory(s.locals[p].entries, a)
-    assert e.state("psi2") is e.states[1] and e.vector("psi2", 1) is e.states[1].locals[1]
+            assert s.locals[p].tobytes() == row.tobytes()
+            assert np.shares_memory(s.locals[p], a) and not s.locals[p].flags.writeable
+    assert e.states[e.index("psi2")].label == "psi2"

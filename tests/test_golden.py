@@ -1,4 +1,4 @@
-"""Byte identity of `check --json`, `check --trace` and `simulate` output.
+"""Byte identity of `check --json`, `check --trace`, `simulate`, `catalog emit` and `decompose`.
 
 The `check` digests were taken from the pairwise-loop implementation that
 preceded the array-backed relativity layer.  Any drift in a verdict, a
@@ -6,7 +6,10 @@ protocol's blocks or basis vectors, or a certificate's edges changes them.
 The `simulate` digests were taken when lifted protocols were still written
 as dense matrices, so they also pin that the factored file rebuilds every
 operator bit for bit.  The "redressed" digest was taken from the
-per-operator replay that preceded the stacked kernel.
+per-operator replay that preceded the stacked kernel.  The `catalog emit`
+and `decompose` digests were taken while every vector was still wrapped in
+a one-vector class, so they pin that the catalog builders and the SVD's
+row order and phases survived its removal.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from loccdist import (
     random_unitary,
 )
 from loccdist.cli import main
+from loccdist.jsonio import canonical_dumps
+from loccdist.linalg import emit_matrix
 from loccdist.simulate import emit_sim_protocol
 
 CASES = {
@@ -112,3 +117,58 @@ def test_simulate_output_is_byte_identical(case, protocol, tmp_path, capsys):
         assert any(1e-3 < p < 1.0 - 1e-3 for p in probs)
         assert all(s["total"] < 1.0 - 1e-3 for s in doc["states"])
         assert any(sum(b["probability"] for b in s["branches"]) < 1.0 - 1e-6 for s in doc["states"])
+
+
+# name -> sha256 of `catalog emit NAME` stdout
+CATALOG_GOLDEN = {
+    "bennett9": "f32dd8e4a8ce1dad35e9eb81c4655926158088bb4745df44acf373659fb6f1ba",
+    "cube64": "a27bfea579eb0cc72f157c6ea40fb7503e33aa0ea854e7c01c4709d354908f6b",
+    "comp2x2": "cd2a3f525cfe7340f72b876f0918f1268fcb02214ad6a46ebc9f4f3b325efae5",
+    "finkelstein9": "90eb9bfa7d9a37319439fa2c62acb57889b8fbe94dc96ad330d50dd2a7502c2f",
+    "grid16": "5eeff981556277e22977620b542e01e8b07e443f79199dd5645af36d5df61ffd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_GOLDEN))
+def test_catalog_emit_is_byte_identical(name, capsys):
+    assert main(["catalog", "emit", name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CATALOG_GOLDEN[name]
+
+
+# Both equal-sigma groups come out of LAPACK in an order the lexicographic
+# tie rule must settle: a diagonal with sigma 1 twice, and a multiple of a
+# unitary whose sigmas are all equal and whose vectors are not basis vectors.
+MATRICES = {
+    "repeated-diagonal": np.diag([1.0, 2.0, 1.0]),
+    "hadamard": np.array([[1.0, 1.0], [1.0, -1.0]]),
+    "random-3x4": np.array(
+        [
+            [0.001 + 0.105j, 0.299 - 0.93j, -0.274 - 0.029j, -0.891 + 0.695j],
+            [-0.455 - 1.344j, -0.992 - 0.458j, 0.06 - 1.901j, 1.34 - 1.29j],
+            [-0.492 - 1.842j, -0.62 - 0.235j, 0.49 - 1.267j, 0.357 + 0.271j],
+        ]
+    ),
+    "swap-phase": np.array([[0.0, 1j], [1.0, 0.0]]),
+    "row-1x3": np.array([[1.0, -2.0j, 0.5]]),
+    "zero-2x2": np.zeros((2, 2)),
+}
+
+# matrix -> sha256 of `decompose` stdout
+DECOMPOSE_GOLDEN = {
+    "hadamard": "a7fec86dc9f733e17ce7e6b5ef22ed70ce8fde9d35bdf6e00dcdf6e9a342f3ff",
+    "random-3x4": "6b3e9fa74753342da4779bd8da3637298aec6cdacdcec8487d9e7ca9b9800a88",
+    "repeated-diagonal": "6f89c1d45717520978510973d26ac21c033049add036e45d751f34ad1d0be3c9",
+    "row-1x3": "a6f551ef7b9473d87fd1d1400dea04332907ac895fdcdec38fca5c0152b7b20e",
+    "swap-phase": "5e1bc5485e087d4d9e4b43d5311093f3ce40df32de7824472716aa7a0be2181c",
+    "zero-2x2": "e04a2f402bc56eb2257023cc93301eab132f1db36f6ec3388e02afcb0f95f3af",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_GOLDEN))
+def test_decompose_output_is_byte_identical(name, tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(canonical_dumps(emit_matrix(MATRICES[name])), encoding="utf-8")
+    assert main(["decompose", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DECOMPOSE_GOLDEN[name]

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccdist import (
-    LocalVector,
     SVDResult,
     SchemaError,
     ZeroVectorError,
@@ -35,8 +34,8 @@ def _vec(*entries):
 
 
 def _stacked(vectors):
-    """The vectors' entries as the rows of one array, as span_basis takes them."""
-    return np.array([v.entries for v in vectors])
+    """The vectors as the rows of one array, as span_basis takes them."""
+    return np.array(vectors)
 
 
 def _overlaps(a, b):
@@ -65,22 +64,19 @@ def unit_vectors(draw, dim=None):
 # construction and stacked inner products
 
 
-def test_local_vector_requires_unit_norm():
-    with pytest.raises(ValueError):
-        LocalVector(np.array([1.0, 1.0], dtype=np.complex128))
-
-
-def test_local_vector_rejects_non_finite():
-    with pytest.raises(ValueError):
-        LocalVector(np.array([np.nan + 0j, 0.0]))
+def test_normalize_rejects_non_finite():
     with pytest.raises(ValueError):
         normalize(np.array([np.inf, 0.0]))
-
-
-def test_local_vector_entries_are_frozen():
-    v = basis_vector(3, 0)
     with pytest.raises(ValueError):
-        v.entries[0] = 0.0
+        normalize(np.array([np.nan + 0j, 0.0]))
+
+
+def test_basis_vector_and_normalize_return_read_only_arrays():
+    for v in (basis_vector(3, 0), normalize(np.array([3.0, 4.0j]))):
+        assert v.dtype == np.complex128 and v.ndim == 1
+        with pytest.raises(ValueError):
+            v[0] = 0.0
+    assert basis_vector(3, 1).tobytes() == np.eye(3, dtype=np.complex128)[1].tobytes()
 
 
 def test_stacked_product_mismatch():
@@ -105,7 +101,7 @@ def test_stacked_product_conjugate_symmetry_and_vdot(us, vs):
     assert np.max(np.abs(got - _overlaps(b, a).conj().T)) < 1e-12
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
-            assert abs(got[i, j] - np.vdot(u.entries, v.entries)) < 1e-12
+            assert abs(got[i, j] - np.vdot(u, v)) < 1e-12
 
 
 @given(st.lists(unit_vectors(dim=3), min_size=1, max_size=4))
@@ -125,7 +121,7 @@ def test_cauchy_schwarz(u, v):
 
 def test_normalize_preserves_phase():
     v = normalize(np.array([0.0, 3.0j]))
-    assert np.allclose(v.entries, [0.0, 1.0j])
+    assert np.allclose(v, [0.0, 1.0j])
 
 
 def test_normalize_zero_vector():
@@ -153,9 +149,9 @@ def test_normalize_accepts_overflowing_squared_norm(raw, unit):
     # the norm is a double although its square is not: rescaled by the
     # largest magnitude, the vector is measured and normalized
     v = normalize(np.array(raw))
-    assert np.allclose(v.entries, unit, rtol=0, atol=1e-15)
+    assert np.allclose(v, unit, rtol=0, atol=1e-15)
     rows = normalize_rows(np.array([[0.6, 0.8], raw, [0.0, 2.0]], dtype=np.complex128))
-    assert rows[1].tobytes() == v.entries.tobytes()
+    assert rows[1].tobytes() == v.tobytes()
     assert rows[[0, 2]].tobytes() == np.array([[0.6, 0.8], [0.0, 1.0]], dtype=np.complex128).tobytes()
 
 
@@ -218,22 +214,25 @@ def test_normalize_is_bit_identical_to_the_per_vector_reference(tol):
         if isinstance(expected, tuple):
             assert got == expected
         else:
-            assert got.entries.tobytes() == expected.tobytes()
-            assert not got.entries.flags.writeable
+            assert got.tobytes() == expected.tobytes()
+            assert not got.flags.writeable
 
 
 def test_phase_normalize_first_entry_real_positive():
     v = phase_normalize(normalize(np.array([1.0j, 0.0])))
-    assert np.allclose(v.entries, [1.0, 0.0])
+    assert np.allclose(v, [1.0, 0.0]) and not v.flags.writeable
     w = phase_normalize(normalize(np.array([0.0, -1.0])))
-    assert np.allclose(w.entries, [0.0, 1.0])
+    assert np.allclose(w, [0.0, 1.0]) and not w.flags.writeable
+    # an array already in the convention, or with no entry above tol, comes back as itself
+    for u in (normalize(np.array([0.6, 0.8j])), np.array([1e-10j, 0.0])):
+        assert phase_normalize(u) is u
 
 
 @given(unit_vectors())
 def test_phase_normalize_is_idempotent_and_phase_only(v):
     w = phase_normalize(v)
-    assert np.allclose(phase_normalize(w).entries, w.entries, atol=1e-12)
-    assert abs(abs(np.vdot(v.entries, w.entries)) - 1.0) < 1e-12
+    assert np.allclose(phase_normalize(w), w, atol=1e-12)
+    assert abs(abs(np.vdot(v, w)) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +261,10 @@ def test_span_basis_of_no_rows():
 
 
 def _reference_gram_schmidt(vectors, tol):
-    """Gram-Schmidt as it was before span_basis: LocalVector in, LocalVector out."""
+    """Gram-Schmidt as it was before span_basis: one vector at a time, in and out."""
     basis = []
     for v in vectors:
-        w = v.entries.astype(np.complex128)
+        w = v.astype(np.complex128)
         for _ in range(2):
             for b in basis:
                 w = w - np.vdot(b, w) * b
@@ -293,10 +292,10 @@ def _random_block(rng, tol):
         if kind == 0:  # generic
             w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         elif kind == 1:  # an earlier row, exactly
-            w = rows[int(rng.integers(len(rows)))].entries.copy()
+            w = rows[int(rng.integers(len(rows)))].copy()
         else:  # a combination of earlier rows, nudged by about tol or less
             c = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
-            w = sum(ci * r.entries for ci, r in zip(c, rows))
+            w = sum(ci * r for ci, r in zip(c, rows))
             w = w + tol * 10.0 ** rng.uniform(-3, 1) * rng.standard_normal(d)
         if rng.random() < 0.3:  # leading entries at or below tol
             w[: int(rng.integers(1, d + 1))] *= tol * rng.random()
@@ -325,7 +324,7 @@ def _scalar_span(rows, tol):
         r = linalg._residual(w, basis, tol)
         if r is not None:
             basis.append(r)
-    return [linalg._phase_fixed(b, tol) for b in basis]
+    return [linalg.phase_normalize(b, tol) for b in basis]
 
 
 def _assert_scalar_walk(rows, tol):
@@ -379,17 +378,6 @@ def test_stacked_span_kernel_on_staircase_blocks(m):
         _assert_scalar_walk(np.array(rows[::-1]), tol)
 
 
-def test_unit_vectors_wrap_rows_after_one_check():
-    a = np.array([[0.6, 0.8j], [1.0, 0.0]])
-    u, v = linalg.unit_vectors(a)
-    assert np.shares_memory(u.entries, a) and not a.flags.writeable
-    assert u == LocalVector(np.array([0.6, 0.8j])) and v == basis_vector(2, 0)
-    with pytest.raises(ValueError, match="requires unit norm"):
-        linalg.unit_vectors(np.array([[1.0, 0.0], [1.0, 1e-4]]))
-    with pytest.raises(ValueError, match="must be finite"):
-        linalg.unit_vectors(np.array([[1.0, 0.0], [np.nan, 0.0]]))
-
-
 @settings(max_examples=60)
 @given(st.lists(unit_vectors(dim=4), min_size=1, max_size=6))
 def test_span_basis_output_is_orthonormal_and_spans_inputs(vectors):
@@ -399,8 +387,8 @@ def test_span_basis_output_is_orthonormal_and_spans_inputs(vectors):
     for v in vectors:
         proj = np.zeros(4, dtype=np.complex128)
         for b in basis:
-            proj += np.vdot(b, v.entries) * b
-        assert np.linalg.norm(proj - v.entries) < 1e-8
+            proj += np.vdot(b, v) * b
+        assert np.linalg.norm(proj - v) < 1e-8
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -432,7 +420,7 @@ def test_span_rank_invariant_under_permutation_and_scaling(seed):
     assert len(span_basis(_stacked([vectors[i] for i in perm]))) == base
     scale = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
     scaled = list(vectors)
-    scaled[2] = normalize(scaled[2].entries * scale)
+    scaled[2] = normalize(scaled[2] * scale)
     assert len(span_basis(_stacked(scaled))) == base
 
 
@@ -449,8 +437,8 @@ def test_svd_two_by_two_example():
     result = svd_decompose(a)
     assert np.allclose(result.sigmas, [math.sqrt(2.0), 0.0])
     assert result.rank == 1
-    assert np.allclose(result.right[0].entries, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-    assert np.allclose(result.left[0].entries, [1.0, 0.0])
+    assert np.allclose(result.right[0], [1 / math.sqrt(2), 1 / math.sqrt(2)])
+    assert np.allclose(result.left[0], [1.0, 0.0])
 
 
 def test_svd_rank_one_povm_element():
@@ -459,15 +447,15 @@ def test_svd_rank_one_povm_element():
     result = svd_decompose(a)
     assert result.rank == 1
     assert abs(result.sigmas[0] - math.sqrt(2.0 / 3.0)) < 1e-12
-    assert np.allclose(result.left[0].entries, [0.0, 1.0])
-    assert np.allclose(result.right[0].entries, [0.0, 1.0])
+    assert np.allclose(result.left[0], [0.0, 1.0])
+    assert np.allclose(result.right[0], [0.0, 1.0])
 
 
 def test_svd_identity_tie_break_is_natural_order():
     result = svd_decompose(np.eye(3))
     for j in range(3):
-        assert np.allclose(result.right[j].entries, np.eye(3)[j])
-        assert np.allclose(result.left[j].entries, np.eye(3)[j])
+        assert np.allclose(result.right[j], np.eye(3)[j])
+        assert np.allclose(result.left[j], np.eye(3)[j])
 
 
 def test_svd_deterministic():
@@ -476,8 +464,10 @@ def test_svd_deterministic():
     r1 = svd_decompose(a)
     r2 = svd_decompose(a)
     assert r1.sigmas == r2.sigmas
-    assert r1.left == r2.left
-    assert r1.right == r2.right
+    assert r1.left.shape == (3, 4) and r1.right.shape == (3, 3)
+    assert r1.left.tobytes() == r2.left.tobytes()
+    assert r1.right.tobytes() == r2.right.tobytes()
+    assert not r1.left.flags.writeable and not r1.right.flags.writeable
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -490,11 +480,10 @@ def test_svd_reconstruction_and_orthonormality(seed):
     # reconstruction oracle: explicit outer-product sum
     rebuilt = np.zeros((m, n), dtype=np.complex128)
     for s, l, r in zip(result.sigmas, result.left, result.right):
-        rebuilt += s * np.outer(l.entries, r.entries.conj())
+        rebuilt += s * np.outer(l, r.conj())
     assert np.max(np.abs(rebuilt - a)) < 1e-9
     assert list(result.sigmas) == sorted(result.sigmas, reverse=True)
-    for family in (result.left, result.right):
-        rows = _stacked(family)
+    for rows in (result.left, result.right):
         assert np.max(np.abs(_overlaps(rows, rows) - np.eye(len(rows)))) < 1e-10
 
 
@@ -503,7 +492,7 @@ def test_svd_right_vectors_are_phase_normalized():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     result = svd_decompose(a)
     for r in result.right:
-        first = next(z for z in r.entries if abs(z) > 1e-9)
+        first = next(z for z in r if abs(z) > 1e-9)
         assert abs(first.imag) < 1e-12 and first.real > 0
 
 

@@ -13,7 +13,6 @@ import pytest
 from loccdist import (
     Ensemble,
     InvalidModeError,
-    LocalVector,
     ProductState,
     TooLargeError,
     catalog,
@@ -49,14 +48,14 @@ def _intact(e, partition, party, tol=1e-9):
     and killed by every other block's."""
     projs = []
     for block in partition:
-        stack = np.column_stack([e.vector(label, party).entries for label in block])
+        stack = np.column_stack([e.party_arrays[party][e.index(label)] for label in block])
         q, _ = np.linalg.qr(stack)
         r = np.linalg.matrix_rank(stack, tol=1e-7)
         projs.append(q[:, :r] @ q[:, :r].conj().T)
     for i, block in enumerate(partition):
         for j, proj in enumerate(projs):
             for label in block:
-                v = e.vector(label, party).entries
+                v = e.party_arrays[party][e.index(label)]
                 image = proj @ v
                 if i == j:
                     if np.linalg.norm(image - v) > 1e-7:
@@ -246,7 +245,7 @@ def _bennett9_beside_three():
     """
     bennett = catalog("bennett9")
     states = [
-        ProductState(s.label, (s.locals[0], LocalVector(np.append(s.locals[1].entries, 0.0))))
+        ProductState(s.label, (s.locals[0], np.append(s.locals[1], 0.0)))
         for s in bennett.states
     ]
     states += [ProductState(f"x{i}", (basis_vector(3, i), basis_vector(4, 3))) for i in range(3)]

@@ -50,8 +50,8 @@ def _oracle_edges(e, subset, party, tol=TOL):
     edges = set()
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
-            va = e.vector(a, party).entries
-            vb = e.vector(b, party).entries
+            va = e.party_arrays[party][e.index(a)]
+            vb = e.party_arrays[party][e.index(b)]
             if abs(np.vdot(va, vb)) > tol:
                 edges.add((a, b))
     return frozenset(edges)
@@ -323,7 +323,7 @@ def test_block_spans_cover_their_members():
         mat = span.T
         proj = mat @ mat.conj().T
         for label in block:
-            v = e.vector(label, 0).entries
+            v = e.party_arrays[0][e.index(label)]
             assert np.linalg.norm(proj @ v - v) < 1e-10
 
 
@@ -364,10 +364,10 @@ def test_chain_through_bennett9_first_party():
     assert len(set(chain)) == 3
     # consecutive links overlap and the party vectors are independent
     for a, b in zip(chain, chain[1:]):
-        va = e.vector(a, 0).entries
-        vb = e.vector(b, 0).entries
+        va = e.party_arrays[0][e.index(a)]
+        vb = e.party_arrays[0][e.index(b)]
         assert abs(np.vdot(va, vb)) > TOL
-    stack = np.array([e.vector(label, 0).entries for label in chain])
+    stack = np.array([e.party_arrays[0][e.index(label)] for label in chain])
     assert np.linalg.matrix_rank(stack, tol=1e-6) == 3
 
 
@@ -505,7 +505,7 @@ def test_stacked_arrays_are_read_only_and_bit_rows_are_kept():
         assert _bit_rows(e, party, TOL) is bits is e._memo[("bits", party, TOL)]
         assert bits == _packed(_reference_adjacency(e, party))
         assert np.array_equal(
-            e.party_arrays[party], np.array([s.locals[party].entries for s in e.states])
+            e.party_arrays[party], np.array([s.locals[party] for s in e.states])
         )
 
 

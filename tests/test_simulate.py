@@ -44,6 +44,7 @@ from loccdist import (
     run_protocol,
     validate_instrument,
 )
+from loccdist.distinguish import protocol_from_json, verdict_to_json
 from loccdist.jsonio import canonical_dumps
 from loccdist.linalg import emit_matrix
 from loccdist.simulate import emit_sim_protocol, parse_sim_protocol, report_to_json
@@ -175,17 +176,17 @@ def test_povm_branch_keeps_half_the_weight():
     e = catalog("finkelstein9")
     psi1 = e.states[0]
     m = _triple_matrices()[1]
-    image = m @ psi1.locals[2].entries
+    image = m @ psi1.locals[2]
     assert abs(float(np.linalg.norm(image) ** 2) - 0.5) < 1e-12  # oracle
 
     op = LocalOperator(2, m)
     post, prob = apply_operator(psi1, op)
     assert abs(prob - 0.5) < 1e-12
     assert post is not None
-    assert np.allclose(post.locals[2].entries, [math.sqrt(3.0) / 2.0, -0.5], atol=1e-12)
+    assert np.allclose(post.locals[2], [math.sqrt(3.0) / 2.0, -0.5], atol=1e-12)
     # untouched parties keep their vectors bit for bit
-    assert np.array_equal(post.locals[0].entries, psi1.locals[0].entries)
-    assert np.array_equal(post.locals[1].entries, psi1.locals[1].entries)
+    assert np.array_equal(post.locals[0], psi1.locals[0])
+    assert np.array_equal(post.locals[1], psi1.locals[1])
 
 
 def test_orthogonal_branch_is_annihilated():
@@ -200,7 +201,7 @@ def test_apply_operator_drops_global_phase():
     op = LocalOperator(0, 1.0j * np.eye(2))
     post, prob = apply_operator(s, op)
     assert abs(prob - 1.0) < 1e-12
-    assert np.allclose(post.locals[0].entries, [1.0, 0.0])
+    assert np.allclose(post.locals[0], [1.0, 0.0])
 
 
 def test_apply_operator_dimension_checks():
@@ -216,7 +217,7 @@ def test_rectangular_operator_shrinks_the_factor():
     op = LocalOperator(0, np.array([[1.0, 0.0]]))
     post, prob = apply_operator(s, op)
     assert abs(prob - 1.0) < 1e-12
-    assert post.locals[0].dim == 1
+    assert post.locals[0].shape == (1,) and not post.locals[0].flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,7 @@ def test_lift_projectors_preserve_or_annihilate_in_scope_states():
             for b in outcome.basis:
                 proj += np.outer(b, b.conj())
             for label in scope:
-                vec = e.vector(label, tree.step.party).entries
+                vec = e.party_arrays[tree.step.party][e.index(label)]
                 p = float(np.linalg.norm(proj @ vec) ** 2)
                 if label in outcome.block:
                     assert p > 1.0 - 1e-9, (label, outcome.block)
@@ -389,6 +390,22 @@ def test_lift_projectors_preserve_or_annihilate_in_scope_states():
             check(child, outcome.block)
 
     check(v.tree, e.labels)
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_lift_refuses_an_outcome_block_with_an_unknown_label(depth):
+    # the first outcome of the root, or of the root's first child, names
+    # "zzz" instead of "s00"; only its block, not a leaf, holds the label
+    e = catalog("comp2x2")
+    doc = verdict_to_json(decide(e, "complete"))["protocol"]
+    node = doc
+    for _ in range(depth):
+        node = node["children"][0]
+    block = node["outcomes"][0]["block"]
+    block[block.index("s00")] = "zzz"
+    tree = protocol_from_json(doc)
+    with pytest.raises(NotFoundError, match="'zzz'"):
+        lift_protocol(tree, e)
 
 
 @pytest.mark.parametrize("name", ["bennett9", "cube64"])
@@ -658,7 +675,7 @@ def test_apply_operator_overflow_is_refused_without_a_warning():
         apply_operator(s, LocalOperator(0, 1e200 * np.eye(2)))
     # a norm near the overflow edge, with a finite probability, still works
     out, prob = apply_operator(s, LocalOperator(0, 1e150 * np.eye(2)))
-    assert math.isclose(prob, 1e300) and out.locals[0].entries.tolist() == [1.0, 0.0]
+    assert math.isclose(prob, 1e300) and out.locals[0].tolist() == [1.0, 0.0]
 
 
 def test_factored_basis_is_normalized_as_one_vector_at_a_time():
@@ -666,7 +683,7 @@ def test_factored_basis_is_normalized_as_one_vector_at_a_time():
     root = parse_sim_protocol(_factored(raw))
     for v, entries in zip(root.instrument.operators[0].basis, raw):
         expected = normalize(np.array([complex(re, im) for re, im in entries]))
-        assert v.tobytes() == expected.entries.tobytes()
+        assert v.tobytes() == expected.tobytes()
 
 
 def test_non_orthonormal_basis_is_an_incomplete_instrument():
@@ -773,7 +790,7 @@ def test_generated_protocols_lift_and_run(seed):
 
 def _reference_step(s, op, tol):
     """One Kraus operator on one state, with the scalar linalg routines."""
-    w = op.matrix @ s.locals[op.party].entries
+    w = op.matrix @ s.locals[op.party]
     prob = float(np.linalg.norm(w) ** 2)
     if prob <= tol:
         return None, prob
