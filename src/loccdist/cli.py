@@ -10,6 +10,7 @@ classes.  All JSON output is canonical and echoes the tolerance in use.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -347,6 +348,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
+    """The console script: :func:`main` on ``sys.argv``, exiting with its code.
+
+    Everything alive once the modules are imported lives until exit, so it
+    is frozen first: ``gc.freeze`` keeps the collector, during the run and
+    at interpreter teardown, from walking those objects again.
+    """
+    gc.freeze()
     sys.exit(main())
 
 

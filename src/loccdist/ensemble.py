@@ -98,6 +98,10 @@ def _require_unit(a: np.ndarray, labels: Sequence[str], party: int) -> None:
             raise SchemaError(f"{at} is not a unit vector: norm {n!r}")
 
 
+# numpy dtype kinds that convert to complex128 as numbers: bool, integers, floats, complex
+_NUMERIC = "biufc"
+
+
 @dataclass(frozen=True, eq=False)
 class ProductState:
     """One labeled product state: one unit vector per party, each a 1-D complex array."""
@@ -149,7 +153,12 @@ class Ensemble:
         labels = [s.label for s in states]
         arrays = []
         for p, d in enumerate(dims):
-            a = np.array([s.locals[p] for s in states], dtype=np.complex128).reshape(-1, d)
+            a = np.array([s.locals[p] for s in states])
+            if a.dtype.kind not in _NUMERIC:
+                for s in states:
+                    if np.asarray(s.locals[p]).dtype.kind not in _NUMERIC:
+                        raise SchemaError(f"state {s.label!r} party {p} has non-numeric entries")
+            a = a.astype(np.complex128).reshape(-1, d)
             _require_unit(a, labels, p)
             arrays.append(a)
         self._set(name, labels, arrays, complete)

@@ -142,21 +142,32 @@ def normalize(raw: object, tol: float = DEFAULT_TOL) -> np.ndarray:
     return v
 
 
+def _phase_factor(entries: np.ndarray, tol: float) -> complex | None:
+    """The unit factor that turns the first entry above tol real positive.
+
+    None when that entry already is real positive, or when no entry is above tol.
+    """
+    for entry in entries:
+        mag = abs(entry)
+        if mag > tol:
+            if entry.imag == 0.0 and entry.real > 0.0:
+                return None
+            return entry.conjugate() / mag
+    return None
+
+
 def phase_normalize(entries: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """A 1-D complex array's global phase rotated so the first entry above tol is real positive.
 
     Returns ``entries`` itself when that entry already is, or when none is
     above tol; otherwise a new read-only array.
     """
-    for entry in entries:
-        mag = abs(entry)
-        if mag > tol:
-            if entry.imag == 0.0 and entry.real > 0.0:
-                return entries
-            fixed = entries * (entry.conjugate() / mag)
-            fixed.setflags(write=False)
-            return fixed
-    return entries
+    factor = _phase_factor(entries, tol)
+    if factor is None:
+        return entries
+    fixed = entries * factor
+    fixed.setflags(write=False)
+    return fixed
 
 
 def _residual(w: np.ndarray, basis: list[np.ndarray], tol: float) -> np.ndarray | None:
@@ -277,17 +288,12 @@ def svd_decompose(a: object, tol: float = DEFAULT_TOL) -> SVDResult:
         raise SchemaError("matrix singular values overflow a double")
     triples: list[tuple[float, np.ndarray, np.ndarray]] = []
     for j in range(s.shape[0]):
-        left_raw = u[:, j]
-        right_raw = vh[j].conj()
+        left, right = u[:, j], vh[j].conj()
         # Phases move in lockstep: multiplying both by the same factor keeps
         # sigma |l><r| invariant while pinning the right vector's convention.
-        phase = 1.0 + 0.0j
-        for entry in right_raw:
-            mag = abs(entry)
-            if mag > tol:
-                phase = entry.conjugate() / mag
-                break
-        triples.append((float(s[j]), left_raw * phase, right_raw * phase))
+        if (phase := _phase_factor(right, tol)) is not None:
+            left, right = left * phase, right * phase
+        triples.append((float(s[j]), left, right))
     # Stable within groups of equal sigmas.
     ordered: list[tuple[float, np.ndarray, np.ndarray]] = []
     i = 0

@@ -98,6 +98,37 @@ def enumerate_valid_partitions(
     return PartitionFamily(party, g.members, g.blocks(), partitions)
 
 
+def _solve(e: Ensemble, memo: dict[int, tuple | None], mask: int, tol: float) -> bool:
+    """Whether some sequence of valid partitions splits the states in ``mask`` down to single states.
+
+    ``memo`` keeps each mask's answer: () for one state, the first
+    ``(party, partition)`` that works, or None when none does.
+    """
+    if mask in memo:
+        return memo[mask] is not None
+    memo[mask] = None  # pessimistic placeholder, no cycles possible
+    for party in range(e.parties):
+        for partition in _partitions(e, party, mask, tol):
+            if len(partition) == 1:  # the trivial one, always last
+                break
+            if all(_solve(e, memo, _mask(rows), tol) for rows in partition):
+                memo[mask] = (party, partition)
+                return True
+    return False
+
+
+def _build(e: Ensemble, memo: dict[int, tuple | None], mask: int, tol: float) -> TraceNode:
+    """The protocol that :func:`_solve` found for the states in ``mask``."""
+    entry = memo[mask]
+    assert entry is not None
+    if not entry:
+        return TraceLeaf(e.labels[mask.bit_length() - 1])
+    party, partition = entry
+    spans = tuple(_span(e, party, rows, tol) for rows in partition)
+    children = tuple(_build(e, memo, _mask(rows), tol) for rows in partition)
+    return TraceSplit(step=_step(e, party, partition, spans), children=children)
+
+
 def exhaustive_decide(e: Ensemble, tol: float = DEFAULT_TOL) -> Verdict:
     """Search every measurement sequence; agrees with the greedy procedure.
 
@@ -111,36 +142,12 @@ def exhaustive_decide(e: Ensemble, tol: float = DEFAULT_TOL) -> Verdict:
         )
     # memo: mask -> () for one state | (party, partition) | None
     memo: dict[int, tuple | None] = {1 << i: () for i in range(len(e.labels))}
-
-    def solve(mask: int) -> bool:
-        if mask in memo:
-            return memo[mask] is not None
-        memo[mask] = None  # pessimistic placeholder, no cycles possible
-        for party in range(e.parties):
-            for partition in _partitions(e, party, mask, tol):
-                if len(partition) == 1:  # the trivial one, always last
-                    break
-                if all(solve(_mask(rows)) for rows in partition):
-                    memo[mask] = (party, partition)
-                    return True
-        return False
-
-    def build(mask: int) -> TraceNode:
-        entry = memo[mask]
-        assert entry is not None
-        if not entry:
-            return TraceLeaf(e.labels[mask.bit_length() - 1])
-        party, partition = entry
-        spans = tuple(_span(e, party, rows, tol) for rows in partition)
-        children = tuple(build(_mask(rows)) for rows in partition)
-        return TraceSplit(step=_step(e, party, partition, spans), children=children)
-
     everything = (1 << len(e.labels)) - 1
-    if solve(everything):
-        return Verdict(kind="distinguishable", tree=build(everything))
+    if _solve(e, memo, everything, tol):
+        return Verdict(kind="distinguishable", tree=_build(e, memo, everything, tol))
     stuck = everything
     while (split := _split(e, stuck, tol)) is not None:
         # an unsolved subset has an unsolved finest block, or its finest split would solve it
-        stuck = next(mask for mask in map(_mask, split[1]) if not solve(mask))
+        stuck = next(mask for mask in map(_mask, split[1]) if not _solve(e, memo, mask, tol))
     certificate = stuck_certificate(e, _subset(e, stuck), tol)
     return Verdict(kind="indistinguishable", certificate=certificate)

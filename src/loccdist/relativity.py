@@ -221,26 +221,34 @@ def relativity_chain(
         raise DimensionError(f"chain length must be non-negative, got {length}")
     first = e.index(start)
     bits = _bit_rows(e, party, tol)
-    rows = e.party_arrays[party]
-    orthobasis: list[np.ndarray] = []
     path: list[int] = []
+    found = _extend(bits, e.party_arrays[party], first, 0, length + 1, path, [], tol)
+    return tuple(e.labels[i] for i in path) if found else None
 
-    def extend(i: int, on_path: int) -> bool:
-        r = _residual(rows[i], orthobasis, tol)
-        if r is None:
-            return False
-        path.append(i)
-        orthobasis.append(r)
-        if len(path) == length + 1:
-            return True
-        for j in _ones(bits[i] & ~(on_path | 1 << i)):  # neighbors off the path, ascending
-            if extend(j, on_path | 1 << i):
-                return True
-        path.pop()
-        orthobasis.pop()
+
+def _extend(
+    bits: list[int], rows: np.ndarray, i: int, on_path: int, size: int,
+    path: list[int], orthobasis: list[np.ndarray], tol: float,
+) -> bool:
+    """Extend ``path`` by state i and, depth-first, by neighbors off it, to ``size`` states.
+
+    A state joins only if its row is independent of the path's rows:
+    ``orthobasis`` holds their orthonormal basis.  On success ``path`` holds
+    the chain; otherwise both lists are as they were.
+    """
+    r = _residual(rows[i], orthobasis, tol)
+    if r is None:
         return False
-
-    return tuple(e.labels[i] for i in path) if extend(first, 0) else None
+    path.append(i)
+    orthobasis.append(r)
+    if len(path) == size:
+        return True
+    for j in _ones(bits[i] & ~(on_path | 1 << i)):  # neighbors off the path, ascending
+        if _extend(bits, rows, j, on_path | 1 << i, size, path, orthobasis, tol):
+            return True
+    path.pop()
+    orthobasis.pop()
+    return False
 
 
 def chain_criterion(e: Ensemble, tol: float = DEFAULT_TOL) -> bool:

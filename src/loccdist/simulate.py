@@ -7,10 +7,12 @@ label or gives up.  Running the tree on every ensemble member yields the
 exact branch probabilities, so perfect discrimination becomes a checkable
 arithmetic fact rather than a claim.
 
-Replay works in stacks: :func:`run_protocol` applies an instrument's
-``K x d_out x d`` operator stacks, one product each, to the stacked factors
-of every state that reaches its node, and :func:`parse_sim_protocol` decodes
-all basis vectors of one dimension, and builds their projectors, at once.
+Replay works in stacks, one tree level at a time: :func:`run_protocol`
+applies an instrument's ``K x d_out x d`` operator stacks, one product each,
+to the stacked factors of every state that reaches its node, and then
+measures, prunes, renormalizes and hands over the images of a whole level
+at once.  :func:`parse_sim_protocol` decodes all basis vectors of one
+dimension, and builds their projectors, at once.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .distinguish import TraceLeaf, TraceNode, TraceStuck, decide
-from .ensemble import Ensemble, ProductState, _from_rows
-from .errors import DimensionError, InstrumentError, NotFoundError, SchemaError
+from .ensemble import _NUMERIC, Ensemble, ProductState, _from_rows
+from .errors import DimensionError, InstrumentError, LoccError, NotFoundError, SchemaError
 from .jsonio import (
     canonical_dumps,
     complex_from_json,
@@ -143,9 +145,12 @@ class Instrument:
 @np.errstate(over="ignore", invalid="ignore")  # overflow shows as an inf or NaN defect
 def completeness_defect(ins: Instrument) -> float:
     """Largest entrywise deviation of sum(M†M) = A†A from the identity, A all stacked rows."""
-    dims = dict.fromkeys(op.out_dim for op in ins.operators)
-    a = np.concatenate([op.matrix for d in dims for op in ins.operators if op.out_dim == d])
-    return float(np.abs(a.conj().T @ a - np.eye(a.shape[1])).max())
+    mats = [op.matrix for op in ins.operators]
+    dims = dict.fromkeys(m.shape[0] for m in mats)
+    a = np.concatenate(mats if len(dims) == 1 else [m for d in dims for m in mats if len(m) == d])
+    g = a.conj().T @ a
+    g.flat[:: len(g) + 1] -= 1.0  # minus the identity: off its diagonal, x - 0.0 is x
+    return float(np.abs(g).max())
 
 
 def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> bool:
@@ -183,38 +188,53 @@ class SimNode:
 SimTree = SimLeaf | SimNode
 
 
+def _misfit(op: LocalOperator, dims: Sequence[int]) -> str | None:
+    """Why op cannot act on a factor of a state with these dims, or None if it can."""
+    if op.party >= len(dims):
+        return f"state has no party {op.party}"
+    if op.in_dim != (d := dims[op.party]):
+        return f"operator expects dimension {op.in_dim}, state party {op.party} has {d}"
+    return None
+
+
 def _fit(op: LocalOperator, dims: Sequence[int]) -> None:
     """Raise DimensionError unless op acts on a factor of a state with these dims."""
-    if op.party >= len(dims):
-        raise DimensionError(f"state has no party {op.party}")
-    if op.in_dim != (d := dims[op.party]):
-        raise DimensionError(f"operator expects dimension {op.in_dim}, "
-                             f"state party {op.party} has {d}")
+    if (misfit := _misfit(op, dims)) is not None:
+        raise DimensionError(misfit)
 
 
-# An overflowing image is reported as SchemaError, not as numpy's RuntimeWarning.
-@np.errstate(over="ignore", invalid="ignore")
-def _apply_stack(
-    ms: np.ndarray, v: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply a ``K x d_out x d`` stack of Kraus matrices to every row of a ``k x d`` array.
+_OVERFLOW = "an outcome probability overflows a double"
 
-    Image ``j*k + r`` is matrix j on row r.  Returns every image's outcome
-    probability, the ascending numbers of the images whose probability
-    exceeds tol, and those images, renormalized and phase-fixed.  ``matmul``
-    against column vectors, :func:`normalize_rows`, the probability as a
-    scalar power and magnitudes by ``hypot`` give the bits of
-    :func:`normalize` and :func:`phase_normalize` on ``m @ row``, but for
-    the last bits of a one-entry image's phase fix, a contiguous complex
-    product.  A probability that is not a finite double raises SchemaError.
+
+def _images(ms: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A ``K x d_out x d`` stack of matrices on every row of a ``k x d`` array, in one ``matmul``.
+
+    Image ``j*k + r`` is matrix j on row r, taken against a column vector;
+    with ``out``, a contiguous ``K*k x d_out`` array, the images go there.
     """
-    w = np.matmul(ms[:, None], v[None, :, :, None]).reshape(len(ms) * len(v), ms.shape[1])
+    shape = (len(ms), len(v), ms.shape[1], 1)
+    w = np.matmul(ms[:, None], v[None, :, :, None], out=None if out is None else out.reshape(shape))
+    return w.reshape(len(ms) * len(v), ms.shape[1])
+
+
+# An overflowing image shows as an inf or NaN norm, not as numpy's RuntimeWarning.
+@np.errstate(over="ignore", invalid="ignore")
+def _probabilities(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each image's norm, and its outcome probability: the norm squared as a scalar power."""
     norms = _row_norms(w)
-    if not np.isfinite(norms).all():
-        raise SchemaError("an outcome probability overflows a double")
-    probs = np.array([x**2 for x in norms.tolist()])
-    kept = np.flatnonzero(probs > tol)
-    w = normalize_rows(w[kept], 0.0, norms[kept])
+    return norms, np.array([x**2 for x in norms.tolist()])
+
+
+def _finish(w: np.ndarray, norms: np.ndarray, tol: float) -> np.ndarray:
+    """Images of finite nonzero ``norms`` renormalized and phase-fixed, in place.
+
+    :func:`normalize_rows`, magnitudes by ``hypot`` and the phase rule of
+    :func:`phase_normalize`, all on stacked rows, give each image the bits
+    of :func:`normalize` and :func:`phase_normalize` on that image alone,
+    but for the last bits of a one-entry image's phase fix, a contiguous
+    complex product.
+    """
+    w = normalize_rows(w, 0.0, norms)
     mags = np.hypot(w.real, w.imag)
     above = mags > tol
     rows = np.arange(len(w))
@@ -222,7 +242,25 @@ def _apply_stack(
     lead = w[rows, first]
     fix = above[rows, first] & ~((lead.imag == 0.0) & (lead.real > 0.0))
     w[fix] *= (lead[fix].conj() / mags[rows, first][fix])[:, None]
-    return probs, kept, w
+    return w
+
+
+def _apply_stack(
+    ms: np.ndarray, v: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply a ``K x d_out x d`` stack of Kraus matrices to every row of a ``k x d`` array.
+
+    Returns every image's outcome probability, in the order of
+    :func:`_images`, the ascending numbers of the images whose probability
+    exceeds tol, and those images, finished by :func:`_finish`.  A
+    probability that is not a finite double raises SchemaError.
+    """
+    w = _images(ms, v)
+    norms, probs = _probabilities(w)
+    if not np.isfinite(norms).all():
+        raise SchemaError(_OVERFLOW)
+    kept = np.flatnonzero(probs > tol)
+    return probs, kept, _finish(w[kept], norms[kept], tol)
 
 
 def apply_operator(
@@ -232,10 +270,14 @@ def apply_operator(
 
     Returns the renormalized post-measurement state and the outcome
     probability, or (None, prob) when the branch is annihilated
-    (prob <= tol).  Global phase of the updated factor is dropped.
+    (prob <= tol).  Global phase of the updated factor is dropped.  The
+    factor acted on must be a numeric array, or SchemaError names it.
     """
     _fit(op, [len(v) for v in s.locals])
-    probs, kept, images = _apply_stack(op.matrix[None], s.locals[op.party][None, :], tol)
+    v = s.locals[op.party]
+    if not isinstance(v, np.ndarray) or v.dtype.kind not in _NUMERIC:
+        raise SchemaError(f"state {s.label!r} party {op.party} is not a numeric array")
+    probs, kept, images = _apply_stack(op.matrix[None], v[None, :], tol)
     prob = float(probs[0])
     if not kept.size:
         return None, prob
@@ -257,6 +299,211 @@ class DiscriminationReport:
     warnings: tuple[str, ...]
 
 
+def _joined(groups: list[tuple]) -> tuple:
+    """One frontier group from several over the same dims, rows in the order given."""
+    if len(groups) == 1:
+        return groups[0]
+    at, states, probs, arrays = zip(*groups)
+    return (np.concatenate(at), np.concatenate(states), np.concatenate(probs),
+            tuple(np.concatenate(qs) for qs in zip(*arrays)))
+
+
+def _fan_out(dims: tuple[int, ...], arrays: tuple, src: np.ndarray, party: np.ndarray,
+             images: np.ndarray, child: np.ndarray, states: np.ndarray, probs: np.ndarray):
+    """The frontier groups of the rows that go on to a child, with their dims.
+
+    Row r is state ``states[r]`` at node ``child[r]`` with probability
+    ``probs[r]``; its factor is ``images[r]`` at ``party[r]`` and row
+    ``src[r]`` of ``arrays`` at every other party.  A rectangular image
+    changes its party's dimension, so each party it does so for gets a
+    group of its own.
+    """
+    d_out = images.shape[1]
+    keys = np.where(np.array(dims)[party] == d_out, -1, party)
+    found = set(keys.tolist())  # {-1} unless an operator is rectangular
+    for key in found:
+        part = slice(None) if len(found) == 1 else np.flatnonzero(keys == key)
+        rows, at, img = src[part], party[part], images[part]
+        factors = []
+        for q, a in enumerate(arrays):
+            hit = at == q
+            if hit.all():
+                factors.append(img)
+                continue
+            x = a[rows]
+            if hit.any():
+                x[hit] = img[hit]
+            factors.append(x)
+        new = dims if key < 0 else dims[:key] + (d_out,) + dims[key + 1 :]
+        yield new, (child[part], states[part], probs[part], tuple(factors))
+
+
+_Level = dict[tuple[int, ...], list[tuple]]  # frontier groups of rows per dims of their factors
+
+
+class _Replay:
+    """One run of an instrument tree: the tree numbered in pre-order, and what the run found.
+
+    A node's number is its position in pre-order.  Building the numbering
+    walks an explicit stack and checks every instrument for completeness.
+    """
+
+    def __init__(self, root: SimTree, labels: tuple[str, ...], tol: float) -> None:
+        self.nodes: list[SimTree] = []
+        self.paths: list[tuple[int, ...]] = []
+        self.kids: list = []  # each node's children's numbers
+        self.leaf_announce: dict[tuple[int, ...], str | None] = {}
+        todo: list = [(root, (), -1, 0)]
+        while todo:
+            node, path, parent, j = todo.pop()
+            if parent >= 0:
+                self.kids[parent][j] = len(self.nodes)
+            self.nodes.append(node)
+            self.paths.append(path)
+            if isinstance(node, SimLeaf):
+                self.kids.append(())
+                self.leaf_announce[path] = node.announce
+                continue
+            _require_complete(node.instrument, tol)
+            self.kids.append([0] * len(node.children))
+            at, children = len(self.nodes) - 1, node.children
+            todo.extend((children[i], path + (i,), at, i) for i in range(len(children) - 1, -1, -1))
+        known = set(labels)
+        for path, announce in self.leaf_announce.items():
+            if announce is not None and announce not in known:
+                raise NotFoundError(f"leaf {path} announces unknown label {announce!r}")
+        self.labels, self.tol = labels, tol
+        self.leaf = np.array([isinstance(node, SimLeaf) for node in self.nodes])
+        self.recorded: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in labels]
+        self.flagged: list[tuple[int, tuple[int, ...], str]] = []
+        self.reached: dict[int, list[int]] = {}  # leaf number: states landing above tol
+        self.failed, self.failure = len(self.nodes), None  # earliest failing node, its error
+
+    def fail(self, number: int, error: LoccError) -> None:
+        """Keep ``error`` if its node comes before every failing node met so far."""
+        if number < self.failed:
+            self.failed, self.failure = number, error
+
+    def land(self, child: np.ndarray, states: np.ndarray, probs: np.ndarray) -> None:
+        """Record each state's arrival at its leaf with its probability."""
+        for number, i, prob in zip(child.tolist(), states.tolist(), probs.tolist()):
+            self.recorded[i].append((self.paths[number], prob))
+            reaching = self.reached.setdefault(number, [])
+            if prob > self.tol:
+                reaching.append(i)
+
+    def advance(self, level: _Level) -> _Level:
+        """The frontier one level below ``level``."""
+        arrivals: _Level = {}
+        for dims, groups in level.items():
+            group = _joined(groups)
+            # each buffer of images lives in measured alone, until handed over
+            measured = [self.measure(*buffer) for buffer in self.apply(dims, group).values()]
+            while measured:
+                for new, part in self.hand_over(dims, group, *measured.pop()):
+                    arrivals.setdefault(new, []).append(part)
+        return arrivals
+
+    def apply(self, dims: tuple[int, ...], group: tuple) -> dict[int, tuple]:
+        """Every stack of every node of ``group`` on the node's rows, per output dimension.
+
+        Each node's rows are consecutive.  A node that does not fit ``dims``
+        fails, and a node after a failing one in pre-order is skipped.  The
+        images of each output dimension go into one buffer, block after
+        block; a block is one stack at one node, listed as its node, party,
+        first row, number of rows, first image and first child in the
+        buffer's list of the children of each block's operators.
+        """
+        at, _, _, arrays = group
+        cuts = (np.flatnonzero(at[1:] != at[:-1]) + 1).tolist()
+        runs, sizes = [], {}
+        for number, a, b in zip(at[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(at)]):
+            if number > self.failed:
+                continue
+            ins = self.nodes[number].instrument
+            if (misfit := _misfit(ins.operators[0], dims)) is not None:
+                self.fail(number, DimensionError(misfit))
+                continue
+            runs.append((number, ins, a, b))
+            for op in ins.operators:
+                sizes[op.out_dim] = sizes.get(op.out_dim, 0) + b - a
+        buffers = {d: (np.empty((size, d), np.complex128), [], []) for d, size in sizes.items()}
+        filled = dict.fromkeys(sizes, 0)
+        for number, ins, a, b in runs:
+            v, kids = arrays[ins.party][a:b], self.kids[number]
+            for ops, ms in ins.stacks:
+                d = ms.shape[1]
+                w, blocks, children = buffers[d]
+                first, filled[d] = filled[d], filled[d] + len(ms) * (b - a)
+                _images(ms, v, out=w[first : filled[d]])
+                blocks.append((number, ins.party, a, b - a, first, len(children)))
+                children.extend(kids[j] for j in ops)
+        return buffers
+
+    def measure(self, w: np.ndarray, blocks: list, children: list) -> tuple:
+        """A buffer of images with their norms and probabilities, its blocks and children as arrays.
+
+        A node with an image whose probability is not a finite double fails.
+        """
+        norms, p = _probabilities(w)
+        blocks = np.array(blocks)
+        if not np.isfinite(norms).all():
+            bad = np.searchsorted(blocks[:, 4], np.flatnonzero(~np.isfinite(norms)), side="right")
+            self.fail(int(blocks[bad - 1, 0].min()), SchemaError(_OVERFLOW))
+        return w, norms, p, blocks, np.array(children)
+
+    def hand_over(self, dims: tuple[int, ...], group: tuple, w: np.ndarray, norms: np.ndarray,
+                  p: np.ndarray, blocks: np.ndarray, children: np.ndarray):
+        """Prune, flag, finish and pass on one buffer's images, as :meth:`measure` returns it.
+
+        Yields the frontier groups of the images that go on to a child.
+        """
+        _, states, probs, arrays = group
+        node, party, first_row, rows, starts, first_child = blocks.T
+        keep = p > self.tol
+        if self.failure is not None:  # no image of a failing node or of one after it goes on
+            keep &= np.repeat(node, np.diff(starts, append=len(w))) < self.failed
+        kept = np.flatnonzero(keep)
+        blk = np.searchsorted(starts, kept, side="right") - 1
+        t = kept - starts[blk]  # image j*k + r of its block
+        j = t // rows[blk]
+        src = first_row[blk] + t - j * rows[blk]
+        branch = probs[src] * p[kept]
+        live = np.flatnonzero(branch > self.tol)
+        kept, blk, src, branch = kept[live], blk[live], src[live], branch[live]
+        child = children[first_child[blk] + j[live]]
+        for x in np.flatnonzero(branch <= 100.0 * self.tol).tolist():
+            i, to = int(states[src[x]]), self.paths[child[x]]
+            self.flagged.append((i, to, f"state {self.labels[i]} path {to}: probability "
+                                        f"{float(branch[x]):.3e} is within 100*tol of annihilation"))
+        landed = self.leaf[child]
+        if landed.any():
+            self.land(child[landed], states[src[landed]], branch[landed])
+            go = np.flatnonzero(~landed)
+            kept, blk, src, branch, child = kept[go], blk[go], src[go], branch[go], child[go]
+        images = _finish(w[kept], norms[kept], self.tol)
+        del w
+        yield from _fan_out(dims, arrays, src, party[blk], images, child, states[src], branch)
+
+    def report(self) -> DiscriminationReport:
+        """The run's report; each state's branches sorted by path, which is pre-order."""
+        labels, tol = self.labels, self.tol
+        branches = {label: tuple(sorted(recs)) for label, recs in zip(labels, self.recorded)}
+        totals = {
+            label: sum(prob for path, prob in recs if self.leaf_announce[path] == label)
+            for label, recs in branches.items()
+        }
+        confusion = {self.paths[number]: tuple(labels[i] for i in reaching)
+                     for number, reaching in sorted(self.reached.items())}
+        perfect = all(abs(t - 1.0) <= tol for t in totals.values()) and all(
+            len(names) < 2 for names in confusion.values()
+        )
+        # sorted by state, then path: lexicographic paths are in pre-order
+        warnings = tuple(message for _, _, message in sorted(self.flagged))
+        return DiscriminationReport(perfect, branches, self.leaf_announce, confusion, totals,
+                                    warnings)
+
+
 def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> DiscriminationReport:
     """Run a measurement protocol on every state and judge discrimination.
 
@@ -267,73 +514,29 @@ def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> Discri
     within a factor 100 of that threshold are flagged as warnings because
     the verdict starts to hinge on the tolerance.
 
-    The tree is walked once, not once per state, from an explicit stack
-    that pushes children in reverse, so leaves are reached in pre-order.
-    Each node carries the stacked factor arrays of the states that reach it,
-    and each of :attr:`Instrument.stacks` acts on all of them in one product.
+    A first pass numbers the nodes in pre-order and checks every instrument
+    and announcement.  The states then go down the tree one level at a
+    time.  A level is a flat frontier per dims of the states' factors: each
+    row's node, state, probability and factor at every party, a node's rows
+    consecutive and ascending by state.  Each node applies each of its
+    :attr:`Instrument.stacks` to its rows in one product; the norms,
+    probabilities, pruning, renormalization, phase fix, warnings and
+    hand-over to the children run once over all of a level's images.  Of
+    the errors the pass meets, the one at the node earliest in pre-order is
+    raised, as a depth-first walk would raise it.
     """
-    leaf_announce: dict[tuple[int, ...], str | None] = {}
-    todo: list = [(root, ())]
-    while todo:  # every instrument in pre-order, and each leaf's announcement by path
-        node, path = todo.pop()
-        if isinstance(node, SimLeaf):
-            leaf_announce[path] = node.announce
-            continue
-        _require_complete(node.instrument, tol)
-        todo.extend((node.children[i], path + (i,)) for i in reversed(range(len(node.children))))
-    labels = e.labels
-    known = set(labels)
-    for path, announce in leaf_announce.items():
-        if announce is not None and announce not in known:
-            raise NotFoundError(f"leaf {path} announces unknown label {announce!r}")
-
-    recorded: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in labels]
-    flagged: list[tuple[int, tuple[int, ...], str]] = []
-    reached: dict[tuple[int, ...], tuple[str, ...]] = {}
-    n = len(labels)
-    todo = [(root, np.arange(n), np.ones(n), e.party_arrays, ())] if n else []
-    while todo:
-        node, rows, probs, arrays, path = todo.pop()
-        # rows: ensemble indices, ascending; probs and arrays: one entry per row
-        if isinstance(node, SimLeaf):
-            pairs = list(zip(rows.tolist(), probs.tolist()))
-            for i, prob in pairs:
-                recorded[i].append((path, prob))
-            reached[path] = tuple(labels[i] for i, prob in pairs if prob > tol)
-            continue
-        ins, k = node.instrument, len(rows)
-        _fit(ins.operators[0], [a.shape[1] for a in arrays])
-        parts = []
-        for ops, ms in ins.stacks:
-            p, kept, images = _apply_stack(ms, arrays[ins.party], tol)
-            src = kept % k
-            branch = probs[src] * p[kept]
-            live = np.flatnonzero(branch > tol)
-            kept, src, branch, images = kept[live], src[live], branch[live], images[live]
-            for x in np.flatnonzero(branch <= 100.0 * tol).tolist():
-                i, at = int(rows[src[x]]), path + (ops[kept[x] // k],)
-                flagged.append((i, at, f"state {labels[i]} path {at}: probability "
-                                       f"{float(branch[x]):.3e} is within 100*tol of annihilation"))
-            cuts = np.searchsorted(kept, np.arange(k, len(ms) * k, k)).tolist()
-            for j, a, b in zip(ops, [0, *cuts], [*cuts, len(kept)]):
-                if a < b:
-                    parts.append((j, src[a:b], branch[a:b], images[a:b]))
-        for j, sel, branch, images in sorted(parts, key=lambda part: -part[0]):
-            child = tuple(images if q == ins.party else a[sel] for q, a in enumerate(arrays))
-            todo.append((node.children[j], rows[sel], branch, child, path + (j,)))
-
-    branches = {label: tuple(recs) for label, recs in zip(labels, recorded)}
-    totals = {
-        label: sum(prob for path, prob in recs if leaf_announce[path] == label)
-        for label, recs in branches.items()
-    }
-    confusion = {path: reached[path] for path in sorted(reached)}
-    perfect = all(abs(t - 1.0) <= tol for t in totals.values()) and all(
-        len(names) < 2 for names in confusion.values()
-    )
-    # sorted by state, then path: lexicographic paths are in pre-order
-    warnings = tuple(message for _, _, message in sorted(flagged))
-    return DiscriminationReport(perfect, branches, leaf_announce, confusion, totals, warnings)
+    run = _Replay(root, e.labels, tol)
+    n = len(e.labels)
+    level: _Level = {}
+    if n and run.leaf[0]:
+        run.land(np.zeros(n, np.intp), np.arange(n), np.ones(n))
+    elif n:
+        level[e.dims] = [(np.zeros(n, np.intp), np.arange(n), np.ones(n), e.party_arrays)]
+    while level:
+        level = run.advance(level)
+    if run.failure is not None:
+        raise run.failure
+    return run.report()
 
 
 @dataclass(frozen=True)

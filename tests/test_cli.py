@@ -695,6 +695,16 @@ def test_overflow_prints_only_the_error_line(tmp_path, command):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+def test_entry_freezes_the_import_heap_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(loccdist.cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(loccdist.cli, "main", lambda: calls.append("main") or EXIT_UNKNOWN)
+    with pytest.raises(SystemExit) as exited:
+        loccdist.cli.entry()
+    assert calls == ["freeze", "main"]
+    assert exited.value.code == EXIT_UNKNOWN
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

@@ -285,6 +285,9 @@ def test_complete_flag_needs_full_count():
         (np.array([1.0, 0.0, 0.0]), r"state 'b' party 1 has shape \(3,\), expected \(2,\)"),
         (np.array([[1.0, 0.0]]), r"state 'b' party 1 has shape \(1, 2\), expected \(2,\)"),
         (np.complex128(1.0), r"state 'b' party 1 has shape \(\), expected \(2,\)"),
+        (np.array(["a", "b"]), r"state 'b' party 1 has non-numeric entries"),
+        (np.array(["1", "0"]), r"state 'b' party 1 has non-numeric entries"),
+        ([None, 1.0], r"state 'b' party 1 has non-numeric entries"),
     ],
 )
 def test_ensemble_refuses_a_local_that_is_not_a_unit_vector_of_its_dimension(local, message):

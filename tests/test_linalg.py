@@ -496,6 +496,26 @@ def test_svd_right_vectors_are_phase_normalized():
         assert abs(first.imag) < 1e-12 and first.real > 0
 
 
+@pytest.mark.parametrize(
+    "a",
+    [[[1.0, 1j], [0.0, 2.0]], [[2.0, 0.0], [0.0, 1.0]], [[1j, 0.5], [0.0, 2.0]]],
+    ids=["real-lead", "diagonal", "imaginary-lead"],
+)
+def test_svd_vectors_take_the_phase_rule_of_phase_normalize(a):
+    # distinct singular values, so the order is numpy's: each right vector is
+    # phase_normalize of numpy's, bit for bit, and its left vector moves by
+    # the same factor, or not at all when the lead is already real positive
+    a = np.array(a, dtype=np.complex128)
+    u, _, vh = np.linalg.svd(a, full_matrices=False)
+    result = svd_decompose(a)
+    for j, right in enumerate(vh.conj()):
+        fixed = phase_normalize(right)
+        assert result.right[j].tobytes() == fixed.tobytes()
+        lead = next(z for z in right if abs(z) > 1e-9)
+        left = u[:, j] if fixed is right else u[:, j] * (lead.conjugate() / abs(lead))
+        assert result.left[j].tobytes() == left.tobytes()
+
+
 def test_svd_rejects_overflowing_singular_values():
     with pytest.raises(SchemaError, match="overflow"):
         svd_decompose(np.full((2, 2), 1e308 + 1e308j))

@@ -7,15 +7,19 @@ ALL set partitions filtered by a direct projector intactness test, so the
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
 from loccdist import (
+    CATALOG_NAMES,
     Ensemble,
     InvalidModeError,
     ProductState,
     TooLargeError,
     catalog,
+    chain_criterion,
     components,
     decide,
     enumerate_valid_partitions,
@@ -307,3 +311,30 @@ def test_each_split_is_checked_once_and_the_oracle_tries_the_finest_first(
     assert bool(enumerated) == enumerates
     if kind == "distinguishable":  # the oracle takes the greedy's splits and checks none anew
         assert checks == greedy and greedy
+
+
+def _every_verdict(e):
+    """Both searches (the oracle where it may), the chain criterion, and any protocol's replay."""
+    greedy = decide(e, "complete")
+    if len(e.labels) <= oracle.MAX_ORACLE_STATES:
+        exhaustive_decide(e)
+    chain_criterion(e)
+    if greedy.tree is not None:
+        run_protocol(e, lift_protocol(greedy.tree, e))
+
+
+def test_verdict_paths_leave_no_reference_cycles():
+    # every call's memo, search state and frontier is freed by reference
+    # counting, so the collector finds nothing once they return
+    bases = [catalog(name) for name in CATALOG_NAMES if catalog(name).complete]
+    bases += [random_product_basis(dims, seed, depth=seed + 2)
+              for dims in [(2, 3), (2, 2, 3), (3, 2)] for seed in range(3)]
+    _every_verdict(bases[0])  # anything imported on first use is in place
+    gc.collect()
+    gc.disable()
+    try:
+        for e in bases:
+            _every_verdict(e)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

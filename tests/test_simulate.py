@@ -30,6 +30,7 @@ from loccdist import (
     ZeroVectorError,
     apply_local_unitaries,
     apply_operator,
+    basis_vector,
     builtin_protocol,
     canonicalize_operator,
     catalog,
@@ -210,6 +211,13 @@ def test_apply_operator_dimension_checks():
         apply_operator(s, LocalOperator(5, np.eye(2)))
     with pytest.raises(DimensionError):
         apply_operator(s, LocalOperator(0, np.eye(3)))
+
+
+@pytest.mark.parametrize("local", [[1.0, 0.0], np.array(["1", "0"])], ids=["list", "strings"])
+def test_apply_operator_refuses_a_factor_that_is_not_a_numeric_array(local):
+    s = ProductState("b", (basis_vector(2, 0), local))
+    with pytest.raises(SchemaError, match=r"state 'b' party 1 is not a numeric array"):
+        apply_operator(s, LocalOperator(1, np.eye(2)))
 
 
 def test_rectangular_operator_shrinks_the_factor():
@@ -923,6 +931,66 @@ def test_stacked_rectangular_run_matches_reference_walk(tol):
     assert validate_instrument(tree.instrument)
     ref = _reference_report(e, tree, tol)
     assert _report_bytes(run_protocol(e, tree, tol)) == _report_bytes(ref)
+
+
+def _projective(party, basis, children):
+    """The node measuring ``party`` in the rows of ``basis``, one child per row."""
+    ops = tuple(LocalOperator(party, np.outer(b, b.conj())) for b in np.asarray(basis, complex))
+    return SimNode(Instrument(party, ops), tuple(children))
+
+
+@pytest.mark.parametrize("tol", REFERENCE_TOLS)
+def test_mixed_shape_levels_match_reference_walk(tol):
+    # the second level holds square images at both parties and a qutrit
+    # squeezed to a qubit and to a line, so its buffers split into several
+    # dims, and two of them meet again as one group on the third level
+    e = _dressed(random_product_basis((3, 2), 4, depth=3), 4)
+    labels = e.labels
+    half = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    rotated = random_unitary(3, np.random.default_rng(5))
+    leaves = [SimLeaf(label) for label in labels] + [SimLeaf(None)]
+    squeeze = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8j]])
+    rest = np.array([[0.0, 0.8, -0.6j]])
+    a = _projective(1, half, [_projective(0, np.eye(3), leaves[:3]), leaves[3]])
+    b = SimNode(Instrument(0, (LocalOperator(0, squeeze), LocalOperator(0, rest))),
+                (_projective(0, half, leaves[4:6]), _projective(1, np.eye(2), leaves[1:3])))
+    c = _projective(0, rotated, [_projective(1, half, leaves[i : i + 2]) for i in range(3)])
+    tree = _projective(0, np.eye(3), [a, b, c])
+    ref = _reference_report(e, tree, tol)
+    assert _report_bytes(run_protocol(e, tree, tol)) == _report_bytes(ref)
+
+
+def _failing(kind, depth):
+    """A chain of ``depth`` identities at party 1 above an operator that fails on comp2x2's states.
+
+    The overflowing operator is not complete, so a run reaches it only with
+    the completeness check lifted.
+    """
+    if kind == "overflow":
+        node = SimNode(Instrument(0, (LocalOperator(0, 1e200 * np.eye(2)),)), (SimLeaf(None),))
+    else:
+        node = SimNode(Instrument(0, (LocalOperator(0, np.eye(3)),)), (SimLeaf(None),))
+    for _ in range(depth):
+        node = SimNode(Instrument(1, (LocalOperator(1, np.eye(2)),)), (node,))
+    return node
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(("overflow", 4), ("misfit", 0)), (("misfit", 4), ("overflow", 0)),
+     (("overflow", 1), ("misfit", 1)), (("misfit", 0), ("overflow", 2))],
+)
+def test_the_error_at_the_earliest_node_in_pre_order_is_raised(monkeypatch, first, second):
+    # each subtree of the root holds two of comp2x2's states and fails at
+    # the given depth below it; the first subtree's error comes first in
+    # pre-order, however deep it lies, as in a depth-first walk
+    monkeypatch.setattr("loccdist.simulate._require_complete", lambda ins, tol: None)
+    halves = (LocalOperator(0, np.diag([1.0, 0.0])), LocalOperator(0, np.diag([0.0, 1.0])))
+    tree = SimNode(Instrument(0, halves), (_failing(*first), _failing(*second)))
+    error, message = {"overflow": (SchemaError, "probability overflows"),
+                      "misfit": (DimensionError, "expects dimension 3")}[first[0]]
+    with pytest.raises(error, match=message):
+        run_protocol(catalog("comp2x2"), tree)
 
 
 def test_run_walks_a_chain_deeper_than_the_recursion_limit():
