@@ -10,6 +10,15 @@ apart, and the stuck subset is the certificate.  For incomplete ensembles a
 stuck subset merely exhausts projective measurements, so the verdict
 degrades to unknown.
 
+:func:`decide` runs in two passes.  The first walks the split tree in
+pre-order from the parties' bit rows alone, recording each node as a
+leaf, a stuck block or a split with its party and blocks.  The second
+hands every recorded split to :func:`loccdist.relativity._check_splits`,
+which makes all of their block spans and checks every two blocks of each
+in stacked products, filling the ensemble's span and checked memo entries;
+the trace is then built from the pre-order list, and the first split in
+pre-order whose check failed raises its NumericalInstabilityError.
+
 One tree type, :data:`TraceNode`, is both exploration and protocol:
 :class:`TraceSplit` steps over :class:`TraceLeaf` labels and
 :class:`TraceStuck` certificates.  With no stuck leaf it is a protocol, as
@@ -19,15 +28,16 @@ One tree type, :data:`TraceNode`, is both exploration and protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .ensemble import Ensemble, ensure_complete, ensure_orthogonal
-from .errors import InvalidModeError, SchemaError
+from .errors import InvalidModeError, NumericalInstabilityError, SchemaError
 from .jsonio import canonical_dumps  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .jsonio import complex_rows_from_json, complex_to_json, parse_json
 from .linalg import DEFAULT_TOL, normalize_rows
-from .relativity import OverlapGraph, _blocks, _checked_spans, _mask, overlap_graph
+from .relativity import OverlapGraph, _blocks, _check_splits, _checked_spans, _mask, overlap_graph
 from .relativity import components  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -145,13 +155,19 @@ class Verdict:
         return self.kind == "distinguishable"
 
 
-def _split(e: Ensemble, mask: int, tol: float) -> tuple[int, tuple, tuple] | None:
-    """The first party whose graph on the states in ``mask`` splits, with its blocks and spans."""
+def _finest(e: Ensemble, mask: int, tol: float) -> tuple[int, tuple] | None:
+    """The first party whose graph on the states in ``mask`` splits, with its blocks."""
     for party in range(e.parties):
         blocks = _blocks(e, party, mask, tol)
         if len(blocks) >= 2:
-            return party, blocks, _checked_spans(e, party, mask, tol)
+            return party, blocks
     return None
+
+
+def _split(e: Ensemble, mask: int, tol: float) -> tuple[int, tuple, tuple] | None:
+    """The first party whose graph on the states in ``mask`` splits, with its blocks and spans."""
+    found = _finest(e, mask, tol)
+    return None if found is None else (*found, _checked_spans(e, found[0], mask, tol))
 
 
 def _subset(e: Ensemble, mask: int) -> tuple[str, ...]:
@@ -182,16 +198,41 @@ def stuck_certificate(
     return StuckCertificate(subset=subset, graphs=graphs)
 
 
-def _explore(e: Ensemble, mask: int, tol: float, stuck: list[StuckCertificate]) -> TraceNode:
-    """The exploration below the states in ``mask``; stuck blocks are appended in pre-order."""
-    if not mask & (mask - 1):
+def _walk(e: Ensemble, tol: float) -> list[tuple[int, int, tuple]]:
+    """Pass one: every node of the split tree in pre-order, from the bit rows alone.
+
+    A node is ``(party, mask, blocks)``; a leaf or a stuck block has party -1
+    and no blocks.
+    """
+    nodes: list[tuple[int, int, tuple]] = []
+    todo = [(1 << len(e.labels)) - 1]
+    while todo:
+        mask = todo.pop()
+        found = _finest(e, mask, tol) if mask & (mask - 1) else None
+        nodes.append((-1, mask, ()) if found is None else (found[0], mask, found[1]))
+        todo.extend(_mask(rows) for rows in reversed(nodes[-1][2]))
+    return nodes
+
+
+def _build(e: Ensemble, nodes: Iterator, checked: Iterator, tol: float,
+           stuck: list[StuckCertificate]) -> TraceNode:
+    """The trace of the next subtree in ``nodes``; stuck blocks are appended in pre-order.
+
+    ``checked`` holds each split's checked spans, or its instability error,
+    in pre-order; a split takes them before its subtrees, so the first
+    unstable split in pre-order raises.
+    """
+    party, mask, blocks = next(nodes)
+    if party < 0 and not mask & (mask - 1):
         return TraceLeaf(e.labels[mask.bit_length() - 1])
-    split = _split(e, mask, tol)
-    if split is None:
+    if party < 0:
         stuck.append(stuck_certificate(e, _subset(e, mask), tol))
         return TraceStuck(stuck[-1])
-    children = tuple(_explore(e, _mask(rows), tol, stuck) for rows in split[1])
-    return TraceSplit(step=_step(e, *split), children=children)
+    spans = next(checked)
+    if isinstance(spans, NumericalInstabilityError):
+        raise spans
+    children = tuple(_build(e, nodes, checked, tol, stuck) for _ in blocks)
+    return TraceSplit(step=_step(e, party, blocks, spans), children=children)
 
 
 def decide(e: Ensemble, mode: str, tol: float = DEFAULT_TOL) -> Verdict:
@@ -212,8 +253,10 @@ def decide(e: Ensemble, mode: str, tol: float = DEFAULT_TOL) -> Verdict:
         raise InvalidModeError(f"mode must be 'complete' or 'incomplete', got {mode!r}")
     if not e.labels:
         raise InvalidModeError("cannot decide an empty ensemble")
+    nodes = _walk(e, tol)
+    checked = _check_splits(e, [node for node in nodes if node[0] >= 0], tol)
     stuck: list[StuckCertificate] = []
-    trace = _explore(e, (1 << len(e.labels)) - 1, tol, stuck)
+    trace = _build(e, iter(nodes), iter(checked), tol, stuck)
     if not stuck:
         return Verdict(kind="distinguishable", tree=trace, trace=trace)
     kind = "indistinguishable" if mode == "complete" else "unknown"

@@ -62,6 +62,13 @@ allocated.
 # and spans the memo keeps.
 _BLOCK_ENTRIES = 1 << 16
 
+# Entries (64 KiB of complex numbers) per chunk of the passes that stack
+# many small arrays: block spans and their cross checks, and instrument
+# completeness defects.  Such a pass holds a few arrays of a chunk's size
+# at once, so its peak memory stays near that of one array at a time; past
+# a few hundred rows a chunk gains no speed.
+_CHUNK_ENTRIES = 1 << 12
+
 T = TypeVar("T")
 _MISSING = object()
 
@@ -220,6 +227,10 @@ class Ensemble:
         if value is _MISSING:
             value = cache[key] = build()
         return value
+
+    def cached(self, key: tuple) -> object | None:
+        """The :meth:`memo` value for ``key`` if one was built, else None; it builds nothing."""
+        return self._memo.get(key)  # type: ignore[attr-defined]
 
 
 def _bit_rows(e: Ensemble, party: int, tol: float) -> tuple[int, ...]:

@@ -88,11 +88,14 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a ``k x d`` complex array.
 
     Each squared norm is ``re.re + im.im`` as two real dot products, the
-    arithmetic of ``np.linalg.norm`` on one vector, bit for bit.
+    arithmetic of ``np.linalg.norm`` on one vector, bit for bit.  One
+    ``matmul`` takes them all, on a ``2 x k x d`` view of the real and
+    imaginary parts, which keeps the strides of ``a.real`` and ``a.imag``.
     """
-    re, im = a.real, a.imag
-    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
-    return np.sqrt(sq[:, 0, 0])
+    k, d = a.shape
+    parts = np.ascontiguousarray(a).view(np.float64).reshape(k, d, 2).transpose(2, 0, 1)
+    sq = np.matmul(parts[:, :, None, :], parts[:, :, :, None])
+    return np.sqrt(sq[0, :, 0, 0] + sq[1, :, 0, 0])
 
 
 # An overflowing squared norm is reported as SchemaError, not as numpy's

@@ -19,20 +19,34 @@ The decision procedure and the exhaustive oracle walk subsets as masks and
 share these entries.  :func:`overlap_graph`, :func:`components`
 and :func:`block_span` show the same entries through labels; a graph copies
 no bit rows, and its edges are made only when read, as by a certificate.
+
+The span and checked entries of splits are filled by :func:`_check_splits`:
+:func:`~loccdist.distinguish.decide` hands it every split of its tree at
+once, and the oracle, :func:`components` and
+:func:`~loccdist.distinguish.finest_step` one split at a time through
+:func:`_checked_spans`.  It normalizes every new block's first row and
+runs the other rows' projections, one stacked pass per party dimension,
+and phase-fixes and cross-checks them all in stacked products; blocks of
+rank two or more go through :func:`~loccdist.linalg.span_basis`, and
+splits whose spans come near 10 * tol through the pairwise check.  The
+entries hold the bytes ``span_basis`` and the pairwise check give.
+:func:`block_span` and the oracle's coarser partitions fill span entries
+one block at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, NumericalInstabilityError
-from .ensemble import Ensemble, _bit_rows, _ones, ensure_complete
-from .linalg import DEFAULT_TOL, _residual, span_basis
+from .ensemble import _BLOCK_ENTRIES, _CHUNK_ENTRIES, _ROUNDING, Ensemble, _bit_rows, _ones, ensure_complete
+from .linalg import DEFAULT_TOL, _residual, _row_norms, span_basis
 
 __all__ = [
     "OverlapGraph",
@@ -167,31 +181,260 @@ class Partition:
     spans: tuple[np.ndarray, ...]
 
 
-def _checked_spans(e: Ensemble, party: int, mask: int, tol: float) -> tuple[np.ndarray, ...]:
-    """The span of each of :func:`_blocks`' blocks, checked pairwise once per split.
+def _cross_check(
+    party: int, spans: tuple[np.ndarray, ...], tol: float
+) -> NumericalInstabilityError | None:
+    """The instability error of a split's spans, or None when every two are orthogonal.
 
     Distinct blocks have no edges between them, so their spans must come out
     orthogonal (the non-damaging condition of Walgate & Hardy, PRL 89,
     147901, 2002).  One product per pair of spans checks it; the first
     overlap beyond 10 * tol means the tolerance no longer separates signal
     from noise and is reported as instability rather than silently absorbed.
-    The checked spans are kept in :meth:`Ensemble.memo` per ``(party, mask,
-    tol)``; a check that raises keeps nothing, so it raises on every call.
     """
+    for i, j in itertools.combinations(range(len(spans)), 2):
+        overlaps = np.abs(spans[i].conj() @ spans[j].T)
+        if overlaps.size and overlaps.max() > 10.0 * tol:  # spans are finite, so no NaN
+            first = overlaps.flat[np.flatnonzero(overlaps > 10.0 * tol)[0]]
+            return NumericalInstabilityError(
+                f"blocks {i} and {j} at party {party} have span overlap "
+                f"{first:.3e}, beyond 10*tol"
+            )
+    return None
 
-    def build() -> tuple[np.ndarray, ...]:
-        spans = tuple(_span(e, party, rows, tol) for rows in _blocks(e, party, mask, tol))
-        for i, j in itertools.combinations(range(len(spans)), 2):
-            overlaps = np.abs(spans[i].conj() @ spans[j].T)
-            if overlaps.size and overlaps.max() > 10.0 * tol:  # spans are finite, so no NaN
-                first = overlaps.flat[np.flatnonzero(overlaps > 10.0 * tol)[0]]
-                raise NumericalInstabilityError(
-                    f"blocks {i} and {j} at party {party} have span overlap "
-                    f"{first:.3e}, beyond 10*tol"
-                )
-        return spans
 
-    return e.memo(("checked", party, mask, tol), build)
+def _first_vectors(e: Ensemble, blocks: list, tol: float, out: np.ndarray) -> list[bool]:
+    """Each ``(party, rows)`` block's first row normalized into ``out``; if it spans the block.
+
+    The parties of ``blocks`` share one dimension.  The norms are
+    :func:`~loccdist.linalg._row_norms`, and every other row takes one
+    projection pass off its block's vector in one batched ``matmul``.  A
+    block whose first norm is at most ``tol + _ROUNDING``, or with a
+    residual above ``tol - _ROUNDING``, is left to ``span_basis``.  One pass
+    is enough for that: ``span_basis``'s second pass moves a residual by
+    rounding alone, far less than ``_ROUNDING``, so every block kept here
+    has rank one there too, and the vector is the same bytes.
+    """
+    first = _gather(e, [(party, rows[0]) for party, rows in blocks])
+    norms = _row_norms(first)
+    np.divide(first, norms[:, None], out=out)
+    spanned = (norms > tol + _ROUNDING).tolist()
+    owner = [j for j, (_, rows) in enumerate(blocks) for _ in rows[1:]]
+    if owner:
+        b = out.take(owner, 0)
+        w = _gather(e, [(p, i) for p, rows in blocks for i in rows[1:]])
+        w -= np.matmul(b.conj()[:, None, :], w[:, :, None])[:, :, 0] * b
+        for x in (_row_norms(w) > tol - _ROUNDING).nonzero()[0].tolist():
+            spanned[owner[x]] = False
+    return spanned
+
+
+def _gather(e: Ensemble, picks: list[tuple[int, int]]) -> np.ndarray:
+    """Row ``i`` of party ``party``'s array for each ``(party, i)``, one ``take`` per party."""
+    parts = [e.party_arrays[party].take([i for _, i in run], 0)
+             for party, run in itertools.groupby(picks, key=operator.itemgetter(0))]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _phase_fixed(u: np.ndarray, tol: float) -> np.ndarray:
+    """Every row of ``u`` turned by ``linalg._phase_factor``, as ``phase_normalize`` turns one.
+
+    ``np.hypot`` is the ``abs`` of a complex scalar, and with the lead entry
+    above tol, ``entry == mag`` iff it is real positive.  Zero padding past
+    a row's vector is never the lead.
+    """
+    mags = np.hypot(u.real, u.imag)
+    k = np.arange(len(u))
+    lead = (mags > tol).argmax(axis=1)
+    entry, mag = u[k, lead], mags[k, lead]
+    turn = (mag > tol) & (entry != mag)
+    if turn.all():
+        return u * (entry.conj() / mag)[:, None]
+    if turn.any():
+        turn = turn.nonzero()[0]
+        u[turn] = u[turn] * (entry[turn].conj() / mag[turn])[:, None]
+    return u
+
+
+def _new_spans(e: Ensemble, new: list[tuple[int, tuple[int, ...]]], tol: float) -> list:
+    """:func:`span_basis` of each ``(party, rows)`` block of ``new``.
+
+    The blocks go in chunks of about ``_CHUNK_ENTRIES`` entries, each chunk
+    padded to its widest party, so no temporary grows with the ensemble.
+    Blocks of parties of one dimension, and of each party, share the
+    stacked products where they come together in ``new``; sorted by
+    dimension, a narrow block shares no array with a much wider one.
+    """
+    spans: list = []
+    chunk: list = []
+    rows = width = 0
+    for block in new:
+        d = max(width, e.dims[block[0]])
+        if chunk and (rows + len(block[1])) * d > _CHUNK_ENTRIES:
+            spans += _chunk_spans(e, chunk, tol, width)
+            chunk, rows, d = [], 0, e.dims[block[0]]
+        chunk.append(block)
+        rows, width = rows + len(block[1]), d
+    return spans + _chunk_spans(e, chunk, tol, width) if chunk else spans
+
+
+def _chunk_spans(e: Ensemble, chunk: list, tol: float, width: int) -> list:
+    """The spans of one chunk of :func:`_new_spans`, ``width`` its widest party.
+
+    The chunk's first vectors are one zeroed ``len(chunk) x width`` array:
+    :func:`_first_vectors` fills the rows of each run of blocks whose
+    parties have one dimension, and :func:`_phase_fixed` turns them all at
+    once.  A block its first vector spans gets a read-only row view of that
+    array; the others go through ``span_basis``.
+    """
+    u = np.zeros((len(chunk), width), np.complex128)
+    spanned: list[bool] = []
+    for d, group in itertools.groupby(chunk, key=lambda block: e.dims[block[0]]):
+        blocks = list(group)
+        at = len(spanned)
+        spanned += _first_vectors(e, blocks, tol, u[at : at + len(blocks), :d])
+    u = _phase_fixed(u, tol)
+    u.setflags(write=False)
+    spans = []
+    for j, ((party, rows), one) in enumerate(zip(chunk, spanned)):
+        a = e.party_arrays[party]
+        spans.append(u[j : j + 1, : a.shape[1]] if one else span_basis(a[list(rows)], tol))
+    return spans
+
+
+def _unstable(splits: list[tuple[int, tuple[np.ndarray, ...]]], tol: float) -> set[int]:
+    """The indices of the ``(party, spans)`` splits whose blocks may overlap past 10 * tol.
+
+    Every pair of span rows in different blocks of one split is multiplied
+    in one product per chunk of about ``_CHUNK_ENTRIES`` entries, the rows
+    stacked party by party, parties of one dimension together, and padded
+    to the widest in the chunk; a split with more pairs than a chunk holds
+    goes to :func:`_wide_overlap` alone.  A split with an overlap above
+    ``10 * tol - _ROUNDING`` is flagged for :func:`_cross_check`, which
+    decides it with the pairwise products.
+    """
+    flagged: set[int] = set()
+    chunk: list[tuple[int, tuple[np.ndarray, ...]]] = []
+    size = width = 0
+    for x in sorted(range(len(splits)), key=lambda x: (splits[x][1][0].shape[1], splits[x][0])):
+        spans = splits[x][1]
+        d, sizes = spans[0].shape[1], [len(span) for span in spans]
+        rows = sum(sizes)
+        entries = rows + (rows * rows - sum(k * k for k in sizes)) // 2
+        if entries * d > _CHUNK_ENTRIES:
+            if _wide_overlap(spans, tol):
+                flagged.add(x)
+            continue
+        if chunk and (size + entries) * d > _CHUNK_ENTRIES:
+            flagged.update(_chunk_overlaps(chunk, width, tol))
+            chunk, size = [], 0
+        chunk.append((x, spans))
+        size, width = size + entries, d
+    return flagged.union(_chunk_overlaps(chunk, width, tol)) if chunk else flagged
+
+
+def _chunk_overlaps(
+    chunk: list[tuple[int, tuple[np.ndarray, ...]]], width: int, tol: float
+) -> list[int]:
+    """The splits of one chunk of :func:`_unstable` with a pair of rows that overlap."""
+    left: list[int] = []
+    right: list[int] = []
+    owner: list[int] = []
+    rows: list[np.ndarray] = []
+    at = 0
+    for x, spans in chunk:
+        rows += spans
+        ends = list(itertools.accumulate(map(len, spans), initial=at))
+        for i in range(len(spans) - 1):  # each row of block i with every row of a later block
+            later = range(ends[i + 1], ends[-1])
+            for p in range(ends[i], ends[i + 1]):
+                left += [p] * len(later)
+                right += later
+        owner += [x] * (len(left) - len(owner))
+        at = ends[-1]
+    u = _padded(rows, at, width)
+    dots = np.abs((u.take(left, 0).conj() * u.take(right, 0)).sum(axis=1))
+    return [owner[y] for y in (dots > 10.0 * tol - _ROUNDING).nonzero()[0].tolist()]
+
+
+def _wide_overlap(spans: tuple[np.ndarray, ...], tol: float) -> bool:
+    """If two rows of different blocks of one wide split overlap above ``10 * tol - _ROUNDING``.
+
+    The split's rows are stacked once, and each slab of about
+    ``_BLOCK_ENTRIES / rows`` of them is multiplied by the rows from the
+    slab on, as :func:`~loccdist.ensemble._bit_rows` builds a party's
+    graph: no temporary is larger than the stacked rows or a slab product.
+    """
+    s = np.concatenate(spans)
+    block = np.repeat(np.arange(len(spans)), [len(span) for span in spans])
+    step = max(1, _BLOCK_ENTRIES // len(s))
+    for i0 in range(0, len(s), step):
+        i1 = min(i0 + step, len(s))
+        dots = np.abs(s[i0:i1].conj() @ s[i0:].T)
+        apart = block[i0:i1, None] != block[None, i0:]
+        if (dots[apart] > 10.0 * tol - _ROUNDING).any():
+            return True
+    return False
+
+
+def _padded(rows: list[np.ndarray], count: int, width: int) -> np.ndarray:
+    """The ``count`` rows of the arrays ``rows``, stacked and zero-padded to ``width``."""
+    same_width = itertools.groupby(rows, key=lambda r: r.shape[1])
+    parts = [np.concatenate(list(same)) for _, same in same_width]
+    if len(parts) == 1:
+        return parts[0]
+    u, at = np.zeros((count, width), np.complex128), 0
+    for part in parts:
+        u[at : at + len(part), : part.shape[1]] = part
+        at += len(part)
+    return u
+
+
+def _check_splits(
+    e: Ensemble, splits: Sequence[tuple[int, int, tuple]], tol: float
+) -> list[tuple[np.ndarray, ...] | NumericalInstabilityError]:
+    """The checked spans of each ``(party, mask, blocks)`` split, or the check's error.
+
+    ``blocks`` are :func:`_blocks` of ``party`` and ``mask``.  Pass two of
+    :func:`~loccdist.distinguish.decide` hands over every split of the tree
+    at once; :func:`_checked_spans` hands over one.  The block spans missing
+    from :meth:`Ensemble.memo` are made together by :func:`_new_spans` and
+    kept per ``("span", party, rows, tol)``; every two blocks of each split
+    are then screened together by :func:`_unstable`, and a flagged split is
+    decided by :func:`_cross_check`.  A split that passes keeps its spans
+    per ``("checked", party, mask, tol)``; one that fails keeps nothing
+    there and gets its error, so it fails again on every call.
+    """
+    out = [e.cached(("checked", party, mask, tol)) for party, mask, _ in splits]
+    todo = [(x, *split) for x, split in enumerate(splits) if out[x] is None]
+    known = {(party, rows): e.cached(("span", party, rows, float(tol)))
+             for _, party, _, blocks in todo for rows in blocks}
+    new = sorted((key for key, span in known.items() if span is None),
+                 key=lambda key: (e.dims[key[0]], key[0]))
+    for (party, rows), span in zip(new, _new_spans(e, new, tol)):
+        known[party, rows] = e.memo(("span", party, rows, float(tol)), lambda: span)
+    checked = [(party, tuple(known[party, rows] for rows in blocks))
+               for _, party, _, blocks in todo]
+    flagged = _unstable(checked, tol)
+    for y, (x, party, mask, _) in enumerate(todo):
+        spans = checked[y][1]
+        error = _cross_check(party, spans, tol) if y in flagged else None
+        out[x] = error or e.memo(("checked", party, mask, tol), lambda: spans)
+    return out
+
+
+def _checked_spans(e: Ensemble, party: int, mask: int, tol: float) -> tuple[np.ndarray, ...]:
+    """The span of each of :func:`_blocks`' blocks, checked pairwise once per split.
+
+    :func:`_check_splits` on the one split; an unstable split raises its
+    NumericalInstabilityError.
+    """
+    spans = e.cached(("checked", party, mask, tol))
+    if spans is None:
+        spans = _check_splits(e, ((party, mask, _blocks(e, party, mask, tol)),), tol)[0]
+    if isinstance(spans, NumericalInstabilityError):
+        raise spans
+    return spans
 
 
 def components(g: OverlapGraph, e: Ensemble, tol: float = DEFAULT_TOL) -> Partition:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .distinguish import TraceLeaf, TraceNode, TraceStuck, decide
-from .ensemble import _NUMERIC, Ensemble, ProductState, _from_rows
+from .ensemble import _CHUNK_ENTRIES, _NUMERIC, Ensemble, ProductState, _from_rows
 from .errors import DimensionError, InstrumentError, LoccError, NotFoundError, SchemaError
 from .jsonio import (
     canonical_dumps,
@@ -142,15 +142,38 @@ class Instrument:
         return tuple((tuple(ix), np.array([ops[i].matrix for i in ix])) for ix in groups.values())
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow shows as an inf or NaN defect
 def completeness_defect(ins: Instrument) -> float:
     """Largest entrywise deviation of sum(M†M) = A†A from the identity, A all stacked rows."""
-    mats = [op.matrix for op in ins.operators]
-    dims = dict.fromkeys(m.shape[0] for m in mats)
-    a = np.concatenate(mats if len(dims) == 1 else [m for d in dims for m in mats if len(m) == d])
-    g = a.conj().T @ a
-    g.flat[:: len(g) + 1] -= 1.0  # minus the identity: off its diagonal, x - 0.0 is x
-    return float(np.abs(g).max())
+    return _defects((ins,))[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow shows as an inf or NaN defect
+def _defects(instruments: Sequence[Instrument]) -> list[float]:
+    """:func:`completeness_defect` of each instrument, one ``A†A`` product per shape of ``A``.
+
+    ``A`` stacks an instrument's operators, those of one output dimension
+    together in order of first appearance.  Instruments whose operators
+    have the same shapes in the same order stack their ``A`` into one
+    ``k x r x d`` array, at most about ``_CHUNK_ENTRIES`` entries at a time,
+    and ``matmul`` runs the one ``A†A`` product of each, bit for bit.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, ins in enumerate(instruments):
+        groups.setdefault(tuple(op.matrix.shape for op in ins.operators), []).append(i)
+    defects = [0.0] * len(instruments)
+    for shapes, members in groups.items():
+        outs = dict.fromkeys(rows for rows, _ in shapes)
+        order = [k for out in outs for k, (rows, _) in enumerate(shapes) if rows == out]
+        d, step = shapes[0][1], max(1, _CHUNK_ENTRIES // sum(r * c for r, c in shapes))
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            parts = [np.array([instruments[i].operators[k].matrix for i in chunk]) for k in order]
+            a = np.concatenate(parts, axis=1)
+            g = np.matmul(a.conj().transpose(0, 2, 1), a)
+            g[:, range(d), range(d)] -= 1.0  # minus the identity: off its diagonal, x - 0.0 is x
+            for i, defect in zip(chunk, np.abs(g).max(axis=(1, 2)).tolist()):
+                defects[i] = defect
+    return defects
 
 
 def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> bool:
@@ -158,10 +181,13 @@ def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> bool:
     return completeness_defect(ins) <= tol
 
 
-def _require_complete(ins: Instrument, tol: float) -> None:
-    defect = completeness_defect(ins)
-    if not defect <= tol:  # a NaN defect is incomplete too
-        raise InstrumentError(f"instrument at party {ins.party} is incomplete: defect {defect:.3e}")
+def _require_complete(instruments: Sequence[Instrument], tol: float) -> None:
+    """Raise InstrumentError for the first of ``instruments`` that is incomplete."""
+    for ins, defect in zip(instruments, _defects(instruments)):
+        if not defect <= tol:  # a NaN defect is incomplete too
+            raise InstrumentError(
+                f"instrument at party {ins.party} is incomplete: defect {defect:.3e}"
+            )
 
 
 @dataclass(frozen=True)
@@ -364,10 +390,10 @@ class _Replay:
                 self.kids.append(())
                 self.leaf_announce[path] = node.announce
                 continue
-            _require_complete(node.instrument, tol)
             self.kids.append([0] * len(node.children))
             at, children = len(self.nodes) - 1, node.children
             todo.extend((children[i], path + (i,), at, i) for i in range(len(children) - 1, -1, -1))
+        _require_complete([n.instrument for n in self.nodes if isinstance(n, SimNode)], tol)
         known = set(labels)
         for path, announce in self.leaf_announce.items():
             if announce is not None and announce not in known:
@@ -603,7 +629,7 @@ def extend_with_projective(e: Ensemble, ins: Instrument, tol: float = DEFAULT_TO
     continuation gets stuck, since then the combined protocol cannot
     discriminate perfectly.
     """
-    _require_complete(ins, tol)
+    _require_complete((ins,), tol)
     children: list[SimTree] = []
     for i, op in enumerate(ins.operators):
         _fit(op, e.dims)

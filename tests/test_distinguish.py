@@ -618,3 +618,43 @@ def test_check_path_builds_no_vector_wrappers(monkeypatch, make):
     assert counts == {"ProductState": 0}
     assert "states" not in e.__dict__
     assert doc["verdict"] == verdict.kind
+
+
+def _two_unstable_subtrees(first):
+    """Two subtrees under a root split at party 0, each with an unstable split.
+
+    In subtree A the graph splits first at party 2, in B at party 1: b's
+    sliver of 1.5 * tol puts a whole second direction into the span of
+    {a, b}, which c (0.5 along it in A, 0.3 in B) overlaps while staying
+    below tol against a and b.  Party 3 makes a and b orthogonal.
+    ``first`` names the subtree whose states come first, and so which
+    split comes first in pre-order.
+    """
+    tol = 1e-3
+    e0 = basis_vector(3, 0)
+    a, b = normalize([1.0, 0.0, 0.0]), normalize([1.0, 1.5 * tol, 0.0])
+    c_a, c_b = normalize([0.0, 0.5, np.sqrt(0.75)]), normalize([0.0, 0.3, np.sqrt(0.91)])
+    ket = [basis_vector(2, 0), basis_vector(2, 1)]
+    subtree = {
+        "A": [(ket[0], e0, a, ket[0]), (ket[0], e0, b, ket[1]), (ket[0], e0, c_a, ket[0])],
+        "B": [(ket[1], a, e0, ket[0]), (ket[1], b, e0, ket[1]), (ket[1], c_b, e0, ket[0])],
+    }
+    order = [first, "B" if first == "A" else "A"]
+    states = [ProductState(f"{name}{i}", vs) for name in order for i, vs in enumerate(subtree[name])]
+    return Ensemble("two-unstable", (2, 3, 3, 2), tuple(states), complete=False), tol
+
+
+@pytest.mark.parametrize("first, message", [
+    ("A", "blocks 0 and 1 at party 2 have span overlap 5.000e-01, beyond 10*tol"),
+    ("B", "blocks 0 and 1 at party 1 have span overlap 3.000e-01, beyond 10*tol"),
+])
+def test_decide_raises_the_instability_of_the_first_split_in_pre_order(first, message):
+    # both subtrees hold an unstable split; the one met first in pre-order is
+    # reported, whichever party it measures, and no check that raised is kept
+    e, tol = _two_unstable_subtrees(first)
+    for _ in range(2):
+        with pytest.raises(NumericalInstabilityError) as info:
+            decide(e, "incomplete", tol)
+        assert str(info.value) == message
+    # each subtree's one split is its unstable one
+    assert not [key for key in e._memo if key[0] == "checked" and key[2] in (0b000111, 0b111000)]

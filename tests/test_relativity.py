@@ -6,6 +6,8 @@ compared against the library.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,7 @@ from loccdist import (
     validate,
     verdict_to_json,
 )
-from loccdist.ensemble import _BLOCK_ENTRIES, _bit_rows
+from loccdist.ensemble import _BLOCK_ENTRIES, _CHUNK_ENTRIES, _bit_rows
 from loccdist.jsonio import canonical_dumps
 from loccdist.linalg import span_basis
 from loccdist.oracle import exhaustive_decide
@@ -729,3 +731,187 @@ def test_cross_block_check_reports_the_first_offence_in_loop_order():
     assert _cross_block_message(e, tol) == (
         "blocks 0 and 2 at party 0 have span overlap 3.000e-01, beyond 10*tol"
     )
+
+
+# ---------------------------------------------------------------------------
+# the stacked span pass against span_basis and the pairwise check
+
+
+def _near_tol_ensemble(seed, dims, n, tol):
+    """``n`` states whose rows at each party lie near a few orthonormal directions.
+
+    Each row is a random direction of a random unitary, turned by a random
+    phase, and most rows add a nudge of tol/2, tol or 2*tol along a random
+    vector: blocks of one direction have rank one or two by a hair, and the
+    rank-two spans can lean into another block.
+    """
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for d in dims:
+        axes = random_unitary(d, rng)
+        rows = []
+        for _ in range(n):
+            v = axes[:, rng.integers(d)] * np.exp(2j * np.pi * rng.random())
+            if rng.random() < 0.7:
+                w = rng.normal(size=d) + 1j * rng.normal(size=d)
+                v = v + rng.choice([0.5, 1.0, 2.0]) * tol * w / np.linalg.norm(w)
+            rows.append(normalize(v))
+        arrays.append(rows)
+    states = [ProductState(f"s{i}", tuple(rows[i] for rows in arrays)) for i in range(n)]
+    return Ensemble("near-tol", dims, states, complete=False)
+
+
+def _pairwise_check(party, spans, tol):
+    """The span check as a loop over pairs of spans: the first overlap past 10 * tol, or None."""
+    for i in range(len(spans)):
+        for j in range(i + 1, len(spans)):
+            overlaps = np.abs(spans[i].conj() @ spans[j].T)
+            if overlaps.size and overlaps.max() > 10.0 * tol:
+                first = overlaps.flat[np.flatnonzero(overlaps > 10.0 * tol)[0]]
+                return (f"blocks {i} and {j} at party {party} have span overlap "
+                        f"{first:.3e}, beyond 10*tol")
+    return None
+
+
+def _assert_is_span_basis(got, rows, tol):
+    expected = span_basis(rows, tol)
+    assert got.shape == expected.shape and not got.flags.writeable
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2,), (3,), (4,), (2, 3), (4, 2, 3), (1, 3), (2, 64)]),
+    n=st.integers(2, 12),
+    tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    data=st.data(),
+)
+def test_stacked_spans_and_checks_are_those_of_span_basis_and_the_pairwise_loop(
+    seed, dims, n, tol, data
+):
+    # every split of random subsets, all handed over at once, and random
+    # blocks of up to n rows (past span_basis's four-row scalar path)
+    e = _near_tol_ensemble(seed, dims, n, tol)
+    masks = data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=6))
+    splits = [(party, mask, relativity._blocks(e, party, mask, tol))
+              for mask in masks for party in range(len(dims))]
+    splits = [split for split in splits if len(split[2]) >= 2]
+    fresh = _near_tol_ensemble(seed, dims, n, tol)
+    got = relativity._check_splits(fresh, splits, tol)
+    for (party, mask, blocks), result in zip(splits, got):
+        a = e.party_arrays[party]
+        for rows in blocks:
+            span = fresh.cached(("span", party, rows, tol))
+            _assert_is_span_basis(span, a[list(rows)], tol)
+        error = _pairwise_check(party, [span_basis(a[list(rows)], tol) for rows in blocks], tol)
+        checked = fresh.cached(("checked", party, mask, tol))
+        if error is None:
+            assert result is checked
+            assert all(s is fresh.cached(("span", party, rows, tol)) for s, rows in zip(result, blocks))
+        else:
+            assert isinstance(result, NumericalInstabilityError) and str(result) == error
+            assert checked is None
+    new = sorted({(party, tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))))
+                  for party in range(len(dims))})
+    for (party, rows), span in zip(new, relativity._new_spans(fresh, new, tol)):
+        _assert_is_span_basis(span, fresh.party_arrays[party][list(rows)], tol)
+
+
+def _rotated_basis(seed, d):
+    """The columns of a random ``d x d`` unitary as a one-party basis."""
+    u = random_unitary(d, np.random.default_rng(seed))
+    states = [ProductState(f"s{i}", (u[:, i],)) for i in range(d)]
+    return Ensemble("rotated", (d,), states, complete=True)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "make, stable",
+    [(lambda seed: _rotated_basis(seed, 64), True),
+     (lambda seed: _near_tol_ensemble(seed, (64,), 64, 1e-6), False)],
+)
+def test_a_split_wider_than_a_chunk_is_decided_as_the_pairwise_loop_decides_it(
+    monkeypatch, seed, make, stable
+):
+    # the root split has more pairs of span rows than a chunk holds, so it
+    # is screened by its own slabbed Gram product; a stable one never
+    # reaches the pairwise check
+    e, tol = make(seed), 1e-6
+    mask = (1 << len(e.labels)) - 1
+    blocks = relativity._blocks(e, 0, mask, tol)
+    spans = [span_basis(e.party_arrays[0][list(rows)], tol) for rows in blocks]
+    sizes = [len(span) for span in spans]
+    assert (sum(sizes) ** 2 - sum(k * k for k in sizes)) // 2 * 64 > _CHUNK_ENTRIES
+    calls, cross_check = [], relativity._cross_check
+    monkeypatch.setattr(
+        relativity, "_cross_check", lambda *args: calls.append(1) or cross_check(*args)
+    )
+    (result,) = relativity._check_splits(e, [(0, mask, blocks)], tol)
+    error = _pairwise_check(0, spans, tol)
+    assert (error is None) == stable
+    if stable:
+        assert calls == [] and all(a.tobytes() == b.tobytes() for a, b in zip(result, spans))
+    else:
+        assert isinstance(result, NumericalInstabilityError) and str(result) == error
+
+
+def test_the_span_check_of_a_wide_split_keeps_its_temporaries_small():
+    # party 0 of the standard basis over (128, 2) splits into 128 one-row
+    # blocks: 8,128 pairs of rows of 128 entries, about 16 MiB in each
+    # pairwise temporary if they were all stacked at once
+    labels = [(i, j) for i in range(128) for j in range(2)]
+    states = [ProductState(f"s{i}_{j}", (basis_vector(128, i), basis_vector(2, j)))
+              for i, j in labels]
+    e = Ensemble("standard", (128, 2), states, complete=True)
+    _bit_rows(e, 0, 1e-9), _bit_rows(e, 1, 1e-9)
+    tracemalloc.start()
+    try:
+        verdict = decide(e, "complete", 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.kind == "distinguishable"
+    assert peak < 4 * 2**20
+
+
+def _span_basis_calls(monkeypatch):
+    calls = []
+    kernel = relativity.span_basis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(relativity, "span_basis", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: random_product_basis((2, 2, 3), 0, depth=4),
+             lambda: random_product_basis((2, 2, 3), 2, depth=5)]
+)
+def test_rank_one_spans_take_one_stacked_pass_per_party(monkeypatch, make):
+    # every block span of these bases has one row: decide makes them all in
+    # one call of the stacked pass per party, none through span_basis, and
+    # the checked spans are the memoized block spans
+    e = make()
+    spans, passes = _span_basis_calls(monkeypatch), []
+    first_vectors = relativity._first_vectors
+
+    def counting(*args):
+        passes.append(1)
+        return first_vectors(*args)
+
+    monkeypatch.setattr(relativity, "_first_vectors", counting)
+    verdict = decide(e, "complete")
+    assert verdict.kind == "distinguishable"
+    assert spans == [] and 1 <= len(passes) <= e.parties
+    assert all(len(span) == 1 for key, span in e._memo.items() if key[0] == "span")
+    checked = [key for key in e._memo if key[0] == "checked"]
+    assert checked
+    for _, party, mask, tol in checked:
+        blocks = overlap_graph(e, [e.labels[i] for i in range(len(e.labels)) if mask >> i & 1],
+                               party, tol).blocks()
+        for block, span in zip(blocks, e._memo[("checked", party, mask, tol)]):
+            assert span is block_span(e, block, party, tol)

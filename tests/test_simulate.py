@@ -47,6 +47,7 @@ from loccdist import (
 )
 from loccdist.distinguish import protocol_from_json, verdict_to_json
 from loccdist.jsonio import canonical_dumps
+from loccdist import simulate
 from loccdist.linalg import emit_matrix
 from loccdist.simulate import emit_sim_protocol, parse_sim_protocol, report_to_json
 
@@ -158,6 +159,63 @@ def test_completeness_defect_matches_the_sum_over_operators():
         d = shapes[0][1]
         loop = np.max(np.abs(sum(m.conj().T @ m for m in ms) - np.eye(d)))
         assert abs(completeness_defect(ins) - loop) <= 1e-12 * max(1.0, loop)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _defect_2d(ins):
+    """The completeness defect as one 2-D product, rows grouped by output dimension."""
+    mats = [op.matrix for op in ins.operators]
+    outs = dict.fromkeys(m.shape[0] for m in mats)
+    a = np.concatenate([m for d in outs for m in mats if len(m) == d])
+    g = a.conj().T @ a
+    g.flat[:: len(g) + 1] -= 1.0
+    return float(np.abs(g).max())
+
+
+def _random_instruments(rng, count):
+    """Instruments over a few operator shapes, square and ragged, some overflowing to inf or NaN."""
+    kinds = [[(2, 2)] * 3, [(3, 3)] * 2, [(1, 3), (2, 3), (3, 3)], [(2, 4), (4, 4), (1, 4), (4, 4)],
+             [(5, 5)] * 6]
+    out = []
+    for _ in range(count):
+        shapes = kinds[rng.integers(len(kinds))]
+        ms = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+        k, draw = rng.integers(len(ms)), rng.random()
+        if draw < 0.1:  # huge complex entries: A†A overflows to inf - inf, a NaN defect
+            ms[k] *= 1e155 * rng.choice([1.0, 1e3])
+        elif draw < 0.2:  # a huge real diagonal: an inf defect
+            ms[k] = 1e200 * np.eye(*ms[k].shape)
+        out.append(Instrument(0, tuple(LocalOperator(0, m) for m in ms)))
+    return out
+
+
+def test_stacked_defects_are_those_of_one_product_per_instrument():
+    # the replay's pre-order check takes every instrument's defect in stacked
+    # products, one per shape of A and chunk; each must be bit for bit the
+    # 2-D product's, NaN and inf included
+    rng = np.random.default_rng(11)
+    instruments = _random_instruments(rng, 3000)  # some groups span several chunks
+    stacked = simulate._defects(instruments)
+    expected = [_defect_2d(ins) for ins in instruments]
+    assert np.array(stacked).tobytes() == np.array(expected).tobytes()
+    assert any(np.isnan(stacked)) and any(np.isinf(stacked))
+    alone = [completeness_defect(ins) for ins in instruments[:300]]
+    assert np.array(alone).tobytes() == np.array(stacked[:300]).tobytes()
+
+
+def test_replay_raises_the_first_incomplete_instrument_in_pre_order_before_unknown_labels():
+    # an incomplete instrument deep in the first subtree comes before a
+    # shallower one in the second, and before the leaf's unknown label
+    e = catalog("comp2x2")
+    half = (LocalOperator(0, np.diag([1.0, 0.0])), LocalOperator(0, np.diag([0.0, 1.0])))
+    short = lambda k: SimNode(Instrument(1, (LocalOperator(1, k * np.eye(2)),)), (SimLeaf("nobody"),))
+    deep = SimNode(Instrument(1, (LocalOperator(1, np.eye(2)),)), (short(0.5),))
+    tree = SimNode(Instrument(0, half), (deep, short(0.25)))
+    with pytest.raises(InstrumentError, match="defect 7.500e-01"):
+        run_protocol(e, tree)
+    fixed = SimNode(Instrument(0, half), (SimLeaf("nobody"), SimLeaf(None)))
+    with pytest.raises(NotFoundError, match="unknown label 'nobody'"):
+        run_protocol(e, fixed)
 
 
 def test_operator_matrix_is_frozen():
