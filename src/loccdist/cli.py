@@ -42,7 +42,7 @@ from .errors import (
 )
 from .jsonio import canonical_dumps, complex_to_json, parse_json
 from .linalg import DEFAULT_TOL, parse_matrix
-from .oracle import exhaustive_decide
+from .oracle import _require_small, exhaustive_decide
 from .simulate import (
     BUILTIN_PROTOCOL_NAMES,
     LocalOperator,
@@ -256,6 +256,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             raise _UsageError(f"--dims must be positive integers, got {args.dims!r}")
         if args.depth < 0:
             raise _UsageError(f"--depth must be non-negative, got {args.depth}")
+        _require_small(math.prod(dims))  # before any basis is generated
         for seed in range(args.seed_sweep):
             ensembles.append(random_product_basis(dims, seed, args.depth))
     cases = []

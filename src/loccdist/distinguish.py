@@ -22,7 +22,7 @@ pre-order whose check failed raises its NumericalInstabilityError.
 One tree type, :data:`TraceNode`, is both exploration and protocol:
 :class:`TraceSplit` steps over :class:`TraceLeaf` labels and
 :class:`TraceStuck` certificates.  With no stuck leaf it is a protocol, as
-:func:`decide`, the oracle and :func:`protocol_from_json` return it.
+:func:`decide` and :func:`protocol_from_json` return it.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ class Verdict:
 
     ``trace`` is decide's whole exploration.  A distinguishable verdict's
     ``tree`` is that same object; otherwise ``certificate`` is the trace's
-    first stuck block in pre-order.  The oracle's verdicts have no trace.
+    first stuck block in pre-order.  The oracle's verdicts have no trace
+    and no tree.
     """
 
     kind: str  # "distinguishable" | "indistinguishable" | "unknown"

@@ -632,8 +632,13 @@ def _split_basis(
         return [b[i] for b, i in zip(bases, index)]
     p = splittable[int(rng.integers(len(splittable)))]
     k = len(bases[p])
-    mask = int(rng.integers(1, 2**k - 1))
-    picked = np.array([(mask >> i) & 1 for i in range(k)], dtype=bool)
+    if k <= 63:
+        mask = int(rng.integers(1, 2**k - 1))
+        picked = np.array([(mask >> i) & 1 for i in range(k)], dtype=bool)
+    else:  # 2**k - 1 is past int64: k random bits, redrawn while all are equal
+        picked = np.zeros(k, dtype=bool)
+        while picked.all() or not picked.any():
+            picked = rng.random(k) < 0.5
     sides = []
     for group in (bases[p][picked], bases[p][~picked]):
         sub = list(bases)

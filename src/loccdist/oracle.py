@@ -6,9 +6,11 @@ every reachable subset.  Valid partitions are exactly the coarsenings of
 the component partition of the overlap graph: any block must absorb whole
 components, since splitting a component would damage the states bridging
 it.  Subsets are bit masks over state indices, partitions hold ascending
-rows, and labels are attached only to the returned tree or certificate.
-Memoized by mask this stays cheap for small bases and is independent
-enough of the greedy path to serve as ground truth.
+rows, and labels are attached only to a returned certificate.  Memoized
+by mask this stays cheap for small bases and is independent enough of the
+greedy path to serve as ground truth.  It answers whether a protocol
+exists, not with one: a distinguishable verdict carries no tree, since
+:func:`~loccdist.distinguish.decide` builds that protocol.
 """
 
 from __future__ import annotations
@@ -17,20 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .distinguish import (
-    TraceLeaf,
-    TraceNode,
-    TraceSplit,
-    Verdict,
-    _split,
-    _step,
-    _subset,
-    stuck_certificate,
-)
+from .distinguish import Verdict, _split, _subset, stuck_certificate
 from .ensemble import Ensemble, ensure_complete
 from .errors import TooLargeError
 from .linalg import DEFAULT_TOL
-from .relativity import _blocks, _checked_spans, _mask, _span, overlap_graph
+from .relativity import _blocks, _checked_spans, _mask, overlap_graph
 from .relativity import components  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -117,34 +110,26 @@ def _solve(e: Ensemble, memo: dict[int, tuple | None], mask: int, tol: float) ->
     return False
 
 
-def _build(e: Ensemble, memo: dict[int, tuple | None], mask: int, tol: float) -> TraceNode:
-    """The protocol that :func:`_solve` found for the states in ``mask``."""
-    entry = memo[mask]
-    assert entry is not None
-    if not entry:
-        return TraceLeaf(e.labels[mask.bit_length() - 1])
-    party, partition = entry
-    spans = tuple(_span(e, party, rows, tol) for rows in partition)
-    children = tuple(_build(e, memo, _mask(rows), tol) for rows in partition)
-    return TraceSplit(step=_step(e, party, partition, spans), children=children)
+def _require_small(states: int) -> None:
+    """Raise TooLargeError past MAX_ORACLE_STATES states, as the subset space grows exponentially."""
+    if states > MAX_ORACLE_STATES:
+        raise TooLargeError(f"oracle handles at most {MAX_ORACLE_STATES} states, got {states}")
 
 
 def exhaustive_decide(e: Ensemble, tol: float = DEFAULT_TOL) -> Verdict:
     """Search every measurement sequence; agrees with the greedy procedure.
 
-    Guarded to at most MAX_ORACLE_STATES states since the subset space grows
-    exponentially.  Complete mode only.
+    Guarded to at most MAX_ORACLE_STATES states.  Complete mode only.  A
+    distinguishable verdict has no tree; an indistinguishable one has the
+    certificate of a subset that no sequence splits.
     """
     ensure_complete(e, tol)
-    if math.prod(e.dims) > MAX_ORACLE_STATES:
-        raise TooLargeError(
-            f"oracle handles at most {MAX_ORACLE_STATES} states, got {math.prod(e.dims)}"
-        )
+    _require_small(math.prod(e.dims))
     # memo: mask -> () for one state | (party, partition) | None
     memo: dict[int, tuple | None] = {1 << i: () for i in range(len(e.labels))}
     everything = (1 << len(e.labels)) - 1
     if _solve(e, memo, everything, tol):
-        return Verdict(kind="distinguishable", tree=_build(e, memo, everything, tol))
+        return Verdict(kind="distinguishable")
     stuck = everything
     while (split := _split(e, stuck, tol)) is not None:
         # an unsolved subset has an unsolved finest block, or its finest split would solve it

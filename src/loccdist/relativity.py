@@ -26,10 +26,11 @@ once, and the oracle, :func:`components` and
 :func:`~loccdist.distinguish.finest_step` one split at a time through
 :func:`_checked_spans`.  It normalizes every new block's first row and
 runs the other rows' projections, one stacked pass per party dimension,
-and phase-fixes and cross-checks them all in stacked products; blocks of
-rank two or more go through :func:`~loccdist.linalg.span_basis`, and
-splits whose spans come near 10 * tol through the pairwise check.  The
-entries hold the bytes ``span_basis`` and the pairwise check give.
+and phase-fixes them all at once; blocks of rank two or more go through
+:func:`~loccdist.linalg.span_basis`.  Each split's spans are then checked
+pairwise, except pairs of two rank-one spans, which the graph's missing
+edges already keep far below the check's bound.  The entries hold the
+bytes ``span_basis`` and the pairwise check give.
 :func:`block_span` and the oracle's coarser partitions fill span entries
 one block at a time.
 """
@@ -45,7 +46,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NumericalInstabilityError
-from .ensemble import _BLOCK_ENTRIES, _CHUNK_ENTRIES, _ROUNDING, Ensemble, _bit_rows, _ones, ensure_complete
+from .ensemble import _CHUNK_ENTRIES, _ROUNDING, Ensemble, _bit_rows, _ones, ensure_complete
 from .linalg import DEFAULT_TOL, _residual, _row_norms, span_basis
 
 __all__ = [
@@ -191,8 +192,13 @@ def _cross_check(
     147901, 2002).  One product per pair of spans checks it; the first
     overlap beyond 10 * tol means the tolerance no longer separates signal
     from noise and is reported as instability rather than silently absorbed.
+    Where :func:`_rank_one_pairs_pass` holds, a pair of two one-row spans
+    cannot fail and is skipped, so the first failing pair is the same.
     """
+    skip = _rank_one_pairs_pass(spans[0].shape[1], tol)
     for i, j in itertools.combinations(range(len(spans)), 2):
+        if skip and len(spans[i]) == len(spans[j]) == 1:
+            continue
         overlaps = np.abs(spans[i].conj() @ spans[j].T)
         if overlaps.size and overlaps.max() > 10.0 * tol:  # spans are finite, so no NaN
             first = overlaps.flat[np.flatnonzero(overlaps > 10.0 * tol)[0]]
@@ -201,6 +207,16 @@ def _cross_check(
                 f"{first:.3e}, beyond 10*tol"
             )
     return None
+
+
+def _rank_one_pairs_pass(d: int, tol: float) -> bool:
+    """If two rank-one spans of one split at a party of dimension ``d`` pass the check at ``tol``.
+
+    With ``u`` = 2**-53, it holds when ``9 * tol > 4 * (d + 11) * u``: twice
+    the margin the bound of :func:`_check_splits` needs.  At d = 2 that is
+    tol > 6.4e-16, at d = 64 tol > 3.7e-15.
+    """
+    return 9.0 * tol > 4.0 * (d + 11) * 2.0**-53
 
 
 def _first_vectors(e: Ensemble, blocks: list, tol: float, out: np.ndarray) -> list[bool]:
@@ -302,94 +318,6 @@ def _chunk_spans(e: Ensemble, chunk: list, tol: float, width: int) -> list:
     return spans
 
 
-def _unstable(splits: list[tuple[int, tuple[np.ndarray, ...]]], tol: float) -> set[int]:
-    """The indices of the ``(party, spans)`` splits whose blocks may overlap past 10 * tol.
-
-    Every pair of span rows in different blocks of one split is multiplied
-    in one product per chunk of about ``_CHUNK_ENTRIES`` entries, the rows
-    stacked party by party, parties of one dimension together, and padded
-    to the widest in the chunk; a split with more pairs than a chunk holds
-    goes to :func:`_wide_overlap` alone.  A split with an overlap above
-    ``10 * tol - _ROUNDING`` is flagged for :func:`_cross_check`, which
-    decides it with the pairwise products.
-    """
-    flagged: set[int] = set()
-    chunk: list[tuple[int, tuple[np.ndarray, ...]]] = []
-    size = width = 0
-    for x in sorted(range(len(splits)), key=lambda x: (splits[x][1][0].shape[1], splits[x][0])):
-        spans = splits[x][1]
-        d, sizes = spans[0].shape[1], [len(span) for span in spans]
-        rows = sum(sizes)
-        entries = rows + (rows * rows - sum(k * k for k in sizes)) // 2
-        if entries * d > _CHUNK_ENTRIES:
-            if _wide_overlap(spans, tol):
-                flagged.add(x)
-            continue
-        if chunk and (size + entries) * d > _CHUNK_ENTRIES:
-            flagged.update(_chunk_overlaps(chunk, width, tol))
-            chunk, size = [], 0
-        chunk.append((x, spans))
-        size, width = size + entries, d
-    return flagged.union(_chunk_overlaps(chunk, width, tol)) if chunk else flagged
-
-
-def _chunk_overlaps(
-    chunk: list[tuple[int, tuple[np.ndarray, ...]]], width: int, tol: float
-) -> list[int]:
-    """The splits of one chunk of :func:`_unstable` with a pair of rows that overlap."""
-    left: list[int] = []
-    right: list[int] = []
-    owner: list[int] = []
-    rows: list[np.ndarray] = []
-    at = 0
-    for x, spans in chunk:
-        rows += spans
-        ends = list(itertools.accumulate(map(len, spans), initial=at))
-        for i in range(len(spans) - 1):  # each row of block i with every row of a later block
-            later = range(ends[i + 1], ends[-1])
-            for p in range(ends[i], ends[i + 1]):
-                left += [p] * len(later)
-                right += later
-        owner += [x] * (len(left) - len(owner))
-        at = ends[-1]
-    u = _padded(rows, at, width)
-    dots = np.abs((u.take(left, 0).conj() * u.take(right, 0)).sum(axis=1))
-    return [owner[y] for y in (dots > 10.0 * tol - _ROUNDING).nonzero()[0].tolist()]
-
-
-def _wide_overlap(spans: tuple[np.ndarray, ...], tol: float) -> bool:
-    """If two rows of different blocks of one wide split overlap above ``10 * tol - _ROUNDING``.
-
-    The split's rows are stacked once, and each slab of about
-    ``_BLOCK_ENTRIES / rows`` of them is multiplied by the rows from the
-    slab on, as :func:`~loccdist.ensemble._bit_rows` builds a party's
-    graph: no temporary is larger than the stacked rows or a slab product.
-    """
-    s = np.concatenate(spans)
-    block = np.repeat(np.arange(len(spans)), [len(span) for span in spans])
-    step = max(1, _BLOCK_ENTRIES // len(s))
-    for i0 in range(0, len(s), step):
-        i1 = min(i0 + step, len(s))
-        dots = np.abs(s[i0:i1].conj() @ s[i0:].T)
-        apart = block[i0:i1, None] != block[None, i0:]
-        if (dots[apart] > 10.0 * tol - _ROUNDING).any():
-            return True
-    return False
-
-
-def _padded(rows: list[np.ndarray], count: int, width: int) -> np.ndarray:
-    """The ``count`` rows of the arrays ``rows``, stacked and zero-padded to ``width``."""
-    same_width = itertools.groupby(rows, key=lambda r: r.shape[1])
-    parts = [np.concatenate(list(same)) for _, same in same_width]
-    if len(parts) == 1:
-        return parts[0]
-    u, at = np.zeros((count, width), np.complex128), 0
-    for part in parts:
-        u[at : at + len(part), : part.shape[1]] = part
-        at += len(part)
-    return u
-
-
 def _check_splits(
     e: Ensemble, splits: Sequence[tuple[int, int, tuple]], tol: float
 ) -> list[tuple[np.ndarray, ...] | NumericalInstabilityError]:
@@ -399,11 +327,25 @@ def _check_splits(
     :func:`~loccdist.distinguish.decide` hands over every split of the tree
     at once; :func:`_checked_spans` hands over one.  The block spans missing
     from :meth:`Ensemble.memo` are made together by :func:`_new_spans` and
-    kept per ``("span", party, rows, tol)``; every two blocks of each split
-    are then screened together by :func:`_unstable`, and a flagged split is
-    decided by :func:`_cross_check`.  A split that passes keeps its spans
-    per ``("checked", party, mask, tol)``; one that fails keeps nothing
-    there and gets its error, so it fails again on every call.
+    kept per ``("span", party, rows, tol)``.  A split with a span of rank
+    two or more is decided by :func:`_cross_check`; one whose spans all have
+    one row passes unchecked, by this bound, with u = 2**-53 and d the
+    party's dimension:
+
+    - Blocks A and B of the split share no edge, so every computed
+      ``|<a|b>|`` of a row of A and a row of B is at most tol (an entry
+      within ``_ROUNDING`` of tol is an ``np.vdot``).  Its rounding is at
+      most ``(d + 2) * u``, and every row is unit to within DEFAULT_TOL.
+    - A rank-one span is one row of its block, divided by its computed norm
+      and turned by a unit phase.  Two of them overlap by at most
+      ``tol * (1 + 1e-8) + (d + 18) * u`` exactly, and the check's product
+      adds ``(d + 3) * u``: below ``10 * tol`` when
+      ``9 * tol > 2 * (d + 11) * u``.
+
+    Below twice that bound (:func:`_rank_one_pairs_pass`), every pair is
+    checked.  A split that passes keeps its spans per ``("checked", party,
+    mask, tol)``; one that fails keeps nothing there and gets its error, so
+    it fails again on every call.
     """
     out = [e.cached(("checked", party, mask, tol)) for party, mask, _ in splits]
     todo = [(x, *split) for x, split in enumerate(splits) if out[x] is None]
@@ -413,12 +355,11 @@ def _check_splits(
                  key=lambda key: (e.dims[key[0]], key[0]))
     for (party, rows), span in zip(new, _new_spans(e, new, tol)):
         known[party, rows] = e.memo(("span", party, rows, float(tol)), lambda: span)
-    checked = [(party, tuple(known[party, rows] for rows in blocks))
-               for _, party, _, blocks in todo]
-    flagged = _unstable(checked, tol)
-    for y, (x, party, mask, _) in enumerate(todo):
-        spans = checked[y][1]
-        error = _cross_check(party, spans, tol) if y in flagged else None
+    for x, party, mask, blocks in todo:
+        spans = tuple(known[party, rows] for rows in blocks)
+        error = None
+        if max(map(len, spans)) > 1 or not _rank_one_pairs_pass(e.dims[party], tol):
+            error = _cross_check(party, spans, tol)
         out[x] = error or e.memo(("checked", party, mask, tol), lambda: spans)
     return out
 

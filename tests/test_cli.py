@@ -732,6 +732,19 @@ def test_oracle_size_guard_is_usage_error(run, ensemble_file):
     assert "at most" in err
 
 
+@pytest.mark.parametrize("dims, states", [("4,4", 16), ("2,64", 128)])
+def test_an_oversized_oracle_sweep_is_refused_before_any_basis_is_made(
+    run, monkeypatch, dims, states
+):
+    # 4,4 used to generate and decide every basis before the oracle refused
+    # it, and 2,64 ended in the generator's traceback with exit 1
+    made = []
+    monkeypatch.setattr(loccdist.cli, "random_product_basis", lambda *args: made.append(args))
+    code, out, err = run("oracle", "--seed-sweep=3", f"--dims={dims}")
+    assert code == EXIT_USAGE and out == "" and made == []
+    assert err.splitlines() == [f"error: oracle handles at most 12 states, got {states}"]
+
+
 def test_oracle_argument_validation(run, ensemble_file):
     code, _, _ = run("oracle")
     assert code == EXIT_USAGE

@@ -29,6 +29,7 @@ from loccdist import (
     apply_local_unitaries,
     basis_vector,
     catalog,
+    decide,
     emit_ensemble,
     ensure_complete,
     ensure_orthogonal,
@@ -599,6 +600,16 @@ def test_random_basis_is_a_valid_complete_basis(dims, seed):
     assert e.complete and len(e.states) == math.prod(dims)
     assert max(_raw_pairwise_overlaps(e).values(), default=0.0) < 1e-9
     assert validate(e).passed
+
+
+@pytest.mark.parametrize("dims, seed, depth", [((2, 64), 1, 3), ((1, 100), 0, 2)])
+def test_random_basis_splits_a_party_of_64_or_more(dims, seed, depth):
+    # a party of k >= 64 vectors is cut by k random bits, as 2**k - 1 is
+    # past the int64 range of the draw that smaller parties keep
+    e = random_product_basis(dims, seed, depth)
+    assert e.complete and len(e.labels) == math.prod(dims)
+    assert validate(e).passed
+    assert decide(e, "complete").kind == "distinguishable"
 
 
 def test_random_basis_depth_zero_is_computational():

@@ -16,8 +16,10 @@ from loccdist import (
     CATALOG_NAMES,
     Ensemble,
     InvalidModeError,
+    MeasurementStep,
     ProductState,
     TooLargeError,
+    TraceSplit,
     catalog,
     chain_criterion,
     components,
@@ -33,7 +35,9 @@ from loccdist import (
 from loccdist import oracle
 from loccdist.errors import NumericalInstabilityError
 from loccdist.linalg import basis_vector
+from oracle_protocol import oracle_verdict
 from test_relativity import _unstable_ensemble
+from test_search_golden import POOL
 
 
 def _all_set_partitions(items):
@@ -195,7 +199,7 @@ def test_family_order_is_the_stable_sort_of_every_grouping_by_block_count():
 
 def test_oracle_agrees_on_computational_basis():
     e = catalog("comp2x2")
-    v = exhaustive_decide(e)
+    v = oracle_verdict(e)
     assert v.kind == "distinguishable"
     report = run_protocol(e, lift_protocol(v.tree, e))
     assert report.perfect
@@ -227,12 +231,30 @@ def test_oracle_requires_complete_mode():
 def test_oracle_agrees_with_greedy_on_generated_bases(dims, seed):
     e = random_product_basis(dims, seed=seed, depth=seed % 4)
     greedy = decide(e, "complete")
-    thorough = exhaustive_decide(e)
+    thorough = oracle_verdict(e)
     assert greedy.kind == thorough.kind
     if thorough.kind == "distinguishable":
         assert run_protocol(e, lift_protocol(thorough.tree, e)).perfect
     else:
         assert finest_step(e, thorough.certificate.subset) is None
+
+
+def test_a_pool_pass_of_the_oracle_builds_no_protocol(monkeypatch):
+    # the oracle answers whether a protocol exists and decide builds it: over
+    # the sweep benchmark's dims and depths and dressed bennett9 bases, after
+    # decide, exhaustive_decide makes no TraceSplit or MeasurementStep
+    bases = [make() for make in POOL.values()]
+    greedy = [decide(e, "complete") for e in bases]
+    made = []
+    for cls in (TraceSplit, MeasurementStep):
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, check=check: made.append(self) or check(self))
+    verdicts = [exhaustive_decide(e) for e in bases]
+    assert made == []
+    assert [v.kind for v in verdicts] == [v.kind for v in greedy]
+    assert {v.kind for v in verdicts} == {"distinguishable", "indistinguishable"}
+    assert all(v.tree is None and v.trace is None for v in verdicts)
 
 
 def test_oracle_certificate_subset_is_stuck():

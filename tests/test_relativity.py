@@ -41,6 +41,7 @@ from loccdist.ensemble import _BLOCK_ENTRIES, _CHUNK_ENTRIES, _bit_rows
 from loccdist.jsonio import canonical_dumps
 from loccdist.linalg import span_basis
 from loccdist.oracle import exhaustive_decide
+from oracle_protocol import oracle_verdict
 from loccdist import relativity
 from loccdist.relativity import block_span
 
@@ -632,7 +633,7 @@ def _memo_cases():
 def test_shared_ensemble_gives_the_verdicts_of_fresh_copies(oracle_first):
     runs = [
         lambda e, tol: verdict_to_json(decide(e, "complete", tol)),
-        lambda e, tol: verdict_to_json(exhaustive_decide(e, tol)),
+        lambda e, tol: verdict_to_json(oracle_verdict(e, tol)),
     ]
     if oracle_first:
         runs.reverse()
@@ -816,6 +817,64 @@ def test_stacked_spans_and_checks_are_those_of_span_basis_and_the_pairwise_loop(
                   for party in range(len(dims))})
     for (party, rows), span in zip(new, relativity._new_spans(fresh, new, tol)):
         _assert_is_span_basis(span, fresh.party_arrays[party][list(rows)], tol)
+
+
+def _rank_mix_ensemble(seed, dims, n, tol):
+    """``n`` states whose rows at each party make rank-one, rank-two and near-tol blocks.
+
+    Each row lies along a random axis of a random unitary, turned by a random
+    phase.  A third of the rows tilt by 30 degrees toward the next axis, so
+    blocks can hold two axes, and a third take a nudge of tol/2, tol or
+    2*tol along a random vector, so blocks have rank two by a hair and may
+    lean into other blocks.
+    """
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for d in dims:
+        axes = random_unitary(d, rng)
+        rows = []
+        for _ in range(n):
+            k, kind = rng.integers(d), rng.integers(3)
+            v = axes[:, k].copy()
+            if kind == 1:
+                v = np.cos(np.pi / 6) * v + np.sin(np.pi / 6) * axes[:, (k + 1) % d]
+            elif kind == 2:
+                w = rng.normal(size=d) + 1j * rng.normal(size=d)
+                v = v + rng.choice([0.5, 1.0, 2.0]) * tol * w / np.linalg.norm(w)
+            rows.append(normalize(v * np.exp(2j * np.pi * rng.random())))
+        arrays.append(rows)
+    states = [ProductState(f"s{i}", tuple(rows[i] for rows in arrays)) for i in range(n)]
+    return Ensemble("rank-mix", dims, states, complete=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2,), (3,), (4,), (2, 3), (4, 4), (8,), (3, 64)]),
+    n=st.integers(2, 12),
+    tol=st.sampled_from([1e-15, 1e-12, 1e-9, 1e-3]),
+    data=st.data(),
+)
+def test_skipping_pairs_of_rank_one_spans_gives_the_errors_of_checking_every_pair(
+    seed, dims, n, tol, data
+):
+    # the check skips pairs of two one-row spans, which cannot fail, and at
+    # tol 1e-15 a party of dimension 64 is past the bound and has every
+    # pair checked: each split fails, with the same message, exactly when
+    # the loop over every pair of its spans fails
+    e = _rank_mix_ensemble(seed, dims, n, tol)
+    masks = data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=6))
+    splits = [(party, mask, relativity._blocks(e, party, mask, tol))
+              for mask in masks for party in range(len(dims))]
+    splits = [split for split in splits if len(split[2]) >= 2]
+    got = relativity._check_splits(e, splits, tol)
+    for (party, mask, blocks), result in zip(splits, got):
+        a = e.party_arrays[party]
+        error = _pairwise_check(party, [span_basis(a[list(rows)], tol) for rows in blocks], tol)
+        if error is None:
+            assert not isinstance(result, NumericalInstabilityError)
+        else:
+            assert isinstance(result, NumericalInstabilityError) and str(result) == error
 
 
 def _rotated_basis(seed, d):

@@ -2,11 +2,12 @@
 
 `test_golden.py` pins what `check` prints; nothing there reaches the
 oracle.  Here each case of a fixed pool is decided by :func:`decide` and by
-:func:`exhaustive_decide`, and the sha256 of each verdict's canonical JSON
-is compared with a digest taken before the searches walked state bitmasks,
-when they still walked label tuples.  A change to a protocol's blocks or
-bases, to the order of a family's partitions, or to a certificate's edges
-changes a digest.
+:func:`exhaustive_decide`, whose protocol the tests build
+(``oracle_protocol.oracle_verdict``), and the sha256 of each verdict's
+canonical JSON is compared with a digest taken before the searches walked
+state bitmasks, when they still walked label tuples.  A change to a
+protocol's blocks or bases, to the order of a family's partitions, or to a
+certificate's edges changes a digest.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from loccdist import (
     apply_local_unitaries,
     catalog,
     decide,
-    exhaustive_decide,
     random_product_basis,
     random_unitary,
     verdict_to_json,
 )
 from loccdist.jsonio import canonical_dumps
+from oracle_protocol import oracle_verdict
 
 # the sweep benchmark's dims, every party order of each
 DIMS = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2))
@@ -242,4 +243,4 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(POOL))
 def test_search_verdicts_are_byte_identical(case):
     e = POOL[case]()
-    assert (_digest(decide(e, "complete")), _digest(exhaustive_decide(e))) == GOLDEN[case]
+    assert (_digest(decide(e, "complete")), _digest(oracle_verdict(e))) == GOLDEN[case]
