@@ -27,8 +27,8 @@ from .errors import (
     UnitarityError,
     ZeroVectorError,
 )
-from .jsonio import canonical_dumps, complex_rows_from_json, complex_to_json, parse_json
-from .linalg import DEFAULT_TOL, basis_vector, normalize, normalize_rows, phase_normalize
+from .jsonio import canonical_dumps, complex_rows_from_json, parse_json
+from .linalg import DEFAULT_TOL, _phase_fixed, basis_vector, normalize, normalize_rows
 
 __all__ = [
     "CATALOG_NAMES",
@@ -451,13 +451,19 @@ def _from_rows(
 
 
 def emit_ensemble(e: Ensemble, tol: float = DEFAULT_TOL) -> str:
-    """Serialize to canonical JSON: phase-normalized vectors, 17 digit floats."""
+    """Serialize to canonical JSON: phase-normalized vectors, 17 digit floats.
+
+    Each party's rows are phase-normalized in one stacked pass by
+    :func:`~loccdist.linalg._phase_fixed` and become ``[re, im]`` pairs in
+    one ``tolist``.
+    """
+    # copies: _phase_fixed may turn rows in place, and party arrays are read-only
+    rows = [
+        _phase_fixed(a.copy(), tol).view(np.float64).reshape(*a.shape, 2).tolist()
+        for a in e.party_arrays
+    ]
     states = [
-        {
-            "label": label,
-            "vectors": [complex_to_json(phase_normalize(a[i], tol)) for a in e.party_arrays],
-        }
-        for i, label in enumerate(e.labels)
+        {"label": label, "vectors": list(vectors)} for label, vectors in zip(e.labels, zip(*rows))
     ]
     doc = {
         "name": e.name,
@@ -607,31 +613,57 @@ def apply_local_unitaries(
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    """Haar-distributed unitary via QR of a complex Gaussian matrix.
+
+    Draws the real parts, then the imaginary parts, of a ``dim x dim``
+    Gaussian matrix; :func:`_unitaries` on that one matrix.
+    """
     if dim < 1:
         raise DimensionError(f"dimension must be positive, got {dim}")
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _unitaries(rng.standard_normal((1, 2, dim, dim)))[0]
 
 
-def _rotate_basis(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The ``k x d`` rows mixed by a random ``k x k`` unitary, each normalized again."""
-    mixed = np.ascontiguousarray(rows.T) @ random_unitary(len(rows), rng)
+def _unitaries(draws: np.ndarray) -> np.ndarray:
+    """The ``c x m x m`` unitaries of ``c x 2 x m x m`` Gaussian draws, real parts first.
+
+    Each is the Q of one QR, its columns turned so that R's diagonal is
+    real positive.  One stacked ``np.linalg.qr`` runs LAPACK on each matrix
+    as a call on that matrix alone would, and the rest is elementwise, so
+    every unitary has the bits it would have on its own.
+    """
+    q, r = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q *= (d / np.abs(d))[:, None, :]
+    return q
+
+
+def _rotate_basis(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The ``k x d`` rows mixed by the ``k x k`` unitary ``u``, each normalized again."""
+    mixed = np.ascontiguousarray(rows.T) @ u
     return normalize_rows(np.ascontiguousarray(mixed.T))
 
 
-def _split_basis(
-    bases: tuple[np.ndarray, ...], rng: np.random.Generator, depth: int
-) -> list[np.ndarray]:
-    """The product states of ``depth`` rounds of splitting, as one array of rows per party."""
-    splittable = [p for p, b in enumerate(bases) if len(b) >= 2]
+def _plan_splits(
+    sizes: tuple[int, ...],
+    rng: np.random.Generator,
+    depth: int,
+    draws: list[np.ndarray],
+    drawn: list[int],
+) -> tuple | None:
+    """Pass one: the split tree over block sizes, every RNG draw taken in recursion order.
+
+    A split is ``(p, picked, first, second)``, ``picked`` the party-``p``
+    rows the first side keeps; None is a leaf.  A side draws its unitaries'
+    Gaussian matrices, party ``p``'s first and then the others' in party
+    order, in one ``standard_normal`` call, which gives the numbers of one
+    call per matrix.  The calls go on ``draws`` and the matrix sizes, in
+    the same order, on ``drawn``.
+    """
+    splittable = [p for p, k in enumerate(sizes) if k >= 2]
     if depth <= 0 or not splittable:
-        index = np.indices([len(b) for b in bases]).reshape(len(bases), -1)
-        return [b[i] for b, i in zip(bases, index)]
+        return None
     p = splittable[int(rng.integers(len(splittable)))]
-    k = len(bases[p])
+    k = sizes[p]
     if k <= 63:
         mask = int(rng.integers(1, 2**k - 1))
         picked = np.array([(mask >> i) & 1 for i in range(k)], dtype=bool)
@@ -639,15 +671,62 @@ def _split_basis(
         picked = np.zeros(k, dtype=bool)
         while picked.all() or not picked.any():
             picked = rng.random(k) < 0.5
+    kept = int(np.count_nonzero(picked))
     sides = []
-    for group in (bases[p][picked], bases[p][~picked]):
-        sub = list(bases)
-        sub[p] = _rotate_basis(group, rng)
-        for q in range(len(bases)):
-            if q != p:
-                sub[q] = _rotate_basis(bases[q], rng)
-        sides.append(_split_basis(tuple(sub), rng, depth - 1))
-    return [np.concatenate(rows) for rows in zip(*sides)]
+    for m_p in (kept, k - kept):
+        sub = sizes[:p] + (m_p,) + sizes[p + 1 :]
+        ms = [m_p, *sub[:p], *sub[p + 1 :]]
+        draws.append(rng.standard_normal(2 * sum(m * m for m in ms)))
+        drawn.extend(ms)
+        sides.append(_plan_splits(sub, rng, depth - 1, draws, drawn))
+    return (p, picked, *sides)
+
+
+def _unitaries_by_size(draws: list[np.ndarray], drawn: list[int]) -> dict:
+    """Pass two: per matrix size, an iterator over its unitaries in draw order.
+
+    The :func:`_plan_splits` draws are joined into one array, from which
+    each size's matrices are gathered and made unitary by one stacked QR.
+    ``draws`` is emptied once joined, so no number is held twice after.
+    """
+    flat = np.concatenate(draws) if draws else np.empty(0)
+    draws.clear()
+    starts: dict[int, list[int]] = {}
+    at = 0
+    for m in drawn:
+        starts.setdefault(m, []).append(at)
+        at += 2 * m * m
+    units = {}
+    for m, first in starts.items():
+        gaussians = flat[np.array(first)[:, None] + np.arange(2 * m * m)]
+        units[m] = iter(_unitaries(gaussians.reshape(-1, 2, m, m)))
+    return units
+
+
+def _apply_splits(
+    bases: list[np.ndarray], plan: tuple | None, units: dict, out: list[np.ndarray], at: int
+) -> int:
+    """Pass three: the product states of ``plan``, written to the rows of ``out`` from ``at`` on.
+
+    ``out`` holds one array per party.  Each side takes its unitaries from
+    ``units``, the iterators of :func:`_unitaries_by_size`, in the order
+    :func:`_plan_splits` drew them.  Returns the row after the last one written.
+    """
+    if plan is None:
+        index = np.indices([len(b) for b in bases]).reshape(len(bases), -1)
+        # the indices are in range; "clip" writes straight into out, where
+        # the default mode first takes a copy
+        for o, b, i in zip(out, bases, index):
+            np.take(b, i, axis=0, out=o[at : at + len(i)], mode="clip")
+        return at + index.shape[1]
+    p, picked, *children = plan
+    order = [p, *(q for q in range(len(bases)) if q != p)]
+    for group, child in zip((picked, ~picked), children):
+        sub = [b[group] if q == p else b for q, b in enumerate(bases)]
+        for q in order:
+            sub[q] = _rotate_basis(sub[q], next(units[len(sub[q])]))
+        at = _apply_splits(sub, child, units, out, at)
+    return at
 
 
 def random_product_basis(dims: tuple[int, ...], seed: int, depth: int = 3) -> Ensemble:
@@ -659,10 +738,21 @@ def random_product_basis(dims: tuple[int, ...], seed: int, depth: int = 3) -> En
     on the other parties.  Orthogonality across sides is carried by the
     chosen party alone, so the result is always a valid complete basis.
     Depth 0 reproduces the computational product basis exactly.
+
+    It runs in three passes: :func:`_plan_splits` walks the splits on block
+    sizes alone, :func:`_unitaries_by_size` makes every unitary of one size in
+    one stacked QR, and :func:`_apply_splits` rotates the rows along the
+    walk.  The draws follow the order of the recursive definition, side by
+    side and party by party, so every seed keeps its basis bit for bit.
     """
     dims = _positive_dims(dims)
-    rng = np.random.default_rng(seed)
-    arrays = _split_basis(tuple(np.eye(d, dtype=np.complex128) for d in dims), rng, depth)
-    labels = [f"s{i + 1}" for i in range(math.prod(dims))]
+    draws: list[np.ndarray] = []
+    drawn: list[int] = []
+    plan = _plan_splits(dims, np.random.default_rng(seed), depth, draws, drawn)
+    units = _unitaries_by_size(draws, drawn)
+    n = math.prod(dims)
+    arrays = [np.empty((n, d), np.complex128) for d in dims]
+    _apply_splits([np.eye(d, dtype=np.complex128) for d in dims], plan, units, arrays, 0)
+    labels = [f"s{i + 1}" for i in range(n)]
     shape = "x".join(str(d) for d in dims)
     return _from_rows(f"random-{shape}-seed{seed}-depth{depth}", labels, arrays, True)

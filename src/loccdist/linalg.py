@@ -16,7 +16,8 @@ the one normalize: it takes the norms as stacked real dot products, as
 passes and the norm ``sqrt(re.re + im.im)``; :func:`span_basis` builds
 spans with its arithmetic, on stacked rows for longer blocks, and the
 :func:`phase_normalize` rule per row; the relativity chains use it as their
-independence test.
+independence test.  :func:`_phase_fixed` is that phase rule on stacked
+rows, bit for bit, for emission and the stacked span passes.
 """
 
 from __future__ import annotations
@@ -171,6 +172,29 @@ def phase_normalize(entries: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     fixed = entries * factor
     fixed.setflags(write=False)
     return fixed
+
+
+def _phase_fixed(u: np.ndarray, tol: float) -> np.ndarray:
+    """Every row of a ``k x d`` array turned as :func:`phase_normalize` turns one.
+
+    The one stacked phase rule, bit for bit :func:`_phase_factor` applied
+    to each row: ``np.hypot`` is the ``abs`` of a complex scalar, and with
+    the lead entry above tol, ``entry == mag`` iff it is real positive.
+    Zero padding past a row's vector is never the lead.  Returns a new
+    array when every row turns and ``u`` itself when none does; otherwise
+    the turned rows are written into ``u``, which must then be writable.
+    """
+    mags = np.hypot(u.real, u.imag)
+    k = np.arange(len(u))
+    lead = (mags > tol).argmax(axis=1)
+    entry, mag = u[k, lead], mags[k, lead]
+    turn = (mag > tol) & (entry != mag)
+    if turn.all():
+        return u * (entry.conj() / mag)[:, None]
+    if turn.any():
+        turn = turn.nonzero()[0]
+        u[turn] = u[turn] * (entry[turn].conj() / mag[turn])[:, None]
+    return u
 
 
 def _residual(w: np.ndarray, basis: list[np.ndarray], tol: float) -> np.ndarray | None:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalInstabilityError
 from .ensemble import _CHUNK_ENTRIES, _ROUNDING, Ensemble, _bit_rows, _ones, ensure_complete
-from .linalg import DEFAULT_TOL, _residual, _row_norms, span_basis
+from .linalg import DEFAULT_TOL, _phase_fixed, _residual, _row_norms, span_basis
 
 __all__ = [
     "OverlapGraph",
@@ -250,26 +250,6 @@ def _gather(e: Ensemble, picks: list[tuple[int, int]]) -> np.ndarray:
     parts = [e.party_arrays[party].take([i for _, i in run], 0)
              for party, run in itertools.groupby(picks, key=operator.itemgetter(0))]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _phase_fixed(u: np.ndarray, tol: float) -> np.ndarray:
-    """Every row of ``u`` turned by ``linalg._phase_factor``, as ``phase_normalize`` turns one.
-
-    ``np.hypot`` is the ``abs`` of a complex scalar, and with the lead entry
-    above tol, ``entry == mag`` iff it is real positive.  Zero padding past
-    a row's vector is never the lead.
-    """
-    mags = np.hypot(u.real, u.imag)
-    k = np.arange(len(u))
-    lead = (mags > tol).argmax(axis=1)
-    entry, mag = u[k, lead], mags[k, lead]
-    turn = (mag > tol) & (entry != mag)
-    if turn.all():
-        return u * (entry.conj() / mag)[:, None]
-    if turn.any():
-        turn = turn.nonzero()[0]
-        u[turn] = u[turn] * (entry[turn].conj() / mag[turn])[:, None]
-    return u
 
 
 def _new_spans(e: Ensemble, new: list[tuple[int, tuple[int, ...]]], tol: float) -> list:

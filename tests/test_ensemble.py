@@ -7,6 +7,7 @@ on the package's own inner products to certify the canned ensembles.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -33,10 +34,13 @@ from loccdist import (
     emit_ensemble,
     ensure_complete,
     ensure_orthogonal,
+    lift_protocol,
     normalize,
     parse_ensemble,
+    phase_normalize,
     random_product_basis,
     random_unitary,
+    run_protocol,
     validate,
 )
 from loccdist.jsonio import complex_from_json
@@ -657,12 +661,20 @@ def test_single_level_party_is_allowed():
     assert validate(e).passed
 
 
-# The per-vector generator and rotation that the stacked rows replaced: each
-# vector mixed on its own and normalized with np.linalg.norm.
+# The per-vector generator and rotation that the stacked rows replaced: the
+# recursive definition, each unitary from its own QR, each vector mixed on
+# its own and normalized with np.linalg.norm.
+
+
+def _reference_unitary(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def _reference_rotate(basis, rng):
-    mixed = np.column_stack(basis) @ random_unitary(len(basis), rng)
+    mixed = np.column_stack(basis) @ _reference_unitary(len(basis), rng)
     return [_reference_normalize(mixed[:, j], 1e-9) for j in range(len(basis))]
 
 
@@ -671,11 +683,18 @@ def _reference_split(bases, rng, depth):
     if depth <= 0 or not splittable:
         return list(itertools.product(*bases))
     p = splittable[int(rng.integers(len(splittable)))]
-    mask = int(rng.integers(1, 2 ** len(bases[p]) - 1))
+    k = len(bases[p])
+    if k <= 63:
+        mask = int(rng.integers(1, 2**k - 1))
+        picked = [(mask >> i) & 1 == 1 for i in range(k)]
+    else:  # k random bits, redrawn while all are equal
+        picked = [True] * k
+        while all(picked) or not any(picked):
+            picked = (rng.random(k) < 0.5).tolist()
     states = []
-    for side in (1, 0):
+    for side in (True, False):
         sub = list(bases)
-        group = [b for i, b in enumerate(bases[p]) if (mask >> i) & 1 == side]
+        group = [b for b, keep in zip(bases[p], picked) if keep == side]
         sub[p] = _reference_rotate(group, rng)
         for q in range(len(bases)):
             if q != p:
@@ -708,13 +727,24 @@ def _assert_rows(e, rows):
             assert s.locals[p].tobytes() == row.tobytes()
 
 
+# (2, 64) takes the k >= 64 draw; (8, 8, 8) at depth 12 is the check-large structure
+_GENERATOR_CASES = [
+    *(
+        (dims, range(11))
+        for dims in [(1,), (2,), (6,), (1, 2), (2, 1), (3, 1, 2), (4, 4), (5, 2), (6, 6)]
+    ),
+    ((2, 3, 1, 2), range(11)),
+    *((dims, range(7)) for dims in [(2, 64), (1, 3), (2,) * 6]),
+    ((8, 8, 8), [12]),
+]
+
+
 @pytest.mark.parametrize(
-    "dims",
-    [(1,), (2,), (6,), (1, 2), (2, 1), (3, 1, 2), (4, 4), (5, 2), (6, 6), (2, 3, 1, 2)],
-    ids=lambda d: "x".join(map(str, d)),
+    "dims, depths",
+    [pytest.param(dims, depths, id="x".join(map(str, dims))) for dims, depths in _GENERATOR_CASES],
 )
-def test_row_generators_are_bit_identical_to_the_per_vector_reference(dims):
-    for depth in range(11):
+def test_row_generators_are_bit_identical_to_the_per_vector_reference(dims, depths):
+    for depth in depths:
         seed = 13 * depth + sum(dims)
         e = random_product_basis(dims, seed, depth)
         rows = _reference_basis_rows(dims, seed, depth)
@@ -722,6 +752,47 @@ def test_row_generators_are_bit_identical_to_the_per_vector_reference(dims):
         rng = np.random.default_rng(seed)
         us = [random_unitary(d, rng) for d in dims]
         _assert_rows(apply_local_unitaries(e, us), _reference_unitary_rows(rows, us))
+
+
+def test_the_bytes_the_benchmark_generates_are_pinned():
+    # the benchmark builds its inputs from these calls: the check-large and
+    # replay-large structures and the unitaries that dress every input
+    digest = lambda data: hashlib.sha256(data).hexdigest()
+    check = emit_ensemble(random_product_basis((8, 8, 8), 1, depth=12))
+    replay = emit_ensemble(random_product_basis((10, 10, 10), 2, depth=14))
+    units = b"".join(random_unitary(d, np.random.default_rng(d)).tobytes() for d in range(1, 17))
+    assert digest(check.encode()) == (
+        "b95d2db4e3961b01d5e1a0a21436615e42c46e6352b3d7e34dc87a1858942c40"
+    )
+    assert digest(replay.encode()) == (
+        "182e1d6f0e54a6e12680329b8361e90827f019af6d176ec8e7b0ff58c11cc7e0"
+    )
+    assert digest(units) == "62060f9c5b54b9837a1836260b19a668566940c2b8fe4f832d88e64add2e51a4"
+
+
+_SHAPES = st.one_of(
+    st.tuples(st.sampled_from([1, 2]), st.integers(1, 64)),
+    st.integers(3, 8).map(lambda parties: (2,) * parties),
+)
+
+
+@given(dims=_SHAPES, seed=st.integers(0, 2**31 - 1), depth=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_skewed_and_many_party_shapes_round_trip_decide_and_replay(dims, seed, depth):
+    e = random_product_basis(dims, seed, depth)
+    if depth == 0:
+        standard = np.indices(dims).reshape(len(dims), -1)
+        for a, d, index in zip(e.party_arrays, dims, standard):
+            assert a.tobytes() == np.eye(d, dtype=np.complex128)[index].tobytes()
+    # emission turns each row's phase, row by row as phase_normalize does,
+    # and writes -0.0 as 0; the parsed rows are those rows bit for bit
+    parsed = parse_ensemble(emit_ensemble(e))
+    for a, b in zip(e.party_arrays, parsed.party_arrays):
+        emitted = np.array([phase_normalize(row) for row in a]) + 0.0
+        assert emitted.tobytes() == b.tobytes()
+    v = decide(e, "complete")
+    assert v.distinguishable
+    assert run_protocol(e, lift_protocol(v.tree, e)).perfect
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

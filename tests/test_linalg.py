@@ -235,6 +235,27 @@ def test_phase_normalize_is_idempotent_and_phase_only(v):
     assert abs(abs(np.vdot(v, w)) - 1.0) < 1e-12
 
 
+_PHASE_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-10, -2e-9, 0.6, -0.8, 1e-300])
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.lists(
+            st.lists(st.tuples(_PHASE_ENTRIES, _PHASE_ENTRIES), min_size=d, max_size=d),
+            min_size=1,
+            max_size=8,
+        )
+    ),
+    st.sampled_from([0.0, 1e-9, 0.7]),
+)
+def test_stacked_phase_rule_turns_each_row_as_phase_normalize(rows, tol):
+    # rows already real positive, rows to turn and rows with no entry above
+    # tol, mixed, so every branch of the stacked rule runs
+    u = np.array([[complex(re, im) for re, im in row] for row in rows])
+    expected = np.array([phase_normalize(row, tol) for row in u])
+    assert linalg._phase_fixed(u.copy(), tol).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # span_basis and the rank it gives
 
