@@ -30,6 +30,7 @@ from .ensemble import (
     Ensemble,
     catalog,
     emit_ensemble,
+    ensure_complete,
     parse_ensemble,
     random_product_basis,
 )
@@ -261,6 +262,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             ensembles.append(random_product_basis(dims, seed, args.depth))
     cases = []
     for e in ensembles:
+        ensure_complete(e, tol)  # refused before any search; decide reuses the validation
+        _require_small(len(e.labels))
         greedy = decide(e, "complete", tol)
         oracle = exhaustive_decide(e, tol)
         cases.append(

@@ -214,11 +214,10 @@ class Ensemble:
         - ``("bits", party, tol)``: the party's relativity graph as one int
           per state, bit j of row i the edge i-j;
         - ``("validate", tol)``: the :func:`validate` report;
-        - ``("blocks", party, mask, tol)``, ``("span", party, rows, tol)`` and
-          ``("checked", party, mask, tol)``: the graph components, the block
-          spans and a split's pairwise-checked spans of
-          :mod:`loccdist.relativity`, with ``mask`` an int, bit i for state
-          i, and ``rows`` a tuple of state indices.
+        - ``("blocks", party, mask, tol)`` and ``("checked", party, mask,
+          tol)``: the graph components and a split's pairwise-checked block
+          spans of :mod:`loccdist.relativity`, with ``mask`` an int, bit i
+          for state i.
 
         It dies with the ensemble.  A ``build`` that raises caches nothing.
         """

@@ -13,11 +13,11 @@ per row; each vector rule exists once, on rows.  :func:`normalize_rows` is
 the one normalize: it takes the norms as stacked real dot products, as
 ``np.linalg.norm`` takes one, and :func:`normalize` is its one-row case.
 :func:`_residual` is the one residual step, two ``np.vdot`` projection
-passes and the norm ``sqrt(re.re + im.im)``; :func:`span_basis` builds
-spans with its arithmetic, on stacked rows for longer blocks, and the
-:func:`phase_normalize` rule per row; the relativity chains use it as their
-independence test.  :func:`_phase_fixed` is that phase rule on stacked
-rows, bit for bit, for emission and the stacked span passes.
+passes and the norm ``sqrt(re.re + im.im)``; the relativity chains use it
+as their independence test.  :func:`_phase_fixed` is the one phase rule on
+stacked rows, bit for bit :func:`phase_normalize` on each row.
+:func:`span_basis` is the one span kernel: :func:`_residual`'s arithmetic
+on stacked rows, then :func:`_phase_fixed` on the whole basis.
 """
 
 from __future__ import annotations
@@ -212,50 +212,37 @@ def _residual(w: np.ndarray, basis: list[np.ndarray], tol: float) -> np.ndarray 
     return w / n if n > tol else None
 
 
-_SCALAR_ROWS = 4  # up to this many rows, the stacked passes cost more than they save
-
-
 def span_basis(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormalize the rows of a ``k x d`` complex array in order.
 
     Each row's :func:`_residual` against the basis so far joins the basis
-    when its norm exceeds tol.  The basis comes back phase-normalized, as
-    the rows of a read-only ``r x d`` array.
+    when its norm exceeds tol.  The basis comes back phase-fixed by
+    :func:`_phase_fixed`, as the rows of a read-only ``r x d`` array.
 
-    Past ``_SCALAR_ROWS`` rows both passes run on stacked rows.  The rows
-    not yet taken hold their first pass, extended on all of them as each
-    vector joins.  A round runs the second pass on the first ``size`` of
-    them, twice the rows the last round took: the first above tol joins,
-    the rows before it are dropped.  ``np.matmul`` of ``b.conj()`` with
-    ``d x 1`` columns is ``np.vdot(b, w)`` bit for bit and the rest is
-    elementwise, so every row gets :func:`_residual`'s arithmetic.
+    Both passes run on stacked rows.  The rows not yet taken hold their
+    first pass, extended on all of them as each vector joins.  A round runs
+    the second pass on the first ``size`` of them, twice the rows the last
+    round took: the first above tol joins, the rows before it are dropped.
+    ``np.matmul`` of ``b.conj()`` with ``d x 1`` columns is ``np.vdot(b, w)``
+    bit for bit and the rest is elementwise, so every row gets
+    :func:`_residual`'s arithmetic.
     """
     basis: list[np.ndarray] = []
-    if len(rows) <= _SCALAR_ROWS:
-        for w in rows:
-            r = _residual(w, basis, tol)
-            if r is not None:
-                basis.append(r)
-    else:
-        pending, size, conj = rows, 1, []
-        while len(pending):
-            chunk = pending[:size]
-            for b, c in zip(basis, conj):
-                chunk = chunk - np.matmul(c, chunk[:, :, None]) * b
-            norms = _row_norms(chunk).tolist()
-            j = next((i for i, n in enumerate(norms) if n > tol), None)
-            if j is None:
-                pending, size = pending[size:], 2 * size
-                continue
-            basis.append(chunk[j] / norms[j])
-            conj.append(basis[-1].conj())
-            pending, size = pending[j + 1 :], 2 * (j + 1)
-            pending = pending - np.matmul(conj[-1], pending[:, :, None]) * basis[-1]
-    if len(basis) == 1:  # most spans, among them every one-row block's
-        fixed = phase_normalize(basis[0], tol)[None]
-    else:
-        fixed = np.array([phase_normalize(b, tol) for b in basis], dtype=np.complex128)
-        fixed = fixed.reshape(-1, rows.shape[1])
+    pending, size, conj = rows, 1, []
+    while len(pending):
+        chunk = pending[:size]
+        for b, c in zip(basis, conj):
+            chunk = chunk - np.matmul(c, chunk[:, :, None]) * b
+        norms = _row_norms(chunk).tolist()
+        j = next((i for i, n in enumerate(norms) if n > tol), None)
+        if j is None:
+            pending, size = pending[size:], 2 * size
+            continue
+        basis.append(chunk[j] / norms[j])
+        conj.append(basis[-1].conj())
+        pending, size = pending[j + 1 :], 2 * (j + 1)
+        pending = pending - np.matmul(conj[-1], pending[:, :, None]) * basis[-1]
+    fixed = _phase_fixed(np.array(basis, np.complex128).reshape(-1, rows.shape[1]), tol)
     fixed.setflags(write=False)
     return fixed
 

@@ -11,16 +11,17 @@ subset and ``tol``, so each piece is built once and kept in the ensemble's
 :meth:`~loccdist.ensemble.Ensemble.memo`: per ``("bits", party, tol)`` the
 party's graph as one Python int per state, bit j of row i the edge i-j,
 built by :func:`loccdist.ensemble._bit_rows`, which validation reads too;
-per ``("blocks", party, mask, tol)`` the components of the graph
-on the states set in the bit mask, found by one search over the bit rows;
-per ``("span", party, rows, tol)`` a block span and per ``("checked",
-party, mask, tol)`` the spans of a graph that splits, checked pairwise once.
-The decision procedure and the exhaustive oracle walk subsets as masks and
-share these entries.  :func:`overlap_graph`, :func:`components`
-and :func:`block_span` show the same entries through labels; a graph copies
-no bit rows, and its edges are made only when read, as by a certificate.
+per ``("blocks", party, mask, tol)`` the components of the graph on the
+states set in the bit mask, found by one search over the bit rows; and per
+``("checked", party, mask, tol)`` the spans of a graph that splits, checked
+pairwise once.  The decision procedure and the exhaustive oracle walk
+subsets as masks and share these entries.  :func:`overlap_graph` and
+:func:`components` show the same entries through labels; a graph copies no
+bit rows, and its edges are made only when read, as by a certificate.
+:func:`block_span` is :func:`~loccdist.linalg.span_basis` on a labelled
+block, and keeps nothing.
 
-The span and checked entries of splits are filled by :func:`_check_splits`:
+The checked entries are filled by :func:`_check_splits`:
 :func:`~loccdist.distinguish.decide` hands it every split of its tree at
 once, and the oracle, :func:`components` and
 :func:`~loccdist.distinguish.finest_step` one split at a time through
@@ -30,9 +31,8 @@ and phase-fixes them all at once; blocks of rank two or more go through
 :func:`~loccdist.linalg.span_basis`.  Each split's spans are then checked
 pairwise, except pairs of two rank-one spans, which the graph's missing
 edges already keep far below the check's bound.  The entries hold the
-bytes ``span_basis`` and the pairwise check give.
-:func:`block_span` and the oracle's coarser partitions fill span entries
-one block at a time.
+bytes ``span_basis`` and the pairwise check give.  The oracle's coarser
+partitions make no spans: only a finest split is ever checked.
 """
 
 from __future__ import annotations
@@ -155,22 +155,14 @@ def overlap_graph(
     return OverlapGraph(party, tuple(e.labels[i] for i in rows), rows, e, float(tol))
 
 
-def _span(e: Ensemble, party: int, rows: tuple[int, ...], tol: float) -> np.ndarray:
-    return e.memo(
-        ("span", party, rows, float(tol)),
-        lambda: span_basis(e.party_arrays[party][list(rows)], tol),
-    )
-
-
 def block_span(
     e: Ensemble, block: Sequence[str], party: int, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """Orthonormal basis of the span of ``block``'s vectors at ``party``, as rows.
 
-    :func:`~loccdist.linalg.span_basis` on the block's rows in the order
-    given, kept in :meth:`Ensemble.memo` per ``(party, rows, tol)``.
+    :func:`~loccdist.linalg.span_basis` on the block's rows in the order given.
     """
-    return _span(e, party, tuple(e.index(label) for label in block), tol)
+    return span_basis(e.party_arrays[party][[e.index(label) for label in block]], tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,12 +297,12 @@ def _check_splits(
 
     ``blocks`` are :func:`_blocks` of ``party`` and ``mask``.  Pass two of
     :func:`~loccdist.distinguish.decide` hands over every split of the tree
-    at once; :func:`_checked_spans` hands over one.  The block spans missing
-    from :meth:`Ensemble.memo` are made together by :func:`_new_spans` and
-    kept per ``("span", party, rows, tol)``.  A split with a span of rank
-    two or more is decided by :func:`_cross_check`; one whose spans all have
-    one row passes unchecked, by this bound, with u = 2**-53 and d the
-    party's dimension:
+    at once; :func:`_checked_spans` hands over one.  The spans of all their
+    blocks, each block once in the order first met, are made together by
+    :func:`_new_spans` and kept only in the checked entries.  A split with
+    a span of rank two or more is decided by :func:`_cross_check`; one whose
+    spans all have one row passes unchecked, by this bound, with u = 2**-53
+    and d the party's dimension:
 
     - Blocks A and B of the split share no edge, so every computed
       ``|<a|b>|`` of a row of A and a row of B is at most tol (an entry
@@ -329,18 +321,15 @@ def _check_splits(
     """
     out = [e.cached(("checked", party, mask, tol)) for party, mask, _ in splits]
     todo = [(x, *split) for x, split in enumerate(splits) if out[x] is None]
-    known = {(party, rows): e.cached(("span", party, rows, float(tol)))
-             for _, party, _, blocks in todo for rows in blocks}
-    new = sorted((key for key, span in known.items() if span is None),
-                 key=lambda key: (e.dims[key[0]], key[0]))
-    for (party, rows), span in zip(new, _new_spans(e, new, tol)):
-        known[party, rows] = e.memo(("span", party, rows, float(tol)), lambda: span)
+    spans = dict.fromkeys((party, rows) for _, party, _, blocks in todo for rows in blocks)
+    new = sorted(spans, key=lambda key: (e.dims[key[0]], key[0]))
+    spans.update(zip(new, _new_spans(e, new, tol)))
     for x, party, mask, blocks in todo:
-        spans = tuple(known[party, rows] for rows in blocks)
+        split = tuple(spans[party, rows] for rows in blocks)
         error = None
-        if max(map(len, spans)) > 1 or not _rank_one_pairs_pass(e.dims[party], tol):
-            error = _cross_check(party, spans, tol)
-        out[x] = error or e.memo(("checked", party, mask, tol), lambda: spans)
+        if max(map(len, split)) > 1 or not _rank_one_pairs_pass(e.dims[party], tol):
+            error = _cross_check(party, split, tol)
+        out[x] = error or e.memo(("checked", party, mask, tol), lambda: split)
     return out
 
 

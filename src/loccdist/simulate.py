@@ -35,6 +35,7 @@ from .jsonio import (
 from .linalg import (
     DEFAULT_TOL,
     SVDResult,
+    _phase_fixed,
     _row_norms,
     emit_matrix,
     normalize_rows,
@@ -252,23 +253,13 @@ def _probabilities(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _finish(w: np.ndarray, norms: np.ndarray, tol: float) -> np.ndarray:
-    """Images of finite nonzero ``norms`` renormalized and phase-fixed, in place.
+    """Images of finite nonzero ``norms`` renormalized and phase-fixed.
 
-    :func:`normalize_rows`, magnitudes by ``hypot`` and the phase rule of
-    :func:`phase_normalize`, all on stacked rows, give each image the bits
-    of :func:`normalize` and :func:`phase_normalize` on that image alone,
-    but for the last bits of a one-entry image's phase fix, a contiguous
-    complex product.
+    :func:`normalize_rows` in place and :func:`_phase_fixed`, both on
+    stacked rows, give each image the bits of :func:`normalize` and
+    :func:`phase_normalize` on that image alone.
     """
-    w = normalize_rows(w, 0.0, norms)
-    mags = np.hypot(w.real, w.imag)
-    above = mags > tol
-    rows = np.arange(len(w))
-    first = above.argmax(axis=1)
-    lead = w[rows, first]
-    fix = above[rows, first] & ~((lead.imag == 0.0) & (lead.real > 0.0))
-    w[fix] *= (lead[fix].conj() / mags[rows, first][fix])[:, None]
-    return w
+    return _phase_fixed(normalize_rows(w, 0.0, norms), tol)
 
 
 def _apply_stack(

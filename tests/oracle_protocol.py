@@ -13,8 +13,8 @@ import dataclasses
 
 from loccdist import exhaustive_decide, oracle
 from loccdist.distinguish import TraceLeaf, TraceSplit, _step
-from loccdist.linalg import DEFAULT_TOL
-from loccdist.relativity import _mask, _span
+from loccdist.linalg import DEFAULT_TOL, span_basis
+from loccdist.relativity import _mask
 
 
 def oracle_verdict(e, tol=DEFAULT_TOL):
@@ -35,6 +35,6 @@ def _build(e, memo, mask, tol):
     if not entry:
         return TraceLeaf(e.labels[mask.bit_length() - 1])
     party, partition = entry
-    spans = tuple(_span(e, party, rows, tol) for rows in partition)
+    spans = tuple(span_basis(e.party_arrays[party][list(rows)], tol) for rows in partition)
     children = tuple(_build(e, memo, _mask(rows), tol) for rows in partition)
     return TraceSplit(step=_step(e, party, partition, spans), children=children)

@@ -732,6 +732,23 @@ def test_oracle_size_guard_is_usage_error(run, ensemble_file):
     assert "at most" in err
 
 
+@pytest.mark.parametrize(
+    "name, code, message",
+    [("cube64", EXIT_USAGE, "oracle handles at most 12 states, got 64"),
+     ("finkelstein9", EXIT_DATA, "ensemble 'finkelstein9' is not flagged complete")],
+)
+def test_an_oracle_file_is_refused_before_the_greedy_search(
+    run, ensemble_file, monkeypatch, name, code, message
+):
+    # a basis past 12 states used to run the whole greedy decide before the
+    # oracle refused it; a set that is no complete basis still exits 65
+    searched = []
+    monkeypatch.setattr(loccdist.cli, "decide", lambda *args: searched.append(args))
+    got, out, err = run("oracle", ensemble_file(name))
+    assert (got, out, searched) == (code, "", [])
+    assert err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("dims, states", [("4,4", 16), ("2,64", 128)])
 def test_an_oversized_oracle_sweep_is_refused_before_any_basis_is_made(
     run, monkeypatch, dims, states

@@ -36,7 +36,7 @@ from loccdist import oracle
 from loccdist.errors import NumericalInstabilityError
 from loccdist.linalg import basis_vector
 from oracle_protocol import oracle_verdict
-from test_relativity import _unstable_ensemble
+from test_relativity import _made_spans, _unstable_ensemble
 from test_search_golden import POOL
 
 
@@ -154,21 +154,23 @@ def test_family_of_an_unstable_split_raises():
 @pytest.mark.parametrize(
     "make", [lambda: catalog("bennett9"), lambda: random_product_basis((2, 2, 3), 4, depth=5)]
 )
-def test_no_span_is_computed_for_a_connected_graph(make):
+def test_no_span_is_computed_for_a_connected_graph(monkeypatch, make):
     # neither search measures a party whose graph on the whole ensemble is
     # connected, so nobody computes that party's span of every state
     e = make()
     everything = tuple(range(len(e.labels)))
     connected = [p for p in range(e.parties) if len(overlap_graph(e, e.labels, p).blocks()) == 1]
     assert len(connected) == 2
-    decide(e, "complete")
+    made = _made_spans(monkeypatch)
+    verdict = decide(e, "complete")
     exhaustive_decide(e)
-    spans = [key for key in e._memo if key[0] == "span"]
-    assert not [key for key in spans if key[1] in connected and key[2] == everything]
+    spans = [(party, rows) for party, rows, _ in made]
+    assert bool(spans) == verdict.distinguishable  # bennett9 never splits
+    assert not [key for key in spans if key[0] in connected and key[1] == everything]
     # a one-block family offers exactly the trivial partition, still computing no span
     for party in connected:
         assert enumerate_valid_partitions(e, e.labels, party).partitions == ((e.labels,),)
-    assert [key for key in e._memo if key[0] == "span"] == spans
+    assert [(party, rows) for party, rows, _ in made] == spans
 
 
 def test_family_order_is_the_stable_sort_of_every_grouping_by_block_count():
@@ -323,13 +325,14 @@ def test_each_split_is_checked_once_and_the_oracle_tries_the_finest_first(
     # where a finest split fails, which never happens on a distinguishable basis
     e = make()
     built, enumerated = _built_keys(monkeypatch), _enumerations(monkeypatch)
+    made = _made_spans(monkeypatch)
     assert decide(e, "complete").kind == kind
     greedy = [key for key in built if key[0] == "checked"]
     assert exhaustive_decide(e).kind == kind
     checks = [key for key in built if key[0] == "checked"]
-    spans = [key for key in built if key[0] == "span"]
+    spans = [(party, rows) for party, rows, _ in made]
     assert len(set(checks)) == len(checks) and checks[: len(greedy)] == greedy
-    assert len(set(spans)) == len(spans)
+    assert len(set(spans)) == len(spans) and bool(spans) == bool(checks)
     assert bool(enumerated) == enumerates
     if kind == "distinguishable":  # the oracle takes the greedy's splits and checks none anew
         assert checks == greedy and greedy

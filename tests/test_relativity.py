@@ -570,6 +570,20 @@ def _packings(monkeypatch):
     return calls
 
 
+def _made_spans(monkeypatch):
+    """Every block span the checks make from here on, as ``(party, rows, span)`` in order."""
+    made = []
+    new_spans = relativity._new_spans
+
+    def recording(e, new, tol):
+        spans = new_spans(e, new, tol)
+        made.extend((party, rows, span) for (party, rows), span in zip(new, spans))
+        return spans
+
+    monkeypatch.setattr(relativity, "_new_spans", recording)
+    return made
+
+
 def test_search_graphs_hold_no_matrix_of_their_own(monkeypatch):
     # both searches walk bit masks: on a distinguishable basis neither builds
     # an OverlapGraph, and each party's bit rows, one row block of 12 states,
@@ -579,7 +593,7 @@ def test_search_graphs_hold_no_matrix_of_their_own(monkeypatch):
     assert decide(e, "complete").kind == exhaustive_decide(e).kind == "distinguishable"
     assert made == [] and len(packed) == e.parties
     assert sorted(k for k in e._memo if k[0] == "bits") == [("bits", p, TOL) for p in range(3)]
-    kinds = {"validate", "bits", "blocks", "span", "checked"}
+    kinds = {"validate", "bits", "blocks", "checked"}
     assert {k[0] for k in e._memo} == kinds
 
 
@@ -597,20 +611,24 @@ def test_stuck_searches_build_only_the_certificate_graphs(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_memoized_spans_equal_span_basis(seed):
+def test_memoized_spans_equal_span_basis(monkeypatch, seed):
+    # block_span is span_basis on the labelled rows; the checked spans of a
+    # partition are the same bytes, made once and kept with the split
     e = random_product_basis((3, 4), seed, depth=seed + 1)
+    made = _made_spans(monkeypatch)
     for tol in (TOL, 1e-6):
         for party in range(e.parties):
-            for block in overlap_graph(e, e.labels, party, tol).blocks() + (e.labels,):
+            g = overlap_graph(e, e.labels, party, tol)
+            for block in g.blocks() + (e.labels,):
                 rows = e.party_arrays[party][[e.index(label) for label in block]]
-                expected = span_basis(rows, tol)
-                got = block_span(e, block, party, tol)
-                assert block_span(e, block, party, tol) is got
-                assert got.shape == expected.shape and not got.flags.writeable
-                assert got.tobytes() == expected.tobytes()
-            part = components(overlap_graph(e, e.labels, party, tol), e, tol)
+                _assert_is_span_basis(block_span(e, block, party, tol), rows, tol)
+            before = len(made)
+            part = components(g, e, tol)
+            assert len(made) - before == len(part.blocks)
+            assert components(g, e, tol).spans is part.spans  # kept, and made no more
+            assert len(made) - before == len(part.blocks)
             for block, span in zip(part.blocks, part.spans):
-                assert span is block_span(e, block, party, tol)
+                assert span.tobytes() == block_span(e, block, party, tol).tobytes()
 
 
 def test_span_memo_keys_on_tol():
@@ -792,24 +810,29 @@ def test_stacked_spans_and_checks_are_those_of_span_basis_and_the_pairwise_loop(
     seed, dims, n, tol, data
 ):
     # every split of random subsets, all handed over at once, and random
-    # blocks of up to n rows (past span_basis's four-row scalar path)
+    # blocks of up to n rows: each block's span is made once, and a split
+    # that passes keeps exactly the spans made for its blocks
     e = _near_tol_ensemble(seed, dims, n, tol)
     masks = data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=6))
     splits = [(party, mask, relativity._blocks(e, party, mask, tol))
               for mask in masks for party in range(len(dims))]
     splits = [split for split in splits if len(split[2]) >= 2]
     fresh = _near_tol_ensemble(seed, dims, n, tol)
-    got = relativity._check_splits(fresh, splits, tol)
+    with pytest.MonkeyPatch.context() as mp:
+        made = _made_spans(mp)
+        got = relativity._check_splits(fresh, splits, tol)
+    spans = {(party, rows): span for party, rows, span in made}
+    assert len(spans) == len(made)
+    assert set(spans) == {(party, rows) for party, _, blocks in splits for rows in blocks}
     for (party, mask, blocks), result in zip(splits, got):
         a = e.party_arrays[party]
         for rows in blocks:
-            span = fresh.cached(("span", party, rows, tol))
-            _assert_is_span_basis(span, a[list(rows)], tol)
+            _assert_is_span_basis(spans[party, rows], a[list(rows)], tol)
         error = _pairwise_check(party, [span_basis(a[list(rows)], tol) for rows in blocks], tol)
         checked = fresh.cached(("checked", party, mask, tol))
         if error is None:
             assert result is checked
-            assert all(s is fresh.cached(("span", party, rows, tol)) for s, rows in zip(result, blocks))
+            assert all(s is spans[party, rows] for s, rows in zip(result, blocks))
         else:
             assert isinstance(result, NumericalInstabilityError) and str(result) == error
             assert checked is None
@@ -953,8 +976,9 @@ def _span_basis_calls(monkeypatch):
 def test_rank_one_spans_take_one_stacked_pass_per_party(monkeypatch, make):
     # every block span of these bases has one row: decide makes them all in
     # one call of the stacked pass per party, none through span_basis, and
-    # the checked spans are the memoized block spans
+    # the checked spans are the bytes of block_span
     e = make()
+    made = _made_spans(monkeypatch)
     spans, passes = _span_basis_calls(monkeypatch), []
     first_vectors = relativity._first_vectors
 
@@ -966,11 +990,11 @@ def test_rank_one_spans_take_one_stacked_pass_per_party(monkeypatch, make):
     verdict = decide(e, "complete")
     assert verdict.kind == "distinguishable"
     assert spans == [] and 1 <= len(passes) <= e.parties
-    assert all(len(span) == 1 for key, span in e._memo.items() if key[0] == "span")
+    assert made and all(len(span) == 1 for _, _, span in made)
     checked = [key for key in e._memo if key[0] == "checked"]
     assert checked
     for _, party, mask, tol in checked:
         blocks = overlap_graph(e, [e.labels[i] for i in range(len(e.labels)) if mask >> i & 1],
                                party, tol).blocks()
         for block, span in zip(blocks, e._memo[("checked", party, mask, tol)]):
-            assert span is block_span(e, block, party, tol)
+            assert span.tobytes() == block_span(e, block, party, tol).tobytes()

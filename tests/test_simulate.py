@@ -1066,6 +1066,22 @@ def test_run_walks_a_chain_deeper_than_the_recursion_limit():
         assert len(recs) == 1 and recs[0][0][:2000] == (0,) * 2000 and recs[0][1] == 1.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_finished_images_are_those_of_one_image_at_a_time(d):
+    # a stack of 1 to 64 images comes out of _finish as each image alone
+    # comes out of normalize and phase_normalize, bit for bit: one-entry
+    # images, as of a factor cut to dimension 1, and wider ones as a control
+    rng, tol = np.random.default_rng(d), 1e-9
+    for _ in range(1000):
+        k = int(rng.integers(1, 65))
+        w = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+        w *= 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+        w.imag[rng.random(k) < 0.2] = 0.0  # real leads, positive or negative
+        expected = b"".join(phase_normalize(normalize(v, tol), tol).tobytes() for v in w)
+        norms, _ = simulate._probabilities(w)
+        assert simulate._finish(w, norms, tol).tobytes() == expected
+
+
 def test_stacks_group_operators_by_output_dimension():
     # a qutrit cut into a qubit and a one-dimensional factor, operators interleaved
     cut = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8j], [0.0, 0.8, -0.6j]])
