@@ -237,11 +237,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
-    ensembles = []
     if args.ensemble is not None:
         if args.seed_sweep is not None:
             raise _UsageError("give either an ensemble path or --seed-sweep, not both")
-        ensembles.append(parse_ensemble(_read_file(args.ensemble), tol))
+        ensembles = [parse_ensemble(_read_file(args.ensemble), tol)]
     else:
         if args.seed_sweep is None:
             raise _UsageError("oracle needs an ensemble path or --seed-sweep")
@@ -258,8 +257,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if args.depth < 0:
             raise _UsageError(f"--depth must be non-negative, got {args.depth}")
         _require_small(math.prod(dims))  # before any basis is generated
-        for seed in range(args.seed_sweep):
-            ensembles.append(random_product_basis(dims, seed, args.depth))
+        # one basis at a time: each dies with its memo before the next is made
+        ensembles = (random_product_basis(dims, seed, args.depth)
+                     for seed in range(args.seed_sweep))
     cases = []
     for e in ensembles:
         ensure_complete(e, tol)  # refused before any search; decide reuses the validation

@@ -13,11 +13,12 @@ degrades to unknown.
 :func:`decide` runs in two passes.  The first walks the split tree in
 pre-order from the parties' bit rows alone, recording each node as a
 leaf, a stuck block or a split with its party and blocks.  The second
-hands every recorded split to :func:`loccdist.relativity._check_splits`,
-which makes all of their block spans and checks every two blocks of each
-in stacked products, filling the ensemble's span and checked memo entries;
-the trace is then built from the pre-order list, and the first split in
-pre-order whose check failed raises its NumericalInstabilityError.
+hands every recorded split, in pre-order, to
+:func:`loccdist.relativity._check_splits`, which makes all of their block
+spans and checks every two blocks of each in stacked products, filling the
+ensemble's checked memo entries; the first split in pre-order whose check
+fails raises its NumericalInstabilityError there.  The trace is then built
+from the pre-order list.
 
 One tree type, :data:`TraceNode`, is both exploration and protocol:
 :class:`TraceSplit` steps over :class:`TraceLeaf` labels and
@@ -33,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .ensemble import Ensemble, ensure_complete, ensure_orthogonal
-from .errors import InvalidModeError, NumericalInstabilityError, SchemaError
+from .errors import InvalidModeError, SchemaError
 from .jsonio import canonical_dumps  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .jsonio import complex_rows_from_json, complex_to_json, parse_json
 from .linalg import DEFAULT_TOL, normalize_rows
@@ -165,12 +166,6 @@ def _finest(e: Ensemble, mask: int, tol: float) -> tuple[int, tuple] | None:
     return None
 
 
-def _split(e: Ensemble, mask: int, tol: float) -> tuple[int, tuple, tuple] | None:
-    """The first party whose graph on the states in ``mask`` splits, with its blocks and spans."""
-    found = _finest(e, mask, tol)
-    return None if found is None else (*found, _checked_spans(e, found[0], mask, tol))
-
-
 def _subset(e: Ensemble, mask: int) -> tuple[str, ...]:
     """The labels of the states in ``mask``, in ensemble order."""
     return tuple(label for i, label in enumerate(e.labels) if mask >> i & 1)
@@ -187,8 +182,9 @@ def finest_step(
     e: Ensemble, subset: tuple[str, ...], tol: float = DEFAULT_TOL
 ) -> MeasurementStep | None:
     """The component-partition measurement at the first party whose graph on ``subset`` splits."""
-    split = _split(e, _mask(e.index(label) for label in set(subset)), tol)
-    return None if split is None else _step(e, *split)
+    mask = _mask(e.index(label) for label in set(subset))
+    found = _finest(e, mask, tol)
+    return None if found is None else _step(e, *found, _checked_spans(e, found[0], mask, tol))
 
 
 def stuck_certificate(
@@ -219,9 +215,8 @@ def _build(e: Ensemble, nodes: Iterator, checked: Iterator, tol: float,
            stuck: list[StuckCertificate]) -> TraceNode:
     """The trace of the next subtree in ``nodes``; stuck blocks are appended in pre-order.
 
-    ``checked`` holds each split's checked spans, or its instability error,
-    in pre-order; a split takes them before its subtrees, so the first
-    unstable split in pre-order raises.
+    ``checked`` holds each split's checked spans in pre-order; a split takes
+    its spans before its subtrees.
     """
     party, mask, blocks = next(nodes)
     if party < 0 and not mask & (mask - 1):
@@ -230,8 +225,6 @@ def _build(e: Ensemble, nodes: Iterator, checked: Iterator, tol: float,
         stuck.append(stuck_certificate(e, _subset(e, mask), tol))
         return TraceStuck(stuck[-1])
     spans = next(checked)
-    if isinstance(spans, NumericalInstabilityError):
-        raise spans
     children = tuple(_build(e, nodes, checked, tol, stuck) for _ in blocks)
     return TraceSplit(step=_step(e, party, blocks, spans), children=children)
 

@@ -526,23 +526,23 @@ def _grid16_parts() -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _psi(name: str, dims: tuple[int, ...], parts: list, complete: bool = True) -> Ensemble:
-    """The states of ``parts``, one tuple of vectors each, labeled psi1, psi2, ..."""
-    states = tuple(ProductState(f"psi{i + 1}", vs) for i, vs in enumerate(parts))
-    return Ensemble(name, dims, states, complete)
+def _psi(name: str, parts: list, complete: bool = True) -> Ensemble:
+    """The states of ``parts``, one tuple of unit vectors each, labeled psi1, psi2, ..."""
+    arrays = [np.array(vectors, np.complex128) for vectors in zip(*parts)]
+    return _from_rows(name, [f"psi{i + 1}" for i in range(len(parts))], arrays, complete)
 
 
 def _bennett9() -> Ensemble:
-    return _psi("bennett9", (3, 3), _bennett9_parts())
+    return _psi("bennett9", _bennett9_parts())
 
 
 def _grid16() -> Ensemble:
-    return _psi("grid16", (4, 4), _grid16_parts())
+    return _psi("grid16", _grid16_parts())
 
 
 def _cube64() -> Ensemble:
     parts = [(a, b, basis_vector(4, c)) for c in range(4) for a, b in _grid16_parts()]
-    return _psi("cube64", (4, 4, 4), parts)
+    return _psi("cube64", parts)
 
 
 def _finkelstein9() -> Ensemble:
@@ -552,16 +552,13 @@ def _finkelstein9() -> Ensemble:
         normalize(np.array([1.0, -math.sqrt(3.0)]) / 2.0),
     ]
     parts = [(a, b, third[i // 3]) for i, (a, b) in enumerate(_bennett9_parts())]
-    return _psi("finkelstein9", (3, 3, 2), parts, complete=False)
+    return _psi("finkelstein9", parts, complete=False)
 
 
 def _comp2x2() -> Ensemble:
-    states = tuple(
-        ProductState(f"s{i}{j}", (basis_vector(2, i), basis_vector(2, j)))
-        for i in range(2)
-        for j in range(2)
-    )
-    return Ensemble("comp2x2", (2, 2), states, complete=True)
+    eye = np.eye(2, dtype=np.complex128)
+    labels = [f"s{i}{j}" for i in range(2) for j in range(2)]
+    return _from_rows("comp2x2", labels, [eye[[0, 0, 1, 1]], eye[[0, 1, 0, 1]]], complete=True)
 
 
 _CATALOG = {

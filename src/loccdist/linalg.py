@@ -339,7 +339,7 @@ def parse_matrix(data: object) -> np.ndarray:
         entries = data["entries"]
     except KeyError as exc:
         raise SchemaError(f"matrix is missing key {exc.args[0]!r}") from None
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (rows, cols)):
         raise SchemaError("matrix rows/cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise SchemaError(f"matrix needs exactly {rows * cols} entries")

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .distinguish import Verdict, _split, _subset, stuck_certificate
+from .distinguish import Verdict, _finest, _subset, stuck_certificate
 from .ensemble import Ensemble, ensure_complete
 from .errors import TooLargeError
 from .linalg import DEFAULT_TOL
@@ -131,7 +131,7 @@ def exhaustive_decide(e: Ensemble, tol: float = DEFAULT_TOL) -> Verdict:
     if _solve(e, memo, everything, tol):
         return Verdict(kind="distinguishable")
     stuck = everything
-    while (split := _split(e, stuck, tol)) is not None:
+    while (split := _finest(e, stuck, tol)) is not None:
         # an unsolved subset has an unsolved finest block, or its finest split would solve it
         stuck = next(mask for mask in map(_mask, split[1]) if not _solve(e, memo, mask, tol))
     certificate = stuck_certificate(e, _subset(e, stuck), tol)

@@ -30,7 +30,8 @@ runs the other rows' projections, one stacked pass per party dimension,
 and phase-fixes them all at once; blocks of rank two or more go through
 :func:`~loccdist.linalg.span_basis`.  Each split's spans are then checked
 pairwise, except pairs of two rank-one spans, which the graph's missing
-edges already keep far below the check's bound.  The entries hold the
+edges already keep far below the check's bound; the first split whose
+spans overlap raises NumericalInstabilityError.  The entries hold the
 bytes ``span_basis`` and the pairwise check give.  The oracle's coarser
 partitions make no spans: only a finest split is ever checked.
 """
@@ -174,16 +175,14 @@ class Partition:
     spans: tuple[np.ndarray, ...]
 
 
-def _cross_check(
-    party: int, spans: tuple[np.ndarray, ...], tol: float
-) -> NumericalInstabilityError | None:
-    """The instability error of a split's spans, or None when every two are orthogonal.
+def _cross_check(party: int, spans: tuple[np.ndarray, ...], tol: float) -> None:
+    """Raise NumericalInstabilityError unless every two of a split's spans are orthogonal.
 
     Distinct blocks have no edges between them, so their spans must come out
     orthogonal (the non-damaging condition of Walgate & Hardy, PRL 89,
     147901, 2002).  One product per pair of spans checks it; the first
     overlap beyond 10 * tol means the tolerance no longer separates signal
-    from noise and is reported as instability rather than silently absorbed.
+    from noise and is raised as instability rather than silently absorbed.
     Where :func:`_rank_one_pairs_pass` holds, a pair of two one-row spans
     cannot fail and is skipped, so the first failing pair is the same.
     """
@@ -194,11 +193,10 @@ def _cross_check(
         overlaps = np.abs(spans[i].conj() @ spans[j].T)
         if overlaps.size and overlaps.max() > 10.0 * tol:  # spans are finite, so no NaN
             first = overlaps.flat[np.flatnonzero(overlaps > 10.0 * tol)[0]]
-            return NumericalInstabilityError(
+            raise NumericalInstabilityError(
                 f"blocks {i} and {j} at party {party} have span overlap "
                 f"{first:.3e}, beyond 10*tol"
             )
-    return None
 
 
 def _rank_one_pairs_pass(d: int, tol: float) -> bool:
@@ -292,8 +290,8 @@ def _chunk_spans(e: Ensemble, chunk: list, tol: float, width: int) -> list:
 
 def _check_splits(
     e: Ensemble, splits: Sequence[tuple[int, int, tuple]], tol: float
-) -> list[tuple[np.ndarray, ...] | NumericalInstabilityError]:
-    """The checked spans of each ``(party, mask, blocks)`` split, or the check's error.
+) -> list[tuple[np.ndarray, ...]]:
+    """The checked spans of each ``(party, mask, blocks)`` split.
 
     ``blocks`` are :func:`_blocks` of ``party`` and ``mask``.  Pass two of
     :func:`~loccdist.distinguish.decide` hands over every split of the tree
@@ -315,9 +313,10 @@ def _check_splits(
       ``9 * tol > 2 * (d + 11) * u``.
 
     Below twice that bound (:func:`_rank_one_pairs_pass`), every pair is
-    checked.  A split that passes keeps its spans per ``("checked", party,
-    mask, tol)``; one that fails keeps nothing there and gets its error, so
-    it fails again on every call.
+    checked.  The splits are checked in the order given, and the first that
+    fails raises its NumericalInstabilityError.  A split that passes keeps
+    its spans per ``("checked", party, mask, tol)``; one that fails keeps
+    nothing there, so it fails again on every call.
     """
     out = [e.cached(("checked", party, mask, tol)) for party, mask, _ in splits]
     todo = [(x, *split) for x, split in enumerate(splits) if out[x] is None]
@@ -326,25 +325,21 @@ def _check_splits(
     spans.update(zip(new, _new_spans(e, new, tol)))
     for x, party, mask, blocks in todo:
         split = tuple(spans[party, rows] for rows in blocks)
-        error = None
         if max(map(len, split)) > 1 or not _rank_one_pairs_pass(e.dims[party], tol):
-            error = _cross_check(party, split, tol)
-        out[x] = error or e.memo(("checked", party, mask, tol), lambda: split)
+            _cross_check(party, split, tol)
+        out[x] = e.memo(("checked", party, mask, tol), lambda: split)
     return out
 
 
 def _checked_spans(e: Ensemble, party: int, mask: int, tol: float) -> tuple[np.ndarray, ...]:
     """The span of each of :func:`_blocks`' blocks, checked pairwise once per split.
 
-    :func:`_check_splits` on the one split; an unstable split raises its
-    NumericalInstabilityError.
+    The checked entry, never empty, if there is one; else
+    :func:`_check_splits` on the one split, which raises the
+    NumericalInstabilityError of an unstable split.
     """
     spans = e.cached(("checked", party, mask, tol))
-    if spans is None:
-        spans = _check_splits(e, ((party, mask, _blocks(e, party, mask, tol)),), tol)[0]
-    if isinstance(spans, NumericalInstabilityError):
-        raise spans
-    return spans
+    return spans or _check_splits(e, ((party, mask, _blocks(e, party, mask, tol)),), tol)[0]
 
 
 def components(g: OverlapGraph, e: Ensemble, tol: float = DEFAULT_TOL) -> Partition:

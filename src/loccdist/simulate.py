@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .distinguish import TraceLeaf, TraceNode, TraceStuck, decide
-from .ensemble import _CHUNK_ENTRIES, _NUMERIC, Ensemble, ProductState, _from_rows
+from .ensemble import _CHUNK_ENTRIES, Ensemble, _from_rows
 from .errors import DimensionError, InstrumentError, LoccError, NotFoundError, SchemaError
 from .jsonio import (
     canonical_dumps,
@@ -53,7 +53,6 @@ __all__ = [
     "SimLeaf",
     "SimNode",
     "SimTree",
-    "apply_operator",
     "builtin_protocol",
     "canonicalize_operator",
     "completeness_defect",
@@ -224,12 +223,6 @@ def _misfit(op: LocalOperator, dims: Sequence[int]) -> str | None:
     return None
 
 
-def _fit(op: LocalOperator, dims: Sequence[int]) -> None:
-    """Raise DimensionError unless op acts on a factor of a state with these dims."""
-    if (misfit := _misfit(op, dims)) is not None:
-        raise DimensionError(misfit)
-
-
 _OVERFLOW = "an outcome probability overflows a double"
 
 
@@ -260,48 +253,6 @@ def _finish(w: np.ndarray, norms: np.ndarray, tol: float) -> np.ndarray:
     :func:`phase_normalize` on that image alone.
     """
     return _phase_fixed(normalize_rows(w, 0.0, norms), tol)
-
-
-def _apply_stack(
-    ms: np.ndarray, v: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply a ``K x d_out x d`` stack of Kraus matrices to every row of a ``k x d`` array.
-
-    Returns every image's outcome probability, in the order of
-    :func:`_images`, the ascending numbers of the images whose probability
-    exceeds tol, and those images, finished by :func:`_finish`.  A
-    probability that is not a finite double raises SchemaError.
-    """
-    w = _images(ms, v)
-    norms, probs = _probabilities(w)
-    if not np.isfinite(norms).all():
-        raise SchemaError(_OVERFLOW)
-    kept = np.flatnonzero(probs > tol)
-    return probs, kept, _finish(w[kept], norms[kept], tol)
-
-
-def apply_operator(
-    s: ProductState, op: LocalOperator, tol: float = DEFAULT_TOL
-) -> tuple[ProductState | None, float]:
-    """Apply a Kraus operator to one party of a product state.
-
-    Returns the renormalized post-measurement state and the outcome
-    probability, or (None, prob) when the branch is annihilated
-    (prob <= tol).  Global phase of the updated factor is dropped.  The
-    factor acted on must be a numeric array, or SchemaError names it.
-    """
-    _fit(op, [len(v) for v in s.locals])
-    v = s.locals[op.party]
-    if not isinstance(v, np.ndarray) or v.dtype.kind not in _NUMERIC:
-        raise SchemaError(f"state {s.label!r} party {op.party} is not a numeric array")
-    probs, kept, images = _apply_stack(op.matrix[None], v[None, :], tol)
-    prob = float(probs[0])
-    if not kept.size:
-        return None, prob
-    images.setflags(write=False)
-    locals_ = list(s.locals)
-    locals_[op.party] = images[0]
-    return ProductState(s.label, tuple(locals_)), prob
 
 
 @dataclass(frozen=True)
@@ -621,14 +572,20 @@ def extend_with_projective(e: Ensemble, ins: Instrument, tol: float = DEFAULT_TO
     discriminate perfectly.
     """
     _require_complete((ins,), tol)
+    if (misfit := _misfit(ins.operators[0], e.dims)) is not None:
+        raise DimensionError(misfit)
     children: list[SimTree] = []
     for i, op in enumerate(ins.operators):
-        _fit(op, e.dims)
-        _, kept, images = _apply_stack(op.matrix[None], e.party_arrays[op.party], tol)
+        w = _images(op.matrix[None], e.party_arrays[op.party])
+        norms, probs = _probabilities(w)
+        if not np.isfinite(norms).all():
+            raise SchemaError(_OVERFLOW)
+        kept = np.flatnonzero(probs > tol)
         labels = [e.labels[j] for j in kept.tolist()]
         if len(labels) < 2:
             children.append(SimLeaf(labels[0] if labels else None))
             continue
+        images = _finish(w[kept], norms[kept], tol)
         arrays = [images if p == op.party else a[kept] for p, a in enumerate(e.party_arrays)]
         sub = _from_rows(f"{e.name}.outcome{i}", labels, arrays, complete=False)
         verdict = decide(sub, "incomplete", tol)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -605,11 +606,19 @@ def test_decompose_povm_element(run, tmp_path):
     assert doc["left"][0] == [[0, 0], [1, 0]]
 
 
-def test_decompose_rejects_bad_matrix(run, tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    ['{"rows": 2, "cols": 2, "entries": []}',
+     # true is no number: this ended in a traceback and exit 1
+     '{"rows": true, "cols": 1, "entries": [[2, 0]]}'],
+    ids=["entries", "bool-rows"],
+)
+def test_decompose_rejects_bad_matrix(run, tmp_path, text):
     path = tmp_path / "bad.json"
-    path.write_text('{"rows": 2, "cols": 2, "entries": []}', encoding="utf-8")
-    code, _, _ = run("decompose", str(path))
-    assert code == EXIT_DATA
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run("decompose", str(path))
+    assert (code, out) == (EXIT_DATA, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +733,23 @@ def test_oracle_seed_sweep(run):
     doc = json.loads(out)
     assert doc["agree"] is True
     assert len(doc["cases"]) == 3
+
+
+def test_an_oracle_sweep_holds_at_most_one_earlier_basis(run, monkeypatch):
+    # each basis carries its memo of graphs and spans, so the sweep makes a
+    # basis only once every basis before the last one has died
+    made, alive, make = [], [], loccdist.cli.random_product_basis
+
+    def tracked(*args):
+        alive.append(sum(ref() is not None for ref in made))
+        e = make(*args)
+        made.append(weakref.ref(e))
+        return e
+
+    monkeypatch.setattr(loccdist.cli, "random_product_basis", tracked)
+    code, out, _ = run("oracle", "--seed-sweep=6", "--dims=2,2,3", "--depth=5")
+    assert code == EXIT_OK and len(json.loads(out)["cases"]) == 6
+    assert len(alive) == 6 and max(alive) <= 1
 
 
 def test_oracle_size_guard_is_usage_error(run, ensemble_file):

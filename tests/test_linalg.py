@@ -572,6 +572,8 @@ def test_matrix_round_trip():
         {"rows": 1, "cols": 1, "entries": [[True, 0]]},
         {"rows": 1, "cols": 1, "entries": [[10**400, 0]]},
         {"rows": 1, "cols": 1, "entries": [[float("nan"), 0]]},
+        {"rows": True, "cols": 1, "entries": [[2, 0]]},  # true is not a number
+        {"rows": 1, "cols": True, "entries": [[1, 0]]},
     ],
 )
 def test_matrix_schema_errors(data):

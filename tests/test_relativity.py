@@ -809,33 +809,45 @@ def _assert_is_span_basis(got, rows, tol):
 def test_stacked_spans_and_checks_are_those_of_span_basis_and_the_pairwise_loop(
     seed, dims, n, tol, data
 ):
-    # every split of random subsets, all handed over at once, and random
-    # blocks of up to n rows: each block's span is made once, and a split
-    # that passes keeps exactly the spans made for its blocks
+    # every split of random subsets, and random blocks of up to n rows: the
+    # passing splits, all handed over at once, have each block's span made
+    # once and keep exactly the spans made for their blocks; every split,
+    # handed over in order, raises the first failing split's error, and no
+    # failing split keeps an entry
     e = _near_tol_ensemble(seed, dims, n, tol)
     masks = data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=6))
     splits = [(party, mask, relativity._blocks(e, party, mask, tol))
               for mask in masks for party in range(len(dims))]
     splits = [split for split in splits if len(split[2]) >= 2]
+    errors = [_pairwise_check(party, [span_basis(e.party_arrays[party][list(rows)], tol)
+                                      for rows in blocks], tol)
+              for party, _, blocks in splits]
+    passing = [split for split, error in zip(splits, errors) if error is None]
     fresh = _near_tol_ensemble(seed, dims, n, tol)
     with pytest.MonkeyPatch.context() as mp:
         made = _made_spans(mp)
-        got = relativity._check_splits(fresh, splits, tol)
+        got = relativity._check_splits(fresh, passing, tol)
     spans = {(party, rows): span for party, rows, span in made}
     assert len(spans) == len(made)
-    assert set(spans) == {(party, rows) for party, _, blocks in splits for rows in blocks}
-    for (party, mask, blocks), result in zip(splits, got):
+    assert set(spans) == {(party, rows) for party, _, blocks in passing for rows in blocks}
+    for (party, mask, blocks), result in zip(passing, got):
         a = e.party_arrays[party]
         for rows in blocks:
             _assert_is_span_basis(spans[party, rows], a[list(rows)], tol)
-        error = _pairwise_check(party, [span_basis(a[list(rows)], tol) for rows in blocks], tol)
-        checked = fresh.cached(("checked", party, mask, tol))
-        if error is None:
-            assert result is checked
-            assert all(s is spans[party, rows] for s, rows in zip(result, blocks))
-        else:
-            assert isinstance(result, NumericalInstabilityError) and str(result) == error
-            assert checked is None
+        assert result is fresh.cached(("checked", party, mask, tol))
+        assert all(s is spans[party, rows] for s, rows in zip(result, blocks))
+    first = next((x for x, error in enumerate(errors) if error is not None), None)
+    if first is not None:
+        again = _near_tol_ensemble(seed, dims, n, tol)
+        with pytest.raises(NumericalInstabilityError) as raised:
+            relativity._check_splits(again, splits, tol)
+        assert str(raised.value) == errors[first]
+        for x, ((party, mask, _), error) in enumerate(zip(splits, errors)):
+            kept = again.cached(("checked", party, mask, tol))
+            if error is not None:
+                assert kept is None
+            elif x < first:
+                assert kept is not None
     new = sorted({(party, tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))))
                   for party in range(len(dims))})
     for (party, rows), span in zip(new, relativity._new_spans(fresh, new, tol)):
@@ -883,21 +895,23 @@ def test_skipping_pairs_of_rank_one_spans_gives_the_errors_of_checking_every_pai
 ):
     # the check skips pairs of two one-row spans, which cannot fail, and at
     # tol 1e-15 a party of dimension 64 is past the bound and has every
-    # pair checked: each split fails, with the same message, exactly when
-    # the loop over every pair of its spans fails
+    # pair checked: each split, checked on its own, raises, with the same
+    # message, exactly when the loop over every pair of its spans fails
     e = _rank_mix_ensemble(seed, dims, n, tol)
     masks = data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=6))
     splits = [(party, mask, relativity._blocks(e, party, mask, tol))
               for mask in masks for party in range(len(dims))]
     splits = [split for split in splits if len(split[2]) >= 2]
-    got = relativity._check_splits(e, splits, tol)
-    for (party, mask, blocks), result in zip(splits, got):
+    for split in splits:
+        party, _, blocks = split
         a = e.party_arrays[party]
         error = _pairwise_check(party, [span_basis(a[list(rows)], tol) for rows in blocks], tol)
         if error is None:
-            assert not isinstance(result, NumericalInstabilityError)
-        else:
-            assert isinstance(result, NumericalInstabilityError) and str(result) == error
+            relativity._check_splits(e, [split], tol)
+            continue
+        with pytest.raises(NumericalInstabilityError) as raised:
+            relativity._check_splits(e, [split], tol)
+        assert str(raised.value) == error
 
 
 def _rotated_basis(seed, d):
@@ -916,9 +930,10 @@ def _rotated_basis(seed, d):
 def test_a_split_wider_than_a_chunk_is_decided_as_the_pairwise_loop_decides_it(
     monkeypatch, seed, make, stable
 ):
-    # the root split has more pairs of span rows than a chunk holds, so it
-    # is screened by its own slabbed Gram product; a stable one never
-    # reaches the pairwise check
+    # the root split has more pairs of span rows than a chunk holds, and
+    # its spans are still checked one pair at a time: a stable split of
+    # rank-one spans never reaches the pairwise check, and an unstable one
+    # raises the error of the loop over every pair
     e, tol = make(seed), 1e-6
     mask = (1 << len(e.labels)) - 1
     blocks = relativity._blocks(e, 0, mask, tol)
@@ -929,13 +944,15 @@ def test_a_split_wider_than_a_chunk_is_decided_as_the_pairwise_loop_decides_it(
     monkeypatch.setattr(
         relativity, "_cross_check", lambda *args: calls.append(1) or cross_check(*args)
     )
-    (result,) = relativity._check_splits(e, [(0, mask, blocks)], tol)
     error = _pairwise_check(0, spans, tol)
     assert (error is None) == stable
     if stable:
+        (result,) = relativity._check_splits(e, [(0, mask, blocks)], tol)
         assert calls == [] and all(a.tobytes() == b.tobytes() for a, b in zip(result, spans))
     else:
-        assert isinstance(result, NumericalInstabilityError) and str(result) == error
+        with pytest.raises(NumericalInstabilityError) as raised:
+            relativity._check_splits(e, [(0, mask, blocks)], tol)
+        assert str(raised.value) == error
 
 
 def test_the_span_check_of_a_wide_split_keeps_its_temporaries_small():

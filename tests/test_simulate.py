@@ -29,8 +29,6 @@ from loccdist import (
     SimNode,
     ZeroVectorError,
     apply_local_unitaries,
-    apply_operator,
-    basis_vector,
     builtin_protocol,
     canonicalize_operator,
     catalog,
@@ -225,7 +223,13 @@ def test_operator_matrix_is_frozen():
 
 
 # ---------------------------------------------------------------------------
-# apply_operator
+# one instrument on every state
+
+
+def _one_instrument(e, ins, tol=1e-9):
+    """Each state's branch probabilities by path after ``ins`` alone, every outcome giving up."""
+    report = run_protocol(e, SimNode(ins, tuple(SimLeaf(None) for _ in ins.operators)), tol)
+    return {label: dict(recs) for label, recs in report.branches.items()}
 
 
 def test_povm_branch_keeps_half_the_weight():
@@ -238,52 +242,44 @@ def test_povm_branch_keeps_half_the_weight():
     image = m @ psi1.locals[2]
     assert abs(float(np.linalg.norm(image) ** 2) - 0.5) < 1e-12  # oracle
 
-    op = LocalOperator(2, m)
-    post, prob = apply_operator(psi1, op)
-    assert abs(prob - 0.5) < 1e-12
-    assert post is not None
-    assert np.allclose(post.locals[2], [math.sqrt(3.0) / 2.0, -0.5], atol=1e-12)
-    # untouched parties keep their vectors bit for bit
-    assert np.array_equal(post.locals[0], psi1.locals[0])
-    assert np.array_equal(post.locals[1], psi1.locals[1])
+    assert abs(_one_instrument(e, _triple_instrument())["psi1"][(1,)] - 0.5) < 1e-12
+    # the branch's factor is (sqrt(3)/2, -1/2): measured in a basis that
+    # holds it, all of the branch's weight stays on that vector
+    half3 = math.sqrt(3.0) / 2.0
+    after = _projective(2, [[half3, -0.5], [0.5, half3]], [SimLeaf("psi1"), SimLeaf(None)])
+    tree = SimNode(_triple_instrument(), (SimLeaf(None), after, SimLeaf(None)))
+    recs = dict(run_protocol(e, tree).branches["psi1"])
+    assert abs(recs[(1, 0)] - 0.5) < 1e-12 and (1, 1) not in recs
 
 
 def test_orthogonal_branch_is_annihilated():
-    e = catalog("finkelstein9")
-    op = LocalOperator(2, _triple_matrices()[0])
-    post, prob = apply_operator(e.states[0], op)
-    assert post is None and prob < 1e-12
+    # the first POVM element is orthogonal to psi1's qubit factor (1, 0), so
+    # that branch is pruned and the other two keep all of the weight
+    probs = _one_instrument(catalog("finkelstein9"), _triple_instrument())["psi1"]
+    assert (0,) not in probs and abs(sum(probs.values()) - 1.0) < 1e-12
 
 
-def test_apply_operator_drops_global_phase():
-    s = catalog("comp2x2").states[0]
-    op = LocalOperator(0, 1.0j * np.eye(2))
-    post, prob = apply_operator(s, op)
-    assert abs(prob - 1.0) < 1e-12
-    assert np.allclose(post.locals[0], [1.0, 0.0])
-
-
-def test_apply_operator_dimension_checks():
-    s = catalog("comp2x2").states[0]
-    with pytest.raises(DimensionError):
-        apply_operator(s, LocalOperator(5, np.eye(2)))
-    with pytest.raises(DimensionError):
-        apply_operator(s, LocalOperator(0, np.eye(3)))
-
-
-@pytest.mark.parametrize("local", [[1.0, 0.0], np.array(["1", "0"])], ids=["list", "strings"])
-def test_apply_operator_refuses_a_factor_that_is_not_a_numeric_array(local):
-    s = ProductState("b", (basis_vector(2, 0), local))
-    with pytest.raises(SchemaError, match=r"state 'b' party 1 is not a numeric array"):
-        apply_operator(s, LocalOperator(1, np.eye(2)))
+@pytest.mark.parametrize("runner", [_one_instrument, extend_with_projective], ids=["run", "extend"])
+def test_an_instrument_that_does_not_fit_the_states_is_refused(runner):
+    e = catalog("comp2x2")
+    with pytest.raises(DimensionError, match="state has no party 5"):
+        runner(e, Instrument(5, (LocalOperator(5, np.eye(2)),)))
+    with pytest.raises(DimensionError, match="operator expects dimension 3, state party 0 has 2"):
+        runner(e, Instrument(0, (LocalOperator(0, np.eye(3)),)))
 
 
 def test_rectangular_operator_shrinks_the_factor():
-    s = catalog("comp2x2").states[0]
-    op = LocalOperator(0, np.array([[1.0, 0.0]]))
-    post, prob = apply_operator(s, op)
-    assert abs(prob - 1.0) < 1e-12
-    assert post.locals[0].shape == (1,) and not post.locals[0].flags.writeable
+    # the two rows of the identity cut party 0 to dimension 1: below them a
+    # 1 x 1 operator fits the factor, and a 2 x 2 one does not
+    e = catalog("comp2x2")
+    rows = Instrument(0, (LocalOperator(0, [[1.0, 0.0]]), LocalOperator(0, [[0.0, 1.0]])))
+    line = SimNode(Instrument(0, (LocalOperator(0, [[1.0]]),)), (SimLeaf(None),))
+    report = run_protocol(e, SimNode(rows, (line, SimLeaf(None))))
+    assert dict(report.branches) == {"s00": (((0, 0), 1.0),), "s01": (((0, 0), 1.0),),
+                                     "s10": (((1,), 1.0),), "s11": (((1,), 1.0),)}
+    square = SimNode(Instrument(0, (LocalOperator(0, np.eye(2)),)), (SimLeaf(None),))
+    with pytest.raises(DimensionError, match="operator expects dimension 2, state party 0 has 1"):
+        run_protocol(e, SimNode(rows, (square, SimLeaf(None))))
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +539,10 @@ def test_extension_handles_empty_and_single_survivor_arms():
 
 
 def _reference_extension(e, ins, tol):
-    """extend_with_projective as it was: each survivor rebuilt by apply_operator."""
+    """extend_with_projective as it was: each survivor rebuilt by :func:`_reference_step`."""
     children = []
     for i, op in enumerate(ins.operators):
-        survivors = [t for t, _ in (apply_operator(s, op, tol) for s in e.states) if t is not None]
+        survivors = [t for t, _ in (_reference_step(s, op, tol) for s in e.states) if t is not None]
         if len(survivors) < 2:
             children.append(SimLeaf(survivors[0].label if survivors else None))
             continue
@@ -733,15 +729,28 @@ def test_instrument_bases_decode_like_one_basis_at_a_time():
             todo.extend(zip(a.children, b.children))
 
 
-def test_apply_operator_overflow_is_refused_without_a_warning():
+@pytest.mark.parametrize("runner", [_one_instrument, extend_with_projective], ids=["run", "extend"])
+def test_overflow_is_refused_without_a_warning(monkeypatch, runner):
     # pytest turns numpy's RuntimeWarning into an error, so a warning from
-    # the image's squared norm fails this test before SchemaError is seen
-    s = catalog("comp2x2").states[0]
+    # the image's squared norm fails this test before SchemaError is seen;
+    # a scaled identity is not complete, so the completeness check is lifted
+    monkeypatch.setattr("loccdist.simulate._require_complete", lambda ins, tol: None)
+    e = catalog("comp2x2")
     with pytest.raises(SchemaError, match="probability overflows"):
-        apply_operator(s, LocalOperator(0, 1e200 * np.eye(2)))
+        runner(e, Instrument(0, (LocalOperator(0, 1e200 * np.eye(2)),)))
     # a norm near the overflow edge, with a finite probability, still works
-    out, prob = apply_operator(s, LocalOperator(0, 1e150 * np.eye(2)))
-    assert math.isclose(prob, 1e300) and out.locals[0].tolist() == [1.0, 0.0]
+    runner(e, Instrument(0, (LocalOperator(0, 1e150 * np.eye(2)),)))
+
+
+def test_a_probability_near_the_overflow_edge_keeps_the_unit_factor(monkeypatch):
+    # each image is its state's basis vector times 1e150: renormalized, it
+    # puts all of the branch's weight on one outcome of the basis below
+    monkeypatch.setattr("loccdist.simulate._require_complete", lambda ins, tol: None)
+    measure = _projective(0, np.eye(2), [SimLeaf(None), SimLeaf(None)])
+    tree = SimNode(Instrument(0, (LocalOperator(0, 1e150 * np.eye(2)),)), (measure,))
+    for label, recs in run_protocol(catalog("comp2x2"), tree).branches.items():
+        ((path, prob),) = recs
+        assert path == (0, int(label[1])) and math.isclose(prob, 1e300)
 
 
 def test_factored_basis_is_normalized_as_one_vector_at_a_time():
