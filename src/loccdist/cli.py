@@ -228,8 +228,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "sigmas": [float(s) for s in svd.sigmas],
         "rank": svd.rank,
         "physical": result.physical,
-        "left": [complex_to_json(row) for row in svd.left],
-        "right": [complex_to_json(row) for row in svd.right],
+        "left": complex_to_json(svd.left),
+        "right": complex_to_json(svd.right),
     }
     print(canonical_dumps(doc))
     return EXIT_OK

@@ -33,12 +33,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensemble import Ensemble, ensure_complete, ensure_orthogonal
+from .ensemble import Ensemble, _ones, ensure_complete, ensure_orthogonal
 from .errors import InvalidModeError, SchemaError
 from .jsonio import canonical_dumps  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .jsonio import complex_rows_from_json, complex_to_json, parse_json
 from .linalg import DEFAULT_TOL, normalize_rows
-from .relativity import OverlapGraph, _blocks, _check_splits, _checked_spans, _mask, overlap_graph
+from .relativity import OverlapGraph, _blocks, _check_splits, _mask, overlap_graph
 from .relativity import components  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "TraceStuck",
     "Verdict",
     "decide",
-    "finest_step",
     "parse_protocol",
     "protocol_from_json",
     "stuck_certificate",
@@ -168,7 +167,7 @@ def _finest(e: Ensemble, mask: int, tol: float) -> tuple[int, tuple] | None:
 
 def _subset(e: Ensemble, mask: int) -> tuple[str, ...]:
     """The labels of the states in ``mask``, in ensemble order."""
-    return tuple(label for i, label in enumerate(e.labels) if mask >> i & 1)
+    return tuple(e.labels[i] for i in _ones(mask))
 
 
 def _step(e: Ensemble, party: int, blocks: tuple, spans: tuple) -> MeasurementStep:
@@ -176,15 +175,6 @@ def _step(e: Ensemble, party: int, blocks: tuple, spans: tuple) -> MeasurementSt
     labels = e.labels
     outcomes = (StepOutcome(tuple(labels[i] for i in rows), s) for rows, s in zip(blocks, spans))
     return MeasurementStep(party=party, outcomes=tuple(outcomes))
-
-
-def finest_step(
-    e: Ensemble, subset: tuple[str, ...], tol: float = DEFAULT_TOL
-) -> MeasurementStep | None:
-    """The component-partition measurement at the first party whose graph on ``subset`` splits."""
-    mask = _mask(e.index(label) for label in set(subset))
-    found = _finest(e, mask, tol)
-    return None if found is None else _step(e, *found, _checked_spans(e, found[0], mask, tol))
 
 
 def stuck_certificate(
@@ -267,7 +257,7 @@ def _tree_to_json(t: TraceNode) -> dict:
     return {
         "party": t.step.party,
         "outcomes": [
-            {"block": list(o.block), "basis": [complex_to_json(b) for b in o.basis]}
+            {"block": list(o.block), "basis": complex_to_json(o.basis)}
             for o in t.step.outcomes
         ],
         "children": [_tree_to_json(c) for c in t.children],

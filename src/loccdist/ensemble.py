@@ -27,7 +27,7 @@ from .errors import (
     UnitarityError,
     ZeroVectorError,
 )
-from .jsonio import canonical_dumps, complex_rows_from_json, parse_json
+from .jsonio import canonical_dumps, complex_rows_from_json, complex_to_json, parse_json
 from .linalg import DEFAULT_TOL, _phase_fixed, basis_vector, normalize, normalize_rows
 
 __all__ = [
@@ -292,12 +292,6 @@ class ValidationReport:
     pairwise_orthogonal: bool
     complete_count: bool
     offending_pairs: tuple[tuple[str, str, float], ...]
-    claimed_complete: bool
-
-    @property
-    def passed(self) -> bool:
-        """Orthogonality holds and, if completeness was claimed, the count matches."""
-        return self.pairwise_orthogonal and (self.complete_count or not self.claimed_complete)
 
 
 def validate(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -322,7 +316,6 @@ def _validate(e: Ensemble, tol: float) -> ValidationReport:
         pairwise_orthogonal=not offending,
         complete_count=len(e.labels) == math.prod(e.dims),
         offending_pairs=tuple(offending),
-        claimed_complete=e.complete,
     )
 
 
@@ -453,14 +446,11 @@ def emit_ensemble(e: Ensemble, tol: float = DEFAULT_TOL) -> str:
     """Serialize to canonical JSON: phase-normalized vectors, 17 digit floats.
 
     Each party's rows are phase-normalized in one stacked pass by
-    :func:`~loccdist.linalg._phase_fixed` and become ``[re, im]`` pairs in
-    one ``tolist``.
+    :func:`~loccdist.linalg._phase_fixed` and become rows of ``[re, im]``
+    pairs in one :func:`~loccdist.jsonio.complex_to_json`.
     """
     # copies: _phase_fixed may turn rows in place, and party arrays are read-only
-    rows = [
-        _phase_fixed(a.copy(), tol).view(np.float64).reshape(*a.shape, 2).tolist()
-        for a in e.party_arrays
-    ]
+    rows = [complex_to_json(_phase_fixed(a.copy(), tol)) for a in e.party_arrays]
     states = [
         {"label": label, "vectors": list(vectors)} for label, vectors in zip(e.labels, zip(*rows))
     ]
@@ -599,6 +589,8 @@ def apply_local_unitaries(
             raise DimensionError(
                 f"party {p} unitary has shape {m.shape}, expected {(e.dims[p], e.dims[p])}"
             )
+        if not np.isfinite(m).all():
+            raise UnitarityError(f"party {p} matrix has non-finite entries")
         dev = float(np.max(np.abs(m.conj().T @ m - np.eye(e.dims[p]))))
         if dev > tol:
             raise UnitarityError(f"party {p} matrix deviates from unitarity by {dev:.3e}")

@@ -182,6 +182,6 @@ def complex_rows_from_json(rows: list, where: Callable[[int], str]) -> np.ndarra
 
 
 def complex_to_json(arr: np.ndarray) -> list:
-    """Complex entries, flattened row-major, as a list of ``[re, im]`` float pairs."""
-    flat = np.ascontiguousarray(arr, dtype=np.complex128).reshape(-1)
-    return flat.view(np.float64).reshape(-1, 2).tolist()
+    """Complex entries as ``[re, im]`` float pairs, nested in the array's shape."""
+    a = np.ascontiguousarray(arr, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()

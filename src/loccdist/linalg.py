@@ -352,5 +352,5 @@ def emit_matrix(arr: np.ndarray) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "entries": complex_to_json(a),
+        "entries": complex_to_json(a.reshape(-1)),
     }

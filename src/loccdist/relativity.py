@@ -18,13 +18,10 @@ pairwise once.  The decision procedure and the exhaustive oracle walk
 subsets as masks and share these entries.  :func:`overlap_graph` and
 :func:`components` show the same entries through labels; a graph copies no
 bit rows, and its edges are made only when read, as by a certificate.
-:func:`block_span` is :func:`~loccdist.linalg.span_basis` on a labelled
-block, and keeps nothing.
 
 The checked entries are filled by :func:`_check_splits`:
 :func:`~loccdist.distinguish.decide` hands it every split of its tree at
-once, and the oracle, :func:`components` and
-:func:`~loccdist.distinguish.finest_step` one split at a time through
+once, and the oracle and :func:`components` one split at a time through
 :func:`_checked_spans`.  It normalizes every new block's first row and
 runs the other rows' projections, one stacked pass per party dimension,
 and phase-fixes them all at once; blocks of rank two or more go through
@@ -53,7 +50,6 @@ from .linalg import DEFAULT_TOL, _phase_fixed, _residual, _row_norms, span_basis
 __all__ = [
     "OverlapGraph",
     "Partition",
-    "block_span",
     "chain_criterion",
     "components",
     "overlap_graph",
@@ -102,8 +98,8 @@ class OverlapGraph:
 
     Members keep the ensemble order; ``rows`` are their ascending state
     indices.  :attr:`row_blocks` reads the memo entry of :func:`_blocks`;
-    ``edges`` (label pairs, earlier member first, made on first read) and
-    :meth:`neighbors` read the party's bit rows masked to the members.
+    ``edges`` (label pairs, earlier member first, made on first read) reads
+    the party's bit rows masked to the members.
     """
 
     party: int
@@ -129,12 +125,6 @@ class OverlapGraph:
             out.update((labels[i], labels[j]) for j in _ones(bits[i] & later))
         return frozenset(out)
 
-    def neighbors(self, label: str) -> tuple[str, ...]:
-        if label not in self.members:
-            return ()
-        row = _bit_rows(self.ensemble, self.party, self.tol)[self.ensemble.index(label)]
-        return tuple(self.ensemble.labels[j] for j in _ones(row & _mask(self.rows)))
-
     @property
     def row_blocks(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as ascending state indices, ordered by earliest one."""
@@ -154,16 +144,6 @@ def overlap_graph(
         raise DimensionError(f"party {party} out of range for {e.parties} parties")
     rows = tuple(sorted({e.index(label) for label in subset}))  # NotFoundError for unknown labels
     return OverlapGraph(party, tuple(e.labels[i] for i in rows), rows, e, float(tol))
-
-
-def block_span(
-    e: Ensemble, block: Sequence[str], party: int, tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """Orthonormal basis of the span of ``block``'s vectors at ``party``, as rows.
-
-    :func:`~loccdist.linalg.span_basis` on the block's rows in the order given.
-    """
-    return span_basis(e.party_arrays[party][[e.index(label) for label in block]], tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +358,7 @@ def _extend(
     bits: list[int], rows: np.ndarray, i: int, on_path: int, size: int,
     path: list[int], orthobasis: list[np.ndarray], tol: float,
 ) -> bool:
-    """Extend ``path`` by state i and, depth-first, by neighbors off it, to ``size`` states.
+    """Extend ``path`` by state i, then depth-first by adjacent states off it, to ``size`` states.
 
     A state joins only if its row is independent of the path's rows:
     ``orthobasis`` holds their orthonormal basis.  On success ``path`` holds
@@ -391,7 +371,7 @@ def _extend(
     orthobasis.append(r)
     if len(path) == size:
         return True
-    for j in _ones(bits[i] & ~(on_path | 1 << i)):  # neighbors off the path, ascending
+    for j in _ones(bits[i] & ~(on_path | 1 << i)):  # adjacent states off the path, ascending
         if _extend(bits, rows, j, on_path | 1 << i, size, path, orthobasis, tol):
             return True
     path.pop()

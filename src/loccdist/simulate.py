@@ -55,7 +55,6 @@ __all__ = [
     "SimTree",
     "builtin_protocol",
     "canonicalize_operator",
-    "completeness_defect",
     "emit_sim_protocol",
     "extend_with_projective",
     "lift_protocol",
@@ -142,14 +141,9 @@ class Instrument:
         return tuple((tuple(ix), np.array([ops[i].matrix for i in ix])) for ix in groups.values())
 
 
-def completeness_defect(ins: Instrument) -> float:
-    """Largest entrywise deviation of sum(M†M) = A†A from the identity, A all stacked rows."""
-    return _defects((ins,))[0]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # overflow shows as an inf or NaN defect
 def _defects(instruments: Sequence[Instrument]) -> list[float]:
-    """:func:`completeness_defect` of each instrument, one ``A†A`` product per shape of ``A``.
+    """Per instrument, the largest entrywise deviation of sum(M†M) = A†A from the identity.
 
     ``A`` stacks an instrument's operators, those of one output dimension
     together in order of first appearance.  Instruments whose operators
@@ -178,7 +172,7 @@ def _defects(instruments: Sequence[Instrument]) -> list[float]:
 
 def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> bool:
     """True iff the operators sum to identity in the M†M sense, within tol."""
-    return completeness_defect(ins) <= tol
+    return _defects((ins,))[0] <= tol
 
 
 def _require_complete(instruments: Sequence[Instrument], tol: float) -> None:
@@ -637,7 +631,7 @@ def builtin_protocol(name: str, e: Ensemble, tol: float = DEFAULT_TOL) -> SimTre
 
 def _operator_to_json(op: LocalOperator) -> dict:
     if op.basis is not None:
-        return {"basis": [complex_to_json(b) for b in op.basis]}
+        return {"basis": complex_to_json(op.basis)}
     if op.complement:
         return {"complement": True}
     return emit_matrix(op.matrix)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -24,10 +25,10 @@ from loccdist import (
     apply_local_unitaries,
     basis_vector,
     catalog,
+    components,
     decide,
     emit_ensemble,
     exhaustive_decide,
-    finest_step,
     normalize,
     overlap_graph,
     parse_ensemble,
@@ -86,18 +87,19 @@ def _permute_states(e, perm):
 
 
 # ---------------------------------------------------------------------------
-# finest_step
+# the finest split
 
 
 def test_no_step_on_full_bennett9():
+    # the certificate raises SchemaError unless every party's graph is connected
     e = catalog("bennett9")
-    assert finest_step(e, e.labels) is None
+    assert stuck_certificate(e, e.labels).subset == e.labels
 
 
 def test_first_step_on_computational_basis():
     e = catalog("comp2x2")
-    step = finest_step(e, e.labels)
-    assert step is not None and step.party == 0
+    step = decide(e, "complete").trace.step
+    assert step.party == 0
     assert tuple(o.block for o in step.outcomes) == (("s00", "s01"), ("s10", "s11"))
     assert np.allclose(step.outcomes[0].basis, [[1.0, 0.0]])
     assert np.allclose(step.outcomes[1].basis, [[0.0, 1.0]])
@@ -105,8 +107,8 @@ def test_first_step_on_computational_basis():
 
 def test_cube64_root_step_splits_third_party_into_four():
     e = catalog("cube64")
-    step = finest_step(e, e.labels)
-    assert step is not None and step.party == 2
+    step = decide(e, "complete").trace.step
+    assert step.party == 2
     assert len(step.outcomes) == 4
     for c, outcome in enumerate(step.outcomes):
         assert outcome.block == tuple(f"psi{c * 16 + i + 1}" for i in range(16))
@@ -119,11 +121,13 @@ def test_step_projectors_resolve_the_subset_span():
     # the subset occupies at that party
     e = catalog("bennett9")
     subset = tuple(e.labels[3:])
-    step = finest_step(e, subset)
-    assert step is not None and step.party == 1
+    graphs = [overlap_graph(e, subset, party) for party in range(e.parties)]
+    g = next(g for g in graphs if len(g.blocks()) >= 2)
+    part = components(g, e)
+    assert part.party == 1
     total = np.zeros((3, 3), dtype=np.complex128)
-    for outcome in step.outcomes:
-        for b in outcome.basis:
+    for span in part.spans:
+        for b in span:
             total += np.outer(b, b.conj())
     stack = np.array([e.party_arrays[1][e.index(label)] for label in subset]).T
     q, _ = np.linalg.qr(stack)
@@ -415,6 +419,32 @@ def test_verdict_survives_local_unitaries(name):
     assert v.kind == base.kind
     if base.kind == "distinguishable":
         assert _tree_shape(v.tree) == _tree_shape(base.tree)
+
+
+def _kron(e, f):
+    """The product basis of ``e`` and ``f``: state ``a.b`` holds ``u_a (x) v_b`` at each party."""
+    arrays = [np.einsum("ni,mj->nmij", a, b).reshape(len(a) * len(b), -1)
+              for a, b in zip(e.party_arrays, f.party_arrays)]
+    labels = [f"{a}.{b}" for a in e.labels for b in f.labels]
+    return ensemble._from_rows(f"{e.name}*{f.name}", labels, arrays, e.complete and f.complete)
+
+
+def test_kronecker_product_is_distinguishable_iff_both_factors_are():
+    # a product of two complete bases can be told apart iff each factor can;
+    # up to n = 256, with many stuck blocks wherever a factor is one of the
+    # tile bases of Bennett et al. (PRA 59, 1070, 1999)
+    pool = [catalog(name) for name in ("bennett9", "grid16", "comp2x2")]
+    pool += [random_product_basis(dims, seed, depth=seed % 4)
+             for dims in [(2, 2), (3, 3), (2, 3), (2, 4)] for seed in range(6)]
+    alone = [decide(e, "complete").distinguishable for e in pool]
+    assert True in alone and False in alone
+    mismatches = []
+    for (e, x), (f, y) in itertools.product(zip(pool, alone), repeat=2):
+        k = _kron(e, f)
+        assert k.dims == tuple(a * b for a, b in zip(e.dims, f.dims))
+        if decide(k, "complete").distinguishable != (x and y):
+            mismatches.append(k.name)
+    assert len(pool) ** 2 == 729 and mismatches == []
 
 
 # ---------------------------------------------------------------------------

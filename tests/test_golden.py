@@ -9,7 +9,9 @@ operator bit for bit.  The "redressed" digest was taken from the
 per-operator replay that preceded the stacked kernel.  The `catalog emit`
 and `decompose` digests were taken while every vector was still wrapped in
 a one-vector class, so they pin that the catalog builders and the SVD's
-row order and phases survived its removal.
+row order and phases survived its removal.  The instrument-tree file
+digests were taken while each basis vector was still written by its own
+call of the complex codec.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import pytest
 
 from loccdist import (
     apply_local_unitaries,
+    builtin_protocol,
     catalog,
     decide,
     emit_ensemble,
@@ -172,3 +175,31 @@ def test_decompose_output_is_byte_identical(name, tmp_path, capsys):
     assert main(["decompose", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DECOMPOSE_GOLDEN[name]
+
+
+def _lifted(e):
+    return lift_protocol(decide(e, "complete").tree, e)
+
+
+# instrument tree -> sha256 of its emit_sim_protocol text, the file format
+# that simulate reads; the POVM tree writes dense matrices, the lifted trees
+# one basis per projector
+PROTOCOL_FILES = {
+    "comp2x2": lambda: _lifted(catalog("comp2x2")),
+    "random-3x3x3-seed1-depth6": lambda: _lifted(random_product_basis((3, 3, 3), 1, depth=6)),
+    "random-2x1x3-seed3-depth6": lambda: _lifted(random_product_basis((2, 1, 3), 3, depth=6)),
+    "finkelstein-povm": lambda: builtin_protocol("finkelstein-povm", catalog("finkelstein9")),
+}
+PROTOCOL_FILE_GOLDEN = {
+    "comp2x2": "6f0d24d12ffaafd460db670b9acdc9423314b81845e586a79ba2191d8c0de6b1",
+    "finkelstein-povm": "9da8a3c93c86a6c7b8d9f39d93c2b3227c691ceee14536db61e8dcee2e0d7d0c",
+    "random-2x1x3-seed3-depth6": "dfe3c215fde7cb82d978a45c242d994daaa1d4a41396f16c8cf45a402989c4a3",
+    "random-3x3x3-seed1-depth6": "f9bbb24e35f96a8b9971173611718b983975f8f015cbaae548a1154d1b5090db",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_FILE_GOLDEN))
+def test_instrument_tree_file_is_byte_identical(name):
+    text = emit_sim_protocol(PROTOCOL_FILES[name]())
+    assert ('"entries"' in text) == (name == "finkelstein-povm")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PROTOCOL_FILE_GOLDEN[name]

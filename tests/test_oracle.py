@@ -30,7 +30,7 @@ from loccdist import (
     overlap_graph,
     random_product_basis,
     run_protocol,
-    finest_step,
+    stuck_certificate,
 )
 from loccdist import oracle
 from loccdist.errors import NumericalInstabilityError
@@ -237,8 +237,8 @@ def test_oracle_agrees_with_greedy_on_generated_bases(dims, seed):
     assert greedy.kind == thorough.kind
     if thorough.kind == "distinguishable":
         assert run_protocol(e, lift_protocol(thorough.tree, e)).perfect
-    else:
-        assert finest_step(e, thorough.certificate.subset) is None
+    else:  # raises SchemaError unless every party's graph on the subset is connected
+        stuck_certificate(e, thorough.certificate.subset)
 
 
 def test_a_pool_pass_of_the_oracle_builds_no_protocol(monkeypatch):
@@ -261,7 +261,8 @@ def test_a_pool_pass_of_the_oracle_builds_no_protocol(monkeypatch):
 
 def test_oracle_certificate_subset_is_stuck():
     v = exhaustive_decide(catalog("bennett9"))
-    assert finest_step(catalog("bennett9"), v.certificate.subset) is None
+    # raises SchemaError unless every party's graph on the subset is connected
+    stuck_certificate(catalog("bennett9"), v.certificate.subset)
 
 
 def _bennett9_beside_three():

@@ -32,7 +32,6 @@ from loccdist import (
     builtin_protocol,
     canonicalize_operator,
     catalog,
-    completeness_defect,
     decide,
     extend_with_projective,
     lift_protocol,
@@ -106,14 +105,14 @@ def test_triple_povm_resolves_identity():
     total = sum(m.conj().T @ m for m in _triple_matrices())
     assert np.max(np.abs(total - np.eye(2))) < 1e-12
     ins = _triple_instrument()
-    assert completeness_defect(ins) < 1e-12
+    assert simulate._defects((ins,))[0] < 1e-12
     assert validate_instrument(ins)
 
 
 def test_incomplete_instrument_flagged():
     ins = Instrument(0, (LocalOperator(0, 0.5 * np.eye(2)),))
     assert not validate_instrument(ins)
-    assert abs(completeness_defect(ins) - 0.75) < 1e-12
+    assert abs(simulate._defects((ins,))[0] - 0.75) < 1e-12
 
 
 def test_instrument_structural_checks():
@@ -147,7 +146,7 @@ def test_bool_party_is_refused_at_construction():
     assert _sim_trees_equal(tree, again) and emit_sim_protocol(again) == text
 
 
-def test_completeness_defect_matches_the_sum_over_operators():
+def test_defect_matches_the_sum_over_operators():
     # one product A†A over the stacked rows, against sum(M†M) one operator
     # at a time; the order of the additions differs, so within 1e-12
     rng = np.random.default_rng(4)
@@ -156,7 +155,7 @@ def test_completeness_defect_matches_the_sum_over_operators():
         ins = Instrument(0, tuple(LocalOperator(0, m) for m in ms))
         d = shapes[0][1]
         loop = np.max(np.abs(sum(m.conj().T @ m for m in ms) - np.eye(d)))
-        assert abs(completeness_defect(ins) - loop) <= 1e-12 * max(1.0, loop)
+        assert abs(simulate._defects((ins,))[0] - loop) <= 1e-12 * max(1.0, loop)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -197,7 +196,7 @@ def test_stacked_defects_are_those_of_one_product_per_instrument():
     expected = [_defect_2d(ins) for ins in instruments]
     assert np.array(stacked).tobytes() == np.array(expected).tobytes()
     assert any(np.isnan(stacked)) and any(np.isinf(stacked))
-    alone = [completeness_defect(ins) for ins in instruments[:300]]
+    alone = [simulate._defects((ins,))[0] for ins in instruments[:300]]
     assert np.array(alone).tobytes() == np.array(stacked[:300]).tobytes()
 
 
@@ -1100,7 +1099,7 @@ def test_stacks_group_operators_by_output_dimension():
     for ix, ms in ins.stacks:
         for i, m in zip(ix, ms):
             assert m.tobytes() == ins.operators[i].matrix.tobytes()
-    assert completeness_defect(ins) < 1e-12
+    assert simulate._defects((ins,))[0] < 1e-12
 
 
 def test_confusion_lists_labels_in_ensemble_order():
