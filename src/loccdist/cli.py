@@ -42,14 +42,12 @@ from .errors import (
     TooLargeError,
 )
 from .jsonio import canonical_dumps, complex_to_json, parse_json
-from .linalg import DEFAULT_TOL, parse_matrix
+from .linalg import DEFAULT_TOL, parse_matrix, svd_decompose
 from .oracle import _require_small, exhaustive_decide
 from .simulate import (
     BUILTIN_PROTOCOL_NAMES,
-    LocalOperator,
     SimTree,
     builtin_protocol,
-    canonicalize_operator,
     lift_protocol,
     parse_sim_protocol,
     report_to_json,
@@ -95,7 +93,10 @@ def _read_file(path: str) -> str:
 
 
 def _resolve_tol(args: argparse.Namespace) -> float:
-    """``--tol``, else ``LOCC_TOL``, else the default; a finite positive number."""
+    """``--tol``, else ``LOCC_TOL``, else the default; a number above 0 and below 1.
+
+    At a tolerance of 1 or more no unit vector is told from zero.
+    """
     source, value = "--tol", args.tol
     if value is None:
         source, env = "LOCC_TOL", os.environ.get("LOCC_TOL")
@@ -105,8 +106,8 @@ def _resolve_tol(args: argparse.Namespace) -> float:
             value = float(env)
         except ValueError:
             raise _UsageError(f"LOCC_TOL is not a number: {env!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise _UsageError(f"{source} must be a finite positive number, got {value!r}")
+    if not 0 < value < 1:
+        raise _UsageError(f"{source} must be a finite positive number below 1, got {value!r}")
     return value
 
 
@@ -219,15 +220,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     matrix = parse_matrix(parse_json(_read_file(args.matrix)))
-    result = canonicalize_operator(LocalOperator(0, matrix), tol)
-    svd = result.svd
+    svd = svd_decompose(matrix, tol)
     doc = {
         "tol": tol,
         "rows": matrix.shape[0],
         "cols": matrix.shape[1],
         "sigmas": [float(s) for s in svd.sigmas],
         "rank": svd.rank,
-        "physical": result.physical,
+        "physical": all(s <= 1.0 + tol for s in svd.sigmas),
         "left": complex_to_json(svd.left),
         "right": complex_to_json(svd.right),
     }
@@ -262,8 +262,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                      for seed in range(args.seed_sweep))
     cases = []
     for e in ensembles:
-        ensure_complete(e, tol)  # refused before any search; decide reuses the validation
         _require_small(len(e.labels))
+        ensure_complete(e, tol)  # refused before any search; decide reuses the validation
         greedy = decide(e, "complete", tol)
         oracle = exhaustive_decide(e, tol)
         cases.append(

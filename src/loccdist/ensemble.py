@@ -28,7 +28,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .jsonio import canonical_dumps, complex_rows_from_json, complex_to_json, parse_json
-from .linalg import DEFAULT_TOL, _phase_fixed, basis_vector, normalize, normalize_rows
+from .linalg import DEFAULT_TOL, _phase_fixed, _row_norms, basis_vector, normalize, normalize_rows
 
 __all__ = [
     "CATALOG_NAMES",
@@ -89,15 +89,14 @@ def _positive_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(d) for d in dims)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing norm is reported below
 def _require_unit(a: np.ndarray, labels: Sequence[str], party: int) -> None:
     """Raise SchemaError unless every row of the ``n x d`` complex128 array is a finite unit vector.
 
     A norm passes within DEFAULT_TOL of 1.  The error names the first bad
     row's state and the party.
     """
-    x = a.view(np.float64)
-    for i, q in enumerate(np.einsum("ij,ij->i", x, x).tolist()):
-        n = math.sqrt(q)
+    for i, n in enumerate(_row_norms(a).tolist()):
         if not abs(n - 1.0) <= DEFAULT_TOL:
             at = f"state {labels[i]!r} party {party}"
             if not np.isfinite(a[i]).all():

@@ -113,11 +113,6 @@ def _is_finite_number(part: object) -> bool:
         return False
 
 
-# Lists at least this long are first checked in whole-list passes; below it
-# the fixed cost of those passes exceeds the per-entry loop's.
-_BULK_PAIRS = 16
-
-
 def _bulk_pairs(data: list) -> np.ndarray | None:
     """The flattened pairs as floats, or None unless every entry is valid.
 
@@ -142,41 +137,34 @@ def _flatten(data: list) -> np.ndarray:
 def complex_from_json(data: object, where: str) -> np.ndarray:
     """Convert a non-empty list of ``[re, im]`` number pairs to a 1-D complex array.
 
-    Booleans are not numbers here, and neither are non-finite values or
-    integers too large for a double: each raises SchemaError, with ``where``
-    prefixed to the message.
+    :func:`complex_rows_from_json` on the one vector, with ``where`` naming it.
     """
-    if not isinstance(data, list) or not data:
-        raise SchemaError(f"{where}: expected a non-empty list of [re, im] pairs")
-    flat = _bulk_pairs(data) if len(data) >= _BULK_PAIRS else None
-    if flat is None:
-        for i, pair in enumerate(data):
-            if not (
-                isinstance(pair, list)
-                and len(pair) == 2
-                and _is_finite_number(pair[0])
-                and _is_finite_number(pair[1])
-            ):
-                raise SchemaError(f"{where}: entry {i} must be a [re, im] pair of finite numbers")
-        flat = _flatten(data)
-    return flat.view(np.complex128)
+    return complex_rows_from_json([data], lambda _: where)
 
 
 def complex_rows_from_json(rows: list, where: Callable[[int], str]) -> np.ndarray:
-    """Decode a list of vectors, each a list of ``[re, im]`` pairs, in one pass.
+    """Decode a list of vectors, each a non-empty list of ``[re, im]`` number pairs.
 
     Returns all entries, concatenated in order, as one 1-D complex array.
-    Errors are those :func:`complex_from_json` raises on the first bad
-    vector, with ``where(j)`` naming vector j.
+    Every list is type-checked and converted in whole-list passes.  Only
+    when those fail does a per-entry loop look for the first bad entry of
+    the first bad vector.  Booleans are not numbers here, and neither are
+    non-finite values or integers too large for a double: each raises
+    SchemaError, with ``where(j)`` naming vector j.
     """
     for j, row in enumerate(rows):
         if not isinstance(row, list) or not row:
-            complex_from_json(row, where(j))
+            raise SchemaError(f"{where(j)}: expected a non-empty list of [re, im] pairs")
     pairs = list(itertools.chain.from_iterable(rows))
-    flat = _bulk_pairs(pairs) if len(pairs) >= _BULK_PAIRS else None
+    flat = _bulk_pairs(pairs)
     if flat is None:
         for j, row in enumerate(rows):
-            complex_from_json(row, where(j))
+            for i, pair in enumerate(row):
+                if not (isinstance(pair, list) and len(pair) == 2
+                        and all(map(_is_finite_number, pair))):
+                    at = f"{where(j)}: entry {i}"
+                    raise SchemaError(f"{at} must be a [re, im] pair of finite numbers")
+        # a list subclass or a numpy float passes the loop but not the exact types
         flat = _flatten(pairs)
     return flat.view(np.complex128)
 

@@ -9,7 +9,9 @@ the relativity graphs read.
 
 Every vector the package takes or returns is a read-only 1-D complex128
 array, and every family of vectors one read-only ``k x d`` array, one vector
-per row; each vector rule exists once, on rows.  :func:`normalize_rows` is
+per row; each vector rule exists once, on rows.  :func:`_entries` is the one
+check of a raw array passed in: a wrong or empty shape is a DimensionError,
+a non-finite entry a SchemaError.  :func:`normalize_rows` is
 the one normalize: it takes the norms as stacked real dot products, as
 ``np.linalg.norm`` takes one, and :func:`normalize` is its one-row case.
 :func:`_residual` is the one residual step, two ``np.vdot`` projection
@@ -47,26 +49,18 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-def _as_vector_entries(raw: object) -> np.ndarray:
-    """Coerce raw input to a finite 1-D complex128 array."""
-    arr = np.asarray(raw, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DimensionError("vector must have at least one entry")
-    if not np.isfinite(arr).all():
-        raise ValueError("vector entries must be finite")
-    return arr
+def _entries(raw: object, ndim: int) -> np.ndarray:
+    """Raw input as a complex128 array of ``ndim`` non-empty axes and finite entries.
 
-
-def _as_matrix_entries(raw: object) -> np.ndarray:
+    The one check of arrays a caller passes in: a wrong or empty shape
+    raises DimensionError, a non-finite entry SchemaError.  The array may
+    share memory with ``raw``.
+    """
     arr = np.asarray(raw, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got shape {arr.shape}")
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise DimensionError("matrix must have at least one row and one column")
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise DimensionError(f"expected a non-empty {ndim}-D array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
+        raise SchemaError(f"{ndim}-D array entries must be finite")
     return arr
 
 
@@ -141,7 +135,7 @@ def normalize(raw: object, tol: float = DEFAULT_TOL) -> np.ndarray:
     up to a few ulps are kept verbatim, and a squared norm that overflows
     is rescaled as there.
     """
-    v = normalize_rows(_as_vector_entries(raw)[None, :].copy(), tol)[0]
+    v = normalize_rows(_entries(raw, 1)[None, :].copy(), tol)[0]
     v.setflags(write=False)
     return v
 
@@ -296,7 +290,7 @@ def svd_decompose(a: object, tol: float = DEFAULT_TOL) -> SVDResult:
     so mathematically equal inputs produce identically ordered output.  A
     finite matrix whose singular values overflow a double raises SchemaError.
     """
-    arr = _as_matrix_entries(a)
+    arr = _entries(a, 2)
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
     if not np.isfinite(s).all():
         raise SchemaError("matrix singular values overflow a double")
@@ -348,7 +342,7 @@ def parse_matrix(data: object) -> np.ndarray:
 
 def emit_matrix(arr: np.ndarray) -> dict:
     """Serialize a complex matrix to the {"rows", "cols", "entries"} layout."""
-    a = _as_matrix_entries(arr)
+    a = _entries(arr, 2)
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),

@@ -34,19 +34,17 @@ from .jsonio import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    SVDResult,
+    _entries,
     _phase_fixed,
     _row_norms,
     emit_matrix,
     normalize_rows,
     parse_matrix,
     projectors,
-    svd_decompose,
 )
 
 __all__ = [
     "BUILTIN_PROTOCOL_NAMES",
-    "CanonicalOperator",
     "DiscriminationReport",
     "Instrument",
     "LocalOperator",
@@ -54,7 +52,6 @@ __all__ = [
     "SimNode",
     "SimTree",
     "builtin_protocol",
-    "canonicalize_operator",
     "emit_sim_protocol",
     "extend_with_projective",
     "lift_protocol",
@@ -84,12 +81,7 @@ class LocalOperator:
     def __post_init__(self) -> None:
         if not isinstance(self.party, int) or isinstance(self.party, bool) or self.party < 0:
             raise SchemaError(f"party must be a non-negative integer, got {self.party!r}")
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise DimensionError(f"operator matrix must be 2-D, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise SchemaError("operator matrix entries must be finite")
-        m = m.copy()
+        m = _entries(self.matrix, 2).copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -499,20 +491,6 @@ def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> Discri
     if run.failure is not None:
         raise run.failure
     return run.report()
-
-
-@dataclass(frozen=True)
-class CanonicalOperator:
-    """SVD form of a local operator plus a physicality flag."""
-
-    svd: SVDResult
-    physical: bool
-
-
-def canonicalize_operator(op: LocalOperator, tol: float = DEFAULT_TOL) -> CanonicalOperator:
-    """Deterministic SVD of the operator; physical iff no sigma exceeds 1 + tol."""
-    result = svd_decompose(op.matrix, tol)
-    return CanonicalOperator(svd=result, physical=all(s <= 1.0 + tol for s in result.sigmas))
 
 
 def _complement(party: int, mats: Sequence[np.ndarray]) -> LocalOperator:

@@ -298,17 +298,20 @@ def test_tol_env_must_be_a_positive_number(run, ensemble_file, monkeypatch):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1", "2"])
 @pytest.mark.parametrize("name", ["bennett9", "comp2x2"])
 def test_tol_must_be_finite_and_positive(run, ensemble_file, monkeypatch, name, value):
-    # a NaN tolerance used to reach normalize and exit 65 with a misleading message
+    # a NaN tolerance used to reach normalize and exit 65 with a misleading
+    # message; so did a tolerance of 1 or more, at which no unit vector parses
     code, out, err = run("check", f"--tol={value}", ensemble_file(name))
     assert (code, out) == (EXIT_USAGE, "")
     assert "--tol must be a finite positive number" in err
+    assert len(err.splitlines()) == 1
     monkeypatch.setenv("LOCC_TOL", value)
     code, out, err = run("check", ensemble_file(name))
     assert (code, out) == (EXIT_USAGE, "")
     assert "LOCC_TOL must be a finite positive number" in err
+    assert len(err.splitlines()) == 1
 
 
 def _staircase(m):
@@ -606,6 +609,39 @@ def test_decompose_povm_element(run, tmp_path):
     assert doc["left"][0] == [[0, 0], [1, 0]]
 
 
+def _decompose(run, tmp_path, m):
+    path = tmp_path / "op.json"
+    path.write_text(canonical_dumps(emit_matrix(m)), encoding="utf-8")
+    code, out, err = run("decompose", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    return json.loads(out)
+
+
+def test_decompose_rank_one_povm_element_is_physical(run, tmp_path):
+    # the element along (sqrt(3)/2, -1/2) of the trine POVM, off the axes
+    w = np.array([np.sqrt(3.0) / 2.0, -0.5])
+    m = np.sqrt(2.0 / 3.0) * np.outer(w, w)
+    doc = _decompose(run, tmp_path, m)
+    # oracle for the singular value: numpy's own SVD
+    assert abs(np.linalg.svd(m, compute_uv=False)[0] - np.sqrt(2.0 / 3.0)) < 1e-12
+    assert abs(doc["sigmas"][0] - np.sqrt(2.0 / 3.0)) < 1e-12
+    assert doc["rank"] == 1
+    assert doc["physical"] is True
+
+
+def test_decompose_amplifying_operator_is_unphysical(run, tmp_path):
+    doc = _decompose(run, tmp_path, 2.0 * np.eye(2))
+    assert np.allclose(doc["sigmas"], [2.0, 2.0])
+    assert doc["rank"] == 2
+    assert doc["physical"] is False
+
+
+def test_decompose_projector_is_physical(run, tmp_path):
+    doc = _decompose(run, tmp_path, np.diag([1.0, 0.0]))
+    assert np.allclose(doc["sigmas"], [1.0, 0.0])
+    assert doc["physical"] is True
+
+
 @pytest.mark.parametrize(
     "text",
     ['{"rows": 2, "cols": 2, "entries": []}',
@@ -773,6 +809,27 @@ def test_an_oracle_file_is_refused_before_the_greedy_search(
     got, out, err = run("oracle", ensemble_file(name))
     assert (got, out, searched) == (code, "", [])
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_an_oversized_oracle_file_is_refused_before_it_is_validated(
+    run, ensemble_file, tmp_path, monkeypatch
+):
+    # the completeness check of a large file used to run before the size
+    # guard: slow at thousands of states, and exit 65 instead of 64 for a
+    # file past 12 states that is no complete basis
+    checked = []
+    monkeypatch.setattr(loccdist.cli, "ensure_complete", lambda *args: checked.append(args))
+    code, out, err = run("oracle", ensemble_file("cube64"))
+    assert (code, out, checked) == (EXIT_USAGE, "", [])
+    assert err.splitlines() == ["error: oracle handles at most 12 states, got 64"]
+    monkeypatch.undo()
+    doc = json.loads(emit_ensemble(catalog("cube64")))
+    doc["states"], doc["complete"] = doc["states"][:20], False
+    path = tmp_path / "cube64-part.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run("oracle", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines() == ["error: oracle handles at most 12 states, got 20"]
 
 
 @pytest.mark.parametrize("dims, states", [("4,4", 16), ("2,64", 128)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -445,6 +446,54 @@ def test_kronecker_product_is_distinguishable_iff_both_factors_are():
         if decide(k, "complete").distinguishable != (x and y):
             mismatches.append(k.name)
     assert len(pool) ** 2 == 729 and mismatches == []
+
+
+def _merge(e, group):
+    """``e`` with the parties in ``group`` held as one, at the first one's place.
+
+    The merged party's row for each state is the Kronecker product of the
+    group's rows, in party order.
+    """
+    rows = functools.reduce(
+        lambda a, b: np.einsum("ni,nj->nij", a, b).reshape(len(a), -1),
+        [e.party_arrays[p] for p in group],
+    )
+    arrays = [rows if p == group[0] else a
+              for p, a in enumerate(e.party_arrays) if p == group[0] or p not in group]
+    return ensemble._from_rows(f"{e.name}/{group}", e.labels, arrays, e.complete)
+
+
+def test_merging_parties_keeps_a_distinguishable_basis_distinguishable():
+    # coarse-graining: parties that pool their systems can run any protocol
+    # the separate parties could, so a basis told apart by local measurements
+    # stays so when any group of its parties is merged into one party
+    # (the per-bipartition law behind Halder et al., PRL 122, 040403, 2019)
+    pool = [random_product_basis(dims, seed, depth)
+            for dims in [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2), (2, 3, 3)]
+            for depth in (2, 4, 6) for seed in range(8)]
+    cube = catalog("cube64")
+    rng = np.random.default_rng(5)
+    pool += [cube] + [apply_local_unitaries(cube, [random_unitary(d, rng) for d in cube.dims])
+                      for _ in range(3)]
+    merges = violations = 0
+    verdicts = set()
+    for e in pool:
+        alone = decide(e, "complete").distinguishable
+        for size in range(2, e.parties):
+            for group in itertools.combinations(range(e.parties), size):
+                merged = _merge(e, group)
+                assert len(merged.dims) == e.parties - size + 1
+                together = decide(merged, "complete").distinguishable
+                verdicts.add((alone, together))
+                merges += 1
+                violations += alone and not together
+    assert (len(pool), merges, violations) == (148, 612, 0)
+    # the random bases are all distinguishable; cube64 gives the other two pairs
+    assert verdicts == {(True, True), (False, True), (False, False)}
+    # cube64 is grid16 on A and B times the standard basis on C: told apart
+    # once A and B pool their systems, not when C joins either of them
+    assert [decide(_merge(cube, g), "complete").kind for g in [(0, 1), (0, 2), (1, 2)]] == [
+        "distinguishable", "indistinguishable", "indistinguishable"]
 
 
 # ---------------------------------------------------------------------------

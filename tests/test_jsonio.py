@@ -79,7 +79,8 @@ def test_codec_rejects_bad_entries(data):
 )
 @pytest.mark.parametrize("lead", [0, 1, 40])
 def test_codec_names_the_first_bad_entry(bad, lead):
-    # short lists and long ones, which are first checked whole, agree
+    # every list is first checked whole; the first bad entry is named at
+    # every position, in short lists and long ones
     data = [[0.5, -0.5]] * lead + [bad] + [[1, 0], [True, 0]]
     with pytest.raises(SchemaError, match=rf"^test: entry {lead} must be a \[re, im\] pair"):
         complex_from_json(data, "test")
@@ -97,17 +98,31 @@ def test_overlong_int_literal_is_a_parse_error():
 
 @given(st.lists(st.lists(st.tuples(doubles, doubles), min_size=1, max_size=6), min_size=1,
                 max_size=8))
-def test_rows_codec_is_the_per_row_codec_concatenated(rows):
+def test_rows_codec_is_pairwise_complex_conversion_concatenated(rows):
     data = [[list(pair) for pair in row] for row in rows]
-    expected = np.concatenate([complex_from_json(row, "test") for row in data])
+    expected = np.array([complex(re, im) for row in rows for re, im in row], dtype=np.complex128)
     assert complex_rows_from_json(data, lambda j: f"v{j}").tobytes() == expected.tobytes()
+
+
+class _Pair(list):
+    pass
+
+
+def test_pairs_that_fail_only_the_exact_type_pass_still_convert():
+    # a list subclass and a numpy float are valid pairs to the per-entry loop,
+    # though the whole-list pass checks exact types and refuses them
+    data = [[1, 0], _Pair([0.5, -2]), [np.float64(0.25), 3]]
+    expected = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+    for decoded in (complex_from_json(data, "test"),
+                    complex_rows_from_json([data[:1], data[1:]], lambda j: f"v{j}")):
+        assert decoded.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("bad", [[1.0], [True, 0], ["1", 0], [float("nan"), 0], [10**400, 0]])
 @pytest.mark.parametrize("rows", [3, 40])
 def test_rows_codec_names_the_first_bad_vector_and_entry(bad, rows):
-    # few entries take the per-entry loop, many the whole-list passes; both
-    # name the vector and the entry's index inside it, as one call per vector did
+    # few vectors or many, the error names the vector and the entry's index
+    # inside it, as one call per vector did
     data = [[[0.5, -0.5], [1, 0]] for _ in range(rows)]
     data[rows - 2] = [[1, 0], bad]
     data[rows - 1] = [[True, 0]]

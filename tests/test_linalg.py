@@ -8,6 +8,7 @@ the library is never its own oracle.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccdist import (
+    DimensionError,
+    LocalOperator,
     SVDResult,
     SchemaError,
     ZeroVectorError,
@@ -65,10 +68,37 @@ def unit_vectors(draw, dim=None):
 
 
 def test_normalize_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         normalize(np.array([np.inf, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         normalize(np.array([np.nan + 0j, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize(
+    "take",
+    [lambda m: normalize(m[0]), svd_decompose, emit_matrix, lambda m: LocalOperator(0, m)],
+    ids=["normalize", "svd_decompose", "emit_matrix", "LocalOperator"],
+)
+def test_every_raw_array_entry_refuses_non_finite_entries_as_bad_data(take, bad):
+    # one check for every raw array a caller passes in: a LoccError, not a
+    # plain ValueError, and no RuntimeWarning on the way
+    m = np.eye(2, dtype=np.complex128)
+    m[0, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match="finite"):
+            take(m)
+
+
+@pytest.mark.parametrize(
+    "take, shape",
+    [(normalize, (2, 2)), (normalize, (0,)), (svd_decompose, (2,)), (svd_decompose, (0, 2)),
+     (emit_matrix, (2, 0)), (lambda m: LocalOperator(0, m), (1, 2, 2))],
+)
+def test_every_raw_array_entry_refuses_a_wrong_or_empty_shape(take, shape):
+    with pytest.raises(DimensionError):
+        take(np.ones(shape, dtype=np.complex128))
 
 
 def test_basis_vector_and_normalize_return_read_only_arrays():

@@ -30,7 +30,6 @@ from loccdist import (
     ZeroVectorError,
     apply_local_unitaries,
     builtin_protocol,
-    canonicalize_operator,
     catalog,
     decide,
     extend_with_projective,
@@ -382,32 +381,6 @@ def test_rectangular_instrument_runs():
     tree = SimNode(ins, (SimLeaf("s00"), SimLeaf("s11")))
     report = run_protocol(e, tree)
     assert report.perfect
-
-
-# ---------------------------------------------------------------------------
-# canonicalize_operator
-
-
-def test_povm_element_is_rank_one_physical():
-    op = LocalOperator(2, _triple_matrices()[1])
-    # oracle for the singular value: numpy's own SVD
-    assert abs(np.linalg.svd(op.matrix, compute_uv=False)[0] - math.sqrt(2.0 / 3.0)) < 1e-12
-    canon = canonicalize_operator(op)
-    assert canon.physical
-    assert canon.svd.rank == 1
-    assert abs(canon.svd.sigmas[0] - math.sqrt(2.0 / 3.0)) < 1e-12
-
-
-def test_amplifying_operator_is_unphysical():
-    canon = canonicalize_operator(LocalOperator(0, 2.0 * np.eye(2)))
-    assert not canon.physical
-    assert np.allclose(canon.svd.sigmas, [2.0, 2.0])
-
-
-def test_projector_is_physical():
-    canon = canonicalize_operator(LocalOperator(0, np.diag([1.0, 0.0])))
-    assert canon.physical
-    assert np.allclose(canon.svd.sigmas, [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
