@@ -72,13 +72,6 @@ _CHUNK_ENTRIES = 1 << 12
 T = TypeVar("T")
 _MISSING = object()
 
-# Bulk products sum in another order than a pairwise np.vdot, which moves a
-# magnitude by a few ulps per party dimension.  Entries this close to tol are
-# recomputed pairwise, so every pair lands on the side of tol that the
-# pairwise inner product puts it on.
-_ROUNDING = 1e-12
-
-
 def _positive_dims(dims: Sequence[int]) -> tuple[int, ...]:
     """``dims`` as Python ints, if each is a Python or numpy integer of at least 1."""
     dims = tuple(dims)
@@ -237,9 +230,15 @@ def _bit_rows(e: Ensemble, party: int, tol: float) -> tuple[int, ...]:
     States i != j are relative iff ``|<u_i|u_j>| > tol``; this is the one
     home of that rule.  Built once per ``(party, tol)`` in one pass over
     row blocks of the Gram matrix, each block packed straight into ints, and
-    kept in :meth:`Ensemble.memo`.  An entry within ``_ROUNDING`` of ``tol``
-    is recomputed pairwise, earlier state first, so the rows are symmetric
-    and each pair lies on the side of ``tol`` that ``np.vdot`` puts it on.
+    kept in :meth:`Ensemble.memo`.  An entry within ``4 * (d + 4) * u`` of
+    ``tol``, with d the party's dimension and u = 2**-53, is recomputed
+    pairwise, earlier state first, so the rows are symmetric and each pair
+    lies on the side of ``tol`` that ``np.vdot`` puts it on.  That band is
+    enough: the bulk product and ``np.vdot`` of two unit vectors each lie
+    within about ``sqrt(2) * (d + 2) * u`` of the exact value (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 3.1), so they
+    differ by less than ``3 * (d + 3) * u``, and outside the band both land
+    on the same side of ``tol``.
     """
 
     def build() -> tuple[int, ...]:
@@ -249,12 +248,13 @@ def _bit_rows(e: Ensemble, party: int, tol: float) -> tuple[int, ...]:
         if n > MAX_GRAPH_STATES:
             raise TooLargeError(f"overlap graphs handle at most {MAX_GRAPH_STATES} states, got {n}")
         a = e.party_arrays[party]
+        band = 4 * (a.shape[1] + 4) * 2.0**-53
         step = max(1, _BLOCK_ENTRIES // max(n, 1))
         rows: list[int] = []
         for i0 in range(0, n, step):
             i1 = min(i0 + step, n)
             mags = np.abs(a[i0:i1].conj() @ a.T)
-            for k, j in zip(*np.nonzero(np.abs(mags - tol) <= _ROUNDING)):
+            for k, j in zip(*np.nonzero(np.abs(mags - tol) <= band)):
                 first, last = sorted((i0 + k, j))
                 mags[k, j] = abs(complex(np.vdot(a[first], a[last])))
             edges = mags > tol
@@ -333,13 +333,8 @@ def ensure_orthogonal(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport
 def ensure_complete(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Require a validated complete orthogonal product basis."""
     report = ensure_orthogonal(e, tol)
-    if not e.complete:
+    if not e.complete:  # a complete flag comes with prod(dims) states, as Ensemble requires
         raise InvalidModeError(f"ensemble {e.name!r} is not flagged complete")
-    if not report.complete_count:
-        raise InvalidModeError(
-            f"ensemble {e.name!r} has {len(e.labels)} states but dims {e.dims} "
-            f"require {math.prod(e.dims)}"
-        )
     return report
 
 

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NumericalInstabilityError
-from .ensemble import _CHUNK_ENTRIES, _ROUNDING, Ensemble, _bit_rows, _ones, ensure_complete
+from .ensemble import _CHUNK_ENTRIES, Ensemble, _bit_rows, _ones, ensure_complete
 from .linalg import DEFAULT_TOL, _phase_fixed, _residual, _row_norms, span_basis
 
 __all__ = [
@@ -189,6 +189,11 @@ def _rank_one_pairs_pass(d: int, tol: float) -> bool:
     return 9.0 * tol > 4.0 * (d + 11) * 2.0**-53
 
 
+# How far from tol a norm must lie for :func:`_first_vectors` to decide a block's
+# rank: far above the few ulps by which one projection pass and two can differ.
+_ROUNDING = 1e-12
+
+
 def _first_vectors(e: Ensemble, blocks: list, tol: float, out: np.ndarray) -> list[bool]:
     """Each ``(party, rows)`` block's first row normalized into ``out``; if it spans the block.
 
@@ -284,8 +289,9 @@ def _check_splits(
 
     - Blocks A and B of the split share no edge, so every computed
       ``|<a|b>|`` of a row of A and a row of B is at most tol (an entry
-      within ``_ROUNDING`` of tol is an ``np.vdot``).  Its rounding is at
-      most ``(d + 2) * u``, and every row is unit to within DEFAULT_TOL.
+      near tol is an ``np.vdot``, as in :func:`_bit_rows`).  Its rounding
+      is at most ``(d + 2) * u``, and every row is unit to within
+      DEFAULT_TOL.
     - A rank-one span is one row of its block, divided by its computed norm
       and turned by a unit phase.  Two of them overlap by at most
       ``tol * (1 + 1e-8) + (d + 18) * u`` exactly, and the check's product

@@ -24,7 +24,7 @@ import numpy as np
 
 from .distinguish import TraceLeaf, TraceNode, TraceStuck, decide
 from .ensemble import _CHUNK_ENTRIES, Ensemble, _from_rows
-from .errors import DimensionError, InstrumentError, LoccError, NotFoundError, SchemaError
+from .errors import DimensionError, InstrumentError, NotFoundError, SchemaError
 from .jsonio import (
     canonical_dumps,
     complex_from_json,
@@ -298,18 +298,21 @@ _Level = dict[tuple[int, ...], list[tuple]]  # frontier groups of rows per dims 
 class _Replay:
     """One run of an instrument tree: the tree numbered in pre-order, and what the run found.
 
-    A node's number is its position in pre-order.  Building the numbering
-    walks an explicit stack and checks every instrument for completeness.
+    A node's number is its position in pre-order.  The numbering walks an
+    explicit stack with the dims of the states that reach each node, and
+    checks the whole tree, as :func:`run_protocol` says, before any state runs.
     """
 
-    def __init__(self, root: SimTree, labels: tuple[str, ...], tol: float) -> None:
+    def __init__(self, root: SimTree, dims: tuple[int, ...], labels: tuple[str, ...],
+                 tol: float) -> None:
         self.nodes: list[SimTree] = []
         self.paths: list[tuple[int, ...]] = []
         self.kids: list = []  # each node's children's numbers
         self.leaf_announce: dict[tuple[int, ...], str | None] = {}
-        todo: list = [(root, (), -1, 0)]
+        misfit = None
+        todo: list = [(root, (), -1, 0, dims)]
         while todo:
-            node, path, parent, j = todo.pop()
+            node, path, parent, j, dims = todo.pop()
             if parent >= 0:
                 self.kids[parent][j] = len(self.nodes)
             self.nodes.append(node)
@@ -319,24 +322,23 @@ class _Replay:
                 self.leaf_announce[path] = node.announce
                 continue
             self.kids.append([0] * len(node.children))
-            at, children = len(self.nodes) - 1, node.children
-            todo.extend((children[i], path + (i,), at, i) for i in range(len(children) - 1, -1, -1))
+            at, ops, q = len(self.nodes) - 1, node.instrument.operators, node.instrument.party
+            misfit = misfit or _misfit(ops[0], dims)  # past the first, no dims is read
+            for i in reversed(range(len(ops))):  # child i's states: operator i's output at q
+                new = dims[:q] + (ops[i].out_dim,) + dims[q + 1 :]
+                todo.append((node.children[i], path + (i,), at, i, new))
         _require_complete([n.instrument for n in self.nodes if isinstance(n, SimNode)], tol)
         known = set(labels)
         for path, announce in self.leaf_announce.items():
             if announce is not None and announce not in known:
                 raise NotFoundError(f"leaf {path} announces unknown label {announce!r}")
+        if misfit is not None:
+            raise DimensionError(misfit)
         self.labels, self.tol = labels, tol
         self.leaf = np.array([isinstance(node, SimLeaf) for node in self.nodes])
         self.recorded: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in labels]
         self.flagged: list[tuple[int, tuple[int, ...], str]] = []
         self.reached: dict[int, list[int]] = {}  # leaf number: states landing above tol
-        self.failed, self.failure = len(self.nodes), None  # earliest failing node, its error
-
-    def fail(self, number: int, error: LoccError) -> None:
-        """Keep ``error`` if its node comes before every failing node met so far."""
-        if number < self.failed:
-            self.failed, self.failure = number, error
 
     def land(self, child: np.ndarray, states: np.ndarray, probs: np.ndarray) -> None:
         """Record each state's arrival at its leaf with its probability."""
@@ -351,33 +353,28 @@ class _Replay:
         arrivals: _Level = {}
         for dims, groups in level.items():
             group = _joined(groups)
-            # each buffer of images lives in measured alone, until handed over
-            measured = [self.measure(*buffer) for buffer in self.apply(dims, group).values()]
-            while measured:
-                for new, part in self.hand_over(dims, group, *measured.pop()):
+            # each buffer of images lives in buffers alone, until handed over
+            buffers = list(self.apply(dims, group).values())
+            while buffers:
+                for new, part in self.hand_over(dims, group, *buffers.pop()):
                     arrivals.setdefault(new, []).append(part)
         return arrivals
 
     def apply(self, dims: tuple[int, ...], group: tuple) -> dict[int, tuple]:
         """Every stack of every node of ``group`` on the node's rows, per output dimension.
 
-        Each node's rows are consecutive.  A node that does not fit ``dims``
-        fails, and a node after a failing one in pre-order is skipped.  The
-        images of each output dimension go into one buffer, block after
-        block; a block is one stack at one node, listed as its node, party,
-        first row, number of rows, first image and first child in the
-        buffer's list of the children of each block's operators.
+        Each node's rows are consecutive, and its operators fit ``dims``, as
+        the numbering checked.  The images of each output dimension go into
+        one buffer, block after block; a block is one stack at one node,
+        listed as its party, first row, number of rows, first image and
+        first child in the buffer's list of the children of each block's
+        operators.
         """
         at, _, _, arrays = group
         cuts = (np.flatnonzero(at[1:] != at[:-1]) + 1).tolist()
         runs, sizes = [], {}
         for number, a, b in zip(at[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(at)]):
-            if number > self.failed:
-                continue
             ins = self.nodes[number].instrument
-            if (misfit := _misfit(ins.operators[0], dims)) is not None:
-                self.fail(number, DimensionError(misfit))
-                continue
             runs.append((number, ins, a, b))
             for op in ins.operators:
                 sizes[op.out_dim] = sizes.get(op.out_dim, 0) + b - a
@@ -390,34 +387,24 @@ class _Replay:
                 w, blocks, children = buffers[d]
                 first, filled[d] = filled[d], filled[d] + len(ms) * (b - a)
                 _images(ms, v, out=w[first : filled[d]])
-                blocks.append((number, ins.party, a, b - a, first, len(children)))
+                blocks.append((ins.party, a, b - a, first, len(children)))
                 children.extend(kids[j] for j in ops)
         return buffers
 
-    def measure(self, w: np.ndarray, blocks: list, children: list) -> tuple:
-        """A buffer of images with their norms and probabilities, its blocks and children as arrays.
+    def hand_over(self, dims: tuple[int, ...], group: tuple, w: np.ndarray, blocks: list,
+                  children: list):
+        """Measure, prune, flag, finish and pass on one buffer of images, as :meth:`apply` fills it.
 
-        A node with an image whose probability is not a finite double fails.
-        """
-        norms, p = _probabilities(w)
-        blocks = np.array(blocks)
-        if not np.isfinite(norms).all():
-            bad = np.searchsorted(blocks[:, 4], np.flatnonzero(~np.isfinite(norms)), side="right")
-            self.fail(int(blocks[bad - 1, 0].min()), SchemaError(_OVERFLOW))
-        return w, norms, p, blocks, np.array(children)
-
-    def hand_over(self, dims: tuple[int, ...], group: tuple, w: np.ndarray, norms: np.ndarray,
-                  p: np.ndarray, blocks: np.ndarray, children: np.ndarray):
-        """Prune, flag, finish and pass on one buffer's images, as :meth:`measure` returns it.
-
-        Yields the frontier groups of the images that go on to a child.
+        A probability that is not a finite double raises SchemaError.  Yields
+        the frontier groups of the images that go on to a child.
         """
         _, states, probs, arrays = group
-        node, party, first_row, rows, starts, first_child = blocks.T
-        keep = p > self.tol
-        if self.failure is not None:  # no image of a failing node or of one after it goes on
-            keep &= np.repeat(node, np.diff(starts, append=len(w))) < self.failed
-        kept = np.flatnonzero(keep)
+        norms, p = _probabilities(w)
+        if not np.isfinite(norms).all():
+            raise SchemaError(_OVERFLOW)
+        party, first_row, rows, starts, first_child = np.array(blocks).T
+        children = np.array(children)
+        kept = np.flatnonzero(p > self.tol)
         blk = np.searchsorted(starts, kept, side="right") - 1
         t = kept - starts[blk]  # image j*k + r of its block
         j = t // rows[blk]
@@ -468,18 +455,19 @@ def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> Discri
     within a factor 100 of that threshold are flagged as warnings because
     the verdict starts to hinge on the tolerance.
 
-    A first pass numbers the nodes in pre-order and checks every instrument
-    and announcement.  The states then go down the tree one level at a
-    time.  A level is a flat frontier per dims of the states' factors: each
-    row's node, state, probability and factor at every party, a node's rows
-    consecutive and ascending by state.  Each node applies each of its
-    :attr:`Instrument.stacks` to its rows in one product; the norms,
-    probabilities, pruning, renormalization, phase fix, warnings and
-    hand-over to the children run once over all of a level's images.  Of
-    the errors the pass meets, the one at the node earliest in pre-order is
-    raised, as a depth-first walk would raise it.
+    A first pass numbers the nodes in pre-order and checks the whole tree,
+    reached or not: every instrument's completeness, then every announced
+    label, then every operator's fit to the dims of the states that would
+    reach it, the first misfit in pre-order raised.  The states then go
+    down the tree one level at a time.  A level is a flat frontier per dims
+    of the states' factors: each row's node, state, probability and factor
+    at every party, a node's rows consecutive and ascending by state.  Each
+    node applies each of its :attr:`Instrument.stacks` to its rows in one
+    product; the norms, probabilities, pruning, renormalization, phase fix,
+    warnings and hand-over to the children run once over all of a level's
+    images.  A probability that overflows a double raises SchemaError.
     """
-    run = _Replay(root, e.labels, tol)
+    run = _Replay(root, e.dims, e.labels, tol)
     n = len(e.labels)
     level: _Level = {}
     if n and run.leaf[0]:
@@ -488,8 +476,6 @@ def run_protocol(e: Ensemble, root: SimTree, tol: float = DEFAULT_TOL) -> Discri
         level[e.dims] = [(np.zeros(n, np.intp), np.arange(n), np.ones(n), e.party_arrays)]
     while level:
         level = run.advance(level)
-    if run.failure is not None:
-        raise run.failure
     return run.report()
 
 

@@ -562,6 +562,25 @@ def test_simulate_verdict_for_another_ensemble(run, ensemble_file, tmp_path, par
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_simulate_refuses_a_misfit_no_state_reaches(run, ensemble_file, tmp_path):
+    # comp2x2's protocol with a third root outcome, the zero operator, whose
+    # child is the identity on a qutrit: every instrument is complete, and
+    # the misfit is refused although no state reaches it
+    def measure(i):
+        ops = [{"basis": [[[1, 0], [0, 0]]]}, {"basis": [[[0, 0], [1, 0]]]}]
+        return {"party": 1, "operators": ops,
+                "children": [{"announce": f"s{i}0"}, {"announce": f"s{i}1"}]}
+    qutrit = {"party": 0, "operators": [emit_matrix(np.eye(3))], "children": [{"announce": None}]}
+    ops = [emit_matrix(m) for m in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2)))]
+    proto = tmp_path / "proto.json"
+    proto.write_text(canonical_dumps({"party": 0, "operators": ops,
+                                      "children": [measure(0), measure(1), qutrit]}),
+                     encoding="utf-8")
+    code, out, err = run("simulate", ensemble_file("comp2x2"), str(proto))
+    assert (code, out) == (EXIT_DATA, "")
+    assert err == "error: operator expects dimension 3, state party 0 has 2\n"
+
+
 def test_simulate_verdict_naming_an_unknown_block_label(run, ensemble_file, tmp_path):
     # the leaves still announce known labels; only the root outcome's block
     # names a state the ensemble lacks

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -507,6 +508,47 @@ def test_stuck_certificate_for_full_bennett9():
     assert tuple(g.party for g in cert.graphs) == (0, 1)
     for g in cert.graphs:
         assert g.edges == overlap_graph(e, e.labels, g.party).edges
+
+
+@pytest.mark.parametrize("name", ["cube64", "comp2x2"])
+def test_traces_compare_and_hash_by_value(name):
+    # two separately built copies: their graphs, spans and bases are equal
+    # values in distinct objects, so the comparison reads every field
+    a, b = (decide(catalog(name), "complete").trace for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a, b} == {a} and b in {a}
+
+
+def _tilted9():
+    """bennett9 with its two party-1 tiles turned by unequal angles, still a complete basis.
+
+    Four overlaps at party 1 become products of the angles' sines and
+    cosines, each unlike every other overlap of the basis.
+    """
+    t, f = 0.80, 0.75
+    k = lambda i: basis_vector(3, i)
+    parts = [
+        (k(0), k(0)),
+        (k(2), math.cos(t) * k(2) + math.sin(t) * k(0)),
+        (k(2), math.sin(t) * k(2) - math.cos(t) * k(0)),
+        (k(1), math.cos(f) * k(0) + math.sin(f) * k(1)),
+        (k(1), math.sin(f) * k(0) - math.cos(f) * k(1)),
+    ] + [tuple(s.locals) for s in catalog("bennett9").states[5:]]
+    states = [ProductState(f"psi{i + 1}", p) for i, p in enumerate(parts)]
+    return Ensemble("tilted9", (3, 3), states, complete=True)
+
+
+def test_stuck_traces_differ_by_one_certificate_edge():
+    # at 0.48 only psi3-psi5 at party 1, overlap cos(t) * sin(f) = 0.475,
+    # leaves the graphs; the trace is still stuck on all nine states
+    e = _tilted9()
+    low, high = (decide(e, "complete", tol).trace for tol in (1e-9, 0.48))
+    assert isinstance(low, TraceStuck) and isinstance(high, TraceStuck)
+    g, h = low.certificate.graphs, high.certificate.graphs
+    assert low.certificate.subset == high.certificate.subset == e.labels
+    assert g[0] == h[0] and g[1] != h[1]
+    assert h[1].edges < g[1].edges and g[1].edges - h[1].edges == {("psi3", "psi5")}
+    assert hash(low) == hash(high) and low != high
 
 
 def test_certificate_rejects_splittable_subset():

@@ -298,6 +298,21 @@ def test_subset_graphs_match_the_sliced_adjacency(dims, seed, depth, data):
         i, j = np.nonzero(np.triu(sliced, 1))
         assert g.edges == frozenset((members[a], members[b]) for a, b in zip(i, j))
         assert g.edges == _oracle_edges(e, subset, party)
+        for tol in (1e-12, 1e-14):  # where the pairwise band and tol are a few ulps apart
+            assert _bit_rows(e, party, tol) == _packed(_reference_adjacency(e, party, tol))
+
+
+def test_bit_rows_recheck_pairwise_only_entries_within_rounding_of_tol(monkeypatch):
+    # the pairwise band scales with the party's dimension: a fixed band of
+    # 1e-12 took every near-zero overlap of this basis at tol = 1e-12 to
+    # np.vdot, 4,160 calls, and none is needed
+    e = random_product_basis((8, 8), 1, depth=4)
+    calls, vdot = [], np.vdot
+    monkeypatch.setattr(np, "vdot", lambda a, b: calls.append(1) or vdot(a, b))
+    bits = [_bit_rows(e, party, 1e-12) for party in range(e.parties)]
+    monkeypatch.undo()
+    assert calls == []
+    assert bits == [_packed(_reference_adjacency(e, party, 1e-12)) for party in range(e.parties)]
 
 
 # ---------------------------------------------------------------------------

@@ -1002,34 +1002,73 @@ def test_mixed_shape_levels_match_reference_walk(tol):
 def _failing(kind, depth):
     """A chain of ``depth`` identities at party 1 above an operator that fails on comp2x2's states.
 
-    The overflowing operator is not complete, so a run reaches it only with
-    the completeness check lifted.
+    A misfit is the identity on a qutrit or a ququart; "fit", the identity
+    on a qubit, fails nowhere.  The overflowing operator is not complete,
+    so a run reaches it only with the completeness check lifted.
     """
-    if kind == "overflow":
-        node = SimNode(Instrument(0, (LocalOperator(0, 1e200 * np.eye(2)),)), (SimLeaf(None),))
-    else:
-        node = SimNode(Instrument(0, (LocalOperator(0, np.eye(3)),)), (SimLeaf(None),))
+    matrix = {"fit": np.eye(2), "overflow": 1e200 * np.eye(2), "misfit3": np.eye(3),
+              "misfit4": np.eye(4)}[kind]
+    node = SimNode(Instrument(0, (LocalOperator(0, matrix),)), (SimLeaf(None),))
     for _ in range(depth):
         node = SimNode(Instrument(1, (LocalOperator(1, np.eye(2)),)), (node,))
     return node
 
 
-@pytest.mark.parametrize(
-    "first, second",
-    [(("overflow", 4), ("misfit", 0)), (("misfit", 4), ("overflow", 0)),
-     (("overflow", 1), ("misfit", 1)), (("misfit", 0), ("overflow", 2))],
-)
-def test_the_error_at_the_earliest_node_in_pre_order_is_raised(monkeypatch, first, second):
-    # each subtree of the root holds two of comp2x2's states and fails at
-    # the given depth below it; the first subtree's error comes first in
-    # pre-order, however deep it lies, as in a depth-first walk
-    monkeypatch.setattr("loccdist.simulate._require_complete", lambda ins, tol: None)
+def _halves(first, second):
+    """The root measuring party 0 in the standard basis, above the two given subtrees."""
     halves = (LocalOperator(0, np.diag([1.0, 0.0])), LocalOperator(0, np.diag([0.0, 1.0])))
-    tree = SimNode(Instrument(0, halves), (_failing(*first), _failing(*second)))
-    error, message = {"overflow": (SchemaError, "probability overflows"),
-                      "misfit": (DimensionError, "expects dimension 3")}[first[0]]
-    with pytest.raises(error, match=message):
-        run_protocol(catalog("comp2x2"), tree)
+    return SimNode(Instrument(0, halves), (_failing(*first), _failing(*second)))
+
+
+@pytest.mark.parametrize(
+    "first, second, expected",
+    [(("misfit3", 4), ("misfit4", 0), 3), (("misfit4", 1), ("misfit3", 1), 4),
+     (("misfit3", 0), ("misfit4", 3), 3), (("misfit4", 4), ("overflow", 0), 4),
+     (("overflow", 0), ("misfit3", 3), 3)],
+)
+def test_the_first_misfit_in_pre_order_is_raised_before_any_state_runs(
+    monkeypatch, first, second, expected
+):
+    # each subtree of the root holds two of comp2x2's states and fails at
+    # the given depth below it; the first misfit in pre-order is raised,
+    # however deep it lies, and a misfit anywhere comes before an overflow
+    monkeypatch.setattr("loccdist.simulate._require_complete", lambda ins, tol: None)
+    monkeypatch.setattr("loccdist.simulate._images", None)  # no state runs
+    with pytest.raises(DimensionError, match=f"expects dimension {expected},"):
+        run_protocol(catalog("comp2x2"), _halves(first, second))
+
+
+def test_an_overflow_with_no_misfit_is_a_schema_error(monkeypatch):
+    monkeypatch.setattr("loccdist.simulate._require_complete", lambda ins, tol: None)
+    with pytest.raises(SchemaError, match="an outcome probability overflows a double"):
+        run_protocol(catalog("comp2x2"), _halves(("fit", 1), ("overflow", 2)))
+
+
+def _unreached_misfit():
+    """comp2x2's protocol with a third root outcome, the zero operator, above a qutrit identity.
+
+    Every instrument is complete and every label known, but no state
+    reaches the qutrit identity, which does not fit party 0's qubits.
+    """
+    measure = [_projective(1, np.eye(2), [SimLeaf(f"s{i}0"), SimLeaf(f"s{i}1")]) for i in (0, 1)]
+    qutrit = SimNode(Instrument(0, (LocalOperator(0, np.eye(3)),)), (SimLeaf(None),))
+    mats = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2)))
+    ops = [LocalOperator(0, m) for m in mats]
+    return SimNode(Instrument(0, tuple(ops)), (*measure, qutrit))
+
+
+def test_a_misfit_no_state_reaches_is_refused():
+    e, tree = catalog("comp2x2"), _unreached_misfit()
+    # without the unreached branch the protocol is perfect
+    ops = tree.instrument.operators
+    assert run_protocol(e, SimNode(Instrument(0, ops[:2]), tree.children[:2])).perfect
+    with pytest.raises(DimensionError, match="operator expects dimension 3, state party 0 has 2"):
+        run_protocol(e, tree)
+    # an empty ensemble has dims too, though no state reaches any node
+    empty = Ensemble("empty", (2, 2), (), complete=False)
+    far = SimNode(Instrument(10**30, (LocalOperator(10**30, np.eye(2)),)), (SimLeaf(None),))
+    with pytest.raises(DimensionError, match=f"state has no party {10**30}"):
+        run_protocol(empty, far)
 
 
 def test_run_walks_a_chain_deeper_than_the_recursion_limit():
