@@ -224,21 +224,33 @@ class Ensemble:
         return self._memo.get(key)  # type: ignore[attr-defined]
 
 
+def _rounding_band(d: int) -> float:
+    """``4 * (d + 4) * u`` with u = 2**-53: the rounding band of products of ``d``-entry unit rows.
+
+    Two computations of the inner product of two unit vectors, or of a
+    norm, that each lie within about ``sqrt(2) * (d + 2) * u`` of the exact
+    value (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    section 3.1) differ by less than this band, so a value outside it lies
+    on the same side of a bound in both.
+    """
+    return 4 * (d + 4) * 2.0**-53
+
+
 def _bit_rows(e: Ensemble, party: int, tol: float) -> tuple[int, ...]:
     """The party's relativity graph as one int per state: bit j of row i is edge i-j.
 
     States i != j are relative iff ``|<u_i|u_j>| > tol``; this is the one
     home of that rule.  Built once per ``(party, tol)`` in one pass over
     row blocks of the Gram matrix, each block packed straight into ints, and
-    kept in :meth:`Ensemble.memo`.  An entry within ``4 * (d + 4) * u`` of
-    ``tol``, with d the party's dimension and u = 2**-53, is recomputed
-    pairwise, earlier state first, so the rows are symmetric and each pair
-    lies on the side of ``tol`` that ``np.vdot`` puts it on.  That band is
-    enough: the bulk product and ``np.vdot`` of two unit vectors each lie
-    within about ``sqrt(2) * (d + 2) * u`` of the exact value (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, section 3.1), so they
-    differ by less than ``3 * (d + 3) * u``, and outside the band both land
-    on the same side of ``tol``.
+    kept in :meth:`Ensemble.memo`.  An entry within :func:`_rounding_band`
+    ``4 * (d + 4) * u`` of ``tol``, with d the party's dimension and
+    u = 2**-53, is recomputed pairwise, earlier state first, so the rows are
+    symmetric and each pair lies on the side of ``tol`` that ``np.vdot``
+    puts it on.  That band is enough: the bulk product and ``np.vdot`` of
+    two unit vectors each lie within about ``sqrt(2) * (d + 2) * u`` of the
+    exact value (Higham, section 3.1), so they differ by less than
+    ``3 * (d + 3) * u``, and outside the band both land on the same side of
+    ``tol``.
     """
 
     def build() -> tuple[int, ...]:
@@ -248,7 +260,7 @@ def _bit_rows(e: Ensemble, party: int, tol: float) -> tuple[int, ...]:
         if n > MAX_GRAPH_STATES:
             raise TooLargeError(f"overlap graphs handle at most {MAX_GRAPH_STATES} states, got {n}")
         a = e.party_arrays[party]
-        band = 4 * (a.shape[1] + 4) * 2.0**-53
+        band = _rounding_band(a.shape[1])
         step = max(1, _BLOCK_ENTRIES // max(n, 1))
         rows: list[int] = []
         for i0 in range(0, n, step):
@@ -589,8 +601,8 @@ def apply_local_unitaries(
         if dev > tol:
             raise UnitarityError(f"party {p} matrix deviates from unitarity by {dev:.3e}")
         mats.append(m)
-    # a stacked matmul against column vectors: the bits of m @ v per row
-    arrays = [np.matmul(m, a[:, :, None])[:, :, 0] for m, a in zip(mats, e.party_arrays)]
+    # np.matvec runs m @ v on every row, bit for bit
+    arrays = [np.matvec(m, a) for m, a in zip(mats, e.party_arrays)]
     return _from_rows(e.name, e.labels, _normalized(arrays, tol), e.complete)
 
 

@@ -11,7 +11,11 @@ Every vector the package takes or returns is a read-only 1-D complex128
 array, and every family of vectors one read-only ``k x d`` array, one vector
 per row; each vector rule exists once, on rows.  :func:`_entries` is the one
 check of a raw array passed in: a wrong or empty shape is a DimensionError,
-a non-finite entry a SchemaError.  :func:`normalize_rows` is
+a non-finite entry a SchemaError.  Every product of one row with one
+vector or matrix runs on all rows at once through numpy's row gufuncs,
+which give each row the bits of the one-vector call: ``np.vecdot(b, w)``
+is ``np.vdot(b, w)`` per row, ``np.vecdot`` of real rows their ``dot``,
+and ``np.matvec(m, w)`` is ``m @ w`` per row.  :func:`normalize_rows` is
 the one normalize: it takes the norms as stacked real dot products, as
 ``np.linalg.norm`` takes one, and :func:`normalize` is its one-row case.
 :func:`_residual` is the one residual step, two ``np.vdot`` projection
@@ -83,14 +87,11 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a ``k x d`` complex array.
 
     Each squared norm is ``re.re + im.im`` as two real dot products, the
-    arithmetic of ``np.linalg.norm`` on one vector, bit for bit.  One
-    ``matmul`` takes them all, on a ``2 x k x d`` view of the real and
-    imaginary parts, which keeps the strides of ``a.real`` and ``a.imag``.
+    arithmetic of ``np.linalg.norm`` on one vector, bit for bit: ``np.vecdot``
+    runs that dot on every row of the strided views ``a.real`` and ``a.imag``.
     """
-    k, d = a.shape
-    parts = np.ascontiguousarray(a).view(np.float64).reshape(k, d, 2).transpose(2, 0, 1)
-    sq = np.matmul(parts[:, :, None, :], parts[:, :, :, None])
-    return np.sqrt(sq[0, :, 0, 0] + sq[1, :, 0, 0])
+    re, im = a.real, a.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 # An overflowing squared norm is reported as SchemaError, not as numpy's
@@ -217,25 +218,24 @@ def span_basis(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     first pass, extended on all of them as each vector joins.  A round runs
     the second pass on the first ``size`` of them, twice the rows the last
     round took: the first above tol joins, the rows before it are dropped.
-    ``np.matmul`` of ``b.conj()`` with ``d x 1`` columns is ``np.vdot(b, w)``
-    bit for bit and the rest is elementwise, so every row gets
+    ``np.vecdot(b, w)``, which conjugates ``b``, is ``np.vdot(b, w)`` on each
+    row bit for bit and the rest is elementwise, so every row gets
     :func:`_residual`'s arithmetic.
     """
     basis: list[np.ndarray] = []
-    pending, size, conj = rows, 1, []
+    pending, size = rows, 1
     while len(pending):
         chunk = pending[:size]
-        for b, c in zip(basis, conj):
-            chunk = chunk - np.matmul(c, chunk[:, :, None]) * b
+        for b in basis:
+            chunk = chunk - np.vecdot(b, chunk)[:, None] * b
         norms = _row_norms(chunk).tolist()
         j = next((i for i, n in enumerate(norms) if n > tol), None)
         if j is None:
             pending, size = pending[size:], 2 * size
             continue
         basis.append(chunk[j] / norms[j])
-        conj.append(basis[-1].conj())
         pending, size = pending[j + 1 :], 2 * (j + 1)
-        pending = pending - np.matmul(conj[-1], pending[:, :, None]) * basis[-1]
+        pending = pending - np.vecdot(basis[-1], pending)[:, None] * basis[-1]
     fixed = _phase_fixed(np.array(basis, np.complex128).reshape(-1, rows.shape[1]), tol)
     fixed.setflags(write=False)
     return fixed

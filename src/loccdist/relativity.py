@@ -27,14 +27,18 @@ runs the other rows' projections, one stacked pass per party dimension,
 and phase-fixes them all at once; blocks of rank two or more go through
 :func:`~loccdist.linalg.span_basis`.  Each split's spans are then checked
 pairwise, except pairs of two rank-one spans, which the graph's missing
-edges already keep far below the check's bound; the first split whose
-spans overlap raises NumericalInstabilityError.  The entries hold the
-bytes ``span_basis`` and the pairwise check give.  The oracle's coarser
-partitions make no spans: only a finest split is ever checked.
+edges already keep far below the check's bound: each span meets the later
+ones in one stacked product, and only a span whose product comes near the
+bound has its pairs multiplied one by one.  The first split whose spans
+overlap raises NumericalInstabilityError.  The entries hold the bytes
+``span_basis`` gives, and a failing split raises the pairwise check's
+message.  The oracle's coarser partitions make no spans: only a finest
+split is ever checked.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -44,7 +48,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NumericalInstabilityError
-from .ensemble import _CHUNK_ENTRIES, Ensemble, _bit_rows, _ones, ensure_complete
+from .ensemble import (
+    _CHUNK_ENTRIES,
+    Ensemble,
+    _bit_rows,
+    _ones,
+    _rounding_band,
+    ensure_complete,
+)
 from .linalg import DEFAULT_TOL, _phase_fixed, _residual, _row_norms, span_basis
 
 __all__ = [
@@ -160,23 +171,45 @@ def _cross_check(party: int, spans: tuple[np.ndarray, ...], tol: float) -> None:
 
     Distinct blocks have no edges between them, so their spans must come out
     orthogonal (the non-damaging condition of Walgate & Hardy, PRL 89,
-    147901, 2002).  One product per pair of spans checks it; the first
-    overlap beyond 10 * tol means the tolerance no longer separates signal
-    from noise and is raised as instability rather than silently absorbed.
-    Where :func:`_rank_one_pairs_pass` holds, a pair of two one-row spans
-    cannot fail and is skipped, so the first failing pair is the same.
+    147901, 2002).  The first pair, in loop order, with an overlap beyond
+    10 * tol means the tolerance no longer separates signal from noise and
+    is raised as instability rather than silently absorbed.  Where
+    :func:`_rank_one_pairs_pass` holds, a pair of two one-row spans cannot
+    fail and is skipped.
+
+    Each span meets the stack of the later spans it must meet in one
+    product.  That product and a pair's own product lie within
+    ``sqrt(2) * (d + 2) * u`` of the exact overlaps of unit rows, so they
+    differ by less than :func:`~loccdist.ensemble._rounding_band`: only a
+    span whose stacked overlaps reach ``10 * tol - band`` has its pairs
+    checked one product each, and the first failing pair is the same.
     """
-    skip = _rank_one_pairs_pass(spans[0].shape[1], tol)
-    for i, j in itertools.combinations(range(len(spans)), 2):
-        if skip and len(spans[i]) == len(spans[j]) == 1:
+    d = spans[0].shape[1]
+    skip, bar = _rank_one_pairs_pass(d, tol), 10.0 * tol - _rounding_band(d)
+    later = np.concatenate(spans)
+    starts = list(itertools.accumulate((len(span) for span in spans), initial=0))
+    if skip:  # the one-row spans meet only the later spans of two rows or more
+        wide = [j for j, span in enumerate(spans) if len(span) > 1]
+        wider = np.concatenate([spans[j] for j in wide] or [later[:0]])
+        wide_starts = list(itertools.accumulate((len(spans[j]) for j in wide), initial=0))
+    for i, span in enumerate(spans):
+        if skip and len(span) == 1:
+            stack = wider[wide_starts[bisect.bisect_right(wide, i)] :]
+        else:
+            stack = later[starts[i + 1] :]
+        if not stack.size or not span.size:
             continue
-        overlaps = np.abs(spans[i].conj() @ spans[j].T)
-        if overlaps.size and overlaps.max() > 10.0 * tol:  # spans are finite, so no NaN
-            first = overlaps.flat[np.flatnonzero(overlaps > 10.0 * tol)[0]]
-            raise NumericalInstabilityError(
-                f"blocks {i} and {j} at party {party} have span overlap "
-                f"{first:.3e}, beyond 10*tol"
-            )
+        if np.abs(span.conj() @ stack.T).max() > bar:
+            for j in range(i + 1, len(spans)):
+                if skip and len(span) == len(spans[j]) == 1:
+                    continue
+                overlaps = np.abs(span.conj() @ spans[j].T)
+                if overlaps.size and overlaps.max() > 10.0 * tol:  # finite, so no NaN
+                    first = overlaps.flat[np.flatnonzero(overlaps > 10.0 * tol)[0]]
+                    raise NumericalInstabilityError(
+                        f"blocks {i} and {j} at party {party} have span overlap "
+                        f"{first:.3e}, beyond 10*tol"
+                    )
 
 
 def _rank_one_pairs_pass(d: int, tol: float) -> bool:
@@ -189,33 +222,44 @@ def _rank_one_pairs_pass(d: int, tol: float) -> bool:
     return 9.0 * tol > 4.0 * (d + 11) * 2.0**-53
 
 
-# How far from tol a norm must lie for :func:`_first_vectors` to decide a block's
-# rank: far above the few ulps by which one projection pass and two can differ.
-_ROUNDING = 1e-12
-
-
 def _first_vectors(e: Ensemble, blocks: list, tol: float, out: np.ndarray) -> list[bool]:
     """Each ``(party, rows)`` block's first row normalized into ``out``; if it spans the block.
 
-    The parties of ``blocks`` share one dimension.  The norms are
+    The parties of ``blocks`` share one dimension d.  The norms are
     :func:`~loccdist.linalg._row_norms`, and every other row takes one
-    projection pass off its block's vector in one batched ``matmul``.  A
-    block whose first norm is at most ``tol + _ROUNDING``, or with a
-    residual above ``tol - _ROUNDING``, is left to ``span_basis``.  One pass
-    is enough for that: ``span_basis``'s second pass moves a residual by
-    rounding alone, far less than ``_ROUNDING``, so every block kept here
-    has rank one there too, and the vector is the same bytes.
+    projection pass off its block's vector, ``np.vecdot`` on the stacked
+    rows as in ``span_basis``.  A block whose first norm is at most
+    ``tol + band``, or with a residual above ``tol - band``, is left to
+    ``span_basis``; ``band`` is :func:`~loccdist.ensemble._rounding_band`,
+    ``4 * (d + 4) * u`` with u = 2**-53.  One pass is enough for that.
+    ``span_basis`` takes the same first vector and the same first pass, then
+    a second pass that moves a residual of computed norm n by rounding
+    alone, by less than ``n * band`` (Higham, section 3.1):
+
+    - the exact norm of the residual w is within ``(d + 3) * u / 2`` of n,
+      relatively: two real dot products of d terms, a sum and a square root;
+    - the exact second pass, with ``b`` unit up to rounding, does not
+      lengthen w, and its inner product ``<b|w>`` is off by at most
+      ``sqrt(2) * (d + 2) * u * |w|``, its scaled ``b`` and the subtraction
+      add ``(2 * sqrt(2) + 1) * u * |w|``;
+    - the new norm adds ``(d + 3) * u / 2`` more, in all less than
+      ``(2.5 * d + 10) * u * n``.
+
+    So a residual of norm ``n <= tol - band`` comes out below
+    ``(tol - band) * (1 + band) < tol`` for ``tol < 1``: every block kept
+    here has rank one there too, and the vector is the same bytes.
     """
     first = _gather(e, [(party, rows[0]) for party, rows in blocks])
     norms = _row_norms(first)
     np.divide(first, norms[:, None], out=out)
-    spanned = (norms > tol + _ROUNDING).tolist()
+    band = _rounding_band(out.shape[1])
+    spanned = (norms > tol + band).tolist()
     owner = [j for j, (_, rows) in enumerate(blocks) for _ in rows[1:]]
     if owner:
         b = out.take(owner, 0)
         w = _gather(e, [(p, i) for p, rows in blocks for i in rows[1:]])
-        w -= np.matmul(b.conj()[:, None, :], w[:, :, None])[:, :, 0] * b
-        for x in (_row_norms(w) > tol - _ROUNDING).nonzero()[0].tolist():
+        w -= np.vecdot(b, w)[:, None] * b
+        for x in (_row_norms(w) > tol - band).nonzero()[0].tolist():
             spanned[owner[x]] = False
     return spanned
 

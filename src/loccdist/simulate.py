@@ -213,13 +213,13 @@ _OVERFLOW = "an outcome probability overflows a double"
 
 
 def _images(ms: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A ``K x d_out x d`` stack of matrices on every row of a ``k x d`` array, in one ``matmul``.
+    """A ``K x d_out x d`` stack of matrices on every row of a ``k x d`` array, in one ``matvec``.
 
-    Image ``j*k + r`` is matrix j on row r, taken against a column vector;
+    Image ``j*k + r`` is matrix j on row r, ``ms[j] @ v[r]`` bit for bit;
     with ``out``, a contiguous ``K*k x d_out`` array, the images go there.
     """
-    shape = (len(ms), len(v), ms.shape[1], 1)
-    w = np.matmul(ms[:, None], v[None, :, :, None], out=None if out is None else out.reshape(shape))
+    shape = (len(ms), len(v), ms.shape[1])
+    w = np.matvec(ms[:, None], v, out=None if out is None else out.reshape(shape))
     return w.reshape(len(ms) * len(v), ms.shape[1])
 
 

@@ -1031,3 +1031,68 @@ def test_rank_one_spans_take_one_stacked_pass_per_party(monkeypatch, make):
                                party, tol).blocks()
         for block, span in zip(blocks, e._memo[("checked", party, mask, tol)]):
             assert span.tobytes() == _labelled_span(e, block, party, tol).tobytes()
+
+
+def test_first_vectors_decide_rank_one_alike_at_every_tol(monkeypatch):
+    # the stacked pass keeps a block as rank one within the rounding band
+    # of the bit rows, which scales with the party's dimension: at tol
+    # 1e-12 and 1e-14 as many blocks go through span_basis as at 1e-9, and
+    # every checked span is the bytes of span_basis on its block
+    made = _made_spans(monkeypatch)
+    calls = _span_basis_calls(monkeypatch)
+    counts, digests = [], []
+    for tol in (1e-9, 1e-12, 1e-14):
+        e = random_product_basis((8, 8, 8), 1, depth=12)
+        del made[:], calls[:]
+        assert decide(e, "complete", tol).kind == "distinguishable"
+        counts.append(len(calls))
+        digests.append(b"".join(span.tobytes() for _, _, span in made))
+        for party, rows, span in made:
+            _assert_is_span_basis(span, e.party_arrays[party][list(rows)], tol)
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+    assert digests == [digests[0]] * 3
+
+
+def _rank_two_staircase(m, tol, perturbed=None):
+    """States ``e_2i ⊗ |0>`` and ``(e_2i + e_2i+1)/√2 ⊗ |1>`` over dims (2m, 2).
+
+    Party 0 splits into m blocks of rank two.  With ``perturbed = (k, j)``,
+    block k's second row is ``e_2k`` nudged by 1.2 * tol along
+    ``(e_2j - e_2j+1)/√2``: it keeps no edge to block j, while block k's
+    span holds that direction and so overlaps block j's by 1/√2.
+    """
+    zero, one = np.array([1, 0j]), np.array([0j, 1])
+    states = []
+    for i in range(m):
+        a, b = np.zeros(2 * m, complex), np.zeros(2 * m, complex)
+        a[2 * i], b[2 * i : 2 * i + 2] = 1.0, 1.0
+        if perturbed is not None and i == perturbed[0]:
+            j = perturbed[1]
+            b = a.copy()
+            b[2 * j], b[2 * j + 1] = 1.2 * tol / np.sqrt(2), -1.2 * tol / np.sqrt(2)
+        states += [ProductState(f"a{i}", (a, zero)), ProductState(f"b{i}", (normalize(b), one))]
+    return Ensemble("rank-two-staircase", (2 * m, 2), tuple(states), complete=False)
+
+
+@pytest.mark.parametrize("perturbed", [None, (3, 40), (40, 3), (62, 63)])
+def test_a_split_of_many_rank_two_blocks_is_checked_as_the_pairwise_loop_checks_it(perturbed):
+    # 64 spans of rank two in one split: each span meets the later ones in
+    # one stacked product, and only a span whose screen fails is checked
+    # pair by pair, so the error is that of the loop over every pair
+    tol, m = 1e-6, 64
+    e = _rank_two_staircase(m, tol, perturbed)
+    mask = (1 << 2 * m) - 1
+    blocks = relativity._blocks(e, 0, mask, tol)
+    assert len(blocks) == m
+    spans = [span_basis(e.party_arrays[0][list(rows)], tol) for rows in blocks]
+    assert all(len(span) == 2 for span in spans)
+    error = _pairwise_check(0, spans, tol)
+    assert (error is None) == (perturbed is None)
+    if error is None:
+        relativity._check_splits(e, [(0, mask, blocks)], tol)
+    else:
+        with pytest.raises(NumericalInstabilityError) as raised:
+            relativity._check_splits(e, [(0, mask, blocks)], tol)
+        assert str(raised.value) == error
+        k, j = sorted(perturbed)
+        assert error.startswith(f"blocks {k} and {j} at party 0 have span overlap 7.071e-01")
