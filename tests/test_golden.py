@@ -11,7 +11,9 @@ and `decompose` digests were taken while every vector was still wrapped in
 a one-vector class, so they pin that the catalog builders and the SVD's
 row order and phases survived its removal.  The instrument-tree file
 digests were taken while each basis vector was still written by its own
-call of the complex codec.
+call of the complex codec.  The n=512 digests were taken while every
+``[re, im]`` array was still written as nested lists, one ``_write`` call
+per pair and per float.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ CASES = {
     "comp2x2": lambda: catalog("comp2x2"),
     "random-4x4x4-seed3-depth6": lambda: random_product_basis((4, 4, 4), 3, depth=6),
     "random-6x6x6-seed5-depth10": lambda: random_product_basis((6, 6, 6), 5, depth=10),
+    "random-8x8x8-seed1-depth12": lambda: random_product_basis((8, 8, 8), 1, depth=12),
 }
 
 # (case, flag) -> (exit code, sha256 of stdout)
@@ -68,6 +71,10 @@ GOLDEN = {
         (0, "9d092ea0cdd11faa0c88688187055f87e475ae395289fb382a3b3f7f56ee9205"),
     ("random-6x6x6-seed5-depth10", "--trace"):
         (0, "3c378bd9510fcb4ad37864c0395c050332459018e3a14157822e8fcbd16ae62c"),
+    # n=512, the structure of the benchmark's check-large input: blocks of up
+    # to 192 rows, so the verdict writes bases of many (k, 8) shapes
+    ("random-8x8x8-seed1-depth12", "--json"):
+        (0, "57eca2ab177dbab37ee3ca74b83b9a7aaf2258cab73030e18d5fc9e77f13973e"),
 }
 
 
@@ -139,6 +146,18 @@ def test_catalog_emit_is_byte_identical(name, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CATALOG_GOLDEN[name]
 
 
+# case -> sha256 of its emit_ensemble text
+EMIT_GOLDEN = {
+    "random-8x8x8-seed1-depth12": "b95d2db4e3961b01d5e1a0a21436615e42c46e6352b3d7e34dc87a1858942c40",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMIT_GOLDEN))
+def test_emit_ensemble_is_byte_identical(case):
+    text = emit_ensemble(CASES[case]())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EMIT_GOLDEN[case]
+
+
 # Both equal-sigma groups come out of LAPACK in an order the lexicographic
 # tie rule must settle: a diagonal with sigma 1 twice, and a multiple of a
 # unitary whose sigmas are all equal and whose vectors are not basis vectors.
@@ -188,6 +207,7 @@ PROTOCOL_FILES = {
     "comp2x2": lambda: _lifted(catalog("comp2x2")),
     "random-3x3x3-seed1-depth6": lambda: _lifted(random_product_basis((3, 3, 3), 1, depth=6)),
     "random-2x1x3-seed3-depth6": lambda: _lifted(random_product_basis((2, 1, 3), 3, depth=6)),
+    "random-8x8x8-seed1-depth12": lambda: _lifted(CASES["random-8x8x8-seed1-depth12"]()),
     "finkelstein-povm": lambda: builtin_protocol("finkelstein-povm", catalog("finkelstein9")),
 }
 PROTOCOL_FILE_GOLDEN = {
@@ -195,6 +215,7 @@ PROTOCOL_FILE_GOLDEN = {
     "finkelstein-povm": "9da8a3c93c86a6c7b8d9f39d93c2b3227c691ceee14536db61e8dcee2e0d7d0c",
     "random-2x1x3-seed3-depth6": "dfe3c215fde7cb82d978a45c242d994daaa1d4a41396f16c8cf45a402989c4a3",
     "random-3x3x3-seed1-depth6": "f9bbb24e35f96a8b9971173611718b983975f8f015cbaae548a1154d1b5090db",
+    "random-8x8x8-seed1-depth12": "185241dcf7de9ecd2a8fade72849081a91398ab6fb862d841dfeecc58334f686",
 }
 
 
