@@ -334,7 +334,12 @@ def _certificate_to_json(cert: StuckCertificate) -> dict:
 
 
 def verdict_to_json(v: Verdict) -> dict:
-    """Verdict as a JSON-ready dict; protocol or certificate ride along."""
+    """Verdict as a dict for canonical_dumps; protocol or certificate ride along.
+
+    Each outcome's ``basis`` is a read-only float64 ``(k, d, 2)`` array of
+    ``[re, im]`` pairs, which only :func:`~loccdist.jsonio.canonical_dumps`
+    writes.
+    """
     doc: dict = {"verdict": v.kind}
     if v.tree is not None:
         doc["protocol"] = _tree_to_json(v.tree)

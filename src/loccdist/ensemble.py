@@ -452,8 +452,9 @@ def emit_ensemble(e: Ensemble, tol: float = DEFAULT_TOL) -> str:
     """Serialize to canonical JSON: phase-normalized vectors, 17 digit floats.
 
     Each party's rows are phase-normalized in one stacked pass by
-    :func:`~loccdist.linalg._phase_fixed` and become rows of ``[re, im]``
-    pairs in one :func:`~loccdist.jsonio.complex_to_json`.
+    :func:`~loccdist.linalg._phase_fixed` and viewed as rows of ``[re, im]``
+    pairs by one :func:`~loccdist.jsonio.complex_to_json`; every state's
+    vectors are views of those rows.
     """
     # copies: _phase_fixed may turn rows in place, and party arrays are read-only
     rows = [complex_to_json(_phase_fixed(a.copy(), tol)) for a in e.party_arrays]

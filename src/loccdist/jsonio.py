@@ -8,12 +8,16 @@ malformed, too deeply nested or out-of-range text surfaces as
 
 Every complex number in every format is an ``[re, im]`` pair of JSON
 numbers.  :func:`complex_from_json`, :func:`complex_rows_from_json` and
-:func:`complex_to_json` are the only code that converts between such lists
-of pairs and complex arrays.
+:func:`complex_to_json` are the only code that converts between such pairs
+and complex arrays.  :func:`complex_to_json` gives a read-only float64
+``(..., 2)`` view, not lists: :func:`canonical_dumps` writes each such
+array from a ``%.17g`` template cached by shape, and fills every array of
+a document with one ``%`` at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -48,13 +52,23 @@ def format_float(x: float) -> str:
 
 
 # The types JSON writes, in the order a subclass is matched against them.
-_KINDS = (str, int, float, list, tuple, dict)
+_KINDS = (str, int, float, list, tuple, dict, np.ndarray)
 
 
-def _write(obj: Any, out: list[str]) -> None:
+@functools.lru_cache(maxsize=256)
+def _template(shape: tuple[int, ...]) -> str:
+    """The text of a float64 array of ``shape``, one ``%.17g`` per entry."""
+    if not shape:
+        return "%.17g"
+    return "[" + ", ".join([_template(shape[1:])] * shape[0]) + "]"
+
+
+def _write(obj: Any, out: list[str], arrays: list[np.ndarray]) -> None:
     # Dispatch on the exact type; a subclass such as np.float64 is written as
     # its base.  encode_basestring is what json.dumps(s, ensure_ascii=False)
-    # calls, without building an encoder per string.
+    # calls, without building an encoder per string.  A float64 array is
+    # written as its template and kept in ``arrays``; every "%" of a string
+    # is doubled, so that canonical_dumps fills the text with one "%".
     t = type(obj)
     if t not in _KINDS:
         if obj is None or t is bool:
@@ -63,17 +77,22 @@ def _write(obj: Any, out: list[str]) -> None:
         t = next((kind for kind in _KINDS if isinstance(obj, kind)), None)
         if t is None:
             raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
-    if t is float:
+    if t is str:
+        out.append(encode_basestring(obj).replace("%", "%%"))
+    elif t is float:
         out.append(format_float(obj))
     elif t is list or t is tuple:
         out.append("[")
         for i, item in enumerate(obj):
             if i:
                 out.append(", ")
-            _write(item, out)
+            _write(item, out, arrays)
         out.append("]")
-    elif t is str:
-        out.append(encode_basestring(obj))
+    elif t is np.ndarray:
+        if obj.dtype != np.float64:
+            raise TypeError(f"cannot serialize an array of {obj.dtype} canonically")
+        out.append(_template(obj.shape))
+        arrays.append(obj)
     elif t is dict:
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
@@ -81,19 +100,32 @@ def _write(obj: Any, out: list[str]) -> None:
                 out.append(", ")
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(key).__name__}")
-            out.append(encode_basestring(key))
+            out.append(encode_basestring(key).replace("%", "%%"))
             out.append(": ")
-            _write(value, out)
+            _write(value, out, arrays)
         out.append("}")
     else:
         out.append(str(obj))
 
 
 def canonical_dumps(obj: Any) -> str:
-    """Serialize nested dicts/lists/scalars to a canonical JSON string."""
+    """Serialize nested dicts/lists/scalars and float64 arrays to canonical JSON.
+
+    An array is written as its ``.tolist()`` would be.  The walk writes each
+    array as its cached ``%.17g`` template, and one ``%`` over all arrays'
+    entries fills the whole text; ``+ 0.0`` turns -0.0 into 0.0, so every
+    entry reads as :func:`format_float` writes it.
+    """
     out: list[str] = []
-    _write(obj, out)
-    return "".join(out)
+    arrays: list[np.ndarray] = []
+    _write(obj, out, arrays)
+    text = "".join(out)
+    if not arrays:
+        return text % () if "%" in text else text
+    flat = np.concatenate(arrays, axis=None) + 0.0
+    if not np.isfinite(flat).all():
+        raise ValueError("non-finite float cannot be serialized")
+    return text % tuple(memoryview(flat))
 
 
 def parse_json(text: str) -> Any:
@@ -169,7 +201,16 @@ def complex_rows_from_json(rows: list, where: Callable[[int], str]) -> np.ndarra
     return flat.view(np.complex128)
 
 
-def complex_to_json(arr: np.ndarray) -> list:
-    """Complex entries as ``[re, im]`` float pairs, nested in the array's shape."""
-    a = np.ascontiguousarray(arr, dtype=np.complex128)
-    return a.view(np.float64).reshape(*a.shape, 2).tolist()
+# a complex128 viewed as this dtype is an array of shape (..., 2)
+_PAIR = np.dtype((np.float64, (2,)))
+
+
+def complex_to_json(arr: np.ndarray) -> np.ndarray:
+    """Complex entries as ``[re, im]`` float pairs: a read-only float64 ``(..., 2)`` view.
+
+    Only :func:`canonical_dumps` writes it, as the nested lists of pairs
+    that its ``.tolist()`` would be.
+    """
+    pairs = np.ascontiguousarray(arr, dtype=np.complex128).view(_PAIR)
+    pairs.flags.writeable = False
+    return pairs

@@ -341,7 +341,12 @@ def parse_matrix(data: object) -> np.ndarray:
 
 
 def emit_matrix(arr: np.ndarray) -> dict:
-    """Serialize a complex matrix to the {"rows", "cols", "entries"} layout."""
+    """A complex matrix in the {"rows", "cols", "entries"} layout, for canonical_dumps.
+
+    ``entries`` is a read-only float64 ``(rows * cols, 2)`` array of
+    ``[re, im]`` pairs in row-major order, which only
+    :func:`~loccdist.jsonio.canonical_dumps` writes.
+    """
     a = _entries(arr, 2)
     return {
         "rows": int(a.shape[0]),

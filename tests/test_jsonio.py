@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from loccdist import ParseError, SchemaError
 from loccdist.jsonio import (
@@ -27,7 +28,7 @@ doubles = st.floats(allow_nan=False, allow_infinity=False)
 @example([(2.2250738585072014e-308, -1.7976931348623157e308)])
 def test_codec_round_trip_is_bit_identical(pairs):
     a = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    again = complex_from_json(complex_to_json(a), "test")
+    again = complex_from_json(complex_to_json(a).tolist(), "test")
     assert again.dtype == np.complex128
     assert again.tobytes() == a.tobytes()
 
@@ -138,6 +139,7 @@ def test_rows_codec_refuses_a_vector_that_is_not_a_list_of_pairs(row):
 
 @given(st.text())
 @example("caf\u00e9 \"quoted\" \\ \n\t\x00\u2028 \ud83d\ude00")
+@example("100% %s %% %(x)s %.17g")
 def test_strings_and_keys_are_emitted_as_json_dumps_does(text):
     assert canonical_dumps(text) == json.dumps(text, ensure_ascii=False)
     assert canonical_dumps({text: [text]}) == json.dumps({text: [text]}, ensure_ascii=False)
@@ -154,7 +156,64 @@ def test_subclasses_take_the_isinstance_path():
     assert canonical_dumps(doc) == '{"a": 0.10000000000000001, "b": [true, null, "x\\n", 3], "c": [0]}'
 
 
-@pytest.mark.parametrize("obj", [np.int64(1), {1: 2}, b"x", {1.5}, np.bool_(True)])
+def test_codec_gives_a_read_only_float64_view_of_pairs():
+    a = np.array([[1 + 2j, -0.0 - 3j], [0.5j, 4]])
+    pairs = complex_to_json(a)
+    assert pairs.dtype == np.float64 and pairs.shape == (2, 2, 2)
+    assert not pairs.flags.writeable
+    assert canonical_dumps(pairs) == "[[[1, 2], [0, -3]], [[0, 0.5], [4, 0]]]"
+
+
+_SIZES = st.integers(1, 6)
+_SHAPES = st.one_of(
+    st.just(()),
+    st.just((0, 2)),
+    st.tuples(_SIZES),
+    st.tuples(_SIZES, st.just(2)),
+    st.tuples(_SIZES, _SIZES, st.just(2)),
+)
+# strings that a "%" fill would misread if they were not escaped
+_TEXTS = st.sampled_from(["%", "%%", "%s", "%.17g", "\0", "%(x)s", "100%"]) | st.text()
+_EDGES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@given(arrays(np.float64, _SHAPES, elements=doubles), _TEXTS, _TEXTS)
+@example(np.array(_EDGES), "%", "%s")
+@example(np.array([_EDGES, _EDGES]).T.copy(), "%%", "\0")
+@example(np.array(-0.0), "k", "v")
+@example(np.zeros((0, 2)), "%", "%")
+def test_an_array_is_written_as_its_list_is(arr, key, text):
+    assert canonical_dumps(arr) == canonical_dumps(arr.tolist())
+    doc = {key: [arr, text], "%s": {text: arr, "x": -0.0}, "n": [text, arr, arr]}
+    listed = {key: [arr.tolist(), text], "%s": {text: arr.tolist(), "x": -0.0},
+              "n": [text, arr.tolist(), arr.tolist()]}
+    assert canonical_dumps(doc) == canonical_dumps(listed)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("at", [0, 5])
+def test_a_non_finite_array_entry_is_refused(bad, at):
+    arr = np.zeros((3, 2, 2))
+    arr.reshape(-1)[at] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        canonical_dumps({"%": ["a", arr]})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        np.int64(1),
+        {1: 2},
+        b"x",
+        {1.5},
+        np.bool_(True),
+        np.zeros(2, dtype=np.int64),
+        np.zeros(2, dtype=np.complex128),
+        np.zeros(2, dtype=bool),
+        np.zeros(2, dtype=np.float32),
+        np.array([1.0, "x"], dtype=object),
+    ],
+)
 def test_emission_refuses_what_it_cannot_write_canonically(obj):
     with pytest.raises(TypeError):
         canonical_dumps(obj)

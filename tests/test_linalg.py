@@ -27,6 +27,7 @@ from loccdist import (
     svd_decompose,
 )
 from loccdist import linalg
+from loccdist.jsonio import canonical_dumps, parse_json
 from loccdist.linalg import emit_matrix, normalize_rows, parse_matrix, projectors, span_basis
 
 TOL = 1e-9
@@ -586,7 +587,8 @@ def test_svd_result_reconstruct_matches_manual():
 def test_matrix_round_trip():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    again = parse_matrix(emit_matrix(a))
+    # the round trip is through canonical JSON text: the dict holds arrays
+    again = parse_matrix(parse_json(canonical_dumps(emit_matrix(a))))
     assert np.array_equal(a, again)
 
 

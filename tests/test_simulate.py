@@ -42,7 +42,7 @@ from loccdist import (
     validate_instrument,
 )
 from loccdist.distinguish import protocol_from_json, verdict_to_json
-from loccdist.jsonio import canonical_dumps
+from loccdist.jsonio import canonical_dumps, parse_json
 from loccdist import simulate
 from loccdist.linalg import emit_matrix
 from loccdist.simulate import emit_sim_protocol, parse_sim_protocol, report_to_json
@@ -431,7 +431,7 @@ def test_lift_refuses_an_outcome_block_with_an_unknown_label(depth):
     # the first outcome of the root, or of the root's first child, names
     # "zzz" instead of "s00"; only its block, not a leaf, holds the label
     e = catalog("comp2x2")
-    doc = verdict_to_json(decide(e, "complete"))["protocol"]
+    doc = parse_json(canonical_dumps(verdict_to_json(decide(e, "complete"))["protocol"]))
     node = doc
     for _ in range(depth):
         node = node["children"][0]
