@@ -13,7 +13,10 @@ row order and phases survived its removal.  The instrument-tree file
 digests were taken while each basis vector was still written by its own
 call of the complex codec.  The n=512 digests were taken while every
 ``[re, im]`` array was still written as nested lists, one ``_write`` call
-per pair and per float.
+per pair and per float.  The tile digests (Kronecker products of bennett9
+and grid16 with random bases, n=576 and n=4096, stuck at many rank >= 2
+blocks) were taken while the oracle and ``components`` still read checked
+spans through a second entry point of their own.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from loccdist.cli import main
 from loccdist.jsonio import canonical_dumps
 from loccdist.linalg import emit_matrix
 from loccdist.simulate import emit_sim_protocol
+from test_distinguish import _kron
 
 CASES = {
     "bennett9": lambda: catalog("bennett9"),
@@ -49,6 +53,10 @@ CASES = {
     "random-4x4x4-seed3-depth6": lambda: random_product_basis((4, 4, 4), 3, depth=6),
     "random-6x6x6-seed5-depth10": lambda: random_product_basis((6, 6, 6), 5, depth=10),
     "random-8x8x8-seed1-depth12": lambda: random_product_basis((8, 8, 8), 1, depth=12),
+    "bennett9*random-8x8-seed1-depth12":
+        lambda: _kron(catalog("bennett9"), random_product_basis((8, 8), 1, depth=12)),
+    "grid16*random-16x16-seed1-depth12":
+        lambda: _kron(catalog("grid16"), random_product_basis((16, 16), 1, depth=12)),
 }
 
 # (case, flag) -> (exit code, sha256 of stdout)
@@ -75,6 +83,15 @@ GOLDEN = {
     # to 192 rows, so the verdict writes bases of many (k, 8) shapes
     ("random-8x8x8-seed1-depth12", "--json"):
         (0, "57eca2ab177dbab37ee3ca74b83b9a7aaf2258cab73030e18d5fc9e77f13973e"),
+    # tile bases, n=576 and n=4096: stuck at many blocks of rank two or more
+    ("bennett9*random-8x8-seed1-depth12", "--json"):
+        (1, "48fe0d5a968ea08437e78bde63839697c068a918c770a1035df3860600ce8b14"),
+    ("bennett9*random-8x8-seed1-depth12", "--trace"):
+        (1, "0d608cd24a0a6b8097d0fd5baf9516d4a8efdf6a1f42a3bb8632a9e89384d2e1"),
+    ("grid16*random-16x16-seed1-depth12", "--json"):
+        (1, "7408cd02cacd030fbcc16439c504197ca7104697f87eadf9817d0908bcf7a1f5"),
+    ("grid16*random-16x16-seed1-depth12", "--trace"):
+        (1, "26a2028f9843b214d37a9ee8f82071429917851c5168009d0505cee34cb60d33"),
 }
 
 
