@@ -20,10 +20,12 @@ the one normalize: it takes the norms as stacked real dot products, as
 ``np.linalg.norm`` takes one, and :func:`normalize` is its one-row case.
 :func:`_residual` is the one residual step, two ``np.vdot`` projection
 passes and the norm ``sqrt(re.re + im.im)``; the relativity chains use it
-as their independence test.  :func:`_phase_fixed` is the one phase rule on
-stacked rows, bit for bit :func:`phase_normalize` on each row.
-:func:`span_basis` is the one span kernel: :func:`_residual`'s arithmetic
-on stacked rows, then :func:`_phase_fixed` on the whole basis.
+as their independence test.  :func:`_phase_turns` is the one phase rule,
+on stacked rows: it turns each row so that its first entry above tol is
+real positive, and :func:`_phase_fixed` applies it.  :func:`span_basis` is
+the one span kernel: :func:`_residual`'s arithmetic on stacked rows, then
+:func:`_phase_fixed` on the whole basis; :func:`svd_decompose` turns each
+singular pair by its right vector's factor.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "normalize",
     "normalize_rows",
     "parse_matrix",
-    "phase_normalize",
     "projectors",
     "span_basis",
     "svd_decompose",
@@ -141,54 +142,37 @@ def normalize(raw: object, tol: float = DEFAULT_TOL) -> np.ndarray:
     return v
 
 
-def _phase_factor(entries: np.ndarray, tol: float) -> complex | None:
-    """The unit factor that turns the first entry above tol real positive.
+def _phase_turns(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a ``k x d`` array that the phase rule turns, and the unit factor of each.
 
-    None when that entry already is real positive, or when no entry is above tol.
-    """
-    for entry in entries:
-        mag = abs(entry)
-        if mag > tol:
-            if entry.imag == 0.0 and entry.real > 0.0:
-                return None
-            return entry.conjugate() / mag
-    return None
-
-
-def phase_normalize(entries: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """A 1-D complex array's global phase rotated so the first entry above tol is real positive.
-
-    Returns ``entries`` itself when that entry already is, or when none is
-    above tol; otherwise a new read-only array.
-    """
-    factor = _phase_factor(entries, tol)
-    if factor is None:
-        return entries
-    fixed = entries * factor
-    fixed.setflags(write=False)
-    return fixed
-
-
-def _phase_fixed(u: np.ndarray, tol: float) -> np.ndarray:
-    """Every row of a ``k x d`` array turned as :func:`phase_normalize` turns one.
-
-    The one stacked phase rule, bit for bit :func:`_phase_factor` applied
-    to each row: ``np.hypot`` is the ``abs`` of a complex scalar, and with
-    the lead entry above tol, ``entry == mag`` iff it is real positive.
-    Zero padding past a row's vector is never the lead.  Returns a new
-    array when every row turns and ``u`` itself when none does; otherwise
-    the turned rows are written into ``u``, which must then be writable.
+    The phase rule turns a row's global phase so that its first entry above
+    tol is real positive.  A row turns when that entry is not real positive
+    already; a row with no entry above tol keeps its phase.  The factor is
+    the entry's conjugate over its magnitude: ``np.hypot`` is the ``abs``
+    of a complex scalar, and with the lead entry above tol, ``entry == mag``
+    iff it is real positive.  Zero padding past a row's vector is never the
+    lead.  Only the rows that turn are divided.
     """
     mags = np.hypot(u.real, u.imag)
     k = np.arange(len(u))
     lead = (mags > tol).argmax(axis=1)
     entry, mag = u[k, lead], mags[k, lead]
-    turn = (mag > tol) & (entry != mag)
-    if turn.all():
-        return u * (entry.conj() / mag)[:, None]
-    if turn.any():
-        turn = turn.nonzero()[0]
-        u[turn] = u[turn] * (entry[turn].conj() / mag[turn])[:, None]
+    turn = ((mag > tol) & (entry != mag)).nonzero()[0]
+    return turn, entry[turn].conj() / mag[turn]
+
+
+def _phase_fixed(u: np.ndarray, tol: float) -> np.ndarray:
+    """Every row of a ``k x d`` array turned by the phase rule of :func:`_phase_turns`.
+
+    Returns a new array when every row turns and ``u`` itself when none
+    does; otherwise the turned rows are written into ``u``, which must then
+    be writable.
+    """
+    turn, factor = _phase_turns(u, tol)
+    if len(turn) == len(u):
+        return u * factor[:, None]
+    if len(turn):
+        u[turn] = u[turn] * factor[:, None]
     return u
 
 
@@ -294,26 +278,21 @@ def svd_decompose(a: object, tol: float = DEFAULT_TOL) -> SVDResult:
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
     if not np.isfinite(s).all():
         raise SchemaError("matrix singular values overflow a double")
-    triples: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for j in range(s.shape[0]):
-        left, right = u[:, j], vh[j].conj()
-        # Phases move in lockstep: multiplying both by the same factor keeps
-        # sigma |l><r| invariant while pinning the right vector's convention.
-        if (phase := _phase_factor(right, tol)) is not None:
-            left, right = left * phase, right * phase
-        triples.append((float(s[j]), left, right))
+    left, right = u.T.copy(), vh.conj()
+    # Phases move in lockstep: multiplying both by the same factor keeps
+    # sigma |l><r| invariant while pinning the right vector's convention.
+    turn, factor = _phase_turns(right, tol)
+    left[turn] *= factor[:, None]
+    right[turn] *= factor[:, None]
     # Stable within groups of equal sigmas.
-    ordered: list[tuple[float, np.ndarray, np.ndarray]] = []
-    i = 0
-    while i < len(triples):
+    sigmas, order, i = s.tolist(), [], 0
+    while i < len(sigmas):
         j = i + 1
-        while j < len(triples) and triples[j - 1][0] - triples[j][0] <= tol:
+        while j < len(sigmas) and sigmas[j - 1] - sigmas[j] <= tol:
             j += 1
-        group = sorted(triples[i:j], key=lambda t: t[2].view(np.float64).tolist(), reverse=True)
-        ordered.extend(group)
+        order += sorted(range(i, j), key=lambda x: right[x].view(np.float64).tolist(), reverse=True)
         i = j
-    sigmas, left, right = zip(*ordered)
-    left, right = np.array(left), np.array(right)
+    sigmas, left, right = tuple(sigmas[x] for x in order), left[order], right[order]
     left.setflags(write=False)
     right.setflags(write=False)
     return SVDResult(sigmas, left, right, rank=sum(1 for s_j in sigmas if s_j > tol))

@@ -23,7 +23,7 @@ from .distinguish import Verdict, _finest, _subset, stuck_certificate
 from .ensemble import Ensemble, ensure_complete
 from .errors import TooLargeError
 from .linalg import DEFAULT_TOL
-from .relativity import _blocks, _checked_spans, _mask, overlap_graph
+from .relativity import _blocks, _check_splits, _mask, overlap_graph
 from .relativity import components  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -61,12 +61,12 @@ def _partitions(e: Ensemble, party: int, mask: int, tol: float) -> Iterator[tupl
     """Every coarsening of the component partition of the states in ``mask`` at ``party``.
 
     Finest first, the trivial one-block partition last.  A graph that splits
-    has its spans checked by :func:`_checked_spans`, which may raise
+    has its blocks' spans checked by :func:`_check_splits`, which may raise
     NumericalInstabilityError; the coarsenings are built only past the finest.
     """
     blocks = _blocks(e, party, mask, tol)
     if len(blocks) > 1:
-        _checked_spans(e, party, mask, tol)
+        _check_splits(e, ((party, mask, blocks),), tol)
     yield blocks
     coarser = [
         # disjoint ascending rows: sorting them sorts blocks by earliest state

@@ -19,10 +19,10 @@ subsets as masks and share these entries.  :func:`overlap_graph` and
 :func:`components` show the same entries through labels; a graph copies no
 bit rows, and its edges are made only when read, as by a certificate.
 
-The checked entries are filled by :func:`_check_splits`:
+The checked entries are read and filled only by :func:`_check_splits`:
 :func:`~loccdist.distinguish.decide` hands it every split of its tree at
-once, and the oracle and :func:`components` one split at a time through
-:func:`_checked_spans`.  It normalizes every new block's first row and
+once, and the oracle and :func:`components` one split at a time, with the
+blocks they already hold.  It normalizes every new block's first row and
 runs the other rows' projections, one stacked pass per party dimension,
 and phase-fixes them all at once; blocks of rank two or more go through
 :func:`~loccdist.linalg.span_basis`.  Each split's spans are then checked
@@ -322,14 +322,17 @@ def _check_splits(
 ) -> list[tuple[np.ndarray, ...]]:
     """The checked spans of each ``(party, mask, blocks)`` split.
 
-    ``blocks`` are :func:`_blocks` of ``party`` and ``mask``.  Pass two of
+    ``blocks`` are :func:`_blocks` of ``party`` and ``mask``.  This is the
+    one way in to the ``("checked", party, mask, tol)`` entries: pass two of
     :func:`~loccdist.distinguish.decide` hands over every split of the tree
-    at once; :func:`_checked_spans` hands over one.  The spans of all their
-    blocks, each block once in the order first met, are made together by
-    :func:`_new_spans` and kept only in the checked entries.  A split with
-    a span of rank two or more is decided by :func:`_cross_check`; one whose
-    spans all have one row passes unchecked, by this bound, with u = 2**-53
-    and d the party's dimension:
+    at once, the oracle and :func:`components` one split each.  A split
+    already checked returns its entry, and when no split is new nothing is
+    made.  The spans of all the new splits' blocks, each block once in the
+    order first met, are made together by :func:`_new_spans` and kept only
+    in the checked entries.  A split with a span of rank two or more is
+    decided by :func:`_cross_check`; one whose spans all have one row
+    passes unchecked, by this bound, with u = 2**-53 and d the party's
+    dimension:
 
     - Blocks A and B of the split share no edge, so every computed
       ``|<a|b>|`` of a row of A and a row of B is at most tol (an entry
@@ -349,6 +352,8 @@ def _check_splits(
     nothing there, so it fails again on every call.
     """
     out = [e.cached(("checked", party, mask, tol)) for party, mask, _ in splits]
+    if None not in out:
+        return out
     todo = [(x, *split) for x, split in enumerate(splits) if out[x] is None]
     spans = dict.fromkeys((party, rows) for _, party, _, blocks in todo for rows in blocks)
     new = sorted(spans, key=lambda key: (e.dims[key[0]], key[0]))
@@ -361,22 +366,12 @@ def _check_splits(
     return out
 
 
-def _checked_spans(e: Ensemble, party: int, mask: int, tol: float) -> tuple[np.ndarray, ...]:
-    """The span of each of :func:`_blocks`' blocks, checked pairwise once per split.
-
-    The checked entry, never empty, if there is one; else
-    :func:`_check_splits` on the one split, which raises the
-    NumericalInstabilityError of an unstable split.
-    """
-    spans = e.cached(("checked", party, mask, tol))
-    return spans or _check_splits(e, ((party, mask, _blocks(e, party, mask, tol)),), tol)[0]
-
-
-def components(g: OverlapGraph, e: Ensemble, tol: float = DEFAULT_TOL) -> Partition:
-    """Component partition of ``g``'s states at ``tol``, with spans by :func:`_checked_spans`."""
-    mask = _mask(g.rows)
-    blocks = tuple(tuple(e.labels[i] for i in rows) for rows in _blocks(e, g.party, mask, tol))
-    return Partition(party=g.party, blocks=blocks, spans=_checked_spans(e, g.party, mask, tol))
+def components(g: OverlapGraph) -> Partition:
+    """Component partition of ``g``'s states at its tol, with spans by :func:`_check_splits`."""
+    e, mask = g.ensemble, _mask(g.rows)
+    blocks = _blocks(e, g.party, mask, g.tol)
+    (spans,) = _check_splits(e, ((g.party, mask, blocks),), g.tol)
+    return Partition(g.party, tuple(tuple(e.labels[i] for i in rows) for rows in blocks), spans)
 
 
 def relativity_chain(
@@ -446,7 +441,7 @@ def chain_criterion(e: Ensemble, tol: float = DEFAULT_TOL) -> bool:
         if d == 1:
             continue
         g = overlap_graph(e, e.labels, party, tol)
-        if any(len(span) < d for span in components(g, e, tol).spans):
+        if any(len(span) < d for span in components(g).spans):
             return False
         for label in e.labels:
             if relativity_chain(e, party, label, d - 1, tol) is None:

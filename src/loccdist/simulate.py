@@ -235,8 +235,8 @@ def _finish(w: np.ndarray, norms: np.ndarray, tol: float) -> np.ndarray:
     """Images of finite nonzero ``norms`` renormalized and phase-fixed.
 
     :func:`normalize_rows` in place and :func:`_phase_fixed`, both on
-    stacked rows, give each image the bits of :func:`normalize` and
-    :func:`phase_normalize` on that image alone.
+    stacked rows, give each image the bits of :func:`normalize` and the
+    phase rule on that image alone.
     """
     return _phase_fixed(normalize_rows(w, 0.0, norms), tol)
 

@@ -125,7 +125,7 @@ def test_step_projectors_resolve_the_subset_span():
     subset = tuple(e.labels[3:])
     graphs = [overlap_graph(e, subset, party) for party in range(e.parties)]
     g = next(g for g in graphs if len(g.blocks()) >= 2)
-    part = components(g, e)
+    part = components(g)
     assert part.party == 1
     total = np.zeros((3, 3), dtype=np.complex128)
     for span in part.spans:

@@ -38,13 +38,13 @@ from loccdist import (
     lift_protocol,
     normalize,
     parse_ensemble,
-    phase_normalize,
     random_product_basis,
     random_unitary,
     run_protocol,
     validate,
 )
 from loccdist.jsonio import complex_from_json
+from test_linalg import _phase_normalize
 
 R2 = 1.0 / math.sqrt(2.0)
 R3 = math.sqrt(3.0)
@@ -798,11 +798,11 @@ def test_skewed_and_many_party_shapes_round_trip_decide_and_replay(dims, seed, d
         standard = np.indices(dims).reshape(len(dims), -1)
         for a, d, index in zip(e.party_arrays, dims, standard):
             assert a.tobytes() == np.eye(d, dtype=np.complex128)[index].tobytes()
-    # emission turns each row's phase, row by row as phase_normalize does,
+    # emission turns each row's phase, row by row as the one-row phase rule does,
     # and writes -0.0 as 0; the parsed rows are those rows bit for bit
     parsed = parse_ensemble(emit_ensemble(e))
     for a, b in zip(e.party_arrays, parsed.party_arrays):
-        emitted = np.array([phase_normalize(row) for row in a]) + 0.0
+        emitted = np.array([_phase_normalize(row) for row in a]) + 0.0
         assert emitted.tobytes() == b.tobytes()
     v = decide(e, "complete")
     assert v.distinguishable

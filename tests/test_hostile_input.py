@@ -1,9 +1,12 @@
 """The exit-code contract under hostile structure: mutated documents through ``cli.main``.
 
 Seed documents that the program writes (a catalog emit, a random basis, its
-verdict, its lifted instrument tree, the finkelstein-povm tree and two
+verdict, its lifted instrument tree, the finkelstein-povm tree and three
 matrices) are mutated: a value is swapped for a hostile one, a key is
-dropped, a list entry is deleted or duplicated.  Each example runs one
+dropped, a list entry is deleted or duplicated.  The walk to the mutated
+value favours the int leaves of an object, and an int is most often
+swapped for a near-int such as a bool: in a 1 x 1 matrix either size set
+to true still counts its one entry.  Each example runs one
 subcommand in-process with numpy warnings turned into errors.  No exception
 may escape ``main``, the exit code is a verdict (0, 1, 2) or a failure class
 (64, 65, 70, 74), and a failure writes exactly one ``error:`` line.
@@ -48,6 +51,7 @@ SEEDS = {
     "povm": emit_sim_protocol(builtin_protocol("finkelstein-povm", _F9)),
     "matrix": canonical_dumps(emit_matrix(np.array([[1.0, -2.0j, 0.5]]))),
     "column": canonical_dumps(emit_matrix(np.array([[0.0], [1j], [0.5]]))),
+    "scalar": canonical_dumps(emit_matrix(np.array([[-2.0j]]))),
 }
 
 # (the seed that is mutated, argv); MUTATED names the mutated file, any
@@ -64,6 +68,7 @@ COMMANDS = [
     ("povm", ["simulate", "catalog", "MUTATED"]),
     ("matrix", ["decompose", "MUTATED"]),
     ("column", ["decompose", "MUTATED"]),
+    ("scalar", ["decompose", "MUTATED"]),
 ]
 
 # one family is drawn, then one value of it
@@ -74,9 +79,9 @@ HOSTILE = st.one_of(
     st.sampled_from(["", "s00", "x"]),
     st.sampled_from([[], [[]], [None], [[1, 0]], [[True, 0]], {}, {"": {}}, {"announce": None}]),
 )
-# an int is swapped for one of these half the time: a bool taken for an int
-# is the escape most often found by hand
-NEAR_INTS = st.sampled_from([True, False, 0, -1, 2**63, 10**30, 1.0])
+# an int is swapped for one of these three times in four, a bool half of
+# those times: a bool taken for an int is the escape most often found by hand
+NEAR_INTS = st.one_of(st.booleans(), st.sampled_from([0, -1, 2**63, 10**30, 1.0]))
 # mostly a tolerance that lets the document through to the code behind the flag
 TOLS = [None, None, None, None, "1e-9", "1e-3", "0.5", "1e-300", "0", "1", "nan", "x"]
 MODES = [None, "auto", "complete", "incomplete", "bogus"]
@@ -94,13 +99,18 @@ def mutated(draw, doc):
             if not isinstance(node, (dict, list)) or not node:
                 break
             keys = list(node) if isinstance(node, dict) else range(len(node))
+            # half the time a dict's int leaves, such as a matrix's sizes
+            # or a node's party, are the only keys drawn
+            ints = [k for k in keys if type(node[k]) is int] if isinstance(node, dict) else []
+            if ints and draw(st.booleans()):
+                keys = ints
             parent, key = node, draw(st.sampled_from(keys))
         op = draw(st.sampled_from(["swap", "swap", "drop", "duplicate"]))
         if op == "drop" and parent is not root:
             del parent[key]
         elif op == "duplicate" and isinstance(parent, list) and parent is not root:
             parent.insert(key, copy.deepcopy(parent[key]))
-        elif type(parent[key]) is int and draw(st.booleans()):
+        elif type(parent[key]) is int and draw(st.sampled_from([True, True, True, False])):
             parent[key] = draw(NEAR_INTS)
         else:
             parent[key] = copy.deepcopy(draw(HOSTILE))

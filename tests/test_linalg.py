@@ -23,7 +23,6 @@ from loccdist import (
     ZeroVectorError,
     basis_vector,
     normalize,
-    phase_normalize,
     svd_decompose,
 )
 from loccdist import linalg
@@ -35,6 +34,21 @@ TOL = 1e-9
 
 def _vec(*entries):
     return normalize(np.array(entries, dtype=np.complex128))
+
+
+def _phase_normalize(entries, tol=TOL):
+    """One row's global phase turned so its first entry above tol is real positive.
+
+    The per-row reference of the stacked phase rule: ``entries`` itself when
+    that entry already is real positive, or when no entry is above tol.
+    """
+    for entry in entries:
+        mag = abs(entry)
+        if mag > tol:
+            if entry.imag == 0.0 and entry.real > 0.0:
+                return entries
+            return entries * (entry.conjugate() / mag)
+    return entries
 
 
 def _stacked(vectors):
@@ -249,21 +263,19 @@ def test_normalize_is_bit_identical_to_the_per_vector_reference(tol):
             assert not got.flags.writeable
 
 
-def test_phase_normalize_first_entry_real_positive():
-    v = phase_normalize(normalize(np.array([1.0j, 0.0])))
-    assert np.allclose(v, [1.0, 0.0]) and not v.flags.writeable
-    w = phase_normalize(normalize(np.array([0.0, -1.0])))
-    assert np.allclose(w, [0.0, 1.0]) and not w.flags.writeable
-    # an array already in the convention, or with no entry above tol, comes back as itself
-    for u in (normalize(np.array([0.6, 0.8j])), np.array([1e-10j, 0.0])):
-        assert phase_normalize(u) is u
+def test_phase_rule_turns_the_first_entry_above_tol_real_positive():
+    for raw, want in (([1.0j, 0.0], [1.0, 0.0]), ([0.0, -1.0], [0.0, 1.0])):
+        assert np.allclose(linalg._phase_fixed(_vec(*raw)[None, :], TOL), [want])
+    # rows already in the convention, or with no entry above tol, come back as themselves
+    for u in (_vec(0.6, 0.8j)[None, :], np.array([[1e-10j, 0.0]])):
+        assert linalg._phase_fixed(u, TOL) is u
 
 
 @given(unit_vectors())
-def test_phase_normalize_is_idempotent_and_phase_only(v):
-    w = phase_normalize(v)
-    assert np.allclose(phase_normalize(w), w, atol=1e-12)
-    assert abs(abs(np.vdot(v, w)) - 1.0) < 1e-12
+def test_phase_rule_is_idempotent_and_phase_only(v):
+    w = linalg._phase_fixed(v[None, :], TOL)
+    assert np.allclose(linalg._phase_fixed(w.copy(), TOL), w, atol=1e-12)
+    assert abs(abs(np.vdot(v, w[0])) - 1.0) < 1e-12
 
 
 _PHASE_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-10, -2e-9, 0.6, -0.8, 1e-300])
@@ -279,11 +291,11 @@ _PHASE_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-10, -2e-9, 0.6, -0.8,
     ),
     st.sampled_from([0.0, 1e-9, 0.7]),
 )
-def test_stacked_phase_rule_turns_each_row_as_phase_normalize(rows, tol):
+def test_stacked_phase_rule_turns_each_row_as_the_one_row_rule(rows, tol):
     # rows already real positive, rows to turn and rows with no entry above
     # tol, mixed, so every branch of the stacked rule runs
     u = np.array([[complex(re, im) for re, im in row] for row in rows])
-    expected = np.array([phase_normalize(row, tol) for row in u])
+    expected = np.array([_phase_normalize(row, tol) for row in u])
     assert linalg._phase_fixed(u.copy(), tol).tobytes() == expected.tobytes()
 
 
@@ -376,7 +388,7 @@ def _scalar_span(rows, tol):
         r = linalg._residual(w, basis, tol)
         if r is not None:
             basis.append(r)
-    return [linalg.phase_normalize(b, tol) for b in basis]
+    return [_phase_normalize(b, tol) for b in basis]
 
 
 def _assert_scalar_walk(rows, tol):
@@ -553,15 +565,15 @@ def test_svd_right_vectors_are_phase_normalized():
     [[[1.0, 1j], [0.0, 2.0]], [[2.0, 0.0], [0.0, 1.0]], [[1j, 0.5], [0.0, 2.0]]],
     ids=["real-lead", "diagonal", "imaginary-lead"],
 )
-def test_svd_vectors_take_the_phase_rule_of_phase_normalize(a):
+def test_svd_vectors_take_the_one_row_phase_rule(a):
     # distinct singular values, so the order is numpy's: each right vector is
-    # phase_normalize of numpy's, bit for bit, and its left vector moves by
+    # the one-row phase rule on numpy's, bit for bit, and its left vector moves by
     # the same factor, or not at all when the lead is already real positive
     a = np.array(a, dtype=np.complex128)
     u, _, vh = np.linalg.svd(a, full_matrices=False)
     result = svd_decompose(a)
     for j, right in enumerate(vh.conj()):
-        fixed = phase_normalize(right)
+        fixed = _phase_normalize(right)
         assert result.right[j].tobytes() == fixed.tobytes()
         lead = next(z for z in right if abs(z) > 1e-9)
         left = u[:, j] if fixed is right else u[:, j] * (lead.conjugate() / abs(lead))

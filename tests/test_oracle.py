@@ -119,9 +119,7 @@ def test_family_matches_direct_intactness_enumeration():
     e = Ensemble("wing6", bennett.dims, bennett.states[3:], complete=False)
     party = 1
     family = enumerate_valid_partitions(e, e.labels, party)
-    assert family.component_blocks == components(
-        overlap_graph(e, e.labels, party), e
-    ).blocks
+    assert family.component_blocks == components(overlap_graph(e, e.labels, party)).blocks
 
     valid = []
     for raw in _all_set_partitions(list(e.labels)):

@@ -322,7 +322,7 @@ def test_bit_rows_recheck_pairwise_only_entries_within_rounding_of_tol(monkeypat
 def test_component_partition_of_wing_subset():
     e = catalog("bennett9")
     subset = ("psi4", "psi5", "psi6", "psi7", "psi8", "psi9")
-    part = components(overlap_graph(e, subset, 1), e)
+    part = components(overlap_graph(e, subset, 1))
     assert part.blocks == (("psi4", "psi5", "psi6", "psi7"), ("psi8", "psi9"))
     assert part.spans[0].shape == (2, 3)  # span{e1, e2}
     assert part.spans[1].shape == (1, 3)  # span{e3}
@@ -334,7 +334,7 @@ def test_component_partition_of_wing_subset():
 
 def test_component_spans_cover_their_members():
     e = catalog("grid16")
-    part = components(overlap_graph(e, e.labels, 0), e)
+    part = components(overlap_graph(e, e.labels, 0))
     for block, span in zip(part.blocks, part.spans):
         mat = span.T
         proj = mat @ mat.conj().T
@@ -365,7 +365,7 @@ def test_component_instability_detected():
     g = overlap_graph(e, e.labels, 0)
     assert g.blocks() == (("a", "b"), ("c",))  # c is ruled disconnected
     with pytest.raises(NumericalInstabilityError):
-        components(g, e)
+        components(g)
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +638,9 @@ def test_memoized_spans_equal_span_basis(monkeypatch, seed):
         for party in range(e.parties):
             g = overlap_graph(e, e.labels, party, tol)
             before = len(made)
-            part = components(g, e, tol)
+            part = components(g)
             assert len(made) - before == len(part.blocks)
-            assert components(g, e, tol).spans is part.spans  # kept, and made no more
+            assert components(g).spans is part.spans  # kept, and made no more
             assert len(made) - before == len(part.blocks)
             for block, span in zip(part.blocks, part.spans):
                 rows = e.party_arrays[party][[e.index(label) for label in block]]
@@ -699,7 +699,7 @@ def test_repeated_components_call_raises_instability_again():
     messages = []
     for _ in range(2):
         with pytest.raises(NumericalInstabilityError) as info:
-            components(overlap_graph(e, e.labels, 0, tol), e, tol)
+            components(overlap_graph(e, e.labels, 0, tol))
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0] == "blocks 0 and 1 at party 0 have span overlap 5.000e-01, beyond 10*tol"
@@ -726,7 +726,7 @@ def _nudged(lead, axis, tol):
 
 def _cross_block_message(e, tol):
     with pytest.raises(NumericalInstabilityError) as info:
-        components(overlap_graph(e, e.labels, 0, tol), e, tol)
+        components(overlap_graph(e, e.labels, 0, tol))
     return str(info.value)
 
 

@@ -35,7 +35,6 @@ from loccdist import (
     extend_with_projective,
     lift_protocol,
     normalize,
-    phase_normalize,
     random_product_basis,
     random_unitary,
     run_protocol,
@@ -46,6 +45,7 @@ from loccdist.jsonio import canonical_dumps, parse_json
 from loccdist import simulate
 from loccdist.linalg import emit_matrix
 from loccdist.simulate import emit_sim_protocol, parse_sim_protocol, report_to_json
+from test_linalg import _phase_normalize
 
 
 def _triple_matrices():
@@ -842,7 +842,7 @@ def _reference_step(s, op, tol):
     if prob <= tol:
         return None, prob
     locals_ = list(s.locals)
-    locals_[op.party] = phase_normalize(normalize(w, tol), tol)
+    locals_[op.party] = _phase_normalize(normalize(w, tol), tol)
     return ProductState(s.label, tuple(locals_)), prob
 
 
@@ -1089,7 +1089,7 @@ def test_run_walks_a_chain_deeper_than_the_recursion_limit():
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_finished_images_are_those_of_one_image_at_a_time(d):
     # a stack of 1 to 64 images comes out of _finish as each image alone
-    # comes out of normalize and phase_normalize, bit for bit: one-entry
+    # comes out of normalize and the one-row phase rule, bit for bit: one-entry
     # images, as of a factor cut to dimension 1, and wider ones as a control
     rng, tol = np.random.default_rng(d), 1e-9
     for _ in range(1000):
@@ -1097,7 +1097,7 @@ def test_finished_images_are_those_of_one_image_at_a_time(d):
         w = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
         w *= 10.0 ** rng.uniform(-3, 3, size=(k, 1))
         w.imag[rng.random(k) < 0.2] = 0.0  # real leads, positive or negative
-        expected = b"".join(phase_normalize(normalize(v, tol), tol).tobytes() for v in w)
+        expected = b"".join(_phase_normalize(normalize(v, tol), tol).tobytes() for v in w)
         norms, _ = simulate._probabilities(w)
         assert simulate._finish(w, norms, tol).tobytes() == expected
 
