@@ -28,7 +28,6 @@ One tree type, :data:`TraceNode`, is both exploration and protocol:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -38,6 +37,7 @@ from .errors import InvalidModeError, SchemaError
 from .jsonio import canonical_dumps  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .jsonio import complex_rows_from_json, complex_to_json, parse_json
 from .linalg import DEFAULT_TOL, normalize_rows
+from .records import Record
 from .relativity import OverlapGraph, _blocks, _check_splits, _mask, overlap_graph
 from .relativity import components  # noqa: F401  (perfbench/tracing.py wraps it here)
 
@@ -58,12 +58,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class StepOutcome:
+class StepOutcome(Record):
     """One measurement outcome: the states it keeps and, as read-only rows, its projector basis."""
 
     block: tuple[str, ...]
     basis: np.ndarray
+
+    def __init__(self, block: tuple[str, ...], basis: np.ndarray) -> None:
+        d = self.__dict__
+        d["block"], d["basis"] = block, basis
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StepOutcome):
@@ -74,20 +77,20 @@ class StepOutcome:
         return hash((self.block, self.basis.tobytes()))
 
 
-@dataclass(frozen=True)
-class MeasurementStep:
+class MeasurementStep(Record, eq=True):
     """A projective measurement at one party, one outcome per block."""
 
     party: int
     outcomes: tuple[StepOutcome, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.outcomes) < 2:
+    def __init__(self, party: int, outcomes: tuple[StepOutcome, ...]) -> None:
+        if len(outcomes) < 2:
             raise SchemaError("a measurement step needs at least two outcomes")
+        d = self.__dict__
+        d["party"], d["outcomes"] = party, outcomes
 
 
-@dataclass(frozen=True)
-class StuckCertificate:
+class StuckCertificate(Record, eq=True):
     """A subset on which every party's overlap graph is connected.
 
     Carries the full per-party graphs so the claim can be audited without
@@ -97,47 +100,53 @@ class StuckCertificate:
     subset: tuple[str, ...]
     graphs: tuple[OverlapGraph, ...]
 
-    def __post_init__(self) -> None:
-        for g in self.graphs:
+    def __init__(self, subset: tuple[str, ...], graphs: tuple[OverlapGraph, ...]) -> None:
+        for g in graphs:
             if len(g.blocks()) != 1:
                 raise SchemaError(
                     f"certificate graph at party {g.party} is disconnected; not stuck"
                 )
+        d = self.__dict__
+        d["subset"], d["graphs"] = subset, graphs
 
 
-@dataclass(frozen=True)
-class TraceLeaf:
+class TraceLeaf(Record, eq=True):
     """Terminal point of a protocol: exactly one state remains."""
 
     label: str
 
+    def __init__(self, label: str) -> None:
+        self.__dict__["label"] = label
 
-@dataclass(frozen=True)
-class TraceStuck:
+
+class TraceStuck(Record, eq=True):
     """A block that no party can split without damage."""
 
     certificate: StuckCertificate
 
+    def __init__(self, certificate: StuckCertificate) -> None:
+        self.__dict__["certificate"] = certificate
 
-@dataclass(frozen=True)
-class TraceSplit:
+
+class TraceSplit(Record, eq=True):
     """Internal point of a protocol: a step and one subtree per outcome."""
 
     step: MeasurementStep
     children: tuple["TraceNode", ...]
 
-    def __post_init__(self) -> None:
-        if len(self.children) != len(self.step.outcomes):
+    def __init__(self, step: MeasurementStep, children: tuple[TraceNode, ...]) -> None:
+        if len(children) != len(step.outcomes):
             raise SchemaError(
-                f"node has {len(self.children)} children for {len(self.step.outcomes)} outcomes"
+                f"node has {len(children)} children for {len(step.outcomes)} outcomes"
             )
+        d = self.__dict__
+        d["step"], d["children"] = step, children
 
 
 TraceNode = TraceLeaf | TraceStuck | TraceSplit
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record, eq=True):
     """Decision outcome plus whichever witness backs it up.
 
     ``trace`` is decide's whole exploration.  A distinguishable verdict's
@@ -147,9 +156,19 @@ class Verdict:
     """
 
     kind: str  # "distinguishable" | "indistinguishable" | "unknown"
-    tree: TraceNode | None = None
-    certificate: StuckCertificate | None = None
-    trace: TraceNode | None = None
+    tree: TraceNode | None
+    certificate: StuckCertificate | None
+    trace: TraceNode | None
+
+    def __init__(
+        self,
+        kind: str,
+        tree: TraceNode | None = None,
+        certificate: StuckCertificate | None = None,
+        trace: TraceNode | None = None,
+    ) -> None:
+        d = self.__dict__
+        d["kind"], d["tree"], d["certificate"], d["trace"] = kind, tree, certificate, trace
 
     @property
     def distinguishable(self) -> bool:

@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -29,6 +28,7 @@ from .errors import (
 )
 from .jsonio import canonical_dumps, complex_rows_from_json, complex_to_json, parse_json
 from .linalg import DEFAULT_TOL, _phase_fixed, _row_norms, basis_vector, normalize, normalize_rows
+from .records import Record
 
 __all__ = [
     "CATALOG_NAMES",
@@ -101,23 +101,23 @@ def _require_unit(a: np.ndarray, labels: Sequence[str], party: int) -> None:
 _NUMERIC = "biufc"
 
 
-@dataclass(frozen=True, eq=False)
-class ProductState:
+class ProductState(Record):
     """One labeled product state: one unit vector per party, each a 1-D complex array."""
 
     label: str
     locals: tuple[np.ndarray, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.label, str) or not self.label:
+    def __init__(self, label: str, locals: Sequence[np.ndarray]) -> None:
+        if not isinstance(label, str) or not label:
             raise SchemaError("state label must be a non-empty string")
-        object.__setattr__(self, "locals", tuple(self.locals))
-        if not self.locals:
-            raise SchemaError(f"state {self.label!r} has no local vectors")
+        locals = tuple(locals)
+        if not locals:
+            raise SchemaError(f"state {label!r} has no local vectors")
+        d = self.__dict__
+        d["label"], d["locals"] = label, locals
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Ensemble:
+class Ensemble(Record, hidden=("party_arrays",)):
     """Ordered collection of product states over fixed local dimensions.
 
     Held as ``labels`` and :attr:`party_arrays`, one read-only ``n x d_p``
@@ -130,7 +130,7 @@ class Ensemble:
     name: str
     dims: tuple[int, ...]
     labels: tuple[str, ...]
-    party_arrays: tuple[np.ndarray, ...] = field(repr=False)
+    party_arrays: tuple[np.ndarray, ...]
     complete: bool
 
     def __init__(
@@ -290,8 +290,7 @@ def _ones(mask: int) -> Iterator[int]:
 # validation
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record, eq=True):
     """Outcome of the structural checks on an ensemble.
 
     ``offending_pairs`` lists ``(label_a, label_b, magnitude)`` for each pair
@@ -303,6 +302,16 @@ class ValidationReport:
     pairwise_orthogonal: bool
     complete_count: bool
     offending_pairs: tuple[tuple[str, str, float], ...]
+
+    def __init__(
+        self,
+        pairwise_orthogonal: bool,
+        complete_count: bool,
+        offending_pairs: tuple[tuple[str, str, float], ...],
+    ) -> None:
+        d = self.__dict__
+        d["pairwise_orthogonal"], d["complete_count"] = pairwise_orthogonal, complete_count
+        d["offending_pairs"] = offending_pairs
 
 
 def validate(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:

@@ -31,12 +31,12 @@ singular pair by its right vector's factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, SchemaError, ZeroVectorError
 from .jsonio import complex_from_json, complex_to_json
+from .records import Record
 
 __all__ = [
     "DEFAULT_TOL",
@@ -248,8 +248,7 @@ def projectors(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True, eq=False)
-class SVDResult:
+class SVDResult(Record):
     """Singular value decomposition A = sum_j sigmas[j] |left_j><right_j|.
 
     ``left`` and ``right`` are read-only ``r x rows`` and ``r x cols``
@@ -260,6 +259,12 @@ class SVDResult:
     left: np.ndarray
     right: np.ndarray
     rank: int
+
+    def __init__(
+        self, sigmas: tuple[float, ...], left: np.ndarray, right: np.ndarray, rank: int
+    ) -> None:
+        d = self.__dict__
+        d["sigmas"], d["left"], d["right"], d["rank"] = sigmas, left, right, rank
 
     def reconstruct(self) -> np.ndarray:
         return (self.left.T * np.array(self.sigmas)) @ self.right.conj()

@@ -16,13 +16,13 @@ exists, not with one: a distinguishable verdict carries no tree, since
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .distinguish import Verdict, _finest, _subset, stuck_certificate
 from .ensemble import Ensemble, ensure_complete
 from .errors import TooLargeError
 from .linalg import DEFAULT_TOL
+from .records import Record
 from .relativity import _blocks, _check_splits, _mask, overlap_graph
 from .relativity import components  # noqa: F401  (perfbench/tracing.py wraps it here)
 
@@ -36,14 +36,24 @@ __all__ = [
 MAX_ORACLE_STATES = 12
 
 
-@dataclass(frozen=True)
-class PartitionFamily:
+class PartitionFamily(Record, eq=True):
     """All partitions a non-damaging measurement can realize on a subset."""
 
     party: int
     subset: tuple[str, ...]
     component_blocks: tuple[tuple[str, ...], ...]
     partitions: tuple[tuple[tuple[str, ...], ...], ...]
+
+    def __init__(
+        self,
+        party: int,
+        subset: tuple[str, ...],
+        component_blocks: tuple[tuple[str, ...], ...],
+        partitions: tuple[tuple[tuple[str, ...], ...], ...],
+    ) -> None:
+        d = self.__dict__
+        d["party"], d["subset"] = party, subset
+        d["component_blocks"], d["partitions"] = component_blocks, partitions
 
 
 def _set_partitions(items: list) -> Iterator[list[list]]:

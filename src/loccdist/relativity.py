@@ -42,7 +42,6 @@ import bisect
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,6 +56,7 @@ from .ensemble import (
     ensure_complete,
 )
 from .linalg import DEFAULT_TOL, _phase_fixed, _residual, _row_norms, span_basis
+from .records import Record
 
 __all__ = [
     "OverlapGraph",
@@ -103,8 +103,7 @@ def _mask(rows: Iterable[int]) -> int:
     return mask
 
 
-@dataclass(frozen=True, eq=False)
-class OverlapGraph:
+class OverlapGraph(Record, hidden=("rows", "ensemble", "tol")):
     """Relativity graph of a state subset at one party.
 
     Members keep the ensemble order; ``rows`` are their ascending state
@@ -115,9 +114,21 @@ class OverlapGraph:
 
     party: int
     members: tuple[str, ...]
-    rows: tuple[int, ...] = field(repr=False)
-    ensemble: Ensemble = field(repr=False)
-    tol: float = field(repr=False)
+    rows: tuple[int, ...]
+    ensemble: Ensemble
+    tol: float
+
+    def __init__(
+        self,
+        party: int,
+        members: tuple[str, ...],
+        rows: tuple[int, ...],
+        ensemble: Ensemble,
+        tol: float,
+    ) -> None:
+        d = self.__dict__
+        d["party"], d["members"], d["rows"] = party, members, rows
+        d["ensemble"], d["tol"] = ensemble, tol
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OverlapGraph):
@@ -157,13 +168,18 @@ def overlap_graph(
     return OverlapGraph(party, tuple(e.labels[i] for i in rows), rows, e, float(tol))
 
 
-@dataclass(frozen=True, eq=False)
-class Partition:
+class Partition(Record):
     """Connected components of an overlap graph with orthonormal block spans, as rows."""
 
     party: int
     blocks: tuple[tuple[str, ...], ...]
     spans: tuple[np.ndarray, ...]
+
+    def __init__(
+        self, party: int, blocks: tuple[tuple[str, ...], ...], spans: tuple[np.ndarray, ...]
+    ) -> None:
+        d = self.__dict__
+        d["party"], d["blocks"], d["spans"] = party, blocks, spans
 
 
 def _cross_check(party: int, spans: tuple[np.ndarray, ...], tol: float) -> None:

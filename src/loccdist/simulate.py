@@ -17,7 +17,6 @@ dimension, and builds their projectors, at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +41,7 @@ from .linalg import (
     parse_matrix,
     projectors,
 )
+from .records import Record
 
 __all__ = [
     "BUILTIN_PROTOCOL_NAMES",
@@ -62,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class LocalOperator:
+class LocalOperator(Record):
     """One Kraus operator acting on a single party's factor.
 
     ``basis`` and ``complement`` record a matrix built as the projector onto
@@ -75,15 +74,22 @@ class LocalOperator:
 
     party: int
     matrix: np.ndarray
-    basis: np.ndarray | None = None
-    complement: bool = False
+    basis: np.ndarray | None
+    complement: bool
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.party, int) or isinstance(self.party, bool) or self.party < 0:
-            raise SchemaError(f"party must be a non-negative integer, got {self.party!r}")
-        m = _entries(self.matrix, 2).copy()
+    def __init__(
+        self,
+        party: int,
+        matrix: np.ndarray,
+        basis: np.ndarray | None = None,
+        complement: bool = False,
+    ) -> None:
+        if not isinstance(party, int) or isinstance(party, bool) or party < 0:
+            raise SchemaError(f"party must be a non-negative integer, got {party!r}")
+        m = _entries(matrix, 2).copy()
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        d = self.__dict__
+        d["party"], d["matrix"], d["basis"], d["complement"] = party, m, basis, complement
 
     @property
     def in_dim(self) -> int:
@@ -96,32 +102,33 @@ class LocalOperator:
 
 def _built(party: int, matrix: np.ndarray, basis=None, complement=False) -> LocalOperator:
     """A LocalOperator around a finite read-only matrix built here, without a copy or a check."""
-    op = object.__new__(LocalOperator)  # attributes set in field order keep the dict compact
-    for name, value in dict(party=party, matrix=matrix, basis=basis, complement=complement).items():
-        object.__setattr__(op, name, value)
+    op = object.__new__(LocalOperator)
+    d = op.__dict__
+    d["party"], d["matrix"], d["basis"], d["complement"] = party, matrix, basis, complement
     return op
 
 
-@dataclass(frozen=True)
-class Instrument:
+class Instrument(Record, eq=True):
     """A complete family of Kraus operators at one party."""
 
     party: int
     operators: tuple[LocalOperator, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.party, int) or isinstance(self.party, bool) or self.party < 0:
-            raise SchemaError(f"party must be a non-negative integer, got {self.party!r}")
-        object.__setattr__(self, "operators", tuple(self.operators))
-        if not self.operators:
+    def __init__(self, party: int, operators: Sequence[LocalOperator]) -> None:
+        if not isinstance(party, int) or isinstance(party, bool) or party < 0:
+            raise SchemaError(f"party must be a non-negative integer, got {party!r}")
+        operators = tuple(operators)
+        if not operators:
             raise SchemaError("an instrument needs at least one operator")
-        for op in self.operators:
-            if op.party != self.party:
+        for op in operators:
+            if op.party != party:
                 raise SchemaError(
-                    f"operator for party {op.party} inside instrument for party {self.party}"
+                    f"operator for party {op.party} inside instrument for party {party}"
                 )
-            if op.in_dim != self.operators[0].in_dim:
+            if op.in_dim != operators[0].in_dim:
                 raise DimensionError("all operators in an instrument share one input dimension")
+        d = self.__dict__
+        d["party"], d["operators"] = party, operators
 
     @property
     def stacks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
@@ -176,25 +183,28 @@ def _require_complete(instruments: Sequence[Instrument], tol: float) -> None:
             )
 
 
-@dataclass(frozen=True)
-class SimLeaf:
+class SimLeaf(Record, eq=True):
     """Protocol endpoint: announce one label, or None to give up."""
 
     announce: str | None
 
+    def __init__(self, announce: str | None) -> None:
+        self.__dict__["announce"] = announce
 
-@dataclass(frozen=True)
-class SimNode:
+
+class SimNode(Record, eq=True):
     """Protocol branch point: one instrument, one subtree per operator."""
 
     instrument: Instrument
     children: tuple["SimTree", ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) != len(self.instrument.operators):
-            n, k = len(self.children), len(self.instrument.operators)
+    def __init__(self, instrument: Instrument, children: Sequence[SimTree]) -> None:
+        children = tuple(children)
+        if len(children) != len(instrument.operators):
+            n, k = len(children), len(instrument.operators)
             raise SchemaError(f"node has {n} children for {k} operators")
+        d = self.__dict__
+        d["instrument"], d["children"] = instrument, children
 
 
 SimTree = SimLeaf | SimNode
@@ -241,8 +251,7 @@ def _finish(w: np.ndarray, norms: np.ndarray, tol: float) -> np.ndarray:
     return _phase_fixed(normalize_rows(w, 0.0, norms), tol)
 
 
-@dataclass(frozen=True)
-class DiscriminationReport:
+class DiscriminationReport(Record, eq=True):
     """Exact branch accounting of one protocol run over one ensemble."""
 
     perfect: bool
@@ -251,6 +260,19 @@ class DiscriminationReport:
     confusion: dict[tuple[int, ...], tuple[str, ...]]
     totals: dict[str, float]
     warnings: tuple[str, ...]
+
+    def __init__(
+        self,
+        perfect: bool,
+        branches: dict[str, tuple[tuple[tuple[int, ...], float], ...]],
+        leaf_announce: dict[tuple[int, ...], str | None],
+        confusion: dict[tuple[int, ...], tuple[str, ...]],
+        totals: dict[str, float],
+        warnings: tuple[str, ...],
+    ) -> None:
+        d = self.__dict__
+        d["perfect"], d["branches"], d["leaf_announce"] = perfect, branches, leaf_announce
+        d["confusion"], d["totals"], d["warnings"] = confusion, totals, warnings
 
 
 def _joined(groups: list[tuple]) -> tuple:

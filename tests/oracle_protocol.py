@@ -9,10 +9,8 @@ the block spans of the partition the search kept there.
 
 from __future__ import annotations
 
-import dataclasses
-
 from loccdist import exhaustive_decide, oracle
-from loccdist.distinguish import TraceLeaf, TraceSplit, _step
+from loccdist.distinguish import TraceLeaf, TraceSplit, Verdict, _step
 from loccdist.linalg import DEFAULT_TOL, span_basis
 from loccdist.relativity import _mask
 
@@ -25,7 +23,7 @@ def oracle_verdict(e, tol=DEFAULT_TOL):
     memo = {1 << i: () for i in range(len(e.labels))}
     everything = (1 << len(e.labels)) - 1
     assert oracle._solve(e, memo, everything, tol)
-    return dataclasses.replace(v, tree=_build(e, memo, everything, tol))
+    return Verdict(v.kind, _build(e, memo, everything, tol), v.certificate, v.trace)
 
 
 def _build(e, memo, mask, tol):

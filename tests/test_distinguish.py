@@ -725,13 +725,13 @@ def test_check_path_builds_no_vector_wrappers(monkeypatch, make):
     # ensemble's states view is never built
     text = emit_ensemble(make())
     counts = {"ProductState": 0}
-    post_init = ensemble.ProductState.__post_init__
+    init = ensemble.ProductState.__init__
 
     def counted(*args, **kwargs):
         counts["ProductState"] += 1
-        return post_init(*args, **kwargs)
+        return init(*args, **kwargs)
 
-    monkeypatch.setattr(ensemble.ProductState, "__post_init__", counted)
+    monkeypatch.setattr(ensemble.ProductState, "__init__", counted)
     e = parse_ensemble(text)
     verdict = decide(e, "complete")
     doc = verdict_to_json(verdict)

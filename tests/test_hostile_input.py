@@ -3,13 +3,14 @@
 Seed documents that the program writes (a catalog emit, a random basis, its
 verdict, its lifted instrument tree, the finkelstein-povm tree and three
 matrices) are mutated: a value is swapped for a hostile one, a key is
-dropped, a list entry is deleted or duplicated.  The walk to the mutated
-value favours the int leaves of an object, and an int is most often
-swapped for a near-int such as a bool: in a 1 x 1 matrix either size set
-to true still counts its one entry.  Each example runs one
-subcommand in-process with numpy warnings turned into errors.  No exception
-may escape ``main``, the exit code is a verdict (0, 1, 2) or a failure class
-(64, 65, 70, 74), and a failure writes exactly one ``error:`` line.
+dropped, a list entry is deleted or duplicated.  The mutated value is
+often an int of an object, and an int is most often swapped for a
+near-int such as a bool (in a 1 x 1 matrix either size set to true still
+counts its one entry) or for the party one past the seed's last.  Each
+example runs one subcommand in-process with numpy warnings turned into
+errors.  No exception may escape ``main``, the exit code is a verdict (0,
+1, 2) or a failure class (64, 65, 70, 74), and a failure writes exactly
+one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -82,19 +83,48 @@ HOSTILE = st.one_of(
 # an int is swapped for one of these three times in four, a bool half of
 # those times: a bool taken for an int is the escape most often found by hand
 NEAR_INTS = st.one_of(st.booleans(), st.sampled_from([0, -1, 2**63, 10**30, 1.0]))
+# the party one past a seed's last: in a document that names parties, the
+# out-of-range index that only a check against the ensemble refuses
+PAST_PARTY = {"catalog": _F9.parties, "povm": _F9.parties, "basis": _BASIS.parties,
+              "verdict": _BASIS.parties, "lifted": _BASIS.parties}
 # mostly a tolerance that lets the document through to the code behind the flag
 TOLS = [None, None, None, None, "1e-9", "1e-3", "0.5", "1e-300", "0", "1", "nan", "x"]
 MODES = [None, "auto", "complete", "incomplete", "bogus"]
 EXIT_CODES = {0, 1, 2, 64, 65, 70, 74}
 
 
+def _object_ints(node):
+    """``(object, key)`` for every int value of an object in ``node``, in document order."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            if type(v) is int:
+                yield node, k
+            yield from _object_ints(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _object_ints(v)
+
+
 @st.composite
-def mutated(draw, doc):
-    """``doc`` after one or two swaps, drops, deletions or duplications."""
+def mutated(draw, doc, past_party=None):
+    """``doc`` after one or two swaps, drops, deletions or duplications.
+
+    Half the time the value changed is an object's int, such as a node's
+    party deep in a tree, drawn from all of them; otherwise a walk from the
+    root finds it.  With ``past_party``, an int is swapped for that party
+    index as often as for a bool.
+    """
+    near_ints = NEAR_INTS if past_party is None else st.one_of(NEAR_INTS, st.just(past_party))
     root = [copy.deepcopy(doc)]  # a holder, so the document itself can be swapped
     for _ in range(draw(st.integers(1, 2))):
         parent, key = root, 0
-        for _ in range(draw(st.integers(0, 10))):
+        leaves = list(_object_ints(root[0]))
+        if leaves and draw(st.booleans()):
+            parent, key = draw(st.sampled_from(leaves))
+            steps = 0
+        else:
+            steps = draw(st.integers(0, 10))
+        for _ in range(steps):
             node = parent[key]
             if not isinstance(node, (dict, list)) or not node:
                 break
@@ -111,7 +141,7 @@ def mutated(draw, doc):
         elif op == "duplicate" and isinstance(parent, list) and parent is not root:
             parent.insert(key, copy.deepcopy(parent[key]))
         elif type(parent[key]) is int and draw(st.sampled_from([True, True, True, False])):
-            parent[key] = draw(NEAR_INTS)
+            parent[key] = draw(near_ints)
         else:
             parent[key] = copy.deepcopy(draw(HOSTILE))
     return root[0]
@@ -130,7 +160,7 @@ def seed_files(tmp_path_factory):
        mode=st.sampled_from(MODES))
 def test_hostile_documents_keep_the_exit_code_contract(seed_files, data, command, tol, mode):
     seed, argv = command
-    doc = data.draw(mutated(json.loads(SEEDS[seed])), label="document")
+    doc = data.draw(mutated(json.loads(SEEDS[seed]), PAST_PARTY.get(seed)), label="document")
     mutated_file = seed_files / "mutated.json"
     mutated_file.write_text(json.dumps(doc), encoding="utf-8")
     argv = [str(mutated_file) if a == "MUTATED" else
