@@ -156,9 +156,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         human = {"distinguishable": "distinguishable",
                  "indistinguishable": "indistinguishable",
                  "unknown": "unknown (projective-stuck)"}[v.kind]
-        print(human)
-        if args.trace and v.trace is not None:
-            print("\n".join(_render_trace(v.trace)))
+        # the trace is built and rendered before anything is printed
+        lines = _render_trace(v.trace) if args.trace else []
+        print("\n".join([human, *lines]))
     return _verdict_exit(v)
 
 

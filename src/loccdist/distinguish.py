@@ -17,8 +17,9 @@ hands every recorded split, in pre-order, to
 :func:`loccdist.relativity._check_splits`, which makes all of their block
 spans and checks every two blocks of each in stacked products, filling the
 ensemble's checked memo entries; the first split in pre-order whose check
-fails raises its NumericalInstabilityError there.  The trace is then built
-from the pre-order list.
+fails raises its NumericalInstabilityError there.  The verdict's kind and
+the certificate of the first stuck block follow from the list; the trace is
+built from it only when it is first read.
 
 One tree type, :data:`TraceNode`, is both exploration and protocol:
 :class:`TraceSplit` steps over :class:`TraceLeaf` labels and
@@ -28,6 +29,7 @@ One tree type, :data:`TraceNode`, is both exploration and protocol:
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 import numpy as np
@@ -38,8 +40,9 @@ from .jsonio import canonical_dumps  # noqa: F401  (perfbench/tracing.py wraps i
 from .jsonio import complex_rows_from_json, complex_to_json, parse_json
 from .linalg import DEFAULT_TOL, normalize_rows
 from .records import Record
-from .relativity import OverlapGraph, _blocks, _check_splits, _mask, overlap_graph
+from .relativity import OverlapGraph, _blocks, _check_splits, _mask
 from .relativity import components  # noqa: F401  (perfbench/tracing.py wraps it here)
+from .relativity import overlap_graph  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
     "MeasurementStep",
@@ -74,7 +77,8 @@ class StepOutcome(Record):
         return self.block == other.block and bool(np.array_equal(self.basis, other.basis))
 
     def __hash__(self) -> int:
-        return hash((self.block, self.basis.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which np.array_equal finds equal to it
+        return hash((self.block, (self.basis + 0.0).tobytes()))
 
 
 class MeasurementStep(Record, eq=True):
@@ -102,7 +106,7 @@ class StuckCertificate(Record, eq=True):
 
     def __init__(self, subset: tuple[str, ...], graphs: tuple[OverlapGraph, ...]) -> None:
         for g in graphs:
-            if len(g.blocks()) != 1:
+            if len(g.row_blocks) != 1:
                 raise SchemaError(
                     f"certificate graph at party {g.party} is disconnected; not stuck"
                 )
@@ -153,6 +157,12 @@ class Verdict(Record, eq=True):
     ``tree`` is that same object; otherwise ``certificate`` is the trace's
     first stuck block in pre-order.  The oracle's verdicts have no trace
     and no tree.
+
+    ``Verdict(...)`` sets every field.  A verdict from :func:`decide` has
+    its kind and certificate set and builds its trace, and a distinguishable
+    one's tree, on first read of either.  Until then it holds what the trace
+    is built from (see :func:`decide`); equality, hashing and ``repr`` read
+    the fields, so they build it too.
     """
 
     kind: str  # "distinguishable" | "indistinguishable" | "unknown"
@@ -170,6 +180,16 @@ class Verdict(Record, eq=True):
         d = self.__dict__
         d["kind"], d["tree"], d["certificate"], d["trace"] = kind, tree, certificate, trace
 
+    def __getattr__(self, name: str) -> TraceNode | None:
+        # only reached for a field missing from __dict__: a trace not built yet
+        d = self.__dict__
+        if name not in ("tree", "trace") or "_pending" not in d:
+            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+        d["trace"] = _trace(*d["_pending"], d["certificate"])
+        d.setdefault("tree", d["trace"])  # a stuck verdict's tree is already None
+        del d["_pending"]
+        return d[name]
+
     @property
     def distinguishable(self) -> bool:
         return self.kind == "distinguishable"
@@ -184,24 +204,31 @@ def _finest(e: Ensemble, mask: int, tol: float) -> tuple[int, tuple] | None:
     return None
 
 
-def _subset(e: Ensemble, mask: int) -> tuple[str, ...]:
-    """The labels of the states in ``mask``, in ensemble order."""
-    return tuple(e.labels[i] for i in _ones(mask))
-
-
-def _step(e: Ensemble, party: int, blocks: tuple, spans: tuple) -> MeasurementStep:
+def _step(labels: tuple[str, ...], party: int, blocks: tuple, spans: tuple) -> MeasurementStep:
     """The measurement onto ``spans``, its outcomes labelled by the states of ``blocks``."""
-    labels = e.labels
     outcomes = (StepOutcome(tuple(labels[i] for i in rows), s) for rows, s in zip(blocks, spans))
     return MeasurementStep(party=party, outcomes=tuple(outcomes))
+
+
+def _certificate(e: Ensemble, mask: int, tol: float,
+                 subset: tuple[str, ...] | None = None) -> StuckCertificate:
+    """The certificate of the states in ``mask``, its graphs made from the mask's rows.
+
+    ``subset`` is the certificate's subset; by default, the states' labels
+    in ensemble order.
+    """
+    rows = tuple(_ones(mask))
+    members = tuple(e.labels[i] for i in rows)
+    tol = float(tol)
+    graphs = tuple(OverlapGraph(party, members, rows, e, tol) for party in range(e.parties))
+    return StuckCertificate(members if subset is None else subset, graphs)
 
 
 def stuck_certificate(
     e: Ensemble, subset: tuple[str, ...], tol: float = DEFAULT_TOL
 ) -> StuckCertificate:
     """Certificate that ``subset`` admits no non-damaging split at any party."""
-    graphs = tuple(overlap_graph(e, subset, party, tol) for party in range(e.parties))
-    return StuckCertificate(subset=subset, graphs=graphs)
+    return _certificate(e, _mask(map(e.index, subset)), tol, subset)  # NotFoundError if unknown
 
 
 def _walk(e: Ensemble, tol: float) -> list[tuple[int, int, tuple]]:
@@ -220,22 +247,38 @@ def _walk(e: Ensemble, tol: float) -> list[tuple[int, int, tuple]]:
     return nodes
 
 
-def _build(e: Ensemble, nodes: Iterator, checked: Iterator, tol: float,
-           stuck: list[StuckCertificate]) -> TraceNode:
-    """The trace of the next subtree in ``nodes``; stuck blocks are appended in pre-order.
+def _stuck(nodes: list[tuple[int, int, tuple]]) -> list[int]:
+    """The masks of the stuck blocks among ``nodes``: no party, two states or more."""
+    return [mask for party, mask, _ in nodes if party < 0 and mask & (mask - 1)]
 
-    ``checked`` holds each split's checked spans in pre-order; a split takes
-    its spans before its subtrees.
+
+def _trace(labels: tuple[str, ...], nodes: list, checked: list, e: Ensemble | None,
+           tol: float, first: StuckCertificate | None) -> TraceNode:
+    """The trace of :func:`decide`'s ``nodes``; its first stuck block takes ``first``.
+
+    ``e`` makes the certificates of the later stuck blocks; with no stuck
+    block it is None.
+    """
+    later = (_certificate(e, mask, tol) for mask in _stuck(nodes)[1:])  # type: ignore[arg-type]
+    return _build(labels, iter(nodes), iter(checked), itertools.chain([first], later))
+
+
+def _build(labels: tuple[str, ...], nodes: Iterator, checked: Iterator,
+           certificates: Iterator[StuckCertificate]) -> TraceNode:
+    """The trace of the next subtree in ``nodes``.
+
+    ``checked`` holds each split's checked spans and ``certificates`` each
+    stuck block's certificate, both in pre-order; a split takes its spans
+    before its subtrees.
     """
     party, mask, blocks = next(nodes)
     if party < 0 and not mask & (mask - 1):
-        return TraceLeaf(e.labels[mask.bit_length() - 1])
+        return TraceLeaf(labels[mask.bit_length() - 1])
     if party < 0:
-        stuck.append(stuck_certificate(e, _subset(e, mask), tol))
-        return TraceStuck(stuck[-1])
+        return TraceStuck(next(certificates))
     spans = next(checked)
-    children = tuple(_build(e, nodes, checked, tol, stuck) for _ in blocks)
-    return TraceSplit(step=_step(e, party, blocks, spans), children=children)
+    children = tuple(_build(labels, nodes, checked, certificates) for _ in blocks)
+    return TraceSplit(step=_step(labels, party, blocks, spans), children=children)
 
 
 def decide(e: Ensemble, mode: str, tol: float = DEFAULT_TOL) -> Verdict:
@@ -247,6 +290,13 @@ def decide(e: Ensemble, mode: str, tol: float = DEFAULT_TOL) -> Verdict:
     search as unknown.  The full exploration (every block, not just the
     first stuck one) is kept on the verdict as ``trace``; with no stuck
     block it is also the verdict's ``tree``.
+
+    Eager, so every error raises from this call: the mode's validation, the
+    walk, the span check of every split, the verdict's kind and the
+    certificate of the first stuck block.  The trace, and a distinguishable
+    verdict's tree, are built on first read.  Until then the verdict holds
+    the labels, the walk's nodes and the checked spans, and, only when some
+    block is stuck, the ensemble, which the certificate's graphs hold too.
     """
     if mode == "complete":
         ensure_complete(e, tol)
@@ -258,12 +308,16 @@ def decide(e: Ensemble, mode: str, tol: float = DEFAULT_TOL) -> Verdict:
         raise InvalidModeError("cannot decide an empty ensemble")
     nodes = _walk(e, tol)
     checked = _check_splits(e, [node for node in nodes if node[0] >= 0], tol)
-    stuck: list[StuckCertificate] = []
-    trace = _build(e, iter(nodes), iter(checked), tol, stuck)
-    if not stuck:
-        return Verdict(kind="distinguishable", tree=trace, trace=trace)
-    kind = "indistinguishable" if mode == "complete" else "unknown"
-    return Verdict(kind=kind, certificate=stuck[0], trace=trace)
+    stuck = _stuck(nodes)
+    v = object.__new__(Verdict)
+    d = v.__dict__
+    if stuck:
+        d["kind"] = "indistinguishable" if mode == "complete" else "unknown"
+        d["tree"], d["certificate"] = None, _certificate(e, stuck[0], tol)
+    else:
+        d["kind"], d["certificate"] = "distinguishable", None
+    d["_pending"] = (e.labels, nodes, checked, e if stuck else None, tol)
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .distinguish import Verdict, _finest, _subset, stuck_certificate
+from .distinguish import Verdict, _certificate, _finest
+from .distinguish import stuck_certificate  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .ensemble import Ensemble, ensure_complete
 from .errors import TooLargeError
 from .linalg import DEFAULT_TOL
@@ -144,5 +145,4 @@ def exhaustive_decide(e: Ensemble, tol: float = DEFAULT_TOL) -> Verdict:
     while (split := _finest(e, stuck, tol)) is not None:
         # an unsolved subset has an unsolved finest block, or its finest split would solve it
         stuck = next(mask for mask in map(_mask, split[1]) if not _solve(e, memo, mask, tol))
-    certificate = stuck_certificate(e, _subset(e, stuck), tol)
-    return Verdict(kind="indistinguishable", certificate=certificate)
+    return Verdict(kind="indistinguishable", certificate=_certificate(e, stuck, tol))

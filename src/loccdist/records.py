@@ -5,7 +5,9 @@ plain classes: each has an explicit ``__init__`` that checks its arguments
 and writes its fields straight into ``self.__dict__``, so constructing one
 runs no generic code and importing the package generates none.
 :class:`Record` gives them, from the field tuple each class declares,
-immutability, equality and a readable ``repr``.
+immutability, equality and a readable ``repr``.  A field may be left out
+of ``__dict__`` and made on first read, as a verdict's trace is: equality,
+hashing and ``repr`` read such a field through the attribute.
 """
 
 from __future__ import annotations
@@ -21,8 +23,11 @@ class Record:
     raises AttributeError; ``__dict__`` stays, for
     ``functools.cached_property``.  With the class keyword ``eq=True`` two
     records of the same class are equal when their field tuples are, and a
-    record hashes as its field tuple; otherwise equality is identity.
+    record hashes as its field tuple, unless the class sets ``__hash__``
+    itself (``None`` makes it unhashable); otherwise equality is identity.
     ``repr`` shows every field not named in the class keyword ``hidden``.
+    A field missing from ``__dict__`` is read through the attribute, which
+    builds it.
     """
 
     __slots__ = ()
@@ -33,7 +38,8 @@ class Record:
         cls._shown = tuple(f for f in fields if f not in hidden)
         if eq:
             cls.__eq__ = _value_eq  # type: ignore[method-assign]
-            cls.__hash__ = _value_hash  # type: ignore[method-assign]
+            if "__hash__" not in cls.__dict__:
+                cls.__hash__ = _value_hash  # type: ignore[method-assign]
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -42,14 +48,14 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        d = self.__dict__
-        shown = ", ".join(f"{f}={d[f]!r}" for f in self._shown)  # type: ignore[attr-defined]
+        fields = self._shown  # type: ignore[attr-defined]
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in fields)
         return f"{type(self).__qualname__}({shown})"
 
 
 def _values(r: Record) -> tuple:
-    d = r.__dict__
-    return tuple([d[f] for f in r._fields])  # type: ignore[attr-defined]
+    d, fields = r.__dict__, r._fields  # type: ignore[attr-defined]
+    return tuple([d[f] if f in d else getattr(r, f) for f in fields])
 
 
 def _value_eq(self: Record, other: object) -> bool:

@@ -69,7 +69,8 @@ class LocalOperator(Record):
     an orthonormal family, the rows of a ``k x d`` array, or as the identity
     minus the projectors before it in its instrument.  The protocol format
     stores that form instead of the matrix; the matrix is what every
-    computation reads.
+    computation reads.  Two operators are equal when their parties,
+    complement flags, matrices and bases are.
     """
 
     party: int
@@ -90,6 +91,21 @@ class LocalOperator(Record):
         m.setflags(write=False)
         d = self.__dict__
         d["party"], d["matrix"], d["basis"], d["complement"] = party, m, basis, complement
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LocalOperator):
+            return NotImplemented
+        a, b = self.basis, other.basis
+        return (
+            (self.party, self.complement) == (other.party, other.complement)
+            and bool(np.array_equal(self.matrix, other.matrix))
+            and (a is None) == (b is None)
+            and (a is None or bool(np.array_equal(a, b)))
+        )
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which np.array_equal finds equal to it
+        return hash((self.party, self.complement, (self.matrix + 0.0).tobytes()))
 
     @property
     def in_dim(self) -> int:
@@ -252,7 +268,12 @@ def _finish(w: np.ndarray, norms: np.ndarray, tol: float) -> np.ndarray:
 
 
 class DiscriminationReport(Record, eq=True):
-    """Exact branch accounting of one protocol run over one ensemble."""
+    """Exact branch accounting of one protocol run over one ensemble.
+
+    Unhashable: four of its fields are dicts.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
 
     perfect: bool
     branches: dict[str, tuple[tuple[tuple[int, ...], float], ...]]

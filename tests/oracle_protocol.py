@@ -35,4 +35,4 @@ def _build(e, memo, mask, tol):
     party, partition = entry
     spans = tuple(span_basis(e.party_arrays[party][list(rows)], tol) for rows in partition)
     children = tuple(_build(e, memo, _mask(rows), tol) for rows in partition)
-    return TraceSplit(step=_step(e, party, partition, spans), children=children)
+    return TraceSplit(step=_step(e.labels, party, partition, spans), children=children)

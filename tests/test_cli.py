@@ -334,23 +334,29 @@ def _staircase(m):
     return Ensemble(f"staircase{m}", (d, d), tuple(states), complete=False)
 
 
-@pytest.mark.parametrize("limit,code,verdict", [(None, EXIT_OK, "distinguishable\n"),
-                                                (100, EXIT_USAGE, "")])
-def test_a_tree_deeper_than_the_recursion_limit_is_refused(tmp_path, limit, code, verdict):
+@pytest.mark.parametrize("flags,limit,code,verdict", [
+    ([], None, EXIT_OK, "distinguishable\n"),
+    ([], 100, EXIT_OK, "distinguishable\n"),  # plain check builds no tree
+    (["--json"], 100, EXIT_USAGE, ""),
+    (["--trace"], 100, EXIT_USAGE, ""),
+], ids=["check", "check-limit100", "json-limit100", "trace-limit100"])
+def test_a_tree_deeper_than_the_recursion_limit_is_refused(tmp_path, flags, limit, code, verdict):
     # a RecursionError used to escape as a traceback with exit 1, "indistinguishable"
     path = tmp_path / "staircase.json"
     path.write_text(emit_ensemble(_staircase(30)), encoding="utf-8")
     script = "import sys; from loccdist.cli import main; "
     if limit is not None:
         script += f"sys.setrecursionlimit({limit}); "
-    script += "sys.exit(main(['check', sys.argv[1]]))"
+    script += f"sys.exit(main(['check', *{flags!r}, sys.argv[1]]))"
     env = dict(os.environ, PYTHONPATH=str(Path(loccdist.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, str(path)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (code, verdict)
     assert "Traceback" not in proc.stderr
-    if limit is not None:
+    if code == EXIT_USAGE:
         assert proc.stderr == "error: a tree nests deeper than the recursion limit (100)\n"
+    else:
+        assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------------------

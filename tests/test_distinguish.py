@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,12 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccdist import (
+    CATALOG_NAMES,
     Ensemble,
     InvalidModeError,
     LoccError,
+    MeasurementStep,
     NumericalInstabilityError,
     ProductState,
     SchemaError,
+    StepOutcome,
     StuckCertificate,
     TraceLeaf,
     TraceSplit,
@@ -41,7 +46,10 @@ from loccdist import (
     verdict_to_json,
 )
 from loccdist import ensemble, oracle
+from loccdist.cli import main
 from loccdist.jsonio import canonical_dumps, parse_json
+from loccdist.linalg import DEFAULT_TOL
+from test_acceptance import SWEEP_FAMILIES, SWEEP_SEEDS
 
 
 def _wing6():
@@ -779,3 +787,157 @@ def test_decide_raises_the_instability_of_the_first_split_in_pre_order(first, me
         assert str(info.value) == message
     # each subtree's one split is its unstable one
     assert not [key for key in e._memo if key[0] == "checked" and key[2] in (0b000111, 0b111000)]
+
+
+# ---------------------------------------------------------------------------
+# the trace is built on first read
+
+TRACE_TYPES = (TraceSplit, TraceLeaf, TraceStuck, MeasurementStep, StepOutcome)
+
+
+@pytest.fixture
+def trace_nodes_made(monkeypatch):
+    """The names of the trace node types constructed while the test runs, in order."""
+    made: list[str] = []
+
+    def counted(cls, init):
+        def wrapped(self, *args, **kwargs):
+            made.append(cls.__name__)
+            init(self, *args, **kwargs)
+        return wrapped
+
+    for cls in TRACE_TYPES:
+        monkeypatch.setattr(cls, "__init__", counted(cls, cls.__init__))
+    return made
+
+
+def _catalog_and_random():
+    return [catalog(name) for name in CATALOG_NAMES] + [
+        random_product_basis(dims, seed, depth=seed % 4)
+        for dims in ((2, 2), (2, 3), (3, 3), (2, 2, 2)) for seed in range(5)
+    ]
+
+
+def test_reading_kind_and_certificate_builds_no_trace(trace_nodes_made):
+    cases = [(e, "complete" if e.complete else "incomplete") for e in _catalog_and_random()]
+    verdicts = [decide(e, mode) for e, mode in cases]
+    kinds = {v.kind for v in verdicts}
+    certificates = [v.certificate for v in verdicts]
+    assert trace_nodes_made == []
+    assert kinds == {"distinguishable", "indistinguishable", "unknown"}
+    assert sum(c is not None for c in certificates) >= 4
+    for v in verdicts:
+        v.trace
+    assert {"TraceSplit", "TraceLeaf", "TraceStuck", "StepOutcome"} <= set(trace_nodes_made)
+
+
+def test_plain_check_and_the_oracle_sweep_build_no_trace(tmp_path, trace_nodes_made):
+    paths = []
+    for e in (catalog("bennett9"), catalog("comp2x2"), random_product_basis((3, 3), 2, depth=3)):
+        paths.append(tmp_path / f"{e.name}.json")
+        paths[-1].write_text(emit_ensemble(e), encoding="utf-8")
+    assert [main(["check", str(path)]) for path in paths] == [1, 0, 0]
+    assert main(["oracle", "--seed-sweep=20", "--dims=2,3"]) == 0
+    assert main(["oracle", str(paths[0])]) == 0
+    assert trace_nodes_made == []
+    assert main(["check", "--json", str(paths[1])]) == 0
+    assert "TraceSplit" in trace_nodes_made
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_the_trace_is_built_once_and_is_the_tree_of_a_protocol(name):
+    e = catalog(name)
+    v = decide(e, "complete" if e.complete else "incomplete")
+    trace = v.trace
+    assert v.trace is trace
+    if v.distinguishable:
+        assert v.tree is trace and v.certificate is None
+    else:
+        assert v.tree is None
+        first = next(node for node in _preorder(trace) if isinstance(node, TraceStuck))
+        assert first.certificate is v.certificate
+    w = decide(e, "complete" if e.complete else "incomplete")
+    if w.distinguishable:
+        assert w.tree is w.trace  # read in the other order
+    assert w.trace == trace
+
+
+def _acceptance_bases():
+    """The 400 bases of the acceptance sweep."""
+    return [random_product_basis(dims, seed=seed, depth=seed % 4)
+            for dims in SWEEP_FAMILIES for seed in range(SWEEP_SEEDS)]
+
+
+def test_an_unread_verdict_equals_its_eager_rebuild():
+    bases = [catalog(name) for name in CATALOG_NAMES] + _acceptance_bases()
+    assert len(bases) == 405
+    for e in bases:
+        mode = "complete" if e.complete else "incomplete"
+        read = decide(e, mode)
+        eager = Verdict(read.kind, read.tree, read.certificate, read.trace)
+        # each comparison meets a verdict whose trace is not built yet
+        assert decide(e, mode) == eager
+        assert hash(decide(e, mode)) == hash(eager)
+        assert repr(decide(e, mode)) == repr(eager)
+
+
+def test_an_unread_distinguishable_verdict_keeps_no_ensemble():
+    e = random_product_basis((3, 3, 2), 1, depth=4)
+    v = decide(e, "complete")
+    ref = weakref.ref(e)
+    del e
+    gc.collect()
+    assert v.distinguishable and ref() is None
+    assert len(_leaf_labels(v.tree)) == 18
+
+
+def test_a_stuck_verdict_keeps_its_ensemble_for_the_later_certificates():
+    # cube64 splits once, then sticks in each of its four blocks
+    e = catalog("cube64")
+    v = decide(e, "complete")
+    ref = weakref.ref(e)
+    del e
+    gc.collect()
+    assert ref() is not None
+    stuck = [node for node in _preorder(v.trace) if isinstance(node, TraceStuck)]
+    assert len(stuck) == 4 and stuck[0].certificate is v.certificate
+    fresh = decide(catalog("cube64"), "complete").trace
+    assert v.trace == fresh
+
+
+def _failing_cases():
+    b9 = catalog("bennett9")
+    overlapping = Ensemble(b9.name, b9.dims, (ProductState("psi1", b9.states[3].locals),)
+                           + b9.states[1:], complete=True)
+    return [
+        (catalog("comp2x2"), "bogus", DEFAULT_TOL, InvalidModeError),
+        (catalog("finkelstein9"), "complete", DEFAULT_TOL, InvalidModeError),
+        (overlapping, "incomplete", DEFAULT_TOL, InvalidModeError),
+        (Ensemble("empty", (2,), (), complete=False), "incomplete", DEFAULT_TOL,
+         InvalidModeError),
+    ] + [(e, "incomplete", tol, NumericalInstabilityError)
+         for e, tol in map(_two_unstable_subtrees, "AB")]
+
+
+def test_every_error_raises_from_decide_itself(trace_nodes_made):
+    # mode errors and a split's span check are eager: none waits for the trace
+    for e, mode, tol, error in _failing_cases():
+        with pytest.raises(error):
+            decide(e, mode, tol)
+    assert trace_nodes_made == []
+
+
+def test_decide_and_the_oracle_look_up_no_label(monkeypatch):
+    # a certificate's graphs come from its mask's rows, not from its labels
+    looked_up = []
+    index = Ensemble.index
+    monkeypatch.setattr(Ensemble, "index",
+                        lambda self, label: looked_up.append(label) or index(self, label))
+    bases = [catalog("bennett9"), catalog("cube64"), catalog("grid16")]
+    verdicts = [decide(e, "complete") for e in bases] + [exhaustive_decide(bases[0])]
+    assert looked_up == []
+    for e, v in zip(bases + bases[:1], verdicts):
+        again = stuck_certificate(e, v.certificate.subset)
+        assert v.certificate == again
+        doc = verdict_to_json(Verdict(v.kind, certificate=again))
+        assert canonical_dumps(doc) == canonical_dumps(verdict_to_json(v))
