@@ -164,6 +164,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.action == "list":
+        if (args.name, args.out, args.tol) != (None, None, None):
+            raise _UsageError("catalog list takes no NAME, --out or --tol")
         for name in CATALOG_NAMES:
             print(name)
         return EXIT_OK
@@ -240,6 +242,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.ensemble is not None:
         if args.seed_sweep is not None:
             raise _UsageError("give either an ensemble path or --seed-sweep, not both")
+        if args.dims is not None or args.depth is not None:
+            raise _UsageError("--dims and --depth go with --seed-sweep, not an ensemble path")
         ensembles = [parse_ensemble(_read_file(args.ensemble), tol)]
     else:
         if args.seed_sweep is None:
@@ -254,11 +258,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             raise _UsageError(f"cannot parse --dims={args.dims!r}") from None
         if min(dims) < 1:
             raise _UsageError(f"--dims must be positive integers, got {args.dims!r}")
-        if args.depth < 0:
-            raise _UsageError(f"--depth must be non-negative, got {args.depth}")
+        depth = 3 if args.depth is None else args.depth
+        if depth < 0:
+            raise _UsageError(f"--depth must be non-negative, got {depth}")
         _require_small(math.prod(dims))  # before any basis is generated
         # one basis at a time: each dies with its memo before the next is made
-        ensembles = (random_product_basis(dims, seed, args.depth)
+        ensembles = (random_product_basis(dims, seed, depth)
                      for seed in range(args.seed_sweep))
     cases = []
     for e in ensembles:
@@ -287,8 +292,9 @@ def _build_parser() -> _Parser:
     check.add_argument("ensemble", help="path to an ensemble JSON file")
     check.add_argument("--mode", choices=("auto", "complete", "incomplete"), default="auto")
     check.add_argument("--tol", type=float, default=None)
-    check.add_argument("--json", action="store_true", help="emit the verdict as JSON")
-    check.add_argument("--trace", action="store_true", help="print the exploration tree")
+    form = check.add_mutually_exclusive_group()
+    form.add_argument("--json", action="store_true", help="emit the verdict as JSON")
+    form.add_argument("--trace", action="store_true", help="print the exploration tree")
     check.set_defaults(func=_cmd_check)
 
     cat = sub.add_parser("catalog", help="list or emit built-in ensembles")
@@ -318,7 +324,7 @@ def _build_parser() -> _Parser:
     orc.add_argument("ensemble", nargs="?", default=None)
     orc.add_argument("--seed-sweep", type=int, default=None, metavar="N")
     orc.add_argument("--dims", default=None, help="comma separated local dimensions")
-    orc.add_argument("--depth", type=int, default=3)
+    orc.add_argument("--depth", type=int, default=None, help="generator depth (default 3)")
     orc.add_argument("--tol", type=float, default=None)
     orc.set_defaults(func=_cmd_oracle)
 

@@ -11,8 +11,8 @@ numbers.  :func:`complex_from_json`, :func:`complex_rows_from_json` and
 :func:`complex_to_json` are the only code that converts between such pairs
 and complex arrays.  :func:`complex_to_json` gives a read-only float64
 ``(..., 2)`` view, not lists: :func:`canonical_dumps` writes each such
-array from a ``%.17g`` template cached by shape, and fills every array of
-a document with one ``%`` at the end.
+array from a ``%.17g`` template cached by shape, each float as one
+``%.17g``, and fills every float of a document with one ``%`` at the end.
 """
 
 from __future__ import annotations
@@ -33,22 +33,8 @@ __all__ = [
     "complex_from_json",
     "complex_rows_from_json",
     "complex_to_json",
-    "format_float",
     "parse_json",
 ]
-
-
-def format_float(x: float) -> str:
-    """Render a finite float with 17 significant digits.
-
-    Negative zero collapses to "0" so that re-parsing and re-emitting a
-    document cannot flip a sign nobody can observe numerically.
-    """
-    if not math.isfinite(x):
-        raise ValueError("non-finite float cannot be serialized")
-    if x == 0.0:
-        return "0"
-    return format(float(x), ".17g")
 
 
 # The types JSON writes, in the order a subclass is matched against them.
@@ -63,12 +49,12 @@ def _template(shape: tuple[int, ...]) -> str:
     return "[" + ", ".join([_template(shape[1:])] * shape[0]) + "]"
 
 
-def _write(obj: Any, out: list[str], arrays: list[np.ndarray]) -> None:
+def _write(obj: Any, out: list[str], floats: list[float | np.ndarray]) -> None:
     # Dispatch on the exact type; a subclass such as np.float64 is written as
     # its base.  encode_basestring is what json.dumps(s, ensure_ascii=False)
-    # calls, without building an encoder per string.  A float64 array is
-    # written as its template and kept in ``arrays``; every "%" of a string
-    # is doubled, so that canonical_dumps fills the text with one "%".
+    # calls, without building an encoder per string.  A float or a float64
+    # array is written as its template and kept in ``floats``; every "%" of
+    # a string is doubled, so that canonical_dumps fills the text with one "%".
     t = type(obj)
     if t not in _KINDS:
         if obj is None or t is bool:
@@ -80,19 +66,20 @@ def _write(obj: Any, out: list[str], arrays: list[np.ndarray]) -> None:
     if t is str:
         out.append(encode_basestring(obj).replace("%", "%%"))
     elif t is float:
-        out.append(format_float(obj))
+        out.append("%.17g")
+        floats.append(obj)
     elif t is list or t is tuple:
         out.append("[")
         for i, item in enumerate(obj):
             if i:
                 out.append(", ")
-            _write(item, out, arrays)
+            _write(item, out, floats)
         out.append("]")
     elif t is np.ndarray:
         if obj.dtype != np.float64:
             raise TypeError(f"cannot serialize an array of {obj.dtype} canonically")
         out.append(_template(obj.shape))
-        arrays.append(obj)
+        floats.append(obj)
     elif t is dict:
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
@@ -102,7 +89,7 @@ def _write(obj: Any, out: list[str], arrays: list[np.ndarray]) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {type(key).__name__}")
             out.append(encode_basestring(key).replace("%", "%%"))
             out.append(": ")
-            _write(value, out, arrays)
+            _write(value, out, floats)
         out.append("}")
     else:
         out.append(str(obj))
@@ -112,17 +99,17 @@ def canonical_dumps(obj: Any) -> str:
     """Serialize nested dicts/lists/scalars and float64 arrays to canonical JSON.
 
     An array is written as its ``.tolist()`` would be.  The walk writes each
-    array as its cached ``%.17g`` template, and one ``%`` over all arrays'
-    entries fills the whole text; ``+ 0.0`` turns -0.0 into 0.0, so every
-    entry reads as :func:`format_float` writes it.
+    float as ``%.17g`` and each array as its cached template, and one ``%``
+    over all their floats, in order, fills the text; ``+ 0.0`` writes -0.0
+    as ``0``, and a NaN or an infinity raises ValueError.
     """
     out: list[str] = []
-    arrays: list[np.ndarray] = []
-    _write(obj, out, arrays)
+    floats: list[float | np.ndarray] = []
+    _write(obj, out, floats)
     text = "".join(out)
-    if not arrays:
+    if not floats:
         return text % () if "%" in text else text
-    flat = np.concatenate(arrays, axis=None) + 0.0
+    flat = np.concatenate(floats, axis=None) + 0.0
     if not np.isfinite(flat).all():
         raise ValueError("non-finite float cannot be serialized")
     return text % tuple(memoryview(flat))

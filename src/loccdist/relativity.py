@@ -14,8 +14,8 @@ built by :func:`loccdist.ensemble._bit_rows`, which validation reads too;
 per ``("blocks", party, mask, tol)`` the components of the graph on the
 states set in the bit mask, found by one search over the bit rows; and per
 ``("checked", party, mask, tol)`` the spans of a graph that splits, checked
-pairwise once.  The decision procedure and the exhaustive oracle walk
-subsets as masks and share these entries.  :func:`overlap_graph` and
+once.  The decision procedure and the exhaustive oracle walk subsets as
+masks and share these entries.  :func:`overlap_graph` and
 :func:`components` show the same entries through labels; a graph copies no
 bit rows, and its edges are made only when read, as by a certificate.
 
@@ -25,15 +25,12 @@ once, and the oracle and :func:`components` one split at a time, with the
 blocks they already hold.  It normalizes every new block's first row and
 runs the other rows' projections, one stacked pass per party dimension,
 and phase-fixes them all at once; blocks of rank two or more go through
-:func:`~loccdist.linalg.span_basis`.  Each split's spans are then checked
-pairwise, except pairs of two rank-one spans, which the graph's missing
-edges already keep far below the check's bound: each span meets the later
-ones in one stacked product, and only a span whose product comes near the
-bound has its pairs multiplied one by one.  The first split whose spans
-overlap raises NumericalInstabilityError.  The entries hold the bytes
-``span_basis`` gives, and a failing split raises the pairwise check's
-message.  The oracle's coarser partitions make no spans: only a finest
-split is ever checked.
+:func:`~loccdist.linalg.span_basis`.  A split whose spans all have one
+row passes on the graph's missing edges alone; in every other split each
+span meets the stack of its later spans in one product, and the first
+split whose spans overlap raises NumericalInstabilityError.  The entries
+hold the bytes ``span_basis`` gives.  The oracle's coarser partitions make
+no spans: only a finest split is ever checked.
 """
 
 from __future__ import annotations
@@ -187,45 +184,24 @@ def _cross_check(party: int, spans: tuple[np.ndarray, ...], tol: float) -> None:
 
     Distinct blocks have no edges between them, so their spans must come out
     orthogonal (the non-damaging condition of Walgate & Hardy, PRL 89,
-    147901, 2002).  The first pair, in loop order, with an overlap beyond
-    10 * tol means the tolerance no longer separates signal from noise and
-    is raised as instability rather than silently absorbed.  Where
-    :func:`_rank_one_pairs_pass` holds, a pair of two one-row spans cannot
-    fail and is skipped.
-
-    Each span meets the stack of the later spans it must meet in one
-    product.  That product and a pair's own product lie within
-    ``sqrt(2) * (d + 2) * u`` of the exact overlaps of unit rows, so they
-    differ by less than :func:`~loccdist.ensemble._rounding_band`: only a
-    span whose stacked overlaps reach ``10 * tol - band`` has its pairs
-    checked one product each, and the first failing pair is the same.
+    147901, 2002).  Each span meets the stack of all later spans in one
+    product, and that product is the check: the first pair (i, j), in loop
+    order, with an entry beyond 10 * tol means the tolerance no longer
+    separates signal from noise, and is raised as instability, with the
+    pair's first such entry row by row, rather than silently absorbed.
     """
-    d = spans[0].shape[1]
-    skip, bar = _rank_one_pairs_pass(d, tol), 10.0 * tol - _rounding_band(d)
     later = np.concatenate(spans)
-    starts = list(itertools.accumulate((len(span) for span in spans), initial=0))
-    if skip:  # the one-row spans meet only the later spans of two rows or more
-        wide = [j for j, span in enumerate(spans) if len(span) > 1]
-        wider = np.concatenate([spans[j] for j in wide] or [later[:0]])
-        wide_starts = list(itertools.accumulate((len(spans[j]) for j in wide), initial=0))
-    for i, span in enumerate(spans):
-        if skip and len(span) == 1:
-            stack = wider[wide_starts[bisect.bisect_right(wide, i)] :]
-        else:
-            stack = later[starts[i + 1] :]
-        if not stack.size or not span.size:
-            continue
-        if np.abs(span.conj() @ stack.T).max() > bar:
-            for j in range(i + 1, len(spans)):
-                if skip and len(span) == len(spans[j]) == 1:
-                    continue
-                overlaps = np.abs(span.conj() @ spans[j].T)
-                if overlaps.size and overlaps.max() > 10.0 * tol:  # finite, so no NaN
-                    first = overlaps.flat[np.flatnonzero(overlaps > 10.0 * tol)[0]]
-                    raise NumericalInstabilityError(
-                        f"blocks {i} and {j} at party {party} have span overlap "
-                        f"{first:.3e}, beyond 10*tol"
-                    )
+    starts = list(itertools.accumulate(map(len, spans), initial=0))
+    for i, span in enumerate(spans[:-1]):
+        overlaps = np.abs(span.conj() @ later[starts[i + 1] :].T)
+        over = overlaps > 10.0 * tol  # finite, so no NaN
+        if over.any():
+            j = bisect.bisect_right(starts, starts[i + 1] + int(over.any(axis=0).argmax())) - 1
+            cols = slice(starts[j] - starts[i + 1], starts[j + 1] - starts[i + 1])
+            raise NumericalInstabilityError(
+                f"blocks {i} and {j} at party {party} have span overlap "
+                f"{overlaps[:, cols][over[:, cols]][0]:.3e}, beyond 10*tol"
+            )
 
 
 def _rank_one_pairs_pass(d: int, tol: float) -> bool:
@@ -361,11 +337,12 @@ def _check_splits(
       adds ``(d + 3) * u``: below ``10 * tol`` when
       ``9 * tol > 2 * (d + 11) * u``.
 
-    Below twice that bound (:func:`_rank_one_pairs_pass`), every pair is
-    checked.  The splits are checked in the order given, and the first that
-    fails raises its NumericalInstabilityError.  A split that passes keeps
-    its spans per ``("checked", party, mask, tol)``; one that fails keeps
-    nothing there, so it fails again on every call.
+    Below twice that bound (:func:`_rank_one_pairs_pass`) it is checked
+    too; this whole-split skip is the check's one rank-one shortcut.  The
+    splits are checked in the order given, and the first that fails raises
+    its NumericalInstabilityError.  A split that passes keeps its spans per
+    ``("checked", party, mask, tol)``; one that fails keeps nothing there,
+    so it fails again on every call.
     """
     out = [e.cached(("checked", party, mask, tol)) for party, mask, _ in splits]
     if None not in out:

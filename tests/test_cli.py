@@ -613,6 +613,28 @@ def test_simulate_verdict_without_protocol(run, ensemble_file, tmp_path, name):
     assert len(err.splitlines()) == 1 and "no protocol" in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.update(outcomes={}), "outcomes and children must be lists"),
+        (lambda p: p["outcomes"][0].update(block="s00"),
+         "outcome 0 block must be a list of labels"),
+    ],
+)
+def test_simulate_verdict_with_a_malformed_protocol_node(
+    run, ensemble_file, tmp_path, edit, message
+):
+    path = ensemble_file("comp2x2")
+    _, verdict, _ = run("check", path, "--json")
+    doc = json.loads(verdict)
+    edit(doc["protocol"])
+    (tmp_path / "verdict.json").write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run("simulate", path, str(tmp_path / "verdict.json"))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.splitlines() == [f"error: protocol: {message}"]
+
+
 # ---------------------------------------------------------------------------
 # decompose
 
@@ -793,7 +815,9 @@ def test_oracle_seed_sweep(run):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["agree"] is True
-    assert len(doc["cases"]) == 3
+    assert [case["name"] for case in doc["cases"]] == [
+        f"random-2x2-seed{seed}-depth3" for seed in range(3)
+    ]
 
 
 def test_an_oracle_sweep_holds_at_most_one_earlier_basis(run, monkeypatch):
@@ -899,6 +923,38 @@ def test_oracle_sweep_that_would_check_nothing_or_a_bad_basis_is_usage_error(run
     assert code == EXIT_USAGE
     assert out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+_ORACLE_FILE_FLAGS = "--dims and --depth go with --seed-sweep, not an ensemble path"
+_CATALOG_LIST = "catalog list takes no NAME, --out or --tol"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check", "--json", "--trace", "{b9}"),
+         "argument --trace: not allowed with argument --json"),
+        (("check", "--trace", "{b9}", "--json"),
+         "argument --json: not allowed with argument --trace"),
+        (("oracle", "{b9}", "--dims=7,7", "--depth=-5"), _ORACLE_FILE_FLAGS),
+        (("oracle", "{b9}", "--dims=3,3"), _ORACLE_FILE_FLAGS),
+        (("oracle", "{b9}", "--depth=3"), _ORACLE_FILE_FLAGS),
+        (("catalog", "list", "bennett9"), _CATALOG_LIST),
+        (("catalog", "list", "--out={out}"), _CATALOG_LIST),
+        (("catalog", "list", "--tol=5"), _CATALOG_LIST),
+    ],
+)
+def test_a_flag_the_command_would_ignore_is_a_usage_error(
+    run, ensemble_file, tmp_path, argv, message
+):
+    # each of these ran to exit 0 with the flag or argument silently unused
+    out_path = tmp_path / "list.txt"
+    argv = [arg.format(b9=ensemble_file("bennett9"), out=out_path) for arg in argv]
+    code, out, err = run(*argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

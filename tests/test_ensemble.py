@@ -317,6 +317,11 @@ def test_empty_label_rejected():
         ProductState("", (basis_vector(2, 0),))
 
 
+def test_a_state_with_no_local_vectors_is_rejected():
+    with pytest.raises(SchemaError, match="^state 'a' has no local vectors$"):
+        ProductState("a", [])
+
+
 def test_unknown_label_lookup():
     with pytest.raises(NotFoundError):
         catalog("comp2x2").index("nope")

@@ -92,6 +92,11 @@ def test_codec_error_names_where_and_entry():
         complex_from_json([[1, 0], [0, 1], [True, 0]], "state 'a' party 1")
 
 
+def test_text_nested_too_deeply_is_a_parse_error():
+    with pytest.raises(ParseError, match="^malformed JSON: nested too deeply$"):
+        parse_json("[" * 100_000 + "]" * 100_000)
+
+
 def test_overlong_int_literal_is_a_parse_error():
     with pytest.raises(ParseError, match="malformed JSON"):
         parse_json("[" + "9" * 5000 + ", 0]")
@@ -217,3 +222,22 @@ def test_a_non_finite_array_entry_is_refused(bad, at):
 def test_emission_refuses_what_it_cannot_write_canonically(obj):
     with pytest.raises(TypeError):
         canonical_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0.1, 1 / 3, -0.0, 0.0, 5e-324, 1.7976931348623157e308, -2.5, np.float64(2 / 3)],
+)
+def test_a_standalone_float_is_written_with_17_significant_digits(x):
+    # both zeros are written "0"; next to an array, the float keeps its text
+    text = format(float(x) + 0.0, ".17g")
+    assert canonical_dumps(x) == text
+    assert canonical_dumps([x, np.array([0.25, x])]) == f"[{text}, [0.25, {text}]]"
+    assert canonical_dumps({"%": np.zeros(1), "x": x}) == f'{{"%": [0], "x": {text}}}'
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_a_non_finite_standalone_float_is_refused(bad):
+    for doc in (bad, [np.zeros(2), bad], {"a": [1.5, bad]}):
+        with pytest.raises(ValueError, match="^non-finite float cannot be serialized$"):
+            canonical_dumps(doc)

@@ -124,6 +124,13 @@ def test_basis_vector_and_normalize_return_read_only_arrays():
     assert basis_vector(3, 1).tobytes() == np.eye(3, dtype=np.complex128)[1].tobytes()
 
 
+@pytest.mark.parametrize("dim, index", [(2, 5), (2, 2), (3, -1)])
+def test_a_basis_index_out_of_range_is_refused(dim, index):
+    message = f"^basis index {index} out of range for dimension {dim}$"
+    with pytest.raises(DimensionError, match=message):
+        basis_vector(dim, index)
+
+
 def test_stacked_product_mismatch():
     with pytest.raises(ValueError):
         _overlaps(_stacked([basis_vector(2, 0)]), _stacked([basis_vector(3, 0)]))

@@ -431,6 +431,16 @@ def test_criterion_requires_complete_ensemble():
         chain_criterion(catalog("finkelstein9"))
 
 
+@pytest.mark.parametrize("name", ["bennett9", "comp2x2"])
+def test_criterion_passes_over_a_one_dimensional_party(name):
+    # every state has the one vector at a party of dimension 1, which asks
+    # for no chain: appending such a party leaves the criterion as it was
+    e, one = catalog(name), np.ones(1, dtype=complex)
+    states = tuple(ProductState(s.label, (*s.locals, one)) for s in e.states)
+    wider = Ensemble(f"{name}-x1", (*e.dims, 1), states, complete=True)
+    assert chain_criterion(wider) is chain_criterion(e) is (name == "bennett9")
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_criterion_false_on_generated_bases(seed):
     # generated bases are distinguishable by construction, and the criterion

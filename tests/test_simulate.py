@@ -145,6 +145,13 @@ def test_bool_party_is_refused_at_construction():
     assert _sim_trees_equal(tree, again) and emit_sim_protocol(again) == text
 
 
+@pytest.mark.parametrize("children", [0, 2])
+def test_a_node_needs_one_child_per_operator(children):
+    identity = Instrument(0, (LocalOperator(0, np.eye(2)),))
+    with pytest.raises(SchemaError, match=f"^node has {children} children for 1 operators$"):
+        SimNode(identity, [SimLeaf(None)] * children)
+
+
 def test_defect_matches_the_sum_over_operators():
     # one product A†A over the stacked rows, against sum(M†M) one operator
     # at a time; the order of the additions differs, so within 1e-12
