@@ -352,6 +352,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalInstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError as exc:  # not a verdict: 1 would read as "imperfect"
+        print("error: memory exhausted" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_INTERNAL
     except LoccError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -67,10 +67,6 @@ class StepOutcome(Record):
     block: tuple[str, ...]
     basis: np.ndarray
 
-    def __init__(self, block: tuple[str, ...], basis: np.ndarray) -> None:
-        d = self.__dict__
-        d["block"], d["basis"] = block, basis
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StepOutcome):
             return NotImplemented
@@ -119,17 +115,11 @@ class TraceLeaf(Record, eq=True):
 
     label: str
 
-    def __init__(self, label: str) -> None:
-        self.__dict__["label"] = label
-
 
 class TraceStuck(Record, eq=True):
     """A block that no party can split without damage."""
 
     certificate: StuckCertificate
-
-    def __init__(self, certificate: StuckCertificate) -> None:
-        self.__dict__["certificate"] = certificate
 
 
 class TraceSplit(Record, eq=True):
@@ -150,7 +140,7 @@ class TraceSplit(Record, eq=True):
 TraceNode = TraceLeaf | TraceStuck | TraceSplit
 
 
-class Verdict(Record, eq=True):
+class Verdict(Record, eq=True, optional=("tree", "certificate", "trace")):
     """Decision outcome plus whichever witness backs it up.
 
     ``trace`` is decide's whole exploration.  A distinguishable verdict's
@@ -158,27 +148,17 @@ class Verdict(Record, eq=True):
     first stuck block in pre-order.  The oracle's verdicts have no trace
     and no tree.
 
-    ``Verdict(...)`` sets every field.  A verdict from :func:`decide` has
-    its kind and certificate set and builds its trace, and a distinguishable
-    one's tree, on first read of either.  Until then it holds what the trace
-    is built from (see :func:`decide`); equality, hashing and ``repr`` read
-    the fields, so they build it too.
+    ``Verdict(kind, ...)`` sets every field, None if not given.  A verdict
+    from :func:`decide` has its kind and certificate set and builds its
+    trace, and a distinguishable one's tree, on first read of either.
+    Until then it holds what the trace is built from (see :func:`decide`);
+    equality, hashing and ``repr`` read the fields, so they build it too.
     """
 
     kind: str  # "distinguishable" | "indistinguishable" | "unknown"
     tree: TraceNode | None
     certificate: StuckCertificate | None
     trace: TraceNode | None
-
-    def __init__(
-        self,
-        kind: str,
-        tree: TraceNode | None = None,
-        certificate: StuckCertificate | None = None,
-        trace: TraceNode | None = None,
-    ) -> None:
-        d = self.__dict__
-        d["kind"], d["tree"], d["certificate"], d["trace"] = kind, tree, certificate, trace
 
     def __getattr__(self, name: str) -> TraceNode | None:
         # only reached for a field missing from __dict__: a trace not built yet

@@ -303,16 +303,6 @@ class ValidationReport(Record, eq=True):
     complete_count: bool
     offending_pairs: tuple[tuple[str, str, float], ...]
 
-    def __init__(
-        self,
-        pairwise_orthogonal: bool,
-        complete_count: bool,
-        offending_pairs: tuple[tuple[str, str, float], ...],
-    ) -> None:
-        d = self.__dict__
-        d["pairwise_orthogonal"], d["complete_count"] = pairwise_orthogonal, complete_count
-        d["offending_pairs"] = offending_pairs
-
 
 def validate(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check pairwise orthogonality of the product states and the state count.

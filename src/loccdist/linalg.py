@@ -260,12 +260,6 @@ class SVDResult(Record):
     right: np.ndarray
     rank: int
 
-    def __init__(
-        self, sigmas: tuple[float, ...], left: np.ndarray, right: np.ndarray, rank: int
-    ) -> None:
-        d = self.__dict__
-        d["sigmas"], d["left"], d["right"], d["rank"] = sigmas, left, right, rank
-
     def reconstruct(self) -> np.ndarray:
         return (self.left.T * np.array(self.sigmas)) @ self.right.conj()
 

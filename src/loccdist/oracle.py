@@ -45,17 +45,6 @@ class PartitionFamily(Record, eq=True):
     component_blocks: tuple[tuple[str, ...], ...]
     partitions: tuple[tuple[tuple[str, ...], ...], ...]
 
-    def __init__(
-        self,
-        party: int,
-        subset: tuple[str, ...],
-        component_blocks: tuple[tuple[str, ...], ...],
-        partitions: tuple[tuple[tuple[str, ...], ...], ...],
-    ) -> None:
-        d = self.__dict__
-        d["party"], d["subset"] = party, subset
-        d["component_blocks"], d["partitions"] = component_blocks, partitions
-
 
 def _set_partitions(items: list) -> Iterator[list[list]]:
     if not items:

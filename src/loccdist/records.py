@@ -1,13 +1,16 @@
 """The base of every immutable record the package builds and returns.
 
 Verdicts, trace nodes, certificates, reports, operators and ensembles are
-plain classes: each has an explicit ``__init__`` that checks its arguments
-and writes its fields straight into ``self.__dict__``, so constructing one
-runs no generic code and importing the package generates none.
-:class:`Record` gives them, from the field tuple each class declares,
-immutability, equality and a readable ``repr``.  A field may be left out
-of ``__dict__`` and made on first read, as a verdict's trace is: equality,
-hashing and ``repr`` read such a field through the attribute.
+plain classes, so importing the package generates no code.  Eight records
+check or convert their arguments in their own ``__init__``: MeasurementStep,
+StuckCertificate, TraceSplit, ProductState, Ensemble, LocalOperator,
+Instrument and SimNode.  Every other record only stores its fields and is
+built by :class:`Record`'s one constructor.  Either writes the fields
+straight into ``self.__dict__``.  :class:`Record` also gives, from the
+field tuple each class declares, immutability, equality and a readable
+``repr``.  A field may be left out of ``__dict__`` and made on first read,
+as a verdict's trace is: equality, hashing and ``repr`` read such a field
+through the attribute.
 """
 
 from __future__ import annotations
@@ -19,7 +22,11 @@ class Record:
     """An immutable record: fields are written once, by ``__init__``, into ``__dict__``.
 
     A subclass declares its fields as class annotations, in positional
-    order; they make its field tuple.  Assigning or deleting an attribute
+    order; they make its field tuple.  ``__init__`` binds arguments to the
+    fields by position and by name, and raises TypeError for a missing,
+    unknown or repeated one; the fields named in the class keyword
+    ``optional`` default to None, without a class attribute, which would
+    hide a field made on first read.  Assigning or deleting an attribute
     raises AttributeError; ``__dict__`` stays, for
     ``functools.cached_property``.  With the class keyword ``eq=True`` two
     records of the same class are equal when their field tuples are, and a
@@ -32,14 +39,32 @@ class Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, *, eq: bool = False, hidden: tuple[str, ...] = ()) -> None:
+    def __init_subclass__(cls, *, eq: bool = False, hidden=(), optional=()) -> None:
         super().__init_subclass__()
         cls._fields = fields = tuple(cls.__annotations__)
+        cls._optional = optional
         cls._shown = tuple(f for f in fields if f not in hidden)
         if eq:
             cls.__eq__ = _value_eq  # type: ignore[method-assign]
             if "__hash__" not in cls.__dict__:
                 cls.__hash__ = _value_hash  # type: ignore[method-assign]
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields, d = self._fields, self.__dict__  # type: ignore[attr-defined]
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__qualname__}: {len(fields)} fields, {len(args)} given")
+        d.update(zip(fields, args))
+        if kwargs:
+            for key in kwargs:
+                if key not in fields or key in d:
+                    raise TypeError(f"{type(self).__qualname__}: unknown or repeated field {key!r}")
+            d.update(kwargs)
+        if len(d) < len(fields):
+            for f in fields:
+                if f not in d:
+                    if f not in self._optional:  # type: ignore[attr-defined]
+                        raise TypeError(f"{type(self).__qualname__}: missing field {f!r}")
+                    d[f] = None
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -115,18 +115,6 @@ class OverlapGraph(Record, hidden=("rows", "ensemble", "tol")):
     ensemble: Ensemble
     tol: float
 
-    def __init__(
-        self,
-        party: int,
-        members: tuple[str, ...],
-        rows: tuple[int, ...],
-        ensemble: Ensemble,
-        tol: float,
-    ) -> None:
-        d = self.__dict__
-        d["party"], d["members"], d["rows"] = party, members, rows
-        d["ensemble"], d["tol"] = ensemble, tol
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OverlapGraph):
             return NotImplemented
@@ -171,12 +159,6 @@ class Partition(Record):
     party: int
     blocks: tuple[tuple[str, ...], ...]
     spans: tuple[np.ndarray, ...]
-
-    def __init__(
-        self, party: int, blocks: tuple[tuple[str, ...], ...], spans: tuple[np.ndarray, ...]
-    ) -> None:
-        d = self.__dict__
-        d["party"], d["blocks"], d["spans"] = party, blocks, spans
 
 
 def _cross_check(party: int, spans: tuple[np.ndarray, ...], tol: float) -> None:

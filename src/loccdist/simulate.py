@@ -204,9 +204,6 @@ class SimLeaf(Record, eq=True):
 
     announce: str | None
 
-    def __init__(self, announce: str | None) -> None:
-        self.__dict__["announce"] = announce
-
 
 class SimNode(Record, eq=True):
     """Protocol branch point: one instrument, one subtree per operator."""
@@ -281,19 +278,6 @@ class DiscriminationReport(Record, eq=True):
     confusion: dict[tuple[int, ...], tuple[str, ...]]
     totals: dict[str, float]
     warnings: tuple[str, ...]
-
-    def __init__(
-        self,
-        perfect: bool,
-        branches: dict[str, tuple[tuple[tuple[int, ...], float], ...]],
-        leaf_announce: dict[tuple[int, ...], str | None],
-        confusion: dict[tuple[int, ...], tuple[str, ...]],
-        totals: dict[str, float],
-        warnings: tuple[str, ...],
-    ) -> None:
-        d = self.__dict__
-        d["perfect"], d["branches"], d["leaf_announce"] = perfect, branches, leaf_announce
-        d["confusion"], d["totals"], d["warnings"] = confusion, totals, warnings
 
 
 def _joined(groups: list[tuple]) -> tuple:

@@ -505,6 +505,27 @@ def test_simulate_malformed_factored_operator(run, ensemble_file, tmp_path, oper
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 1.31 TiB for an array", ""])
+def test_simulate_out_of_memory_is_an_internal_error(
+    run, ensemble_file, tmp_path, monkeypatch, message
+):
+    # a huge basis vector makes projectors ask for a d x d stack before any dims check;
+    # the allocation is faked here, so nothing large is built
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(loccdist.simulate, "projectors", exhausted)
+    proto = tmp_path / "proto.json"
+    doc = {"party": 0, "operators": [{"basis": [[[1, 0], [0, 0]]]}, {"complement": True}],
+           "children": [{"announce": "s00"}, {"announce": None}]}
+    proto.write_text(canonical_dumps(doc), encoding="utf-8")
+    code, out, err = run("simulate", ensemble_file("comp2x2"), str(proto))
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: memory exhausted")
+    assert message in err
+
+
 def test_simulate_replays_a_verdict(run, tmp_path):
     # the protocol of `check --json` is lifted on load, and replays exactly
     # like the instrument tree that lift_protocol and emit_sim_protocol write

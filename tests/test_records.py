@@ -26,7 +26,7 @@ from loccdist import (
     run_protocol,
     validate,
 )
-from loccdist.distinguish import StepOutcome
+from loccdist.distinguish import StepOutcome, Verdict
 from loccdist.linalg import svd_decompose
 from loccdist.oracle import enumerate_valid_partitions
 from loccdist.records import Record
@@ -192,3 +192,49 @@ def test_signed_zeros_compare_and_hash_equal(build):
     # np.array_equal finds -0.0 equal to 0.0, so the hash must too
     a, b = build(np.array([[1.0, -0.0], [-0.0, 0.0]])), build(np.diag([1.0, 0.0]))
     assert a == b and hash(a) == hash(b)
+
+
+# the records whose constructors only store their fields
+STORING = ("DiscriminationReport", "OverlapGraph", "Partition", "PartitionFamily", "SVDResult",
+           "SimLeaf", "StepOutcome", "TraceLeaf", "TraceStuck", "ValidationReport", "Verdict")
+
+
+def _fields_of(record: Record) -> dict[str, object]:
+    return {f: getattr(record, f) for f in type(record)._fields}
+
+
+@pytest.mark.parametrize("name", STORING)
+def test_a_storing_record_binds_its_fields_by_position_and_by_name(name):
+    fields = _fields_of(RECORDS[name])
+    cls = type(RECORDS[name])
+    for built in (cls(*fields.values()), cls(**fields)):
+        assert all(getattr(built, f) is value for f, value in fields.items())
+
+
+@pytest.mark.parametrize("name", STORING)
+def test_a_storing_record_refuses_a_call_its_fields_do_not_fit(name):
+    fields = _fields_of(RECORDS[name])
+    cls, first = type(RECORDS[name]), next(iter(fields))
+    values = list(fields.values())
+    calls = {
+        "missing": lambda: cls(**{f: v for f, v in fields.items() if f != first}),
+        "unknown keyword": lambda: cls(*values, unknown=None),
+        "given twice": lambda: cls(*values, **{first: values[0]}),
+        "extra positional": lambda: cls(*values, None),
+    }
+    for why, call in calls.items():
+        with pytest.raises(TypeError):
+            call()
+            pytest.fail(f"{name}: {why} was accepted")
+
+
+def test_a_verdict_leaves_its_witnesses_none_by_default():
+    for v in (Verdict(kind="unknown"), Verdict("unknown")):
+        assert (v.kind, v.tree, v.certificate, v.trace) == ("unknown", None, None, None)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_no_class_attribute_shadows_a_field(name):
+    # a class attribute named "trace" would be read instead of Verdict.__getattr__'s lazy build
+    cls = type(RECORDS[name])
+    assert [f for f in cls._fields if any(f in vars(k) for k in cls.__mro__)] == []
