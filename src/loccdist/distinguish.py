@@ -61,20 +61,11 @@ __all__ = [
 ]
 
 
-class StepOutcome(Record):
+class StepOutcome(Record, eq=True):
     """One measurement outcome: the states it keeps and, as read-only rows, its projector basis."""
 
     block: tuple[str, ...]
     basis: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StepOutcome):
-            return NotImplemented
-        return self.block == other.block and bool(np.array_equal(self.basis, other.basis))
-
-    def __hash__(self) -> int:
-        # + 0.0 turns -0.0 into 0.0, which np.array_equal finds equal to it
-        return hash((self.block, (self.basis + 0.0).tobytes()))
 
 
 class MeasurementStep(Record, eq=True):
@@ -86,8 +77,7 @@ class MeasurementStep(Record, eq=True):
     def __init__(self, party: int, outcomes: tuple[StepOutcome, ...]) -> None:
         if len(outcomes) < 2:
             raise SchemaError("a measurement step needs at least two outcomes")
-        d = self.__dict__
-        d["party"], d["outcomes"] = party, outcomes
+        super().__init__(party, outcomes)
 
 
 class StuckCertificate(Record, eq=True):
@@ -106,8 +96,7 @@ class StuckCertificate(Record, eq=True):
                 raise SchemaError(
                     f"certificate graph at party {g.party} is disconnected; not stuck"
                 )
-        d = self.__dict__
-        d["subset"], d["graphs"] = subset, graphs
+        super().__init__(subset, graphs)
 
 
 class TraceLeaf(Record, eq=True):
@@ -133,8 +122,7 @@ class TraceSplit(Record, eq=True):
             raise SchemaError(
                 f"node has {len(children)} children for {len(step.outcomes)} outcomes"
             )
-        d = self.__dict__
-        d["step"], d["children"] = step, children
+        super().__init__(step, children)
 
 
 TraceNode = TraceLeaf | TraceStuck | TraceSplit
@@ -350,11 +338,12 @@ def protocol_from_json(data: object, where: str = "protocol") -> TraceNode:
         if not isinstance(basis, list) or not basis:
             raise SchemaError(f"{where}: outcome {i} basis must be a non-empty list")
         at = f"{where}: outcome {i}"
-        flat = complex_rows_from_json(basis, lambda j: f"{at} basis vector {j}")
+        vector = lambda j: f"{at} basis vector {j}"
+        flat = complex_rows_from_json(basis, vector)
         d = len(basis[0])
         if any(len(v) != d for v in basis):
             raise SchemaError(f"{at}: basis vectors must have dimension {d}")
-        rows = normalize_rows(flat.reshape(-1, d))
+        rows = normalize_rows(flat.reshape(-1, d), where=vector)
         rows.setflags(write=False)
         outcomes.append(StepOutcome(block=tuple(block), basis=rows))
     step = MeasurementStep(party=party, outcomes=tuple(outcomes))

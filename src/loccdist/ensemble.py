@@ -113,8 +113,7 @@ class ProductState(Record):
         locals = tuple(locals)
         if not locals:
             raise SchemaError(f"state {label!r} has no local vectors")
-        d = self.__dict__
-        d["label"], d["locals"] = label, locals
+        super().__init__(label, locals)
 
 
 class Ensemble(Record, hidden=("party_arrays",)):
@@ -401,7 +400,7 @@ def parse_ensemble(text: str, tol: float = DEFAULT_TOL) -> Ensemble:
     ).reshape(len(labels), sum(dims))
     starts = list(itertools.accumulate(dims, initial=0))
     arrays = [np.array(flat[:, a:b]) for a, b in zip(starts, starts[1:])]
-    return _from_rows(name, labels, _normalized(arrays, tol), data["complete"])
+    return _from_rows(name, labels, _normalized(arrays, labels, tol), data["complete"])
 
 
 def _text(value: object, what: str) -> str:
@@ -415,11 +414,11 @@ def _text(value: object, what: str) -> str:
     return value
 
 
-def _normalized(arrays: list[np.ndarray], tol: float) -> list[np.ndarray]:
+def _normalized(arrays: list[np.ndarray], labels: Sequence[str], tol: float) -> list[np.ndarray]:
     """Each party's ``n x d_p`` rows normalized in place by :func:`~loccdist.linalg.normalize_rows`.
 
     A refusal names the first bad vector in state order, parties inner, as
-    normalizing vector by vector would.
+    normalizing vector by vector would, by its state's label and its party.
     """
     for p, a in enumerate(arrays):
         try:
@@ -428,7 +427,8 @@ def _normalized(arrays: list[np.ndarray], tol: float) -> list[np.ndarray]:
             # this array and the later ones are left as they were; the earlier
             # ones, already normalized, hold no bad vector
             for k, q in itertools.product(range(len(a)), range(p, len(arrays))):
-                normalize_rows(arrays[q][k : k + 1].copy(), tol)
+                where = lambda _: f"state {labels[k]!r} party {q}"
+                normalize_rows(arrays[q][k : k + 1].copy(), tol, where=where)
             raise
     return arrays
 
@@ -603,7 +603,7 @@ def apply_local_unitaries(
         mats.append(m)
     # np.matvec runs m @ v on every row, bit for bit
     arrays = [np.matvec(m, a) for m, a in zip(mats, e.party_arrays)]
-    return _from_rows(e.name, e.labels, _normalized(arrays, tol), e.complete)
+    return _from_rows(e.name, e.labels, _normalized(arrays, e.labels, tol), e.complete)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

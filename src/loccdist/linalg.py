@@ -31,6 +31,7 @@ singular pair by its right vector's factor.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -99,7 +100,10 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 # RuntimeWarning.  The decorator costs less per call than a with-block.
 @np.errstate(over="ignore", invalid="ignore")
 def normalize_rows(
-    a: np.ndarray, tol: float = DEFAULT_TOL, norms: np.ndarray | None = None
+    a: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    norms: np.ndarray | None = None,
+    where: Callable[[int], str] | None = None,
 ) -> np.ndarray:
     """Scale every row of a finite ``k x d`` complex array to unit norm, in place.
 
@@ -108,7 +112,8 @@ def normalize_rows(
     whose squared norm overflows is measured again after dividing it by its
     largest magnitude; the first row whose norm still overflows raises
     SchemaError, and the first whose norm is at most ``tol`` raises
-    ZeroVectorError.  Returns ``a``; ``norms`` are its :func:`_row_norms`, if taken.
+    ZeroVectorError, its message led by ``where(i)`` for row i if given.
+    Returns ``a``; ``norms`` are its :func:`_row_norms`, if taken.
     """
     norms = _row_norms(a) if norms is None else norms
     listed = norms.tolist()
@@ -117,11 +122,12 @@ def normalize_rows(
         big = np.abs(a[huge]).max(axis=1)
         norms[huge] = big * _row_norms(a[huge] / big[:, None])
         listed = norms.tolist()
-    for n in listed:
+    for i, n in enumerate(listed):
         if not tol < n < math.inf:
-            if not math.isfinite(n):
-                raise SchemaError("cannot normalize a vector whose squared norm overflows a double")
-            raise ZeroVectorError(f"cannot normalize a vector of norm {n!r}")
+            at = f"{where(i)}: " if where else ""
+            if math.isfinite(n):
+                raise ZeroVectorError(f"{at}cannot normalize a vector of norm {n!r}")
+            raise SchemaError(f"{at}cannot normalize a vector whose squared norm overflows a double")
     scale = [abs(n - 1.0) > _UNIT_SLACK for n in listed]
     if all(scale):
         np.divide(a, norms[:, None], out=a)

@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 
-class LocalOperator(Record):
+class LocalOperator(Record, eq=True):
     """One Kraus operator acting on a single party's factor.
 
     ``basis`` and ``complement`` record a matrix built as the projector onto
@@ -89,23 +89,7 @@ class LocalOperator(Record):
             raise SchemaError(f"party must be a non-negative integer, got {party!r}")
         m = _entries(matrix, 2).copy()
         m.setflags(write=False)
-        d = self.__dict__
-        d["party"], d["matrix"], d["basis"], d["complement"] = party, m, basis, complement
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LocalOperator):
-            return NotImplemented
-        a, b = self.basis, other.basis
-        return (
-            (self.party, self.complement) == (other.party, other.complement)
-            and bool(np.array_equal(self.matrix, other.matrix))
-            and (a is None) == (b is None)
-            and (a is None or bool(np.array_equal(a, b)))
-        )
-
-    def __hash__(self) -> int:
-        # + 0.0 turns -0.0 into 0.0, which np.array_equal finds equal to it
-        return hash((self.party, self.complement, (self.matrix + 0.0).tobytes()))
+        super().__init__(party, m, basis, complement)
 
     @property
     def in_dim(self) -> int:
@@ -119,8 +103,7 @@ class LocalOperator(Record):
 def _built(party: int, matrix: np.ndarray, basis=None, complement=False) -> LocalOperator:
     """A LocalOperator around a finite read-only matrix built here, without a copy or a check."""
     op = object.__new__(LocalOperator)
-    d = op.__dict__
-    d["party"], d["matrix"], d["basis"], d["complement"] = party, matrix, basis, complement
+    Record.__init__(op, party, matrix, basis, complement)
     return op
 
 
@@ -143,8 +126,7 @@ class Instrument(Record, eq=True):
                 )
             if op.in_dim != operators[0].in_dim:
                 raise DimensionError("all operators in an instrument share one input dimension")
-        d = self.__dict__
-        d["party"], d["operators"] = party, operators
+        super().__init__(party, operators)
 
     @property
     def stacks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
@@ -216,8 +198,7 @@ class SimNode(Record, eq=True):
         if len(children) != len(instrument.operators):
             n, k = len(children), len(instrument.operators)
             raise SchemaError(f"node has {n} children for {k} operators")
-        d = self.__dict__
-        d["instrument"], d["children"] = instrument, children
+        super().__init__(instrument, children)
 
 
 SimTree = SimLeaf | SimNode
@@ -722,9 +703,10 @@ def parse_sim_protocol(text: str, *, decoded: bool = False) -> SimTree:
 
     decoded = {}
     for d, (vectors, owners, sizes) in queue.items():
-        flat = complex_rows_from_json(vectors, lambda k: "{}: basis vector {}".format(*owners[k]))
+        vector = lambda k: "{}: basis vector {}".format(*owners[k])
+        flat = complex_rows_from_json(vectors, vector)
         vectors.clear()  # the last of the JSON tree goes before the projectors come
-        rows = normalize_rows(flat.reshape(-1, d))
+        rows = normalize_rows(flat.reshape(-1, d), where=vector)
         rows.setflags(write=False)
         decoded[d] = (projectors(rows, sizes), rows)
     built: list[SimTree] = []

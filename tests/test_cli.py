@@ -188,6 +188,23 @@ def test_lone_surrogate_in_a_file_is_a_data_error(run, tmp_path, command, where)
     assert "is not valid Unicode" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fault", ["zero", "overflow"])
+def test_a_vector_that_cannot_be_normalized_is_named(run, tmp_path, fault):
+    # the refusal names the first such vector in file order: s01 at party 1
+    # comes before s10 at party 0
+    doc = json.loads(emit_ensemble(catalog("comp2x2")))
+    entry = {"zero": [0.0, 0.0], "overflow": [1e308, 1e308]}[fault]
+    doc["states"][1]["vectors"][1] = [entry, entry]
+    doc["states"][2]["vectors"][0] = [entry, entry]
+    assert [s["label"] for s in doc["states"]] == ["s00", "s01", "s10", "s11"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run("check", str(path))
+    message = {"zero": "of norm 0.0", "overflow": "whose squared norm overflows a double"}[fault]
+    assert code == EXIT_DATA and out == ""
+    assert err == f"error: state 's01' party 1: cannot normalize a vector {message}\n"
+
+
 def test_check_malformed_file(run, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

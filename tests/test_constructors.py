@@ -1,12 +1,17 @@
-"""No record of the package spells out a constructor that only stores its fields.
+"""Records store, compare and hash their fields only through ``Record``.
 
 ``Record.__init__`` binds fields by position and by name; a record writes
-its own ``__init__`` only to check or convert its arguments.  This check
-needs only the standard ``ast`` module: an ``__init__`` of a class whose
-bases name ``Record`` only stores when every statement of its body is a
-docstring, ``d = self.__dict__``, an assignment into that dict (or
-``self.__dict__`` itself) of parameters and constants, or an ``update``
-call on it with such values.
+its own ``__init__`` only to check or convert its arguments, and then
+passes the fields to ``super().__init__``.  ``Record`` also gives value
+equality and hashing, array fields included, so no record writes its own
+``__eq__`` or ``__hash__``: ``OverlapGraph``, which compares its derived
+edges, is the one exception, and ``__hash__ = None`` only declares a
+record unhashable.  These checks need only the standard ``ast`` module.
+An ``__init__`` of a class whose bases name ``Record`` only stores when
+every statement of its body is a docstring, ``d = self.__dict__``, an
+assignment into that dict (or ``self.__dict__`` itself) of parameters and
+constants, or an ``update`` call on it or a ``super().__init__`` call with
+such values.
 """
 
 from __future__ import annotations
@@ -48,22 +53,28 @@ def _stores(stmt: ast.stmt, aliases: set[str]) -> bool:
             isinstance(t, ast.Subscript) and is_dict(t.value) for t in targets
         )
     if isinstance(stmt, ast.Expr) and isinstance(call := stmt.value, ast.Call):
-        return (isinstance(call.func, ast.Attribute) and call.func.attr == "update"
-                and is_dict(call.func.value)
+        f = call.func
+        forwards = (isinstance(f, ast.Attribute) and f.attr == "__init__"
+                    and isinstance(f.value, ast.Call) and isinstance(f.value.func, ast.Name)
+                    and f.value.func.id == "super")
+        return (isinstance(f, ast.Attribute) and (forwards or f.attr == "update" and is_dict(f.value))
                 and all(_plain(a) for a in [*call.args, *(k.value for k in call.keywords)]))
     return False
+
+
+def _records(source: str) -> list[ast.ClassDef]:
+    """Each class of ``source`` whose bases name ``Record``."""
+    return [cls for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef) and any(
+        (isinstance(b, ast.Name) and b.id == "Record")
+        or (isinstance(b, ast.Attribute) and b.attr == "Record")
+        for b in cls.bases
+    )]
 
 
 def storing_inits(source: str) -> list[tuple[int, str]]:
     """``(line, class)`` of each ``Record`` subclass whose ``__init__`` only stores fields."""
     hits = []
-    for cls in ast.walk(ast.parse(source)):
-        if not isinstance(cls, ast.ClassDef) or not any(
-            (isinstance(b, ast.Name) and b.id == "Record")
-            or (isinstance(b, ast.Attribute) and b.attr == "Record")
-            for b in cls.bases
-        ):
-            continue
+    for cls in _records(source):
         for fn in cls.body:
             if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
                 aliases: set[str] = set()
@@ -101,3 +112,76 @@ def test_the_check_finds_a_storing_constructor_and_spares_a_checking_one():
         "        self.__dict__['a'] = a",
     ])
     assert storing_inits(source) == [(3, "Stores"), (8, "Updates")]
+
+
+def test_the_check_finds_a_constructor_that_only_forwards_its_fields():
+    source = "\n".join([
+        "class Forwards(Record):",
+        "    def __init__(self, a, b=None):",
+        "        super().__init__(a, b)",
+        "class Converts(Record):",
+        "    def __init__(self, a):",
+        "        super().__init__(tuple(a))",
+    ])
+    assert storing_inits(source) == [(2, "Forwards")]
+
+
+def hand_written(source: str) -> list[tuple[int, str]]:
+    """``(line, what)`` of each equality, hash or field store a ``Record`` subclass writes itself.
+
+    That is an ``__eq__`` or ``__hash__`` method or assignment, other than
+    ``OverlapGraph``'s and ``__hash__ = None``, and an ``__init__`` that
+    reads or writes ``self.__dict__``.
+    """
+    hits = []
+    for cls in _records(source):
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                if isinstance(node.value, ast.Constant) and node.value.value is None:
+                    names = [n for n in names if n != "__hash__"]
+            else:
+                continue
+            for name in names:
+                if name in ("__eq__", "__hash__") and cls.name != "OverlapGraph":
+                    hits.append((node.lineno, f"{cls.name}.{name}"))
+                elif name == "__init__" and any(_is_self_dict(n) for n in ast.walk(node)):
+                    hits.append((node.lineno, f"{cls.name}.__init__"))
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_records_store_compare_and_hash_only_through_record(path):
+    assert hand_written(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_hand_written_equality_and_stores():
+    source = "\n".join([
+        "class Compares(Record):",
+        "    def __eq__(self, other): return True",
+        "    def __hash__(self): return 0",
+        "class Unhashable(Record, eq=True):",
+        "    __hash__ = None",
+        "class Rehashes(records.Record):",
+        "    __hash__ = object.__hash__",
+        "class OverlapGraph(Record):",
+        "    def __eq__(self, other): return True",
+        "class Stores(Record):",
+        "    def __init__(self, a):",
+        "        if a < 0:",
+        "            raise ValueError(a)",
+        "        self.__dict__['a'] = a",
+        "class Passes(Record):",
+        "    def __init__(self, a):",
+        "        super().__init__(tuple(a))",
+        "    def _set(self, a):",
+        "        self.__dict__['a'] = a",
+        "class NotARecord:",
+        "    def __eq__(self, other): return True",
+        "    def __init__(self, a):",
+        "        self.__dict__['a'] = a",
+    ])
+    assert hand_written(source) == [(2, "Compares.__eq__"), (3, "Compares.__hash__"),
+                                    (7, "Rehashes.__hash__"), (11, "Stores.__init__")]

@@ -627,7 +627,7 @@ def test_protocol_parse_rejects_malformed(text):
     [
         ([[0, 0], [True, 0]],
          "protocol: outcome 0 basis vector 1: entry 1 must be a [re, im] pair of finite numbers"),
-        ([[0, 0], [0, 0]], "cannot normalize a vector of norm 0.0"),
+        ([[0, 0], [0, 0]], "protocol: outcome 0 basis vector 1: cannot normalize a vector of norm 0.0"),
         ([[0, 0], [0, 0], [1, 0]], "protocol: outcome 0: basis vectors must have dimension 2"),
     ],
 )

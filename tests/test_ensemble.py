@@ -425,16 +425,17 @@ def test_parse_rejects_zero_vector():
 # on its own, then normalized with np.linalg.norm, in file order.
 
 
-def _reference_normalize(arr, tol):
+def _reference_normalize(arr, tol, where=None):
     with np.errstate(over="ignore", invalid="ignore"):
         n = float(np.linalg.norm(arr))
         if n == math.inf:  # the squared norm overflowed; the norm may still be a double
             big = float(np.abs(arr).max())
             n = big * float(np.linalg.norm(arr / big))
+    at = f"{where}: " if where else ""
     if not math.isfinite(n):
-        raise SchemaError("cannot normalize a vector whose squared norm overflows a double")
+        raise SchemaError(f"{at}cannot normalize a vector whose squared norm overflows a double")
     if n <= tol:
-        raise ZeroVectorError(f"cannot normalize a vector of norm {n!r}")
+        raise ZeroVectorError(f"{at}cannot normalize a vector of norm {n!r}")
     if abs(n - 1.0) <= 64.0 * np.finfo(np.float64).eps:
         return arr
     return arr / n
@@ -446,7 +447,7 @@ def _reference_parse(text, tol):
     for raw in data["states"]:
         for p, vec in enumerate(raw["vectors"]):
             where = f"state {raw['label']!r} party {p}"
-            rows[p].append(_reference_normalize(complex_from_json(vec, where), tol))
+            rows[p].append(_reference_normalize(complex_from_json(vec, where), tol, where))
     return rows
 
 

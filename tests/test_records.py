@@ -26,7 +26,7 @@ from loccdist import (
     run_protocol,
     validate,
 )
-from loccdist.distinguish import StepOutcome, Verdict
+from loccdist.distinguish import MeasurementStep, StepOutcome, Verdict
 from loccdist.linalg import svd_decompose
 from loccdist.oracle import enumerate_valid_partitions
 from loccdist.records import Record
@@ -177,7 +177,8 @@ def test_an_operator_compares_its_party_flags_matrix_and_basis():
     p, q = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     e0, e1 = np.eye(2)[:1], np.eye(2)[1:]
     op = LocalOperator(0, p, basis=e0)
-    assert op == LocalOperator(0, p, basis=e0.copy()) and hash(op) == hash(LocalOperator(0, p))
+    assert op == LocalOperator(0, p, basis=e0.copy())
+    assert hash(op) == hash(LocalOperator(0, p, basis=e0.copy()))
     for other in (LocalOperator(1, p, basis=e0), LocalOperator(0, q, basis=e0),
                   LocalOperator(0, p), LocalOperator(0, p, basis=e1),
                   LocalOperator(0, p, basis=e0, complement=True)):
@@ -192,6 +193,37 @@ def test_signed_zeros_compare_and_hash_equal(build):
     # np.array_equal finds -0.0 equal to 0.0, so the hash must too
     a, b = build(np.array([[1.0, -0.0], [-0.0, 0.0]])), build(np.diag([1.0, 0.0]))
     assert a == b and hash(a) == hash(b)
+
+
+# a complex128 array whose imaginary parts are zero, and a copy of it with
+# signed zeros in place of three of its zeros
+_X = np.array([[0.6, 0.8], [0.0, 1.0]], dtype=np.complex128)
+_SIGNED = _X.copy()
+_SIGNED[0, 0], _SIGNED[1, 0] = complex(0.6, -0.0), complex(-0.0, -0.0)
+_NUDGED = _X.copy()
+_NUDGED[0, 1] += 1e-12
+
+# a record around the array, as its own field or inside a nested record
+ARRAY_RECORDS = {
+    "StepOutcome": lambda x: StepOutcome(("a", "b"), x),
+    "LocalOperator matrix": lambda x: LocalOperator(0, x),
+    "LocalOperator basis": lambda x: LocalOperator(0, np.eye(2), basis=x),
+    "MeasurementStep": lambda x: MeasurementStep(0, (StepOutcome(("a",), x),
+                                                     StepOutcome(("b",), x))),
+    "Instrument": lambda x: Instrument(0, (LocalOperator(0, x, basis=x), LocalOperator(0, x))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
+def test_array_fields_compare_by_array_equal_and_hash_alike(name):
+    build = ARRAY_RECORDS[name]
+    a = build(_X)
+    for same in (_SIGNED, _X.real.copy()):  # signed zeros; a float64 copy
+        b = build(same)
+        assert a == b and not a != b and hash(a) == hash(b)
+    for other in (_X.reshape(1, 4), _NUDGED):  # the same bytes in another shape; one entry moved
+        c = build(other)
+        assert a != c and c != a and not a == c
 
 
 # the records whose constructors only store their fields

@@ -632,8 +632,10 @@ def _factored(vectors):
         ("not-a-list", SchemaError,
          r"protocol: operator 0: basis vector 1: expected a non-empty list of [re, im] pairs"),
         ("dimension", SchemaError, "protocol: operator 0: basis vectors must have dimension {d}"),
-        ("zero", ZeroVectorError, "cannot normalize a vector of norm 0.0"),
-        ("overflow", SchemaError, "cannot normalize a vector whose squared norm overflows a double"),
+        ("zero", ZeroVectorError,
+         "protocol: operator 0: basis vector 1: cannot normalize a vector of norm 0.0"),
+        ("overflow", SchemaError, "protocol: operator 0: basis vector 1: "
+         "cannot normalize a vector whose squared norm overflows a double"),
     ],
 )
 def test_factored_basis_errors_name_the_vector_and_entry(d, fault, error, message):
